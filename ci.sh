@@ -60,6 +60,13 @@ echo "==> fleet_qos bench smoke (quick mode, writes BENCH_fleet.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench fleet_qos
 test -f BENCH_fleet.json || { echo "BENCH_fleet.json missing"; exit 1; }
 
+echo "==> sandbench unit tests (the end-to-end benchmark's own package)"
+cargo test -q --offline --manifest-path sandbench/Cargo.toml
+
+echo "==> sandbench smoke (fig11_single_fit for 2 s; exits 0 only when correct: true)"
+cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
+    --workload fig11_single_fit --seed 1 --seconds 2 --trace 0 > /dev/null
+
 echo "==> telemetry example smoke (quick workload, validates JSONL export)"
 cargo run -q --release --example telemetry -- --quick --json --check > /dev/null
 

@@ -1,5 +1,7 @@
 //! The SAND engine.
 
+use crate::chunk::{Chunk, Chunks};
+use crate::flight::Flight;
 use crate::keys::store_key;
 use crate::prefetch::Prefetcher;
 use crate::{CoreError, Result};
@@ -8,19 +10,16 @@ use sand_codec::{Dataset, DecodeStats, Decoder, WarmDecoder};
 use sand_config::TaskConfig;
 use sand_frame::tensor::{clip_refs_to_tensor, stack};
 use sand_frame::{compress_frame, decompress_frame, Frame};
-use sand_graph::{
-    prune_to_budget, AbstractGraph, BatchRef, ConcreteGraph, NodeId, ObjectKey, PlanInput, Planner,
-    PlannerOptions,
-};
+use sand_graph::{AbstractGraph, BatchRef, NodeId, ObjectKey, PlanInput, Planner, PlannerOptions};
 use sand_lint::{lint_all, AutotuneClamp, FleetLint, LintLevel, LintOptions, RemoteLint};
 use sand_net::{RemoteTier, RemoteTierConfig};
 use sand_sanitizer::{ShadowCell, TrackedCondvar, TrackedMutex};
 use sand_sched::{Job, JobKind, SchedConfig, Scheduler};
 use sand_storage::{ObjectMeta, ObjectStore, StoreConfig, Tier};
 use sand_telemetry::{
-    record_stage, AutotuneMetrics, BatchMeta, CodecMetrics, EngineMetrics, FleetMetrics,
-    MaterializeMetrics, PrefetchMetrics, SchedMetrics, Snapshot, Stage, StallReport, StoreMetrics,
-    Telemetry, TelemetryConfig, TenantMetrics, VfsMetrics,
+    record_stage, AutotuneMetrics, BatchMeta, BatchProbe, CodecMetrics, EngineMetrics,
+    FleetMetrics, MaterializeMetrics, PrefetchMetrics, SchedMetrics, Snapshot, Stage, StallReport,
+    StoreMetrics, Telemetry, TelemetryConfig, TenantMetrics, VfsMetrics,
 };
 use sand_vfs::{SandVfs, VfsError, ViewPath, ViewProvider};
 use std::collections::HashMap;
@@ -162,52 +161,14 @@ pub struct EngineStats {
     pub sched: sand_sched::SchedStats,
 }
 
-/// One planned epoch chunk.
-struct Chunk {
-    graph: ConcreteGraph,
-    /// Per-node earliest-need clock.
-    deadlines: Vec<Option<u64>>,
-    /// Per-node transitive consumer count (for store `future_uses`).
-    future_uses: Vec<u32>,
-    /// Batch lookup: (task, epoch, iteration) -> batches index.
-    batch_index: HashMap<(u32, u64, u64), usize>,
-}
-
-impl Chunk {
-    fn build(graph: ConcreteGraph) -> Self {
-        let deadlines = graph.deadlines();
-        let mut future_uses: Vec<u32> = graph
-            .nodes
-            .iter()
-            .map(|n| n.consumers.len() as u32)
-            .collect();
-        // Children have larger ids; one reverse sweep accumulates subtree
-        // consumer counts into ancestors.
-        for id in (0..graph.nodes.len()).rev() {
-            if let Some(p) = graph.nodes[id].parent {
-                future_uses[p] += future_uses[id];
-            }
-        }
-        let mut batch_index = HashMap::new();
-        for (i, b) in graph.batches.iter().enumerate() {
-            batch_index.insert((b.task, b.epoch, b.iteration), i);
-        }
-        Chunk {
-            graph,
-            deadlines,
-            future_uses,
-            batch_index,
-        }
-    }
-}
-
 /// Shared engine state (jobs hold an `Arc` to this).
-struct Inner {
-    config: EngineConfig,
-    dataset: Arc<Dataset>,
-    store: Arc<ObjectStore>,
-    sched: Scheduler,
-    chunks: TrackedMutex<HashMap<u64, Arc<Chunk>>>,
+pub(crate) struct Inner {
+    pub(crate) config: EngineConfig,
+    pub(crate) dataset: Arc<Dataset>,
+    pub(crate) store: Arc<ObjectStore>,
+    pub(crate) sched: Scheduler,
+    /// Planned chunks: once-slots by chunk id, retained by last use.
+    pub(crate) chunks: Chunks,
     task_ids: HashMap<String, u32>,
     decode_stats: TrackedMutex<DecodeStats>,
     /// Warm per-video decode sessions for the demand paths: a single-frame
@@ -224,8 +185,8 @@ struct Inner {
     /// back-pressure estimate for in-flight prefetch bytes.
     last_batch_bytes: AtomicU64,
     telemetry: Telemetry,
-    engine_metrics: Option<EngineMetrics>,
-    mat_metrics: Option<MaterializeMetrics>,
+    pub(crate) engine_metrics: Option<EngineMetrics>,
+    pub(crate) mat_metrics: Option<MaterializeMetrics>,
     codec_metrics: Option<CodecMetrics>,
     /// Live materialize fan-out: the runtime value of the `aug_threads`
     /// knob. Seeded from the config; retuned by the controller or
@@ -236,11 +197,14 @@ struct Inner {
     decode_threads_live: AtomicUsize,
     /// The cluster cache tier (`None` unless `EngineConfig::remote`).
     remote: Option<Arc<RemoteTier>>,
-    /// Engine-wide cross-job singleflight over canonical object keys:
-    /// concurrent materializations of the same object — across passes,
-    /// tenants, and serve paths — collapse to one computation, with the
-    /// losers adopting the winner's `Arc` zero-copy.
-    flight: Flight,
+    /// Engine-wide cross-job singleflight over canonical object keys
+    /// ([`store_key`]): concurrent materializations of the same object —
+    /// across passes, tenants, and serve paths — collapse to one
+    /// computation, with the losers adopting the winner's `Arc`
+    /// zero-copy. A `None` outcome means the winner failed; waiters then
+    /// compute the node themselves (at-most-once only has to hold for
+    /// successes).
+    flight: Flight<String, Option<Arc<Frame>>>,
     /// Tenant attribution tables (`None` unless `EngineConfig::tenancy`).
     tenancy: Option<TenancyRuntime>,
     /// Fleet dedup/admission metrics (`None` unless tenancy + telemetry).
@@ -298,72 +262,6 @@ struct TenantRuntime {
     metrics: Option<TenantMetrics>,
 }
 
-/// Engine-wide singleflight claim map keyed by canonical object key
-/// ([`store_key`]), the fleet's cross-job dedup layer.
-///
-/// The per-pass [`Scratch`] already merges duplicates *within* one
-/// materialize pass; the flight extends at-most-once to concurrent
-/// passes: K tenants' demand jobs racing for a shared ancestor elect one
-/// winner, and every waiter adopts the winner's `Arc<Frame>` zero-copy.
-/// Keys are canonical (video / frame / augmentation-chain hash), so the
-/// winner's bytes are exactly what every waiter would have computed —
-/// materialization is deterministic per key.
-///
-/// Deadlock-free by the same argument as [`Scratch`]: a claim is only
-/// held by a running job, and a job only ever waits for keys strictly
-/// *up* the object tree from the claims it holds, so the wait graph is
-/// acyclic and bottoms out at source-frame decodes.
-struct Flight {
-    slots: TrackedMutex<HashMap<String, Arc<FlightSlot>>>,
-}
-
-struct FlightSlot {
-    /// `None` while the winner computes; `Some(outcome)` once published.
-    /// A `Some(None)` outcome means the winner failed — waiters fall
-    /// back to computing the node themselves (at-most-once only has to
-    /// hold for successes).
-    done: TrackedMutex<Option<Option<Arc<Frame>>>>,
-    cv: TrackedCondvar,
-}
-
-impl FlightSlot {
-    fn new() -> Self {
-        FlightSlot {
-            done: TrackedMutex::new("engine.flight.done", None),
-            cv: TrackedCondvar::new(),
-        }
-    }
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            slots: TrackedMutex::new("engine.flight.slots", HashMap::new()),
-        }
-    }
-
-    /// Claims `key` (returning the winner's slot to publish into) or
-    /// joins the existing flight (returning the slot to wait on).
-    fn claim_or_join(&self, key: &str) -> (Arc<FlightSlot>, bool) {
-        let mut slots = self.slots.lock();
-        match slots.get(key) {
-            Some(s) => (Arc::clone(s), false),
-            None => {
-                let s = Arc::new(FlightSlot::new());
-                slots.insert(key.to_string(), Arc::clone(&s));
-                (s, true)
-            }
-        }
-    }
-
-    /// Retires the winner's claim *before* publishing, so a late
-    /// arrival starts a fresh flight (its store probe will hit for
-    /// cached objects) instead of adopting a stale slot.
-    fn retire(&self, key: &str) {
-        self.slots.lock().remove(key);
-    }
-}
-
 /// A shared scratch of raw materialized frames for one materialize pass.
 ///
 /// Every sub-job of a video shares one `Scratch`, so chains that meet at
@@ -375,7 +273,7 @@ impl Flight {
 /// a *running* job, and a job only waits for slots strictly up the object
 /// tree (toward smaller node ids) from claims it holds, so the wait graph
 /// is acyclic and bottoms out at source-frame decodes, which never wait.
-struct Scratch {
+pub(crate) struct Scratch {
     slots: TrackedMutex<HashMap<NodeId, Slot>>,
     ready: TrackedCondvar,
     metrics: Option<MaterializeMetrics>,
@@ -392,7 +290,7 @@ enum Slot {
 }
 
 impl Scratch {
-    fn new(metrics: Option<MaterializeMetrics>) -> Self {
+    pub(crate) fn new(metrics: Option<MaterializeMetrics>) -> Self {
         Scratch {
             slots: TrackedMutex::new("engine.scratch.slots", HashMap::new()),
             ready: TrackedCondvar::new(),
@@ -481,7 +379,7 @@ impl Scratch {
 }
 
 /// Projects the dataset's per-video headers into the planner's metadata.
-fn video_metas(dataset: &Dataset) -> Vec<sand_graph::VideoMeta> {
+pub(crate) fn video_metas(dataset: &Dataset) -> Vec<sand_graph::VideoMeta> {
     dataset
         .videos()
         .iter()
@@ -595,6 +493,7 @@ impl SandEngine {
         } else {
             None
         };
+        let chunks = Chunks::new(config.tasks.len());
         let aug_threads_live = AtomicUsize::new(config.aug_threads.max(1));
         let decode_threads_live = AtomicUsize::new(config.decode_threads.max(1));
         let remote = config
@@ -607,7 +506,7 @@ impl SandEngine {
                 dataset,
                 store,
                 sched,
-                chunks: TrackedMutex::new("engine.chunks", HashMap::new()),
+                chunks,
                 task_ids,
                 decode_stats: TrackedMutex::new("engine.decode_stats", DecodeStats::default()),
                 warm_decoders: TrackedMutex::new("engine.warm_pool", WarmPool::default()),
@@ -622,7 +521,7 @@ impl SandEngine {
                 aug_threads_live,
                 decode_threads_live,
                 remote,
-                flight: Flight::new(),
+                flight: Flight::new("engine.flight.slots", "engine.flight.done"),
                 tenancy,
                 fleet_metrics,
                 autotune,
@@ -968,6 +867,12 @@ impl SandEngine {
         self.inner.sched.tenant_shares()
     }
 
+    /// The chunk table, for retention tests.
+    #[cfg(test)]
+    pub(crate) fn inner_chunks(&self) -> &Chunks {
+        &self.inner.chunks
+    }
+
     /// Fleet dedup/admission metric handles (`None` unless tenancy and
     /// telemetry are both configured).
     #[must_use]
@@ -977,107 +882,6 @@ impl SandEngine {
 }
 
 impl Inner {
-    /// Ensures the chunk containing `epoch` is planned, pruned, and (if
-    /// enabled) being pre-materialized.
-    fn ensure_chunk(inner: &Arc<Inner>, epoch: u64) -> Result<Arc<Chunk>> {
-        if epoch >= inner.config.total_epochs {
-            return Err(CoreError::State {
-                what: format!(
-                    "epoch {epoch} beyond total_epochs {}",
-                    inner.config.total_epochs
-                ),
-            });
-        }
-        let k = inner.config.epochs_per_chunk;
-        let chunk_id = epoch / k;
-        if let Some(c) = inner.chunks.lock().get(&chunk_id) {
-            return Ok(Arc::clone(c));
-        }
-        // Plan outside the lock (planning can be slow), then race-insert.
-        let start = chunk_id * k;
-        let end = (start + k).min(inner.config.total_epochs);
-        // Fast path: a checkpointed plan from a previous run (Sec. 5.5's
-        // "checkpointed every k epochs for faster recovery"). Configs and
-        // seed are deterministic, so a matching checkpoint is the plan.
-        if let Some(path) = Self::checkpoint_path(inner, chunk_id) {
-            if let Ok(bytes) = std::fs::read(&path) {
-                if let Ok(graph) = sand_graph::checkpoint::from_bytes(&bytes) {
-                    if graph.epochs == (start..end) {
-                        let chunk = Arc::new(Chunk::build(graph));
-                        let chunk = {
-                            let mut chunks = inner.chunks.lock();
-                            Arc::clone(chunks.entry(chunk_id).or_insert_with(|| Arc::clone(&chunk)))
-                        };
-                        if inner.config.prematerialize {
-                            Self::submit_prematerialization(inner, &chunk);
-                        }
-                        return Ok(chunk);
-                    }
-                }
-            }
-        }
-        let tasks: Vec<PlanInput> = inner
-            .config
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| PlanInput {
-                task_id: i as u32,
-                config: t.clone(),
-            })
-            .collect();
-        let videos = video_metas(&inner.dataset);
-        let planner = Planner::new(
-            tasks,
-            videos,
-            PlannerOptions {
-                seed: inner.config.seed,
-                coordinate: inner.config.coordinate,
-                epochs: start..end,
-            },
-        )?;
-        let mut graph = planner.plan()?;
-        if inner.config.naive_leaf_cache {
-            // Keep only leaves cached: the naive plan that stores final
-            // training objects and recomputes everything else.
-            let leaf: Vec<bool> = graph.nodes.iter().map(|n| n.children.is_empty()).collect();
-            for node in &mut graph.nodes {
-                if !matches!(node.key, ObjectKey::Video { .. }) {
-                    node.cached = leaf[node.id];
-                }
-            }
-        }
-        if inner.config.prune {
-            prune_to_budget(&mut graph, inner.config.cache_budget);
-        }
-        // Best-effort checkpoint for crash recovery.
-        if let Some(path) = Self::checkpoint_path(inner, chunk_id) {
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(&path, sand_graph::checkpoint::to_bytes(&graph));
-        }
-        let chunk = Arc::new(Chunk::build(graph));
-        let chunk = {
-            let mut chunks = inner.chunks.lock();
-            Arc::clone(chunks.entry(chunk_id).or_insert_with(|| Arc::clone(&chunk)))
-        };
-        if inner.config.prematerialize {
-            Self::submit_prematerialization(inner, &chunk);
-        }
-        Ok(chunk)
-    }
-
-    /// Path of a chunk's plan checkpoint (inside the store directory,
-    /// under a metadata subdirectory the object scan ignores).
-    fn checkpoint_path(inner: &Arc<Inner>, chunk_id: u64) -> Option<PathBuf> {
-        inner
-            .config
-            .store_dir
-            .as_ref()
-            .map(|d| d.join("_meta").join(format!("graph_chunk_{chunk_id}.ckpt")))
-    }
-
     /// The materialize fan-out actually in effect: the *live* engine
     /// knob, maxed with every task-level `execution.aug_threads` hint.
     ///
@@ -1086,7 +890,7 @@ impl Inner {
     /// participates in the same max-fold as the per-task hints — raising
     /// the knob above every hint takes effect instead of being silently
     /// shadowed by a larger static hint.
-    fn effective_aug_threads(inner: &Inner) -> usize {
+    pub(crate) fn effective_aug_threads(inner: &Inner) -> usize {
         inner
             .config
             .tasks
@@ -1180,150 +984,8 @@ impl Inner {
         }
     }
 
-    /// Splits one bucket's node list into at most `parts` sub-job lists.
-    ///
-    /// Nodes are grouped by their nearest source-frame ancestor first, so
-    /// augmentation chains growing out of one decoded frame stay in the
-    /// same sub-job: the shared scratch would merge their work anyway,
-    /// but co-locating them turns the merge into a same-worker reuse
-    /// instead of a cross-job wait. Groups are dealt round-robin in
-    /// frame order, which is deterministic.
-    fn split_bucket(chunk: &Chunk, nodes: &[NodeId], parts: usize) -> Vec<Vec<NodeId>> {
-        if parts <= 1 || nodes.len() <= 1 {
-            return vec![nodes.to_vec()];
-        }
-        let mut groups: std::collections::BTreeMap<u64, Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for &id in nodes {
-            let mut cur = Some(id);
-            let mut gkey = u64::MAX;
-            while let Some(nid) = cur {
-                if let ObjectKey::Frame { frame, .. } = chunk.graph.nodes[nid].key {
-                    gkey = frame as u64;
-                    break;
-                }
-                cur = chunk.graph.nodes[nid].parent;
-            }
-            groups.entry(gkey).or_default().push(id);
-        }
-        let n = parts.min(groups.len()).max(1);
-        let mut out = vec![Vec::new(); n];
-        for (i, (_, group)) in groups.into_iter().enumerate() {
-            out[i % n].extend(group);
-        }
-        out.retain(|v| !v.is_empty());
-        out
-    }
-
-    /// Submits pre-materialization jobs: per (video, deadline bucket),
-    /// fanned out into up to `aug_threads` sub-jobs.
-    ///
-    /// Granularity matters twice over. Jobs must be small enough that a
-    /// demand-feeding job never sits behind a long-running worker (the
-    /// scheduler preempts between jobs, not within one), and the first
-    /// sub-job of a video decodes the *union* of the chunk's source frames
-    /// in one GOP-efficient pass, persisting them so every later epoch's
-    /// bucket reuses the decoded frames instead of re-touching the codec —
-    /// the paper's "decode once, cache for k epochs".
-    ///
-    /// All of a video's sub-jobs share one [`Scratch`] and carry the
-    /// video id as a scheduler affinity hint, so chains meeting at a
-    /// common decoded frame merge work, and the sub-jobs prefer the
-    /// worker already holding the video's warm decode state.
-    fn submit_prematerialization(inner: &Arc<Inner>, chunk: &Arc<Chunk>) {
-        let epoch_span = chunk.graph.epochs.end - chunk.graph.epochs.start;
-        let aug_threads = Self::effective_aug_threads(inner);
-        for v in inner.dataset.videos() {
-            let subtree = chunk.graph.video_subtree(v.video_id);
-            let todo: Vec<NodeId> = subtree
-                .into_iter()
-                .filter(|&id| {
-                    chunk.graph.nodes[id].cached
-                        && !matches!(chunk.graph.nodes[id].key, ObjectKey::Video { .. })
-                        && !inner.store.contains(&store_key(&chunk.graph.nodes[id].key))
-                })
-                .collect();
-            if todo.is_empty() {
-                continue;
-            }
-            // Bucket nodes by the epoch of their earliest need.
-            let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); epoch_span as usize + 1];
-            let clocks_per_epoch = chunk
-                .graph
-                .batches
-                .iter()
-                .map(|b| b.iteration + 1)
-                .max()
-                .unwrap_or(1);
-            for &id in &todo {
-                let bucket = match chunk.deadlines[id] {
-                    Some(clock) => ((clock / clocks_per_epoch)
-                        .saturating_sub(chunk.graph.epochs.start)
-                        as usize)
-                        .min(epoch_span as usize),
-                    None => epoch_span as usize,
-                };
-                buckets[bucket].push(id);
-            }
-            let scratch = Arc::new(Scratch::new(inner.mat_metrics.clone()));
-            let mut first_subjob = true;
-            for bucket_nodes in buckets {
-                if bucket_nodes.is_empty() {
-                    continue;
-                }
-                for mut nodes in Self::split_bucket(chunk, &bucket_nodes, aug_threads) {
-                    let deadline = nodes
-                        .iter()
-                        .filter_map(|&id| chunk.deadlines[id])
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    let remaining_work = nodes.len() as u64;
-                    let inner2 = Arc::clone(inner);
-                    let chunk2 = Arc::clone(chunk);
-                    let scratch2 = Arc::clone(&scratch);
-                    // The video's first sub-job pre-decodes the union of
-                    // source frames the whole subtree needs; the others
-                    // pre-decode only their own slice (the scratch claims
-                    // make any overlap race-free).
-                    let decode_targets: Vec<NodeId> = if first_subjob {
-                        todo.clone()
-                    } else {
-                        nodes.clone()
-                    };
-                    first_subjob = false;
-                    // Pre-materialization serves the union plan — shared
-                    // across tenants by construction — so it stays
-                    // untenanted: charged to nobody's virtual clock.
-                    inner.sched.submit(Job {
-                        kind: JobKind::PreMaterialize,
-                        deadline,
-                        remaining_work,
-                        affinity: Some(v.video_id),
-                        tenant: None,
-                        run: Box::new(move || {
-                            nodes.sort_by_key(|&id| chunk2.deadlines[id].unwrap_or(u64::MAX));
-                            // One GOP-efficient pass; decoded frames
-                            // persist in the store.
-                            let _ =
-                                Self::predecode_nodes(&inner2, &chunk2, &decode_targets, &scratch2);
-                            for id in nodes {
-                                // Failures here only delay demand-path
-                                // work; they are not fatal to training.
-                                let _ = Self::materialize_rec(&inner2, &chunk2, id, &scratch2);
-                            }
-                            // The last sub-job dropping its `Arc` frees
-                            // the raw decoded frames, as the paper
-                            // requires once a subtree completes.
-                        }),
-                    });
-                }
-            }
-        }
-        Self::report_pressure(inner);
-    }
-
     /// Reports store memory pressure to the scheduler.
-    fn report_pressure(inner: &Arc<Inner>) {
+    pub(crate) fn report_pressure(inner: &Arc<Inner>) {
         let stats = inner.store.stats();
         let frac = stats.memory_bytes as f64 / inner.config.store.memory_budget as f64;
         inner.sched.set_memory_pressure(frac);
@@ -1402,7 +1064,7 @@ impl Inner {
 
     /// Materializes a node, consulting (and feeding) the store and the
     /// pass's shared scratch of raw frames.
-    fn materialize_rec(
+    pub(crate) fn materialize_rec(
         inner: &Arc<Inner>,
         chunk: &Arc<Chunk>,
         id: NodeId,
@@ -1437,13 +1099,7 @@ impl Inner {
         let (slot, winner) = inner.flight.claim_or_join(&key);
         if !winner {
             let t0 = inner.fleet_metrics.as_ref().map(|_| Instant::now());
-            let adopted = {
-                let mut done = slot.done.lock();
-                while done.is_none() {
-                    slot.cv.wait(&mut done);
-                }
-                done.clone().flatten()
-            };
+            let (adopted, _) = slot.wait();
             if let (Some(m), Some(t0)) = (inner.fleet_metrics.as_ref(), t0) {
                 m.dedup_wait_us.observe_duration(t0.elapsed());
             }
@@ -1460,11 +1116,7 @@ impl Inner {
         // flight (and hits the store for cached objects) instead of
         // adopting a slot whose object may since have been evicted.
         inner.flight.retire(&key);
-        {
-            let mut done = slot.done.lock();
-            *done = Some(out.as_ref().ok().map(Arc::clone));
-        }
-        slot.cv.notify_all();
+        slot.publish(out.as_ref().ok().map(Arc::clone));
         if out.is_ok() {
             if let Some(m) = &inner.fleet_metrics {
                 m.dedup_wins.inc();
@@ -1625,7 +1277,7 @@ impl Inner {
     /// Frame slots are claimed non-blockingly (`try_claim`), so two
     /// sub-jobs whose targets overlap split the decode work instead of
     /// duplicating it; this pass itself never waits on another job.
-    fn predecode_nodes(
+    pub(crate) fn predecode_nodes(
         inner: &Arc<Inner>,
         chunk: &Arc<Chunk>,
         targets: &[NodeId],
@@ -1812,7 +1464,12 @@ impl Inner {
     /// otherwise. Either way, serving batch `n` tops the prefetch window
     /// back up to `n+1..=n+depth`.
     fn serve_batch(inner: &Arc<Inner>, task: &str, epoch: u64, iteration: u64) -> Result<Vec<u8>> {
+        // The batch's t0 precedes the chunk lookup, so a boundary that
+        // plans inline (or waits on an in-flight plan) books that time
+        // to the trace's `plan` segment.
+        let t0 = inner.telemetry.now();
         let chunk = Self::ensure_chunk(inner, epoch)?;
+        Self::request_next_chunk(inner, &chunk, epoch);
         let chunk_id = epoch / inner.config.epochs_per_chunk;
         // The consume path stays open past `enabled()` while entries are
         // still pending: a controller shrinking the depth to 0 races the
@@ -1827,7 +1484,7 @@ impl Inner {
             // previous chunk's plan are dead — cancel, never serve.
             inner.prefetcher.cancel_stale(chunk_id);
             if let Some(bytes) =
-                Self::consume_prefetched(inner, &chunk, chunk_id, task, epoch, iteration)?
+                Self::consume_prefetched(inner, &chunk, chunk_id, t0, task, epoch, iteration)?
             {
                 if inner.prefetcher.enabled() {
                     Self::schedule_prefetch(inner, &chunk, chunk_id, task, epoch, iteration);
@@ -1835,7 +1492,7 @@ impl Inner {
                 return Ok(bytes);
             }
         }
-        let bytes = Self::serve_batch_inline(inner, &chunk, task, epoch, iteration)?;
+        let bytes = Self::serve_batch_inline(inner, &chunk, t0, task, epoch, iteration)?;
         if inner.prefetcher.enabled() {
             Self::schedule_prefetch(inner, &chunk, chunk_id, task, epoch, iteration);
         }
@@ -1853,6 +1510,7 @@ impl Inner {
         inner: &Arc<Inner>,
         chunk: &Arc<Chunk>,
         chunk_id: u64,
+        t0: Option<Instant>,
         task: &str,
         epoch: u64,
         iteration: u64,
@@ -1881,7 +1539,7 @@ impl Inner {
         // the only attributable segments are `prefetch` (waited below)
         // and `plan`/`finalize` bookkeeping — the exact-sum invariant
         // over serve latency is preserved.
-        let probe = inner.telemetry.batch_probe(0);
+        let probe = t0.map(|t0| BatchProbe::starting_at(t0, 0));
         let was_complete = build.is_complete();
         if !was_complete {
             let t0 = inner.prefetcher.metrics.as_ref().map(|_| Instant::now());
@@ -2066,6 +1724,7 @@ impl Inner {
     fn serve_batch_inline(
         inner: &Arc<Inner>,
         chunk: &Arc<Chunk>,
+        t0: Option<Instant>,
         task: &str,
         epoch: u64,
         iteration: u64,
@@ -2073,10 +1732,9 @@ impl Inner {
         let chunk = Arc::clone(chunk);
         let batch = Self::find_batch(inner, &chunk, task, epoch, iteration)?.clone();
         let tenant = Self::tenant_of_task(inner, task);
-        // The probe's creation instant is the batch's t0: everything
-        // between here and each job's submission is the `plan` segment
-        // of the batch's trace.
-        let probe = inner.telemetry.batch_probe(batch.samples.len());
+        // Everything between the batch's t0 and each job's submission
+        // is the `plan` segment of the batch's trace.
+        let probe = t0.map(|t0| BatchProbe::starting_at(t0, batch.samples.len()));
         inner.store.set_clock(batch.clock);
         Self::report_pressure(inner);
         // Fan the samples out as demand jobs so feeding parallelizes and
@@ -2284,7 +1942,8 @@ impl ViewProvider for SandEngine {
                 ..
             } => {
                 // Serve any planned augmented object at this (frame, depth)
-                // from the most recently planned chunk.
+                // from the chunk being served — not the newest plan, which
+                // with plan-ahead is the *next* chunk's draws.
                 let entry =
                     self.inner
                         .dataset
@@ -2292,17 +1951,14 @@ impl ViewProvider for SandEngine {
                         .ok_or_else(|| VfsError::NoSuchView {
                             path: path.to_string(),
                         })?;
-                let chunks = self.inner.chunks.lock();
-                let mut best: Option<(u64, Arc<Chunk>)> = None;
-                for (id, c) in chunks.iter() {
-                    if best.as_ref().is_none_or(|(b, _)| id > b) {
-                        best = Some((*id, Arc::clone(c)));
-                    }
-                }
-                drop(chunks);
-                let (_, chunk) = best.ok_or_else(|| VfsError::Io {
-                    what: "no planned chunk".into(),
-                })?;
+                let chunk = self
+                    .inner
+                    .chunks
+                    .last_served(&self.inner)
+                    .map_err(io)?
+                    .ok_or_else(|| VfsError::Io {
+                        what: "no planned chunk".into(),
+                    })?;
                 let node = chunk
                     .graph
                     .nodes

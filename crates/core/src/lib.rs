@@ -20,8 +20,10 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+mod chunk;
 pub mod engine;
 pub mod fleet;
+mod flight;
 pub mod keys;
 mod prefetch;
 pub mod service;

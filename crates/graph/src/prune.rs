@@ -32,102 +32,150 @@ pub struct PruneOutcome {
     pub within_budget: bool,
 }
 
-/// Sum of sizes of cached nodes strictly below `node`.
-fn cached_leaf_bytes(graph: &ConcreteGraph, node: NodeId) -> u64 {
-    let mut total = 0;
-    let mut stack: Vec<NodeId> = graph.nodes[node].children.clone();
-    while let Some(id) = stack.pop() {
-        if graph.nodes[id].cached {
-            total += graph.nodes[id].size_bytes;
-        }
-        stack.extend(graph.nodes[id].children.iter().copied());
-    }
-    total
-}
-
-/// Sum of edge costs in the subtree rooted at `node` (the recompute cost
-/// of regenerating everything below it, plus producing it).
-fn subtree_cost(graph: &ConcreteGraph, node: NodeId) -> f64 {
-    let mut total = 0.0;
-    let mut stack = vec![node];
-    while let Some(id) = stack.pop() {
-        total += graph.nodes[id].edge_cost;
-        stack.extend(graph.nodes[id].children.iter().copied());
-    }
-    total
-}
-
-/// Collapse candidates within one video subtree: every uncached ancestor
-/// of a cached node, deduplicated.
+/// One video's collapse candidates, ranked once.
 ///
-/// The paper's pseudocode considers only the direct parents of leaves,
-/// but that greedy gets stuck whenever an intermediate object is larger
-/// than the leaves below it (e.g. a decoded frame above small crops) even
-/// though collapsing *through* it — all the way to the free video root if
-/// necessary — would still save space. Considering all uncached ancestors
-/// preserves the greedy structure while guaranteeing progress whenever
-/// any saving exists.
-fn parents_of_cached(graph: &ConcreteGraph, video_id: u64) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = Vec::new();
-    for id in graph.video_subtree(video_id) {
-        if graph.nodes[id].cached {
-            let mut cur = graph.nodes[id].parent;
-            while let Some(p) = cur {
-                if !out.contains(&p) {
-                    out.push(p);
-                }
-                cur = graph.nodes[p].parent;
-            }
-        }
-    }
-    out
+/// Candidates are every ancestor of a cached node (the paper's
+/// pseudocode considers only the direct parents of leaves, but that
+/// greedy gets stuck whenever an intermediate object is larger than the
+/// leaves below it — a decoded frame above small crops — even though
+/// collapsing *through* it, all the way to the free video root if
+/// necessary, would still save space). They are ranked by subtree
+/// recompute cost, cheapest first — collapsing a cheap subtree trades
+/// the least future compute per byte saved — with ties in discovery
+/// order: preorder of the first cached descendant, nearest ancestor
+/// first.
+///
+/// The ranking is computed once because a collapse cannot reorder it:
+/// subtree cost is static, the collapsed node's subtree leaves the
+/// candidate set, and an ancestor whose first cached descendant sat
+/// inside that subtree now finds the collapsed node itself there — at a
+/// preorder position every candidate outside the subtree compares to
+/// exactly as before. And a candidate that once failed the saving test
+/// fails it forever: the bytes cached below a node only ever shrink. So
+/// a cursor over the ranking replaces rebuilding and re-sorting it per
+/// collapse.
+struct VideoCandidates {
+    ranked: Vec<NodeId>,
+    cursor: usize,
 }
 
-/// One `Prune-Graph` invocation on a single video subtree.
-///
-/// Returns the byte saving achieved (0 when no candidate helps).
-fn prune_video(graph: &mut ConcreteGraph, video_id: u64) -> (u64, f64) {
-    let mut candidates = parents_of_cached(graph, video_id);
-    // Rank by subtree recompute cost, cheapest first: collapsing a cheap
-    // subtree trades the least future compute per byte saved.
-    candidates.sort_by(|&a, &b| {
-        subtree_cost(graph, a)
-            .partial_cmp(&subtree_cost(graph, b))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for cand in candidates {
-        let below = cached_leaf_bytes(graph, cand);
-        let parent_size = if matches!(graph.nodes[cand].key, ObjectKey::Video { .. })
-            || graph.nodes[cand].cached
-        {
-            // The root is the encoded source (costs no cache bytes), and
-            // an already-cached ancestor is already paid for.
-            0
-        } else {
-            graph.nodes[cand].size_bytes
+/// Algorithm 1's working state over one graph.
+struct Pruner<'g> {
+    graph: &'g mut ConcreteGraph,
+    /// Every video's subtree in [`ConcreteGraph::video_subtree`]
+    /// preorder, concatenated: node `n`'s subtree is the contiguous run
+    /// `order[pos[n]..pos[n] + span[n]]`.
+    order: Vec<NodeId>,
+    pos: Vec<usize>,
+    span: Vec<usize>,
+    /// Bytes of cached nodes strictly below each node.
+    below: Vec<u64>,
+    videos: Vec<VideoCandidates>,
+}
+
+impl<'g> Pruner<'g> {
+    fn new(graph: &'g mut ConcreteGraph, video_ids: &[u64]) -> Self {
+        let n = graph.nodes.len();
+        let mut p = Pruner {
+            order: Vec::with_capacity(n),
+            pos: vec![0; n],
+            span: vec![1; n],
+            below: vec![0; n],
+            videos: Vec::with_capacity(video_ids.len()),
+            graph,
         };
-        if below > parent_size {
-            // Collapse: parent becomes cached, all descendants uncached.
-            let cost = {
-                // Recompute exposure of everything we un-cache.
-                let mut c = 0.0;
-                let mut stack: Vec<NodeId> = graph.nodes[cand].children.clone();
-                while let Some(id) = stack.pop() {
-                    c += graph.nodes[id].edge_cost;
-                    stack.extend(graph.nodes[id].children.iter().copied());
+        let mut cost = vec![0.0f64; n];
+        let mut seen = vec![false; n];
+        for &vid in video_ids {
+            let subtree = p.graph.video_subtree(vid);
+            let base = p.order.len();
+            for (i, &id) in subtree.iter().enumerate() {
+                p.pos[id] = base + i;
+            }
+            // Children follow their parent in preorder, so one reverse
+            // sweep folds spans and cached bytes into ancestors.
+            for &id in subtree.iter().rev() {
+                let node = &p.graph.nodes[id];
+                if let Some(parent) = node.parent {
+                    p.span[parent] += p.span[id];
+                    p.below[parent] += p.below[id] + if node.cached { node.size_bytes } else { 0 };
                 }
-                c
+            }
+            // Subtree recompute cost: producing the node plus everything
+            // below it. Summed flat in preorder (not folded child-into-
+            // parent) because the ranking compares these sums and
+            // sibling subtrees tie exactly; O(nodes x depth), and object
+            // trees are a handful of levels deep.
+            for (i, &id) in subtree.iter().enumerate() {
+                cost[id] = subtree[i..i + p.span[id]]
+                    .iter()
+                    .fold(0.0, |sum, &d| sum + p.graph.nodes[d].edge_cost);
+            }
+            let mut ranked = Vec::new();
+            for &id in &subtree {
+                if !p.graph.nodes[id].cached {
+                    continue;
+                }
+                let mut cur = p.graph.nodes[id].parent;
+                while let Some(a) = cur {
+                    if seen[a] {
+                        break; // and so are all of its ancestors
+                    }
+                    seen[a] = true;
+                    ranked.push(a);
+                    cur = p.graph.nodes[a].parent;
+                }
+            }
+            ranked.sort_by(|&a, &b| {
+                cost[a]
+                    .partial_cmp(&cost[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            p.order.extend(subtree);
+            p.videos.push(VideoCandidates { ranked, cursor: 0 });
+        }
+        p
+    }
+
+    /// One `Prune-Graph` invocation on a single video subtree: collapses
+    /// the cheapest candidate that is smaller than the cached objects
+    /// below it. Returns the byte saving achieved (0 when no candidate
+    /// helps) and the recompute exposure of everything un-cached.
+    fn prune_video(&mut self, video: usize) -> (u64, f64) {
+        while let Some(&cand) = self.videos[video].ranked.get(self.videos[video].cursor) {
+            let node = &self.graph.nodes[cand];
+            let parent_size = if matches!(node.key, ObjectKey::Video { .. }) || node.cached {
+                // The root is the encoded source (costs no cache bytes),
+                // and an already-cached ancestor is already paid for.
+                0
+            } else {
+                node.size_bytes
             };
-            graph.nodes[cand].cached = true;
-            let mut stack: Vec<NodeId> = graph.nodes[cand].children.clone();
-            while let Some(id) = stack.pop() {
-                graph.nodes[id].cached = false;
-                stack.extend(graph.nodes[id].children.iter().copied());
+            let below = self.below[cand];
+            if below <= parent_size {
+                self.videos[video].cursor += 1;
+                continue;
+            }
+            // Collapse: parent becomes cached, all descendants uncached.
+            let added = if node.cached { 0 } else { parent_size };
+            let start = self.pos[cand] + 1;
+            let mut cost = 0.0;
+            for &d in &self.order[start..start + self.span[cand] - 1] {
+                cost += self.graph.nodes[d].edge_cost;
+                self.graph.nodes[d].cached = false;
+                self.below[d] = 0;
+            }
+            self.graph.nodes[cand].cached = true;
+            self.below[cand] = 0;
+            let mut cur = self.graph.nodes[cand].parent;
+            while let Some(a) = cur {
+                self.below[a] = self.below[a] - below + added;
+                cur = self.graph.nodes[a].parent;
             }
             return (below - parent_size, cost);
         }
+        (0, 0.0)
     }
-    (0, 0.0)
 }
 
 /// Prunes the cached object set until it fits `budget_bytes`.
@@ -136,44 +184,34 @@ fn prune_video(graph: &mut ConcreteGraph, video_id: u64) -> (u64, f64) {
 /// subtree per video per round, until the total cached size fits the
 /// budget or no further collapse can save space.
 pub fn prune_to_budget(graph: &mut ConcreteGraph, budget_bytes: u64) -> PruneOutcome {
-    let mut data_size = graph.cached_bytes();
-    let mut collapses = 0u64;
-    let mut recompute_added = 0.0;
-    if data_size <= budget_bytes {
-        return PruneOutcome {
-            cached_bytes: data_size,
-            collapses,
-            recompute_cost_added: recompute_added,
-            within_budget: true,
-        };
+    let mut outcome = PruneOutcome {
+        cached_bytes: graph.cached_bytes(),
+        collapses: 0,
+        recompute_cost_added: 0.0,
+        within_budget: true,
+    };
+    if outcome.cached_bytes <= budget_bytes {
+        return outcome;
     }
     let video_ids: Vec<u64> = graph.roots.keys().copied().collect();
+    let mut pruner = Pruner::new(graph, &video_ids);
     loop {
         let mut progressed = false;
-        for &vid in &video_ids {
-            let (saved, cost) = prune_video(graph, vid);
+        for video in 0..video_ids.len() {
+            let (saved, cost) = pruner.prune_video(video);
             if saved > 0 {
                 progressed = true;
-                collapses += 1;
-                recompute_added += cost;
-                data_size = data_size.saturating_sub(saved);
-                if data_size <= budget_bytes {
-                    return PruneOutcome {
-                        cached_bytes: data_size,
-                        collapses,
-                        recompute_cost_added: recompute_added,
-                        within_budget: true,
-                    };
+                outcome.collapses += 1;
+                outcome.recompute_cost_added += cost;
+                outcome.cached_bytes = outcome.cached_bytes.saturating_sub(saved);
+                if outcome.cached_bytes <= budget_bytes {
+                    return outcome;
                 }
             }
         }
         if !progressed {
-            return PruneOutcome {
-                cached_bytes: data_size,
-                collapses,
-                recompute_cost_added: recompute_added,
-                within_budget: false,
-            };
+            outcome.within_budget = false;
+            return outcome;
         }
     }
 }

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use sand_config::types::{
     AugOp, Branch, BranchArm, BranchType, InputSource, SamplingConfig, TaskConfig,
 };
-use sand_graph::{prune_to_budget, FramePool, PlanInput, Planner, PlannerOptions};
+use sand_graph::{prune_to_budget, FramePool, ObjectKey, PlanInput, Planner, PlannerOptions};
+
+mod prune_reference;
 
 /// A random but always-valid task configuration over 32x32 sources.
 fn arb_task(tag: &'static str) -> impl Strategy<Value = TaskConfig> {
@@ -146,6 +148,59 @@ proptest! {
         prop_assert!(out.within_budget, "budget {budget} of {full} unreachable");
         prop_assert!(g.cached_bytes() <= budget);
         prop_assert_eq!(g.cached_bytes(), out.cached_bytes);
+    }
+
+    /// The near-linear pruning pass performs exactly the collapse
+    /// sequence of the quadratic one it replaced.
+    #[test]
+    fn prop_prune_matches_reference(
+        a in arb_task("a"),
+        b in arb_task("b"),
+        n_videos in 1usize..7,
+        epochs in 1u64..3,
+        seed in any::<u64>(),
+        // Budget kind x task count x starting cached set.
+        variant in 0usize..16,
+        frac in 0.0f64..1.0,
+    ) {
+        let (budget_kind, two_tasks, leaves_only) = (variant % 4, variant & 4 != 0, variant & 8 != 0);
+        let mut tasks = vec![PlanInput { task_id: 0, config: a }];
+        if two_tasks {
+            tasks.push(PlanInput { task_id: 1, config: b });
+        }
+        let mut g = Planner::new(
+            tasks,
+            videos(n_videos, 64),
+            PlannerOptions { seed, coordinate: true, epochs: 0..epochs },
+        ).unwrap().plan().unwrap();
+        if leaves_only {
+            // The naive-leaf-cache starting point: intermediates uncached.
+            for id in 0..g.nodes.len() {
+                if !matches!(g.nodes[id].key, ObjectKey::Video { .. }) {
+                    g.nodes[id].cached = g.nodes[id].children.is_empty();
+                }
+            }
+        }
+        let full = g.cached_bytes();
+        let budget = match budget_kind {
+            0 => 0,
+            1 => (full as f64 * frac * 0.3) as u64,
+            2 => (full as f64 * (0.5 + frac / 2.0)) as u64,
+            _ => u64::MAX,
+        };
+        let mut reference = g.clone();
+        let want = prune_reference::prune_to_budget(&mut reference, budget);
+        let got = prune_to_budget(&mut g, budget);
+        let cached = |g: &sand_graph::ConcreteGraph| g.nodes.iter().map(|n| n.cached).collect::<Vec<_>>();
+        prop_assert_eq!(cached(&g), cached(&reference));
+        prop_assert_eq!(got.collapses, want.collapses);
+        prop_assert_eq!(got.cached_bytes, want.cached_bytes);
+        prop_assert_eq!(got.within_budget, want.within_budget);
+        let tolerance = 1e-9 * want.recompute_cost_added.abs().max(1.0);
+        prop_assert!(
+            (got.recompute_cost_added - want.recompute_cost_added).abs() <= tolerance,
+            "recompute cost {} vs reference {}", got.recompute_cost_added, want.recompute_cost_added
+        );
     }
 
     #[test]

@@ -463,6 +463,10 @@ impl Scheduler {
     /// structure owning this scheduler (joining oneself would deadlock).
     fn stop_workers(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // A worker checks the flag and starts waiting under the queue
+        // lock; passing through the lock here means the notification
+        // cannot fall between its check and its wait and be lost.
+        drop(self.shared.queue.lock());
         self.shared.available.notify_all();
         let me = std::thread::current().id();
         for w in self.workers.drain(..) {

@@ -29,8 +29,8 @@ mod snapshot;
 pub use flush::{FlushConfig, JsonlFlusher};
 pub use json::{parse_json, validate_jsonl, JsonValue};
 pub use report::{
-    record_stage, with_stage_cells, BatchMeta, BatchProbe, BatchTrace, SampleProbe, Stage,
-    StageCells, StallReport, STAGE_LABELS,
+    record_stage, with_stage_cells, BatchMeta, BatchProbe, BatchTrace, ChunkPlans, SampleProbe,
+    Stage, StageCells, StallReport, STAGE_LABELS,
 };
 pub use snapshot::{HistogramSnapshot, MetricEntry, MetricValue, Snapshot};
 
@@ -400,6 +400,7 @@ impl Telemetry {
             budget_us: c.config.stall_budget_us,
             traces: c.traces.lock().iter().cloned().collect(),
             decisions: c.decisions.lock().iter().cloned().collect(),
+            chunks: ChunkPlans::from_snapshot(&c.registry.snapshot()),
         })
     }
 }
@@ -634,6 +635,19 @@ pub struct EngineMetrics {
     pub compressed_hits_mem: Counter,
     /// Same, but re-read from the store's spilled disk tier.
     pub compressed_hits_disk: Counter,
+    /// Time to plan one chunk: plan (or checkpoint reload), prune,
+    /// checkpoint, index build.
+    pub chunk_plan_us: Histogram,
+    /// Chunks planned (a retired chunk planned again counts again).
+    pub chunks_planned: Counter,
+    /// Chunk boundaries the serve path crossed and found the plan ready.
+    /// `hit + late + miss` is the number of boundaries crossed, the
+    /// cold start included.
+    pub chunk_plan_ahead_hit: Counter,
+    /// Boundaries that waited on a plan still in flight.
+    pub chunk_plan_ahead_late: Counter,
+    /// Boundaries that planned inline (cold start, seek, straggler).
+    pub chunk_plan_ahead_miss: Counter,
     /// Live prefetcher look-ahead depth as the serve path sees it. The
     /// `engine.effective_*` gauges mirror the *applied* knob values (after
     /// autotune, setters, and clamps), so decision logs and operators
@@ -666,6 +680,11 @@ impl EngineMetrics {
             predecode_us: r.histogram("engine.predecode_us", &c.latency_buckets_us),
             compressed_hits_mem: r.counter("engine.compressed_hits_mem"),
             compressed_hits_disk: r.counter("engine.compressed_hits_disk"),
+            chunk_plan_us: r.histogram("engine.chunk_plan_us", &c.latency_buckets_us),
+            chunks_planned: r.counter("engine.chunks_planned"),
+            chunk_plan_ahead_hit: r.counter("engine.chunk_plan_ahead_hit"),
+            chunk_plan_ahead_late: r.counter("engine.chunk_plan_ahead_late"),
+            chunk_plan_ahead_miss: r.counter("engine.chunk_plan_ahead_miss"),
             effective_prefetch_depth: r.gauge("engine.effective_prefetch_depth"),
             effective_demand_slack: r.gauge("engine.effective_demand_slack"),
             effective_aug_threads: r.gauge("engine.effective_aug_threads"),

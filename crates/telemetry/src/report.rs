@@ -46,6 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::json::json_escape;
+use crate::snapshot::Snapshot;
 
 /// Stages attributable inside a demand job's execution window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,8 +148,15 @@ pub struct BatchMeta {
 
 impl BatchProbe {
     pub fn new(samples: usize) -> Arc<Self> {
+        Self::starting_at(Instant::now(), samples)
+    }
+
+    /// A probe whose batch-start instant was taken earlier, so work the
+    /// serve thread did before it knew the batch's sample count (the
+    /// chunk lookup) falls inside the trace's `plan` segment.
+    pub fn starting_at(t0: Instant, samples: usize) -> Arc<Self> {
         Arc::new(Self {
-            t0: Instant::now(),
+            t0,
             samples: (0..samples).map(|_| SampleProbe::default()).collect(),
             prefetch_ns: AtomicU64::new(0),
         })
@@ -360,6 +368,38 @@ impl BatchTrace {
     }
 }
 
+/// Chunk-boundary accounting, read from the `engine.chunk*` metrics: how
+/// many chunks were planned, at what cost, and whether the plan was
+/// ready when the serve path crossed into the chunk. All zero when no
+/// engine registered those metrics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChunkPlans {
+    pub planned: u64,
+    /// Total planning time, microseconds.
+    pub plan_us: u64,
+    pub ahead_hit: u64,
+    pub ahead_late: u64,
+    pub ahead_miss: u64,
+}
+
+impl ChunkPlans {
+    pub(crate) fn from_snapshot(snap: &Snapshot) -> Self {
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        ChunkPlans {
+            planned: count("engine.chunks_planned"),
+            plan_us: snap.histogram("engine.chunk_plan_us").map_or(0, |h| h.sum),
+            ahead_hit: count("engine.chunk_plan_ahead_hit"),
+            ahead_late: count("engine.chunk_plan_ahead_late"),
+            ahead_miss: count("engine.chunk_plan_ahead_miss"),
+        }
+    }
+
+    /// Chunk boundaries the serve path crossed (the cold start included).
+    pub fn boundaries(&self) -> u64 {
+        self.ahead_hit + self.ahead_late + self.ahead_miss
+    }
+}
+
 /// Every retained batch trace plus the stall budget that classified
 /// them. Produced by `Telemetry::stall_report` / the engine's
 /// `stall_report()` accessor.
@@ -370,6 +410,8 @@ pub struct StallReport {
     /// Rendered autotune decisions, oldest first (empty unless the
     /// adaptive controller is enabled and has committed knob changes).
     pub decisions: Vec<String>,
+    /// Chunk planning and plan-ahead outcomes over the engine's life.
+    pub chunks: ChunkPlans,
 }
 
 impl StallReport {
@@ -480,6 +522,17 @@ impl StallReport {
                 }
                 out.push('\n');
             }
+        }
+        if self.chunks.boundaries() > 0 {
+            out.push_str(&format!(
+                "chunk boundaries: {} crossed — plan ready at {}, in flight at {}, planned inline at {}; {} chunk(s) planned in {} µs\n",
+                self.chunks.boundaries(),
+                self.chunks.ahead_hit,
+                self.chunks.ahead_late,
+                self.chunks.ahead_miss,
+                self.chunks.planned,
+                self.chunks.plan_us,
+            ));
         }
         if !self.decisions.is_empty() {
             out.push_str(&format!("autotune decisions ({}):\n", self.decisions.len()));
@@ -668,10 +721,20 @@ mod tests {
             budget_us: 0,
             traces: vec![probe.finish(meta(), 0)],
             decisions: vec!["tick 3: prefetch_depth 1 -> 2 (late/miss dominate)".into()],
+            chunks: ChunkPlans {
+                planned: 3,
+                plan_us: 4_200,
+                ahead_hit: 2,
+                ahead_late: 0,
+                ahead_miss: 1,
+            },
         };
         let table = report.render_table();
         assert!(table.contains("autotune decisions (1):"));
         assert!(table.contains("prefetch_depth 1 -> 2"));
+        assert!(table.contains(
+            "chunk boundaries: 3 crossed — plan ready at 2, in flight at 0, planned inline at 1"
+        ));
         let jsonl = report.render_jsonl();
         let decision_line = jsonl
             .lines()
@@ -688,8 +751,10 @@ mod tests {
             budget_us: 0,
             traces: Vec::new(),
             decisions: Vec::new(),
+            chunks: ChunkPlans::default(),
         };
         assert!(!silent.render_table().contains("autotune"));
+        assert!(!silent.render_table().contains("chunk boundaries"));
         assert!(!silent.render_jsonl().contains("autotune"));
     }
 
@@ -720,6 +785,7 @@ mod tests {
             budget_us: 0,
             traces,
             decisions: Vec::new(),
+            chunks: ChunkPlans::default(),
         };
         let sections = report.tenant_sections();
         assert_eq!(sections.len(), 2);
@@ -773,6 +839,7 @@ mod tests {
             budget_us: 0,
             traces: vec![probe.finish(meta(), 0)],
             decisions: Vec::new(),
+            chunks: ChunkPlans::default(),
         };
         assert!(report.tenant_sections().is_empty());
         assert!(!report.render_table().contains("per-tenant"));
