@@ -7,6 +7,22 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> engine code lines (non-test, non-comment) per file; no file in crates/core/src over 1200 lines"
+total=0
+for f in $(find crates/core/src -name '*.rs' | sort) crates/net/src/remote.rs; do
+    code=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -Pvc '^\s*(//|$)' || true)
+    lines=$(wc -l < "$f")
+    printf '%6d code %6d lines  %s\n' "$code" "$lines" "$f"
+    total=$((total + code))
+    case "$f" in crates/core/src/*)
+        if [ "$lines" -gt 1200 ]; then
+            echo "$f has $lines lines (limit 1200): split it by responsibility"
+            exit 1
+        fi ;;
+    esac
+done
+printf '%6d code total\n' "$total"
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -30,35 +46,27 @@ SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench decode_parallel
 
 echo "==> aug_parallel bench smoke (quick mode, writes BENCH_aug.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench aug_parallel
-test -f BENCH_aug.json || { echo "BENCH_aug.json missing"; exit 1; }
 
 echo "==> store_contention bench smoke (quick mode, writes BENCH_store.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench store_contention
-test -f BENCH_store.json || { echo "BENCH_store.json missing"; exit 1; }
 
 echo "==> persist_replay bench smoke (quick mode, writes BENCH_persist.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench persist_replay
-test -f BENCH_persist.json || { echo "BENCH_persist.json missing"; exit 1; }
 
 echo "==> telemetry_overhead bench smoke (quick mode, writes BENCH_telemetry.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench telemetry_overhead
-test -f BENCH_telemetry.json || { echo "BENCH_telemetry.json missing"; exit 1; }
 
 echo "==> sanitizer_overhead bench smoke (quick mode, writes BENCH_sanitizer.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench sanitizer_overhead
-test -f BENCH_sanitizer.json || { echo "BENCH_sanitizer.json missing"; exit 1; }
 
 echo "==> autotune_overhead bench smoke (quick mode, writes BENCH_autotune.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench autotune_overhead
-test -f BENCH_autotune.json || { echo "BENCH_autotune.json missing"; exit 1; }
 
 echo "==> net_roundtrip bench smoke (quick mode, writes BENCH_net.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench net_roundtrip
-test -f BENCH_net.json || { echo "BENCH_net.json missing"; exit 1; }
 
 echo "==> fleet_qos bench smoke (quick mode, writes BENCH_fleet.json)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench fleet_qos
-test -f BENCH_fleet.json || { echo "BENCH_fleet.json missing"; exit 1; }
 
 echo "==> sandbench unit tests (the end-to-end benchmark's own package)"
 cargo test -q --offline --manifest-path sandbench/Cargo.toml

@@ -26,15 +26,15 @@
 //!   alive through their `Arc`, and a straggler that returns to a
 //!   retired chunk simply plans it again.
 
-use crate::engine::{video_metas, Inner, Scratch};
-use crate::flight::Flight;
+use crate::engine::{video_metas, Inner};
+use crate::flight::{Arrival, Flight};
 use crate::keys::store_key;
+use crate::materialize::Scratch;
 use crate::{CoreError, Result};
-use sand_graph::{
-    prune_to_budget, ConcreteGraph, NodeId, ObjectKey, PlanInput, Planner, PlannerOptions,
-};
+use sand_graph::{prune_to_budget, ConcreteGraph, NodeId, ObjectKey, Planner, PlannerOptions};
 use sand_sanitizer::TrackedMutex;
 use sand_sched::{Job, JobKind};
+use sand_storage::ObjectMeta;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,22 +160,15 @@ impl Chunk {
             next_requested: AtomicBool::new(false),
         }
     }
-}
 
-/// How a request for a chunk's plan was satisfied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Arrival {
-    /// The plan was already published.
-    Found,
-    /// Another thread was planning it; this one waited.
-    Joined,
-    /// This thread planned it.
-    Planned,
+    /// The store metadata node `id`'s object is kept under.
+    pub(crate) fn meta(&self, id: NodeId) -> ObjectMeta {
+        ObjectMeta {
+            deadline: self.deadlines[id],
+            future_uses: self.future_uses[id],
+        }
+    }
 }
-
-/// A published plan, or the planner's rendered error (`CoreError` is not
-/// `Clone`, so waiters get the message, the planner the original).
-type PlanOutcome = std::result::Result<Arc<Chunk>, String>;
 
 /// Live chunks retained per configured task: the one being served and
 /// the one planned ahead of it (tasks sharing an engine may sit in
@@ -185,7 +178,7 @@ const CHUNKS_PER_TASK: usize = 2;
 /// The engine's chunk table: one once-slot per chunk id, retained by
 /// last use.
 pub(crate) struct Chunks {
-    slots: Flight<u64, PlanOutcome>,
+    slots: Flight<u64, Arc<Chunk>>,
     /// Chunk ids with a slot, most recently used first.
     recent: TrackedMutex<VecDeque<u64>>,
     pub(crate) retain: usize,
@@ -223,27 +216,12 @@ impl Chunks {
 
     /// The plan of `chunk_id`: found, joined in flight, or made here.
     /// The one path every plan takes — inline at a boundary and ahead of
-    /// time from the plan-ahead job alike.
+    /// time from the plan-ahead job alike. A failed plan is not cached:
+    /// the next asker (a waiter included) plans again.
     fn get_or_plan(&self, inner: &Arc<Inner>, chunk_id: u64) -> Result<(Arc<Chunk>, Arrival)> {
         self.touch(chunk_id);
-        let (slot, winner) = self.slots.claim_or_join(&chunk_id);
-        if winner {
-            let out = Inner::plan_chunk(inner, chunk_id).map(Arc::new);
-            if out.is_err() {
-                // A failed plan is not cached: the next asker retries.
-                self.slots.retire(&chunk_id);
-            }
-            slot.publish(match &out {
-                Ok(chunk) => Ok(Arc::clone(chunk)),
-                Err(e) => Err(format!("planning chunk {chunk_id} failed: {e}")),
-            });
-            return out.map(|chunk| (chunk, Arrival::Planned));
-        }
-        match slot.wait() {
-            (Ok(chunk), false) => Ok((chunk, Arrival::Found)),
-            (Ok(chunk), true) => Ok((chunk, Arrival::Joined)),
-            (Err(what), _) => Err(CoreError::State { what }),
-        }
+        self.slots
+            .get_or_compute(&chunk_id, true, || inner.plan_chunk(chunk_id).map(Arc::new))
     }
 
     /// The chunk the serve path asked for last, re-planned if it was
@@ -266,33 +244,33 @@ impl Inner {
     /// The chunk containing `epoch`, for the serve path: planned if need
     /// be, marked as the chunk being served, and — on its first demand
     /// touch — handed to pre-materialization.
-    pub(crate) fn ensure_chunk(inner: &Arc<Inner>, epoch: u64) -> Result<Arc<Chunk>> {
-        if epoch >= inner.config.total_epochs {
+    pub(crate) fn ensure_chunk(self: &Arc<Self>, epoch: u64) -> Result<Arc<Chunk>> {
+        if epoch >= self.config.total_epochs {
             return Err(CoreError::State {
                 what: format!(
                     "epoch {epoch} beyond total_epochs {}",
-                    inner.config.total_epochs
+                    self.config.total_epochs
                 ),
             });
         }
-        let chunk_id = epoch / inner.config.epochs_per_chunk;
-        let (chunk, arrival) = inner.chunks.get_or_plan(inner, chunk_id)?;
-        inner.chunks.last_served.store(chunk_id, Ordering::Relaxed);
+        let chunk_id = epoch / self.config.epochs_per_chunk;
+        let (chunk, arrival) = self.chunks.get_or_plan(self, chunk_id)?;
+        self.chunks.last_served.store(chunk_id, Ordering::Relaxed);
         // Taking the prepared fan-out is the once-flag of the boundary
         // crossing. The lock is held across the hand-off, so a racing
         // serve queues its demand behind the chunk's pre-materialization,
         // not ahead of it.
         let mut fanout = chunk.fanout.lock();
         if let Some(videos) = fanout.take() {
-            if let Some(m) = &inner.engine_metrics {
+            if let Some(m) = &self.engine_metrics {
                 match arrival {
                     Arrival::Found => m.chunk_plan_ahead_hit.inc(),
                     Arrival::Joined => m.chunk_plan_ahead_late.inc(),
-                    Arrival::Planned => m.chunk_plan_ahead_miss.inc(),
+                    Arrival::Computed => m.chunk_plan_ahead_miss.inc(),
                 }
             }
-            if inner.config.prematerialize {
-                Self::submit_prematerialization(inner, &chunk, videos);
+            if self.config.prematerialize {
+                self.submit_prematerialization(&chunk, videos);
             }
         }
         drop(fanout);
@@ -307,18 +285,18 @@ impl Inner {
     /// prefetched instead of after the last of them, which is the
     /// boundary. (In the pre-materialization band it starves exactly
     /// when it matters: a saturated trainer leaves that band no time.)
-    pub(crate) fn request_next_chunk(inner: &Arc<Inner>, chunk: &Arc<Chunk>, epoch: u64) {
+    pub(crate) fn request_next_chunk(self: &Arc<Self>, chunk: &Arc<Chunk>, epoch: u64) {
         let end = chunk.graph.epochs.end;
         if epoch + 1 != end
-            || end >= inner.config.total_epochs
+            || end >= self.config.total_epochs
             || chunk.next_requested.swap(true, Ordering::Relaxed)
         {
             return;
         }
-        let next_id = end / inner.config.epochs_per_chunk;
-        let inner2 = Arc::clone(inner);
+        let next_id = end / self.config.epochs_per_chunk;
+        let inner = Arc::clone(self);
         let requester = Arc::downgrade(chunk);
-        inner.sched.submit(Job {
+        self.sched.submit(Job {
             kind: JobKind::Prefetch,
             deadline: epoch * chunk.clocks_per_epoch,
             remaining_work: 1,
@@ -330,7 +308,7 @@ impl Inner {
                 // plan is not cached; the serve that reaches the boundary
                 // plans again and reports it.
                 if requester.upgrade().is_some() {
-                    let _ = inner2.chunks.get_or_plan(&inner2, next_id);
+                    let _ = inner.chunks.get_or_plan(&inner, next_id);
                 }
             }),
         });
@@ -338,12 +316,18 @@ impl Inner {
 
     /// Plans, prunes and checkpoints one chunk (or reloads its
     /// checkpoint) and builds its serving indexes.
-    fn plan_chunk(inner: &Arc<Inner>, chunk_id: u64) -> Result<Chunk> {
-        let t0 = inner.engine_metrics.as_ref().map(|_| Instant::now());
-        let k = inner.config.epochs_per_chunk;
+    fn plan_chunk(&self, chunk_id: u64) -> Result<Chunk> {
+        let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
+        let config = &self.config;
+        let k = config.epochs_per_chunk;
         let start = chunk_id * k;
-        let end = (start + k).min(inner.config.total_epochs);
-        let checkpoint = Self::checkpoint_path(inner, chunk_id);
+        let end = (start + k).min(config.total_epochs);
+        // Inside the store directory, under a metadata subdirectory the
+        // object scan ignores.
+        let checkpoint: Option<PathBuf> = config
+            .store_dir
+            .as_ref()
+            .map(|d| d.join("_meta").join(format!("graph_chunk_{chunk_id}.ckpt")));
         // Fast path: a checkpointed plan from a previous run (Sec. 5.5's
         // "checkpointed every k epochs for faster recovery"). Configs and
         // seed are deterministic, so a matching checkpoint is the plan.
@@ -355,27 +339,17 @@ impl Inner {
         let graph = match restored {
             Some(graph) => graph,
             None => {
-                let tasks: Vec<PlanInput> = inner
-                    .config
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| PlanInput {
-                        task_id: i as u32,
-                        config: t.clone(),
-                    })
-                    .collect();
                 let planner = Planner::new(
-                    tasks,
-                    video_metas(&inner.dataset),
+                    config.plan_inputs(),
+                    video_metas(&self.dataset),
                     PlannerOptions {
-                        seed: inner.config.seed,
-                        coordinate: inner.config.coordinate,
+                        seed: config.seed,
+                        coordinate: config.coordinate,
                         epochs: start..end,
                     },
                 )?;
                 let mut graph = planner.plan()?;
-                if inner.config.naive_leaf_cache {
+                if config.naive_leaf_cache {
                     // Keep only leaves cached: the naive plan that stores
                     // final training objects and recomputes everything
                     // else.
@@ -385,8 +359,8 @@ impl Inner {
                         }
                     }
                 }
-                if inner.config.prune {
-                    prune_to_budget(&mut graph, inner.config.cache_budget);
+                if config.prune {
+                    prune_to_budget(&mut graph, config.cache_budget);
                 }
                 // Best-effort checkpoint for crash recovery.
                 if let Some(path) = &checkpoint {
@@ -398,31 +372,21 @@ impl Inner {
                 graph
             }
         };
-        let chunk = Chunk::build(graph, inner.dataset.videos().iter().map(|v| v.video_id));
-        if let (Some(m), Some(t0)) = (inner.engine_metrics.as_ref(), t0) {
+        let chunk = Chunk::build(graph, self.dataset.videos().iter().map(|v| v.video_id));
+        if let (Some(m), Some(t0)) = (self.engine_metrics.as_ref(), t0) {
             m.chunk_plan_us.observe_duration(t0.elapsed());
             m.chunks_planned.inc();
         }
         Ok(chunk)
     }
 
-    /// Path of a chunk's plan checkpoint (inside the store directory,
-    /// under a metadata subdirectory the object scan ignores).
-    fn checkpoint_path(inner: &Arc<Inner>, chunk_id: u64) -> Option<PathBuf> {
-        inner
-            .config
-            .store_dir
-            .as_ref()
-            .map(|d| d.join("_meta").join(format!("graph_chunk_{chunk_id}.ckpt")))
-    }
-
     /// Splits one bucket's node list into at most `parts` sub-job lists.
     ///
     /// Nodes are grouped by their nearest source-frame ancestor first, so
     /// augmentation chains growing out of one decoded frame stay in the
-    /// same sub-job: the shared scratch would merge their work anyway,
-    /// but co-locating them turns the merge into a same-worker reuse
-    /// instead of a cross-job wait. Groups are dealt round-robin in
+    /// same sub-job: the pass memo and the flight would merge their work
+    /// anyway, but co-locating them turns the merge into a same-worker
+    /// reuse instead of a cross-job wait. Groups are dealt round-robin in
     /// frame order, which is deterministic.
     fn split_bucket(nodes: &[FanoutNode], parts: usize) -> Vec<Vec<NodeId>> {
         if parts <= 1 || nodes.len() <= 1 {
@@ -464,14 +428,14 @@ impl Inner {
     /// are not queued again) and one submission per job. A video's jobs
     /// are submitted as soon as its probes are done, so the workers start
     /// on the first videos while the rest are still being handed over.
-    fn submit_prematerialization(inner: &Arc<Inner>, chunk: &Arc<Chunk>, fanout: Vec<VideoFanout>) {
+    fn submit_prematerialization(self: &Arc<Self>, chunk: &Arc<Chunk>, fanout: Vec<VideoFanout>) {
         let epoch_span = (chunk.graph.epochs.end - chunk.graph.epochs.start) as usize;
-        let aug_threads = Self::effective_aug_threads(inner);
+        let aug_threads = self.effective_aug_threads();
         for video in fanout {
             let mut buckets: Vec<Vec<FanoutNode>> = vec![Vec::new(); epoch_span + 1];
             let mut todo: Vec<NodeId> = Vec::new();
             for &n in &video.nodes {
-                if !inner
+                if !self
                     .store
                     .contains(&store_key(&chunk.graph.nodes[n.id].key))
                 {
@@ -484,10 +448,10 @@ impl Inner {
             }
             // The video's first sub-job pre-decodes the union of source
             // frames the whole subtree needs; the others pre-decode only
-            // their own slice (the scratch claims make any overlap
+            // their own slice (the flight claims make any overlap
             // race-free).
             let mut union = Some(todo);
-            let scratch = Arc::new(Scratch::new(inner.mat_metrics.clone()));
+            let scratch = Arc::new(Scratch::new());
             for bucket_nodes in buckets {
                 if bucket_nodes.is_empty() {
                     continue;
@@ -508,33 +472,33 @@ impl Inner {
                         }));
                         work.len() - 1
                     };
-                    let inner2 = Arc::clone(inner);
+                    let inner = Arc::clone(self);
                     // Weak: the queue must not keep a retired chunk
                     // alive, and has nothing left to do for it.
-                    let chunk2 = Arc::downgrade(chunk);
+                    let weak = Arc::downgrade(chunk);
                     // Pre-materialization serves the union plan — shared
                     // across tenants by construction — so it stays
                     // untenanted: charged to nobody's virtual clock.
-                    inner.sched.submit(Job {
+                    self.sched.submit(Job {
                         kind: JobKind::PreMaterialize,
                         deadline,
                         remaining_work,
                         affinity: Some(video.video_id),
                         tenant: None,
                         run: Box::new(move || {
-                            if let Some(chunk) = chunk2.upgrade() {
-                                Self::prematerialize(&inner2, &chunk, ticket);
+                            if let Some(chunk) = weak.upgrade() {
+                                inner.prematerialize(&chunk, ticket);
                             }
                         }),
                     });
                 }
             }
         }
-        Self::report_pressure(inner);
+        self.report_pressure();
     }
 
     /// Runs one pre-materialization ticket of `chunk`.
-    fn prematerialize(inner: &Arc<Inner>, chunk: &Arc<Chunk>, ticket: usize) {
+    fn prematerialize(self: &Arc<Self>, chunk: &Arc<Chunk>, ticket: usize) {
         let work = chunk.work.lock().get_mut(ticket).and_then(Option::take);
         let Some(PrematWork {
             mut nodes,
@@ -545,15 +509,15 @@ impl Inner {
             return;
         };
         // The demand path may have got to some of them since the hand-off.
-        nodes.retain(|&id| !inner.store.contains(&store_key(&chunk.graph.nodes[id].key)));
+        nodes.retain(|&id| !self.store.contains(&store_key(&chunk.graph.nodes[id].key)));
         nodes.sort_by_key(|&id| chunk.deadlines[id].unwrap_or(u64::MAX));
         // One GOP-efficient pass (it skips targets the store already
         // covers); decoded frames persist in the store.
-        let _ = Self::predecode_nodes(inner, chunk, &decode_targets, &scratch);
+        let _ = self.predecode_nodes(chunk, &decode_targets, &scratch);
         for id in nodes {
             // Failures here only delay demand-path work; they are not
             // fatal to training.
-            let _ = Self::materialize_rec(inner, chunk, id, &scratch);
+            let _ = self.materialize(chunk, id, &scratch);
         }
     }
 }

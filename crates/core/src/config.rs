@@ -1,0 +1,320 @@
+//! Engine configuration, and the startup lint pass assembled from it.
+
+use crate::engine::{video_metas, SandEngine};
+use crate::{CoreError, Result};
+use sand_autotune::AutotuneConfig;
+use sand_config::TaskConfig;
+use sand_graph::{AbstractGraph, PlanInput, Planner, PlannerOptions};
+use sand_lint::{lint_all, AutotuneClamp, FleetLint, LintLevel, LintOptions, RemoteLint};
+use sand_net::RemoteTierConfig;
+use sand_sched::SchedConfig;
+use sand_storage::StoreConfig;
+use sand_telemetry::TelemetryConfig;
+use std::path::PathBuf;
+
+/// Engine configuration.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// All tasks sharing this engine (and dataset).
+    pub tasks: Vec<TaskConfig>,
+    /// Object store tiers and budgets.
+    pub store: StoreConfig,
+    /// Disk-tier directory (`None` = memory-only store).
+    pub store_dir: Option<PathBuf>,
+    /// Worker pool configuration.
+    pub sched: SchedConfig,
+    /// Global seed for planning and coordinated draws.
+    pub seed: u64,
+    /// Coordinated randomization (SAND) vs. independent (ablation).
+    pub coordinate: bool,
+    /// Epochs per concrete-graph chunk (the paper's `k`).
+    pub epochs_per_chunk: u64,
+    /// Total training epochs.
+    pub total_epochs: u64,
+    /// Cache budget for Algorithm 1 pruning, in bytes.
+    pub cache_budget: u64,
+    /// Whether to run the pruning pass (off = naive leaf caching).
+    pub prune: bool,
+    /// Naive baseline: cache only the final (leaf) training objects,
+    /// ignoring intermediates — the comparison point of Fig. 17.
+    pub naive_leaf_cache: bool,
+    /// Client of a running custom-augmentation service; required when any
+    /// pipeline uses `custom:` ops.
+    pub aug_service: Option<crate::service::AugClient>,
+    /// Whether to pre-materialize ahead of demand.
+    pub prematerialize: bool,
+    /// Epoch-ahead batch prefetch depth: serving batch `n` speculatively
+    /// materializes batches `n+1..=n+depth` (consumption order, within
+    /// the current chunk) on the worker pool at a priority below demand,
+    /// so the trainer's next read is a cache hit instead of an inline
+    /// materialization. `0` (default) disables prefetching entirely —
+    /// provably behaviour-identical: served bytes never depend on the
+    /// depth (`prop_prefetch_parity`).
+    pub prefetch_depth: usize,
+    /// Threads used to decode independent keyframe segments of one video
+    /// concurrently during pre-materialization (closed GOPs make the
+    /// segments independent). `1` keeps decodes sequential.
+    pub decode_threads: usize,
+    /// Sub-jobs one video's materialize bucket fans out into: chains over
+    /// different source frames run as independent scheduler jobs sharing
+    /// a per-video scratch. `1` keeps each bucket a single job. Task
+    /// configs may raise this via `execution.aug_threads`.
+    pub aug_threads: usize,
+    /// Static-analysis level for the startup lint pass: `Off` skips it,
+    /// `Warn` reports findings to stderr, `Deny` additionally fails
+    /// startup on any deny-severity finding.
+    pub lint: LintLevel,
+    /// Observability: `Some` enables the telemetry subsystem (metric
+    /// registry, per-batch stall attribution, JSONL export); `None`
+    /// (default) disables it entirely — instrumented paths never read
+    /// the clock, pinned by `benches/telemetry_overhead.rs`.
+    pub telemetry: Option<TelemetryConfig>,
+    /// Closed-loop adaptive control: `Some` runs a controller that
+    /// periodically reads the telemetry snapshot and retunes the runtime
+    /// knobs (prefetch depth, demand slack, aug/decode thread split)
+    /// online, with hysteresis and hard clamps. `None` (default) keeps
+    /// every knob static and adds zero overhead to the serve path,
+    /// pinned by `benches/autotune_overhead.rs`. Requires telemetry
+    /// (lint SL034 denies the combination `autotune` without it).
+    pub autotune: Option<AutotuneConfig>,
+    /// Multi-node operation: `Some` joins a cluster of SAND engines on a
+    /// consistent-hash placement ring and adds a **remote tier** below
+    /// mem/disk — a local store miss consults the key's ring owner before
+    /// materializing, and locally-computed remote-owned objects are
+    /// pushed to their owner, so a shared-ancestor object materializes at
+    /// most once cluster-wide. Degraded peers (timeouts, refused
+    /// connections) fall back to local materialization — never a wrong
+    /// answer. `None` (default) is single-process with zero overhead.
+    pub remote: Option<RemoteTierConfig>,
+    /// Multi-tenant operation: `Some` names the tenants sharing this
+    /// engine, maps each task to its tenant, and installs the tenants'
+    /// QoS weights on the scheduler's virtual-time ledger. Batches and
+    /// demand jobs are attributed to their tenant (`tenant.<id>.*`
+    /// metrics, per-tenant stall sections). `None` (default) is
+    /// single-tenant; jobs run untenanted at zero virtual time —
+    /// exactly the pre-fleet bounded-EDF order. Usually installed by
+    /// [`crate::fleet::Fleet`], not by hand.
+    pub tenancy: Option<crate::fleet::Tenancy>,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            tasks: Vec::new(),
+            store: StoreConfig::default(),
+            store_dir: None,
+            sched: SchedConfig::default(),
+            seed: 0x5a4d,
+            coordinate: true,
+            epochs_per_chunk: 2,
+            total_epochs: 4,
+            cache_budget: 256 << 20,
+            prune: true,
+            naive_leaf_cache: false,
+            aug_service: None,
+            prematerialize: true,
+            prefetch_depth: 0,
+            decode_threads: 1,
+            aug_threads: 1,
+            lint: LintLevel::default(),
+            telemetry: None,
+            autotune: None,
+            remote: None,
+            tenancy: None,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The planner's view of the tasks: task ids are positions in `tasks`.
+    pub(crate) fn plan_inputs(&self) -> Vec<PlanInput> {
+        self.tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| PlanInput {
+                task_id: i as u32,
+                config: t.clone(),
+            })
+            .collect()
+    }
+
+    /// The resource and feature facts the lint rules check the workload
+    /// against, over a dataset of `videos` videos.
+    fn lint_options(&self, videos: usize) -> LintOptions {
+        let threads = self.sched.threads.max(1);
+        let reserved = if self.sched.policy == sand_sched::Policy::Priority {
+            self.sched.reserved_demand_threads.min(threads - 1)
+        } else {
+            0
+        };
+        LintOptions {
+            total_epochs: self.total_epochs,
+            iterations_per_epoch: self
+                .tasks
+                .iter()
+                .map(|t| (videos as u64).div_ceil(t.sampling.videos_per_batch as u64))
+                .max(),
+            cache_budget: self.cache_budget,
+            memory_budget: self.store.memory_budget,
+            aug_threads: self.aug_threads.max(1),
+            pre_workers: threads - reserved,
+            telemetry: self.telemetry.clone(),
+            prefetch_depth: self.prefetch_depth,
+            store_shards: self.store.shards,
+            decode_threads: self.decode_threads.max(1),
+            sanitize: sand_sanitizer::enabled(),
+            release_build: cfg!(not(debug_assertions)),
+            persistent: self.store_dir.is_some(),
+            disk_budget: self.store.disk_budget,
+            autotune: self.autotune.as_ref().map(|a| {
+                a.clamps()
+                    .into_iter()
+                    .map(|(knob, min, max)| AutotuneClamp {
+                        knob: knob.to_string(),
+                        min,
+                        max,
+                    })
+                    .collect()
+            }),
+            fleet: self.tenancy.as_ref().map(|t| FleetLint {
+                tenants: t.tenants.len(),
+                weights: t.tenants.iter().map(|x| x.weight).collect(),
+                admission_budget: t.admission_budget,
+            }),
+            remote: self.remote.as_ref().map(|r| RemoteLint {
+                peers: r.peers.len(),
+                // `PeerSpec::addr` is already a parsed `SocketAddr`, so
+                // every configured peer is dialable by construction.
+                resolvable_peers: r.peers.len(),
+                fetch_timeout_ms: r.fetch_timeout.as_millis() as u64,
+                retries: r.retries,
+            }),
+        }
+    }
+}
+
+impl SandEngine {
+    /// Lints the configured workload: config semantics, abstract- and
+    /// concrete-graph invariants, resource feasibility, and sharing
+    /// near-misses. Findings go to stderr; with [`LintLevel::Deny`], any
+    /// deny-severity finding aborts startup with [`CoreError::Lint`].
+    pub fn lint_check(&self) -> Result<()> {
+        let config = &self.inner.config;
+        if config.lint == LintLevel::Off {
+            return Ok(());
+        }
+        let abstract_graphs: Vec<AbstractGraph> = config
+            .tasks
+            .iter()
+            .map(AbstractGraph::from_config)
+            .collect();
+        let videos = video_metas(&self.inner.dataset);
+        // Dry-plan the first chunk, unpruned, as the concrete-graph
+        // specimen: deterministic planning makes it representative of
+        // every later chunk.
+        let concrete = Planner::new(
+            config.plan_inputs(),
+            videos.clone(),
+            PlannerOptions {
+                seed: config.seed,
+                coordinate: config.coordinate,
+                epochs: 0..config.epochs_per_chunk.min(config.total_epochs),
+            },
+        )
+        .and_then(|p| p.plan())
+        .ok();
+        let report = lint_all(
+            &config.tasks,
+            &abstract_graphs,
+            concrete.as_ref(),
+            &videos,
+            &config.lint_options(videos.len()),
+        );
+        if !report.is_clean() {
+            eprintln!("{}", report.render_human());
+        }
+        let denies = report.deny_count();
+        if config.lint == LintLevel::Deny && denies > 0 {
+            return Err(CoreError::Lint {
+                denies,
+                report: report.render_human(),
+            });
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::{dataset, engine, TASK};
+    use sand_config::parse_task_config;
+
+    #[test]
+    fn invalid_configs_rejected() {
+        assert!(SandEngine::new(EngineConfig::default(), dataset()).is_err());
+        let mut cfg = EngineConfig {
+            tasks: vec![
+                parse_task_config(TASK).unwrap(),
+                parse_task_config(TASK).unwrap(),
+            ],
+            ..Default::default()
+        };
+        assert!(SandEngine::new(cfg.clone(), dataset()).is_err()); // duplicate tag
+        cfg.tasks.pop();
+        cfg.total_epochs = 0;
+        assert!(SandEngine::new(cfg, dataset()).is_err());
+    }
+
+    #[test]
+    fn lint_deny_fails_startup() {
+        // A 1-byte cache budget cannot hold a single batch: SL020 at
+        // deny level must reject startup before any chunk is planned.
+        let config = EngineConfig {
+            tasks: vec![parse_task_config(TASK).unwrap()],
+            prematerialize: false,
+            cache_budget: 1,
+            prune: false,
+            lint: LintLevel::Deny,
+            ..Default::default()
+        };
+        let e = SandEngine::new(config, dataset()).unwrap();
+        match e.start() {
+            Err(CoreError::Lint { denies, report }) => {
+                assert!(denies >= 1);
+                assert!(report.contains("SL020"), "{report}");
+            }
+            other => panic!("expected CoreError::Lint, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lint_warn_reports_but_serves() {
+        // Same infeasible budget at warn level: startup succeeds.
+        let config = EngineConfig {
+            tasks: vec![parse_task_config(TASK).unwrap()],
+            prematerialize: false,
+            cache_budget: 1,
+            lint: LintLevel::Warn,
+            ..Default::default()
+        };
+        let e = SandEngine::new(config, dataset()).unwrap();
+        e.start().unwrap();
+        e.serve_batch("train", 0, 0).unwrap();
+    }
+
+    #[test]
+    fn lint_clean_config_stays_silent() {
+        let e = engine(false);
+        // The default test workload is feasible; deny level still starts.
+        let config = EngineConfig {
+            tasks: vec![parse_task_config(TASK).unwrap()],
+            prematerialize: false,
+            lint: LintLevel::Deny,
+            ..Default::default()
+        };
+        let strict = SandEngine::new(config, dataset()).unwrap();
+        strict.start().unwrap();
+        drop(e);
+    }
+}

@@ -223,7 +223,7 @@ impl Fleet {
         });
         let engine = SandEngine::new(engine_config, dataset)?;
         engine.start()?;
-        if let Some(m) = engine.fleet_metrics() {
+        if let Some(m) = &engine.inner.fleet_metrics {
             m.admitted.set(admitted.len() as i64);
             m.rejected.add(rejected.len() as u64);
         }

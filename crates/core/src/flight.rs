@@ -2,15 +2,19 @@
 //! winner that computes the value; everyone else parks on the winner's
 //! slot and adopts what it publishes.
 //!
-//! The engine runs two of these. Frame materialization keys the flight
+//! The engine runs two of these. Object materialization keys the flight
 //! by canonical object key and retires a claim *before* publishing, so a
 //! late arrival starts a fresh flight and finds the object in the store.
-//! Chunk planning keys it by chunk id and leaves a published slot in
+//! Chunk planning keys it by chunk id and keeps a published slot in
 //! place: the slot *is* the cached plan, dropped only when retention
 //! retires it (`chunk.rs`).
 //!
+//! A failure is never cached and never shared: the winner's key is
+//! retired, and its waiters run for the claim themselves, so each
+//! reports its own error (at-most-once only has to hold for successes).
+//!
 //! Deadlock-free as long as a claim is only ever held by a *running*
-//! thread that does not wait on a key at or below its own — the frame
+//! thread that does not wait on a key at or below its own — the object
 //! flight waits strictly up the object tree, the chunk flight waits on
 //! nothing.
 
@@ -28,10 +32,55 @@ pub(crate) struct Flight<K, V> {
 }
 
 /// One key's in-flight (or, for flights that keep them, published) value.
-pub(crate) struct FlightSlot<V> {
-    /// `None` while the winner computes; `Some(value)` once published.
-    done: TrackedMutex<Option<V>>,
+struct FlightSlot<V> {
+    /// `None` while the winner computes; `Some(None)` once it failed,
+    /// `Some(Some(value))` once it published.
+    done: TrackedMutex<Option<Option<V>>>,
     cv: TrackedCondvar,
+}
+
+/// How a [`Flight::get_or_compute`] caller came by its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// The value was already published.
+    Found,
+    /// Another thread was computing it; this one waited.
+    Joined,
+    /// This thread computed it.
+    Computed,
+}
+
+/// A won claim on one key. Dropping it is what publishes — the value
+/// given to [`Claim::publish`], or failure if there was none (an early
+/// return, a panic) — so a waiter can never be left hanging.
+pub(crate) struct Claim<'a, K: Hash + Eq + Clone, V: Clone> {
+    flight: &'a Flight<K, V>,
+    key: K,
+    slot: Arc<FlightSlot<V>>,
+    value: Option<V>,
+    keep: bool,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Claim<'_, K, V> {
+    /// Publishes the winner's value. `keep` leaves the slot in the map
+    /// as the cached value; otherwise the key is retired first.
+    pub(crate) fn publish(mut self, value: V, keep: bool) {
+        self.value = Some(value);
+        self.keep = keep;
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        // Retire before publishing: a late arrival starts a fresh
+        // flight (and hits the store for cached objects) instead of
+        // adopting a slot whose object may since have been evicted.
+        if self.value.is_none() || !self.keep {
+            self.flight.retire(&self.key);
+        }
+        *self.slot.done.lock() = Some(self.value.take());
+        self.slot.cv.notify_all();
+    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
@@ -42,22 +91,60 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
         }
     }
 
-    /// Claims `key` (returning the winner's slot to publish into, and
-    /// `true`) or joins the existing flight (returning the slot to wait
-    /// on, and `false`). A winner *must* publish, or waiters hang.
-    pub(crate) fn claim_or_join(&self, key: &K) -> (Arc<FlightSlot<V>>, bool) {
+    /// Claims `key`, or returns the slot of the flight already on it.
+    fn claim_or_join(&self, key: &K) -> Result<Claim<'_, K, V>, Arc<FlightSlot<V>>> {
         let mut slots = self.slots.lock();
-        match slots.get(key) {
-            Some(s) => (Arc::clone(s), false),
-            None => {
-                let s = Arc::new(FlightSlot {
-                    done: TrackedMutex::new(self.done_label, None),
-                    cv: TrackedCondvar::new(),
-                });
-                slots.insert(key.clone(), Arc::clone(&s));
-                (s, true)
-            }
+        if let Some(slot) = slots.get(key) {
+            return Err(Arc::clone(slot));
         }
+        let slot = Arc::new(FlightSlot {
+            done: TrackedMutex::new(self.done_label, None),
+            cv: TrackedCondvar::new(),
+        });
+        slots.insert(key.clone(), Arc::clone(&slot));
+        Ok(Claim {
+            flight: self,
+            key: key.clone(),
+            slot,
+            value: None,
+            keep: false,
+        })
+    }
+
+    /// Claims `key` unless a flight is already on it; never blocks. The
+    /// bulk pre-decode takes ownership of the frames it delivers this
+    /// way without ever waiting on another job.
+    pub(crate) fn try_claim(&self, key: &K) -> Option<Claim<'_, K, V>> {
+        self.claim_or_join(key).ok()
+    }
+
+    /// The value under `key`: adopted from the flight already on it, or
+    /// computed here under a fresh claim and published to whoever joins
+    /// meanwhile. `keep` caches a success in the map until
+    /// [`Flight::retire`].
+    pub(crate) fn get_or_compute<E>(
+        &self,
+        key: &K,
+        keep: bool,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, Arrival), E> {
+        let claim = loop {
+            match self.claim_or_join(key) {
+                Ok(claim) => break claim,
+                Err(slot) => match slot.wait() {
+                    (Some(value), false) => return Ok((value, Arrival::Found)),
+                    (Some(value), true) => return Ok((value, Arrival::Joined)),
+                    // The winner failed and retired the key: run for
+                    // the claim.
+                    (None, _) => {}
+                },
+            }
+        };
+        let out = compute();
+        if let Ok(value) = &out {
+            claim.publish(value.clone(), keep);
+        }
+        out.map(|value| (value, Arrival::Computed))
     }
 
     /// Drops `key`'s slot from the map: the next arrival starts a fresh
@@ -71,26 +158,112 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
     pub(crate) fn len(&self) -> usize {
         self.slots.lock().len()
     }
+
+    /// Threads that joined the flight on `key` and have not left it yet.
+    #[cfg(test)]
+    pub(crate) fn joined(&self, key: &K) -> usize {
+        // The map and the claim hold the other two references.
+        let slots = self.slots.lock();
+        slots.get(key).map_or(0, |s| Arc::strong_count(s) - 2)
+    }
 }
 
 impl<V: Clone> FlightSlot<V> {
-    /// Publishes the winner's value and wakes every waiter.
-    pub(crate) fn publish(&self, value: V) {
-        *self.done.lock() = Some(value);
-        self.cv.notify_all();
-    }
-
-    /// The published value, blocking until there is one; the flag says
+    /// The published outcome, blocking until there is one; the flag says
     /// whether this call had to wait for it.
-    pub(crate) fn wait(&self) -> (V, bool) {
+    fn wait(&self) -> (Option<V>, bool) {
         let mut done = self.done.lock();
         let mut waited = false;
         loop {
-            if let Some(v) = done.as_ref() {
-                return (v.clone(), waited);
+            if let Some(outcome) = done.as_ref() {
+                return (outcome.clone(), waited);
             }
             waited = true;
             self.cv.wait(&mut done);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    fn flight() -> Flight<u32, u32> {
+        Flight::new("test.flight.slots", "test.flight.done")
+    }
+
+    #[test]
+    fn concurrent_callers_compute_once_and_share_the_value() {
+        let f = flight();
+        let calls = AtomicUsize::new(0);
+        let barrier = Barrier::new(8);
+        let arrivals: Vec<Arrival> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let (v, arrival) = f
+                            .get_or_compute(&7, true, || {
+                                calls.fetch_add(1, Ordering::Relaxed);
+                                Ok::<_, ()>(42)
+                            })
+                            .unwrap();
+                        assert_eq!(v, 42);
+                        arrival
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        let computed = arrivals.iter().filter(|a| **a == Arrival::Computed);
+        assert_eq!(computed.count(), 1);
+        // Kept: a later caller finds it without computing.
+        let later = f.get_or_compute(&7, true, || Err::<u32, ()>(()));
+        assert_eq!(later, Ok((42, Arrival::Found)));
+        f.retire(&7);
+        assert_eq!(f.len(), 0);
+    }
+
+    #[test]
+    fn unkept_values_and_failures_leave_no_slot() {
+        let f = flight();
+        assert_eq!(
+            f.get_or_compute(&1, false, || Ok::<_, ()>(5)),
+            Ok((5, Arrival::Computed))
+        );
+        assert_eq!(
+            f.get_or_compute(&1, true, || Err::<u32, _>("boom")),
+            Err("boom")
+        );
+        assert_eq!(f.len(), 0);
+    }
+
+    #[test]
+    fn a_dropped_claim_wakes_its_waiters_to_compute_themselves() {
+        let f = flight();
+        let claim = f.try_claim(&3).expect("fresh key");
+        assert!(f.try_claim(&3).is_none(), "claimed twice");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| f.get_or_compute(&3, false, || Ok::<_, ()>(9)));
+            // Dropped unpublished, whether or not the waiter has parked
+            // yet: it finds the failure (or a free key) and computes.
+            drop(claim);
+            assert_eq!(waiter.join().unwrap(), Ok((9, Arrival::Computed)));
+        });
+        let claim = f.try_claim(&3).expect("retired with the failed claim");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| f.get_or_compute(&3, false, || Ok::<_, ()>(0)));
+            // The waiter either joins this flight and adopts 11, or runs
+            // after it retired and computes 0: both are singleflight.
+            claim.publish(11, false);
+            let (v, arrival) = waiter.join().unwrap().unwrap();
+            assert!(matches!(
+                (v, arrival),
+                (11, Arrival::Joined | Arrival::Found) | (0, Arrival::Computed)
+            ));
+        });
     }
 }

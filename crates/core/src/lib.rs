@@ -21,12 +21,17 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod chunk;
+mod config;
 pub mod engine;
 pub mod fleet;
 mod flight;
 pub mod keys;
+mod knobs;
+mod materialize;
 mod prefetch;
+mod serve;
 pub mod service;
+mod views;
 
 pub use engine::{EngineConfig, EngineStats, SandEngine};
 pub use fleet::{Fleet, FleetConfig, RejectedTenant, Tenancy, TenantId, TenantSpec};

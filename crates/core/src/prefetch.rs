@@ -33,6 +33,7 @@
 //! it feeds. On chunk rollover, stale entries are cancelled (counted in
 //! `prefetch.cancelled`) and their jobs bail without materializing.
 
+use crate::CoreError;
 use sand_frame::Tensor;
 use sand_sanitizer::{ShadowCell, TrackedCondvar, TrackedMutex};
 use sand_telemetry::PrefetchMetrics;
@@ -43,8 +44,9 @@ use std::sync::Arc;
 /// Identity of a prefetchable batch: (task id, epoch, iteration).
 pub(crate) type PrefetchKey = (u32, u64, u64);
 
-/// One speculative batch under assembly: per-sample result slots filled
-/// by independent prefetch jobs.
+/// One batch under assembly: per-sample result slots filled by
+/// independent jobs — prefetch jobs for a speculative build in the
+/// window, demand jobs for the build an inline serve waits on.
 pub(crate) struct BatchBuild {
     state: TrackedMutex<BuildState>,
     done: TrackedCondvar,
@@ -62,8 +64,44 @@ struct BuildState {
     remaining: usize,
 }
 
+/// One job's hold on sample `i` of a build. A job that is dropped or
+/// unwinds before delivering delivers the lost-job error instead, so a
+/// serve waiting on the build gets an error, never a hang.
+pub(crate) struct SampleSlot {
+    build: Arc<BatchBuild>,
+    i: usize,
+    delivered: bool,
+}
+
+impl SampleSlot {
+    /// True once the build was discarded; the job bails without working.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.build.cancelled()
+    }
+
+    pub(crate) fn fulfill(mut self, result: crate::Result<Tensor>) {
+        self.build.fulfill(self.i, result);
+        self.delivered = true;
+    }
+}
+
+impl Drop for SampleSlot {
+    fn drop(&mut self) {
+        if !self.delivered {
+            self.build.fulfill(self.i, Err(lost_job()));
+        }
+    }
+}
+
+/// The error of a sample whose job never delivered.
+pub(crate) fn lost_job() -> CoreError {
+    CoreError::State {
+        what: "demand job lost".into(),
+    }
+}
+
 impl BatchBuild {
-    fn new(samples: usize) -> Self {
+    pub(crate) fn new(samples: usize) -> Self {
         BatchBuild {
             state: TrackedMutex::new(
                 "prefetch.build",
@@ -90,9 +128,18 @@ impl BatchBuild {
         self.done.notify_all();
     }
 
+    /// The hold a job takes on sample `i`.
+    pub(crate) fn slot(self: &Arc<Self>, i: usize) -> SampleSlot {
+        SampleSlot {
+            build: Arc::clone(self),
+            i,
+            delivered: false,
+        }
+    }
+
     /// Delivers sample `i`'s result (or registers a cancelled bail-out,
     /// which still counts toward completion so waiters never hang).
-    pub(crate) fn fulfill(&self, i: usize, result: crate::Result<Tensor>) {
+    fn fulfill(&self, i: usize, result: crate::Result<Tensor>) {
         let mut state = self.state.lock();
         self.results_shadow.write();
         if state.tensors[i].is_none() {
@@ -193,14 +240,19 @@ impl Prefetcher {
         }
     }
 
+    /// Cancels an entry that left the window unconsumed, counting it.
+    fn cancel(&self, entry: &Entry) {
+        entry.build.cancel();
+        if let Some(m) = &self.metrics {
+            m.cancelled.inc();
+        }
+    }
+
     /// Cancels every entry in the window, counting each once.
     fn cancel_all(&self) {
         let mut entries = self.entries.lock();
         for (_, entry) in entries.drain() {
-            entry.build.cancel();
-            if let Some(m) = &self.metrics {
-                m.cancelled.inc();
-            }
+            self.cancel(&entry);
         }
     }
 
@@ -244,10 +296,7 @@ impl Prefetcher {
             entry.build.consume_shadow.handoff();
             Some(entry.build)
         } else {
-            entry.build.cancel();
-            if let Some(m) = &self.metrics {
-                m.cancelled.inc();
-            }
+            self.cancel(&entry);
             None
         }
     }
@@ -261,10 +310,7 @@ impl Prefetcher {
             if entry.chunk_id == chunk_id {
                 return true;
             }
-            entry.build.cancel();
-            if let Some(m) = &self.metrics {
-                m.cancelled.inc();
-            }
+            self.cancel(entry);
             false
         });
     }

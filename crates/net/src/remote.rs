@@ -29,11 +29,10 @@
 use crate::client::{ClientConfig, ViewClient};
 use crate::placement::Placement;
 use crate::Result;
-use sand_sanitizer::{TrackedCondvar, TrackedMutex};
+use sand_sanitizer::TrackedMutex;
 use sand_telemetry::{record_stage, NetMetrics, Stage, Telemetry};
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One peer node: its ring identity and dial address.
@@ -95,31 +94,11 @@ struct Peer {
     health: TrackedMutex<Health>,
 }
 
-/// One in-flight fetch that concurrent callers for the same key wait
-/// on instead of dialing the owner themselves. `done` stays `None`
-/// until the leader publishes its outcome (hit bytes, or `None` for a
-/// miss/error — waiters degrade exactly like the leader).
-struct FetchFlight {
-    done: TrackedMutex<Option<Option<Vec<u8>>>>,
-    cv: TrackedCondvar,
-}
-
-impl FetchFlight {
-    fn new() -> Self {
-        Self {
-            done: TrackedMutex::new("net.remote.flight", None),
-            cv: TrackedCondvar::new(),
-        }
-    }
-}
-
 /// The cluster cache tier. Cheap to share (`Arc` it once in the engine).
 pub struct RemoteTier {
     config: RemoteTierConfig,
     placement: Placement,
     peers: HashMap<String, Peer>,
-    /// Singleflight claim map: key → the fetch currently on the wire.
-    inflight: TrackedMutex<HashMap<String, Arc<FetchFlight>>>,
     metrics: Option<NetMetrics>,
 }
 
@@ -169,7 +148,6 @@ impl RemoteTier {
             config,
             placement,
             peers,
-            inflight: TrackedMutex::new("net.remote.inflight", HashMap::new()),
         }
     }
 
@@ -213,6 +191,15 @@ impl RemoteTier {
                     .unwrap_or(false)
             })
             .count()
+    }
+
+    /// The peer that owns `key` on the ring; `None` when this node does.
+    fn owner_peer(&self, key: &str) -> Option<&Peer> {
+        let owner = self.owner_of(key)?;
+        if owner == self.config.node_id {
+            return None;
+        }
+        self.peers.get(owner)
     }
 
     /// Whether `peer` may be dialed right now; expired cooldowns clear.
@@ -263,84 +250,25 @@ impl RemoteTier {
     /// should materialize locally. Network time is charged to the
     /// `remote` stall segment either way.
     ///
-    /// Concurrent fetches for the same key are coalesced behind one RPC
-    /// (singleflight): followers block on the leader's in-flight fetch
-    /// and adopt its outcome instead of racing a duplicate `Fetch` to
-    /// the owner.
+    /// Every call is one RPC: collapsing concurrent misses for a key is
+    /// the caller's job (the engine fetches under its per-key flight).
     pub fn fetch(&self, key: &str) -> Option<Vec<u8>> {
-        let owner = self.owner_of(key)?;
-        if owner == self.config.node_id {
-            return None;
-        }
-        let peer = self.peers.get(owner)?;
-        if !self.peer_usable(peer) {
-            return None;
-        }
-        let (flight, leader) = {
-            let mut inflight = self.inflight.lock();
-            match inflight.get(key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(FetchFlight::new());
-                    inflight.insert(key.to_string(), Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-        if !leader {
-            // Follower: wait for the leader's outcome. Breaker state and
-            // hit/miss/error counters were already settled by the leader;
-            // this path only accounts the coalesce and its wait time.
-            let start = Instant::now();
-            let result = {
-                let mut done = flight.done.lock();
-                while done.is_none() {
-                    flight.cv.wait(&mut done);
-                }
-                done.clone().flatten()
-            };
-            record_stage(Stage::Remote, start.elapsed());
-            if let Some(m) = &self.metrics {
-                m.fetch_coalesced.inc();
-            }
-            return result;
-        }
-        let result = self.fetch_from_owner(key, peer);
-        // Retire the claim before publishing: a caller arriving after
-        // this point starts a fresh flight (the object may have landed
-        // in the local store meanwhile) instead of adopting a stale one.
-        self.inflight.lock().remove(key);
-        {
-            let mut done = flight.done.lock();
-            *done = Some(result.clone());
-        }
-        flight.cv.notify_all();
-        result
-    }
-
-    /// The leader's actual RPC to the ring owner: breaker bookkeeping,
-    /// stall attribution, and hit/miss/error counters.
-    fn fetch_from_owner(&self, key: &str, peer: &Peer) -> Option<Vec<u8>> {
+        let peer = self.owner_peer(key).filter(|p| self.peer_usable(p))?;
         let start = Instant::now();
         let outcome = peer.client.fetch(key);
         let spent = start.elapsed();
         record_stage(Stage::Remote, spent);
         match outcome {
-            Ok(Some(bytes)) => {
+            Ok(found) => {
                 self.mark_success(peer);
                 if let Some(m) = &self.metrics {
-                    m.fetch_hits.inc();
+                    match found {
+                        Some(_) => m.fetch_hits.inc(),
+                        None => m.fetch_misses.inc(),
+                    }
                     m.fetch_us.observe_duration(spent);
                 }
-                Some(bytes)
-            }
-            Ok(None) => {
-                self.mark_success(peer);
-                if let Some(m) = &self.metrics {
-                    m.fetch_misses.inc();
-                    m.fetch_us.observe_duration(spent);
-                }
-                None
+                found
             }
             Err(_) => {
                 self.mark_failure(peer);
@@ -360,18 +288,9 @@ impl RemoteTier {
         if !self.config.push_to_owner {
             return;
         }
-        let Some(owner) = self.owner_of(key) else {
+        let Some(peer) = self.owner_peer(key).filter(|p| self.peer_usable(p)) else {
             return;
         };
-        if owner == self.config.node_id {
-            return;
-        }
-        let Some(peer) = self.peers.get(owner) else {
-            return;
-        };
-        if !self.peer_usable(peer) {
-            return;
-        }
         let start = Instant::now();
         let outcome = peer.client.put(key, deadline, future_uses, bytes);
         record_stage(Stage::Remote, start.elapsed());
@@ -394,13 +313,7 @@ impl RemoteTier {
     /// Direct probe of the owner's cache (diagnostics; not on the serve
     /// path).
     pub fn stat(&self, key: &str) -> Result<Option<(u8, u64)>> {
-        let Some(owner) = self.owner_of(key) else {
-            return Ok(None);
-        };
-        if owner == self.config.node_id {
-            return Ok(None);
-        }
-        match self.peers.get(owner) {
+        match self.owner_peer(key) {
             Some(peer) => peer.client.stat(key),
             None => Ok(None),
         }
@@ -456,61 +369,5 @@ mod tests {
         assert_eq!(tier.peers_down(), 1, "breaker opened after 2 failures");
         // While down, fetches skip the peer entirely (still None).
         assert!(tier.fetch(&key).is_none());
-    }
-
-    /// Concurrent fetches for one key ride a single RPC: the leader
-    /// times out against a mute owner once, the followers coalesce onto
-    /// its flight and adopt the outcome without dialing.
-    #[test]
-    fn concurrent_fetches_coalesce_behind_one_rpc() {
-        // A listener that accepts connections but never answers: the
-        // leader's RPC parks on the io timeout, giving the followers a
-        // wide window to join the flight.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let telemetry = Telemetry::new(sand_telemetry::TelemetryConfig::default());
-        let tier = Arc::new(RemoteTier::new(
-            RemoteTierConfig {
-                node_id: "a".to_string(),
-                peers: vec![PeerSpec {
-                    node_id: "b".to_string(),
-                    addr,
-                }],
-                fetch_timeout: Duration::from_millis(400),
-                retries: 0,
-                failure_threshold: 100,
-                ..RemoteTierConfig::default()
-            },
-            &telemetry,
-        ));
-        let key = (0..1000)
-            .map(|i| format!("obj/{i}"))
-            .find(|k| tier.is_remote(k))
-            .expect("two-node ring leaves b some keys");
-        let followers = 3;
-        std::thread::scope(|s| {
-            let t = Arc::clone(&tier);
-            let k = key.clone();
-            s.spawn(move || assert!(t.fetch(&k).is_none()));
-            // Let the leader claim the flight and park on the wire.
-            std::thread::sleep(Duration::from_millis(100));
-            for _ in 0..followers {
-                let t = Arc::clone(&tier);
-                let k = key.clone();
-                s.spawn(move || assert!(t.fetch(&k).is_none()));
-            }
-        });
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(
-            snap.counter("net.fetch_coalesced"),
-            Some(followers),
-            "every follower must coalesce"
-        );
-        assert_eq!(
-            snap.counter("net.fetch_errors"),
-            Some(1),
-            "exactly one RPC went to the mute owner"
-        );
-        drop(listener);
     }
 }

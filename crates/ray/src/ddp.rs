@@ -19,7 +19,7 @@ use sand_codec::{Dataset, EncodedVideo, VideoEntry};
 use sand_config::TaskConfig;
 use sand_core::{EngineConfig, SandEngine};
 use sand_sim::{GpuSim, GpuSpec, ModelProfile, PowerModel, UsageWindow};
-use sand_storage::{BandwidthModel, RemoteStore};
+use sand_storage::{BandwidthModel, ModeledStore};
 use sand_train::loaders::{OnDemandCpuLoader, SandLoader};
 use sand_train::{Loader, TaskPlan};
 use std::ops::Range;
@@ -66,7 +66,7 @@ pub struct DdpOutcome {
 
 /// Fetches one shard from the remote store, sleeping the modeled WAN
 /// time, and assembles a local dataset.
-fn fetch_shard(remote: &RemoteStore, shard: &[String]) -> Result<Dataset> {
+fn fetch_shard(remote: &ModeledStore, shard: &[String]) -> Result<Dataset> {
     let mut videos = Vec::with_capacity(shard.len());
     for key in shard {
         let (bytes, wan) = remote.fetch(key)?;
@@ -92,7 +92,7 @@ pub fn run_ddp(config: &DdpConfig, dataset: &Dataset) -> Result<DdpOutcome> {
         });
     }
     // Stage the dataset in the remote store.
-    let remote = Arc::new(RemoteStore::new(config.bandwidth));
+    let remote = Arc::new(ModeledStore::new(config.bandwidth));
     for v in dataset.videos() {
         remote.upload(
             &sand_codec::dataset::video_file_name(v.video_id),

@@ -15,19 +15,21 @@
 //! deadlines. Disk contents are self-describing files, which is what the
 //! crash-recovery scan in `sand-core` walks on restart.
 //!
-//! The [`remote`] module models a WAN-attached dataset store (Google
-//! Filestore in the paper) with a configurable bandwidth, used by the
-//! distributed-training experiment (Fig. 14).
+//! The [`modeled_link`] module models a WAN-attached dataset store
+//! (Google Filestore in the paper) behind a link of configurable
+//! bandwidth, used by the distributed-training experiment (Fig. 14). It
+//! is a bandwidth *model*, not a network tier: the cluster cache tier
+//! that really moves objects between nodes is `sand_net::RemoteTier`.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod manifest;
-pub mod remote;
+pub mod modeled_link;
 pub mod store;
 pub mod vlog;
 
 pub use manifest::Manifest;
-pub use remote::{BandwidthModel, RemoteStore};
+pub use modeled_link::{BandwidthModel, ModeledStore};
 pub use store::{ObjectMeta, ObjectStore, StoreConfig, StoreStats, Tier};
 pub use vlog::{ReplayStats, SyncPolicy, ValueLog};
 

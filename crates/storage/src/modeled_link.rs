@@ -1,11 +1,13 @@
-//! The WAN-attached remote store (Google Filestore stand-in).
+//! A dataset store behind a modeled WAN link (Google Filestore stand-in).
 //!
 //! The distributed-training experiment (Fig. 14) hinges on one resource:
 //! the bandwidth between GPU nodes and the remote dataset store. This
-//! module provides a byte-accounted remote store whose `fetch` reports the
-//! modeled transfer time for each read; callers either sleep that long
-//! (real-time engine) or charge it to a virtual clock (simulation). A
-//! shared token-less model keeps it simple: `time = latency + bytes/bw`.
+//! module provides a byte-accounted in-process store whose `fetch`
+//! reports the modeled transfer time for each read; callers either sleep
+//! that long (real-time engine) or charge it to a virtual clock
+//! (simulation). A shared token-less model keeps it simple:
+//! `time = latency + bytes/bw`. Nothing here touches a socket — "remote"
+//! in this workspace means `sand_net::RemoteTier`.
 
 use crate::{Result, StorageError};
 use sand_sanitizer::TrackedMutex;
@@ -14,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Link model between a node and the remote store.
+/// Link model between a node and a [`ModeledStore`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
     /// Sustained link bandwidth in bytes per second.
@@ -44,20 +46,20 @@ impl BandwidthModel {
     }
 }
 
-/// A remote dataset store with bandwidth accounting.
+/// A dataset store whose reads cost modeled link time.
 #[derive(Debug)]
-pub struct RemoteStore {
+pub struct ModeledStore {
     objects: TrackedMutex<HashMap<String, Arc<Vec<u8>>>>,
     model: BandwidthModel,
     bytes_fetched: AtomicU64,
     fetches: AtomicU64,
 }
 
-impl RemoteStore {
-    /// Creates an empty remote store with the given link model.
+impl ModeledStore {
+    /// Creates an empty store behind the given link model.
     #[must_use]
     pub fn new(model: BandwidthModel) -> Self {
-        RemoteStore {
+        ModeledStore {
             objects: TrackedMutex::new("remote.objects", HashMap::new()),
             model,
             bytes_fetched: AtomicU64::new(0),
@@ -130,7 +132,7 @@ mod tests {
 
     #[test]
     fn fetch_returns_bytes_and_time() {
-        let r = RemoteStore::new(BandwidthModel {
+        let r = ModeledStore::new(BandwidthModel {
             bytes_per_sec: 1000.0,
             latency: Duration::from_millis(5),
         });
@@ -143,7 +145,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_accumulates() {
-        let r = RemoteStore::new(BandwidthModel::default());
+        let r = ModeledStore::new(BandwidthModel::default());
         r.upload("a", vec![0; 100]);
         r.upload("b", vec![0; 50]);
         r.fetch("a").unwrap();
@@ -157,7 +159,7 @@ mod tests {
 
     #[test]
     fn missing_key_errors() {
-        let r = RemoteStore::new(BandwidthModel::default());
+        let r = ModeledStore::new(BandwidthModel::default());
         assert!(matches!(
             r.fetch("nope"),
             Err(StorageError::NotFound { .. })

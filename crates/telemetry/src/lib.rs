@@ -596,10 +596,6 @@ pub struct MaterializeMetrics {
     /// Wall time applying one augmentation op to one frame.
     pub op_us: Histogram,
     pub ops: Counter,
-    /// Time a worker spent blocked on another worker's in-flight
-    /// once-claim for the same node (contention on the shared scratch).
-    pub scratch_wait_us: Histogram,
-    pub scratch_waits: Counter,
 }
 
 impl MaterializeMetrics {
@@ -608,8 +604,6 @@ impl MaterializeMetrics {
         Some(Self {
             op_us: r.histogram("aug.op_us", &c.latency_buckets_us),
             ops: r.counter("aug.ops"),
-            scratch_wait_us: r.histogram("aug.scratch_wait_us", &c.latency_buckets_us),
-            scratch_waits: r.counter("aug.scratch_waits"),
         })
     }
 }
@@ -635,6 +629,11 @@ pub struct EngineMetrics {
     pub compressed_hits_mem: Counter,
     /// Same, but re-read from the store's spilled disk tier.
     pub compressed_hits_disk: Counter,
+    /// Local store objects the engine's lookup dropped because they did
+    /// not decode to a frame (a torn write); the object is recomputed.
+    pub corrupt_dropped_local: Counter,
+    /// Ring-owner replies the lookup ignored for the same reason.
+    pub corrupt_dropped_remote: Counter,
     /// Time to plan one chunk: plan (or checkpoint reload), prune,
     /// checkpoint, index build.
     pub chunk_plan_us: Histogram,
@@ -680,6 +679,8 @@ impl EngineMetrics {
             predecode_us: r.histogram("engine.predecode_us", &c.latency_buckets_us),
             compressed_hits_mem: r.counter("engine.compressed_hits_mem"),
             compressed_hits_disk: r.counter("engine.compressed_hits_disk"),
+            corrupt_dropped_local: r.counter("engine.corrupt_dropped.local"),
+            corrupt_dropped_remote: r.counter("engine.corrupt_dropped.remote"),
             chunk_plan_us: r.histogram("engine.chunk_plan_us", &c.latency_buckets_us),
             chunks_planned: r.counter("engine.chunks_planned"),
             chunk_plan_ahead_hit: r.counter("engine.chunk_plan_ahead_hit"),
@@ -710,10 +711,6 @@ pub struct NetMetrics {
     /// retries (timeout, refused connection, protocol error). Each one
     /// falls back to local materialization — never a wrong answer.
     pub fetch_errors: Counter,
-    /// Concurrent local misses for a key that piggybacked on an already
-    /// in-flight fetch instead of issuing their own RPC (the remote
-    /// tier's singleflight).
-    pub fetch_coalesced: Counter,
     /// Transport-level retry attempts (all verbs).
     pub retries: Counter,
     /// Materialized objects pushed to their ring owner.
@@ -742,7 +739,6 @@ impl NetMetrics {
             fetch_hits: r.counter("net.fetch_hits"),
             fetch_misses: r.counter("net.fetch_misses"),
             fetch_errors: r.counter("net.fetch_errors"),
-            fetch_coalesced: r.counter("net.fetch_coalesced"),
             retries: r.counter("net.retries"),
             pushes: r.counter("net.pushes"),
             push_errors: r.counter("net.push_errors"),
