@@ -23,6 +23,12 @@ for f in $(find crates/core/src -name '*.rs' | sort) crates/net/src/remote.rs; d
 done
 printf '%6d code total\n' "$total"
 
+echo "==> retired names stay retired (the scheduler is the only owner of parallelism)"
+if grep -rnE 'aug_threads|decode_threads|with_threads|thread_split|ExecutionConfig|split_bucket' crates examples tests src; then
+    echo "a retired thread knob is back: sched.threads is the one answer to how many threads build views"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -41,31 +47,25 @@ cargo test -q --features sanitize
 echo "==> sand-sanitizer unit tests (feature on)"
 cargo test -q -p sand-sanitizer --features sanitize
 
-echo "==> decode_parallel bench smoke (quick mode, writes BENCH_decode.json)"
-SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench decode_parallel
-
-echo "==> aug_parallel bench smoke (quick mode, writes BENCH_aug.json)"
-SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench aug_parallel
-
-echo "==> store_contention bench smoke (quick mode, writes BENCH_store.json)"
+echo "==> store_contention bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench store_contention
 
-echo "==> persist_replay bench smoke (quick mode, writes BENCH_persist.json)"
+echo "==> persist_replay bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench persist_replay
 
-echo "==> telemetry_overhead bench smoke (quick mode, writes BENCH_telemetry.json)"
+echo "==> telemetry_overhead bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench telemetry_overhead
 
-echo "==> sanitizer_overhead bench smoke (quick mode, writes BENCH_sanitizer.json)"
+echo "==> sanitizer_overhead bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench sanitizer_overhead
 
-echo "==> autotune_overhead bench smoke (quick mode, writes BENCH_autotune.json)"
+echo "==> autotune_overhead bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench autotune_overhead
 
-echo "==> net_roundtrip bench smoke (quick mode, writes BENCH_net.json)"
+echo "==> net_roundtrip bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench net_roundtrip
 
-echo "==> fleet_qos bench smoke (quick mode, writes BENCH_fleet.json)"
+echo "==> fleet_qos bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench fleet_qos
 
 echo "==> sandbench unit tests (the end-to-end benchmark's own package)"

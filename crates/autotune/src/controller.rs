@@ -2,7 +2,7 @@
 //!
 //! Each tick maps the window's [`Signals`] onto a [`Pull`] per policy
 //! (with safety vetoes applied before the policy ever sees the drive),
-//! advances the three hysteresis state machines, and returns whatever
+//! advances the two hysteresis state machines, and returns whatever
 //! decisions they committed. The engine applies the resulting
 //! [`KnobValues`] through its runtime setters; the controller itself
 //! never touches engine state, which is what makes the simulated-signal
@@ -23,40 +23,23 @@ pub struct KnobValues {
     pub prefetch_depth: u64,
     /// Scheduler bounded-EDF demand slack (µs).
     pub demand_slack: u64,
-    /// Materialize (augmentation) fan-out.
-    pub aug_threads: u64,
-    /// Demand-decode fan-out; always `split_total - aug_threads`, so the
-    /// split policy *shifts* workers between the stages rather than
-    /// growing the pool.
-    pub decode_threads: u64,
 }
 
-/// Closed-loop controller over the three engine knob policies.
+/// Closed-loop controller over the two engine knob policies.
 pub struct Controller {
     config: AutotuneConfig,
     deriver: SignalDeriver,
     prefetch: HysteresisPolicy,
     slack: HysteresisPolicy,
-    /// Drives `aug_threads`; `decode_threads` is the complement within
-    /// `split_total`.
-    split: HysteresisPolicy,
-    /// Combined aug + decode worker count fixed at construction; the
-    /// split policy redistributes it but never changes the sum.
-    split_total: u64,
     tick: u64,
     decisions: Vec<Decision>,
 }
 
 impl Controller {
     /// Creates a controller starting from the engine's configured knob
-    /// values. The split policy's effective max is additionally clamped
-    /// to `split_total - 1` so the decode side always keeps one worker.
+    /// values.
     #[must_use]
     pub fn new(config: AutotuneConfig, initial: KnobValues) -> Self {
-        let split_total = initial.aug_threads.max(1) + initial.decode_threads.max(1);
-        let mut split_cfg = config.thread_split;
-        split_cfg.min = split_cfg.min.max(1);
-        split_cfg.max = split_cfg.max.min(split_total - 1).max(split_cfg.min);
         Controller {
             prefetch: HysteresisPolicy::new(
                 Knob::PrefetchDepth,
@@ -68,8 +51,6 @@ impl Controller {
                 config.demand_slack,
                 initial.demand_slack,
             ),
-            split: HysteresisPolicy::new(Knob::AugThreads, split_cfg, initial.aug_threads.max(1)),
-            split_total,
             config,
             deriver: SignalDeriver::new(),
             tick: 0,
@@ -86,12 +67,9 @@ impl Controller {
     /// The knob levels currently in effect.
     #[must_use]
     pub fn values(&self) -> KnobValues {
-        let aug = self.split.value();
         KnobValues {
             prefetch_depth: self.prefetch.value(),
             demand_slack: self.slack.value(),
-            aug_threads: aug,
-            decode_threads: (self.split_total - aug).max(1),
         }
     }
 
@@ -107,7 +85,6 @@ impl Controller {
         vec![
             (Knob::PrefetchDepth, self.prefetch.reversals()),
             (Knob::DemandSlack, self.slack.reversals()),
-            (Knob::AugThreads, self.split.reversals()),
         ]
     }
 
@@ -174,17 +151,6 @@ impl Controller {
         };
         out.extend(self.slack.tick(tick, pull, reason));
 
-        // aug/decode split: shift workers toward the stage owning the
-        // larger stall share. The drive is the signed share difference,
-        // so the dead band is symmetric around a balanced pipeline.
-        let drive = s.aug_stall_share - s.decode_stall_share;
-        let (pull, reason) = match self.config.thread_split.pull_for(drive) {
-            Pull::Raise => (Pull::Raise, "aug owns the largest stall share"),
-            Pull::Lower => (Pull::Lower, "decode owns the largest stall share"),
-            Pull::Hold => (Pull::Hold, ""),
-        };
-        out.extend(self.split.tick(tick, pull, reason));
-
         self.decisions.extend(out.iter().cloned());
         if self.decisions.len() > DECISION_LOG_CAP {
             let excess = self.decisions.len() - DECISION_LOG_CAP;
@@ -202,8 +168,6 @@ mod tests {
         KnobValues {
             prefetch_depth: 0,
             demand_slack: 0,
-            aug_threads: 2,
-            decode_threads: 2,
         }
     }
 
@@ -214,8 +178,6 @@ mod tests {
             store_headroom: 0.8,
             demand_affinity_miss_ratio: 0.9,
             demand_picks: 10,
-            aug_stall_share: 0.7,
-            decode_stall_share: 0.1,
             ..Signals::default()
         }
     }
@@ -227,8 +189,6 @@ mod tests {
             store_headroom: 0.8,
             demand_affinity_miss_ratio: 0.0,
             demand_picks: 10,
-            aug_stall_share: 0.1,
-            decode_stall_share: 0.7,
             ..Signals::default()
         }
     }
@@ -240,8 +200,6 @@ mod tests {
             store_headroom: 0.8,
             demand_affinity_miss_ratio: 0.3,
             demand_picks: 10,
-            aug_stall_share: 0.4,
-            decode_stall_share: 0.4,
             ..Signals::default()
         }
     }
@@ -259,8 +217,6 @@ mod tests {
         let after_raise = c.values();
         assert_eq!(after_raise.prefetch_depth, 8, "raised to the clamp");
         assert_eq!(after_raise.demand_slack, 40, "10 moves x step 4");
-        assert_eq!(after_raise.aug_threads, 3, "split max is total - 1");
-        assert_eq!(after_raise.decode_threads, 1);
 
         let moves_before_hold = c.decisions().len();
         for _ in 0..10 {
@@ -279,8 +235,6 @@ mod tests {
         let settled = c.values();
         assert_eq!(settled.prefetch_depth, 0, "lowered back to min");
         assert_eq!(settled.demand_slack, 0);
-        assert_eq!(settled.aug_threads, 1, "shifted toward decode");
-        assert_eq!(settled.decode_threads, 3);
         for (knob, reversals) in c.reversals() {
             assert_eq!(
                 reversals,
@@ -325,8 +279,6 @@ mod tests {
         let start = KnobValues {
             prefetch_depth: 4,
             demand_slack: 16,
-            aug_threads: 2,
-            decode_threads: 2,
         };
         let mut c = Controller::new(AutotuneConfig::default(), start);
         for _ in 0..10 {
@@ -363,20 +315,6 @@ mod tests {
             c.values().prefetch_depth >= 2,
             "sustained misses must deepen the window, got {}",
             c.values().prefetch_depth
-        );
-    }
-
-    #[test]
-    fn split_preserves_the_worker_total() {
-        let mut c = Controller::new(AutotuneConfig::default(), initial());
-        for _ in 0..30 {
-            c.tick_with_signals(&pressure_signals());
-        }
-        let v = c.values();
-        assert_eq!(
-            v.aug_threads + v.decode_threads,
-            4,
-            "split shifts, never grows"
         );
     }
 

@@ -1,9 +1,8 @@
 //! # sand-autotune — the closed-loop adaptive control plane
 //!
-//! Every performance knob the engine has grown (`prefetch_depth`,
-//! `aug_threads`/`decode_threads`, `demand_slack`) is static
-//! configuration that must be hand-tuned per host. This crate closes the
-//! loop: a [`Controller`] periodically reads the telemetry registry's
+//! The engine's runtime knobs (`prefetch_depth`, `demand_slack`) are
+//! static configuration that must be hand-tuned per host. This crate
+//! closes the loop: a [`Controller`] periodically reads the telemetry registry's
 //! [`Snapshot`](sand_telemetry::Snapshot) and retunes those knobs online
 //! so the engine runs at the speed the *current* hardware and workload
 //! allow, not the speed somebody profiled in advance.
@@ -63,9 +62,6 @@ pub struct AutotuneConfig {
     /// Policy for the scheduler's bounded-EDF `demand_slack` window
     /// (raise while pinned demand picks miss their preferred worker).
     pub demand_slack: PolicyConfig,
-    /// Policy for the `aug_threads` side of the aug/decode worker split
-    /// (shift workers toward the stage owning the larger stall share).
-    pub thread_split: PolicyConfig,
 }
 
 impl Default for AutotuneConfig {
@@ -89,14 +85,6 @@ impl Default for AutotuneConfig {
                 lower_below: 0.1,
                 cooldown_ticks: 2,
             },
-            thread_split: PolicyConfig {
-                min: 1,
-                max: 8,
-                step: 1,
-                raise_above: 0.2,
-                lower_below: -0.2,
-                cooldown_ticks: 2,
-            },
         }
     }
 }
@@ -116,11 +104,6 @@ impl AutotuneConfig {
                 Knob::DemandSlack.name(),
                 self.demand_slack.min,
                 self.demand_slack.max,
-            ),
-            (
-                Knob::AugThreads.name(),
-                self.thread_split.min,
-                self.thread_split.max,
             ),
         ]
     }

@@ -27,9 +27,6 @@ pub enum Knob {
     PrefetchDepth,
     /// The scheduler's bounded-EDF demand affinity window (µs).
     DemandSlack,
-    /// The augmentation side of the aug/decode worker split; the decode
-    /// side receives whatever the split total leaves over.
-    AugThreads,
 }
 
 impl Knob {
@@ -39,7 +36,6 @@ impl Knob {
         match self {
             Knob::PrefetchDepth => "prefetch_depth",
             Knob::DemandSlack => "demand_slack",
-            Knob::AugThreads => "aug_threads",
         }
     }
 }
@@ -249,7 +245,7 @@ mod tests {
     #[test]
     fn lower_saturates_at_min() {
         let cfg = PolicyConfig { min: 1, ..config() };
-        let mut p = HysteresisPolicy::new(Knob::AugThreads, cfg, 3);
+        let mut p = HysteresisPolicy::new(Knob::DemandSlack, cfg, 3);
         for t in 0..10 {
             p.tick(t, Pull::Lower, "down");
         }

@@ -105,14 +105,4 @@ fn main() {
     println!("bench autotune/disabled             {off_avg:>12.4} s/sweep ({iters} iters)");
     println!("bench autotune/enabled              {on_avg:>12.4} s/sweep ({iters} iters)");
     println!("bench autotune/enabled_overhead     {overhead_pct:>12.2} %");
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"autotune_overhead\",\n  \"quick\": {quick},\n  \"epochs\": {epochs},\n  \"disabled_secs\": {off_avg:.4},\n  \"enabled_secs\": {on_avg:.4},\n  \"enabled_overhead_pct\": {overhead_pct:.2},\n  \"bit_identical\": true,\n  \"host\": {host}\n}}\n"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_autotune.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
 }

@@ -13,8 +13,7 @@
 //!   each tenant's busy-time share must track its weight share (weighted
 //!   start-time fair queueing, not FIFO luck).
 //!
-//! Results land in `BENCH_fleet.json` at the repository root. Set
-//! `SAND_BENCH_QUICK=1` for a short CI-smoke run.
+//! Set `SAND_BENCH_QUICK=1` for a short CI-smoke run.
 
 #![allow(clippy::unwrap_used)]
 
@@ -70,7 +69,6 @@ fn base_config() -> EngineConfig {
         epochs_per_chunk: 2,
         prematerialize: false,
         prefetch_depth: 0,
-        decode_threads: 2,
         store: StoreConfig {
             memory_budget: 512 << 20,
             shards: 4,
@@ -104,7 +102,7 @@ where
 }
 
 /// K isolated engines vs one fleet over the identical tenant mix.
-fn bench_dedup(dataset: &Arc<Dataset>, vpb: u32, rows: &mut Vec<String>) {
+fn bench_dedup(dataset: &Arc<Dataset>, vpb: u32) {
     // Isolated: each tenant pays for its whole pipeline on a private
     // engine (private store, private claim map).
     let engines: Vec<SandEngine> = (0..TENANTS)
@@ -167,12 +165,6 @@ fn bench_dedup(dataset: &Arc<Dataset>, vpb: u32, rows: &mut Vec<String>) {
          isolated {isolated_ops} ops {iso_ms:.1} ms | ratio {ratio:.1}x, \
          {wins} wins, {adoptions} adoptions"
     );
-    rows.push(format!(
-        "{{\"shape\": \"dedup\", \"tenants\": {TENANTS}, \"videos_per_batch\": {vpb}, \
-         \"fleet_aug_ops\": {fleet_ops}, \"isolated_aug_ops\": {isolated_ops}, \
-         \"ops_ratio\": {ratio:.2}, \"fleet_ms\": {fl_ms:.1}, \"isolated_ms\": {iso_ms:.1}, \
-         \"dedup_wins\": {wins}, \"dedup_adoptions\": {adoptions}}}"
-    ));
 }
 
 /// One mid-drain sample of the busy shares: equal backlogs, skewed
@@ -227,7 +219,7 @@ fn qos_sample(
 /// run retries a noisy sample and hard-asserts only the robust gap
 /// (weight 4 vs weight 1); the exact-convergence gate is the
 /// deterministic proptest in `crates/sched/tests/prop_sched.rs`.
-fn bench_qos(jobs_per_tenant: usize, spin: Duration, rows: &mut Vec<String>) {
+fn bench_qos(jobs_per_tenant: usize, spin: Duration) {
     let weights: [u64; TENANTS] = [1, 2, 4];
     let mut shares = qos_sample(&weights, jobs_per_tenant, spin);
     for _ in 0..2 {
@@ -250,13 +242,6 @@ fn bench_qos(jobs_per_tenant: usize, spin: Duration, rows: &mut Vec<String>) {
             "bench fleet_qos/qos tenant{t} weight {} share {measured:.3} (expected {expected:.3})",
             s.weight
         );
-        rows.push(format!(
-            "{{\"shape\": \"qos\", \"tenant\": {t}, \"weight\": {}, \
-             \"expected_share\": {expected:.4}, \"measured_share\": {measured:.4}, \
-             \"busy_ms\": {:.1}}}",
-            s.weight,
-            s.busy_ns as f64 / 1e6
-        ));
     }
     // The robust claim even on a noisy host: the 4x tenant received
     // decidedly more service than the 1x tenant at the sample point.
@@ -277,25 +262,13 @@ fn main() {
         .unwrap(),
     );
 
-    let mut rows = Vec::new();
     for vpb in if quick { vec![2] } else { vec![2, 3] } {
-        bench_dedup(&dataset, vpb, &mut rows);
+        bench_dedup(&dataset, vpb);
     }
     let (jobs, spin) = if quick {
         (120, Duration::from_micros(100))
     } else {
         (400, Duration::from_micros(200))
     };
-    bench_qos(jobs, spin, &mut rows);
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_qos\",\n  \"quick\": {quick},\n  \"rows\": [\n    {}\n  ],\n  \"host\": {host}\n}}\n",
-        rows.join(",\n    ")
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_fleet.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
+    bench_qos(jobs, spin);
 }

@@ -11,9 +11,8 @@
 //!
 //! Throughput for the payload-carrying shapes is also reported as MiB/s
 //! so regressions in framing (extra copies, allocation churn) show even
-//! when the RTT floor hides them. Results land in `BENCH_net.json` at
-//! the repository root. Set `SAND_BENCH_QUICK=1` for a short CI-smoke
-//! run.
+//! when the RTT floor hides them. Set `SAND_BENCH_QUICK=1` for a short
+//! CI-smoke run.
 
 #![allow(clippy::unwrap_used)]
 
@@ -78,8 +77,6 @@ fn main() {
         &telemetry,
     );
 
-    let mut rows = Vec::new();
-
     // RTT floor: the smallest request/response pair, an empty-store probe.
     let start = Instant::now();
     for _ in 0..iters {
@@ -87,9 +84,6 @@ fn main() {
     }
     let rtt_us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
     println!("bench net_roundtrip/stat        {rtt_us:>8.1} µs/call");
-    rows.push(format!(
-        "{{\"shape\": \"stat\", \"payload_bytes\": 0, \"iters\": {iters}, \"us_per_call\": {rtt_us:.1}, \"mib_per_sec\": 0.0}}"
-    ));
 
     for &size in sizes {
         let bytes = payload(size);
@@ -111,9 +105,6 @@ fn main() {
         let us = secs * 1e6 / iters as f64;
         let mib = (iters as f64 * size as f64) / (1024.0 * 1024.0) / secs;
         println!("bench net_roundtrip/fetch {size:>8} B {us:>8.1} µs/call ({mib:>8.1} MiB/s)");
-        rows.push(format!(
-            "{{\"shape\": \"fetch\", \"payload_bytes\": {size}, \"iters\": {iters}, \"us_per_call\": {us:.1}, \"mib_per_sec\": {mib:.1}}}"
-        ));
 
         // Put: the owner-push path (fresh key per call to avoid re-put
         // short-circuits in the store).
@@ -127,9 +118,6 @@ fn main() {
         let us = secs * 1e6 / iters as f64;
         let mib = (iters as f64 * size as f64) / (1024.0 * 1024.0) / secs;
         println!("bench net_roundtrip/put   {size:>8} B {us:>8.1} µs/call ({mib:>8.1} MiB/s)");
-        rows.push(format!(
-            "{{\"shape\": \"put\", \"payload_bytes\": {size}, \"iters\": {iters}, \"us_per_call\": {us:.1}, \"mib_per_sec\": {mib:.1}}}"
-        ));
         // Keep the store's memory tier from accumulating push payloads.
         for i in 0..iters {
             let _ = store.remove(&format!("obj/push/{size}/{i}"));
@@ -137,15 +125,4 @@ fn main() {
     }
 
     server.shutdown();
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"net_roundtrip\",\n  \"quick\": {quick},\n  \"rows\": [\n    {}\n  ],\n  \"host\": {host}\n}}\n",
-        rows.join(",\n    ")
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_net.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
 }

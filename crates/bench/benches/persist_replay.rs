@@ -17,9 +17,7 @@
 //!
 //! Each replayed store is verified to serve every object bit-identically
 //! before its timing is accepted, so the bench doubles as a recovery
-//! parity check. Results land in `BENCH_persist.json` at the repository
-//! root for CI trend tracking. Set `SAND_BENCH_QUICK=1` for a short
-//! CI-smoke run.
+//! parity check. Set `SAND_BENCH_QUICK=1` for a short CI-smoke run.
 
 #![allow(clippy::unwrap_used)]
 
@@ -143,7 +141,6 @@ fn main() {
         &[1024, 4096, 16384]
     };
 
-    let mut rows = Vec::new();
     for &objects in sizes {
         let dir = bench_dir(&objects.to_string());
         let write_secs = fill(&dir, objects, payload_len);
@@ -158,11 +155,6 @@ fn main() {
             mib / write_secs,
             replay_secs * 1e3,
         );
-        rows.push(format!(
-            "{{\"objects\": {objects}, \"payload_bytes\": {payload_len}, \
-             \"append_per_sec\": {appends_per_sec:.0}, \"write_secs\": {write_secs:.4}, \
-             \"replay_secs\": {replay_secs:.4}, \"replay_mib_per_sec\": {replay_mib_per_sec:.1}}}"
-        ));
     }
 
     // Sync-policy cost: the same concurrent workload under each policy.
@@ -173,7 +165,6 @@ fn main() {
         window_us: 50,
         max_bytes: 1 << 20,
     };
-    let mut sync_rows = Vec::new();
     for sync in [SyncPolicy::Never, SyncPolicy::Always, group] {
         let mode = sync_mode_name(sync);
         let dir = bench_dir(&format!("sync_{mode}"));
@@ -190,22 +181,5 @@ fn main() {
             "bench persist_replay/sync={mode:<6} {threads} threads × {per_thread} appends \
              {appends_per_sec:>10.0}/s  fsyncs {fsyncs:>6} (coalesce {coalesce:>6.1}×)"
         );
-        sync_rows.push(format!(
-            "{{\"mode\": \"{mode}\", \"threads\": {threads}, \"objects\": {objects}, \
-             \"payload_bytes\": {payload_len}, \"append_per_sec\": {appends_per_sec:.0}, \
-             \"write_secs\": {secs:.4}, \"fsyncs\": {fsyncs}, \"coalesce\": {coalesce:.1}}}"
-        ));
     }
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"persist_replay\",\n  \"quick\": {quick},\n  \"rows\": [\n    {}\n  ],\n  \"sync_rows\": [\n    {}\n  ],\n  \"host\": {host}\n}}\n",
-        rows.join(",\n    "),
-        sync_rows.join(",\n    ")
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_persist.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
 }

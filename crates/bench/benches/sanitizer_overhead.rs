@@ -5,12 +5,10 @@
 //! feature is off: every method is a direct delegation with no extra
 //! branches, so an uncontended lock/unlock cycle must cost the same as
 //! the raw lock it wraps. This bench pins that promise by hammering
-//! both locks with the same contended increment workload and recording
-//! the ratio in `BENCH_sanitizer.json` at the repository root for CI
-//! trend tracking. When the feature IS on the ratio is expected to be
+//! both locks with the same contended increment workload and printing
+//! the ratio. When the feature IS on the ratio is expected to be
 //! well above 1 (the graph and held-stack bookkeeping are real work) —
-//! the JSON records which mode produced the numbers so trend tooling
-//! compares like with like.
+//! the ratio line says which mode produced the numbers.
 //!
 //! Set `SAND_BENCH_QUICK=1` for a short CI-smoke run.
 
@@ -76,14 +74,4 @@ fn main() {
         "bench sanitizer/tracked_ratio       {ratio:>12.3} x (sanitize {})",
         if sanitize_on { "on" } else { "off" }
     );
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"sanitizer_overhead\",\n  \"quick\": {quick},\n  \"sanitize\": {sanitize_on},\n  \"threads\": {threads},\n  \"iters\": {iters},\n  \"raw_secs\": {raw_avg:.4},\n  \"tracked_secs\": {tracked_avg:.4},\n  \"tracked_ratio\": {ratio:.3},\n  \"host\": {host}\n}}\n"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_sanitizer.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
 }

@@ -7,13 +7,12 @@
 //! stays global (atomics) and Algorithm-1 pruning remains a coordinated
 //! sweep with the single-lock victim ordering. This bench drives the
 //! same mixed workload from `THREADS` threads at both shard counts,
-//! asserts the surviving key set and byte accounting are identical
-//! (sharding is a contention knob, never a behaviour knob), and writes
-//! `BENCH_store.json` at the repository root for CI trend tracking.
+//! and asserts the surviving key set and byte accounting are identical
+//! (sharding is a contention knob, never a behaviour knob).
 //!
 //! Set `SAND_BENCH_QUICK=1` for a short CI-smoke run. On single-core
 //! hosts the sharded store cannot beat the single lock wall-clock; the
-//! JSON records `host_cpus` so readers can interpret the speedup
+//! speedup line prints `host_cpus` so readers can interpret it
 //! honestly.
 
 #![allow(clippy::unwrap_used)]
@@ -98,9 +97,8 @@ fn main() {
     // Warm-up pass also pins parity between the two shard counts.
     let (_, k1, b1) = pass(1, threads, rounds, payload);
     let (_, k8, b8) = pass(SHARDED, threads, rounds, payload);
-    let bit_identical = k1 == k8 && b1 == b8;
     assert!(
-        bit_identical,
+        k1 == k8 && b1 == b8,
         "sharded store diverged from single-lock \
          ({} vs {} keys, {b1} vs {b8} bytes)",
         k1.len(),
@@ -124,15 +122,4 @@ fn main() {
     println!(
         "bench store_contention/speedup             {speedup:>12.2}x (threads={threads}, host_cpus={host_cpus})"
     );
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"store_contention\",\n  \"quick\": {quick},\n  \"shards\": {SHARDED},\n  \"threads\": {threads},\n  \"rounds\": {rounds},\n  \"payload_bytes\": {payload},\n  \"single_lock_secs\": {single_avg:.4},\n  \"sharded_secs\": {sharded_avg:.4},\n  \"speedup\": {speedup:.3},\n  \"keys\": {},\n  \"bit_identical\": {bit_identical},\n  \"host_cpus\": {host_cpus},\n  \"host\": {host}\n}}\n",
-        k1.len()
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_store.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
 }

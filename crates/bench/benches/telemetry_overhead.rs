@@ -5,9 +5,8 @@
 //! telemetry` is `None`: instrumented paths hold an `Option` that is
 //! never `Some`, so they take no timestamps and touch no atomics. This
 //! bench pins that promise by timing the same serve sweep in both modes,
-//! asserting the served bytes are bit-identical, and recording the
-//! disabled-mode absolute throughput in `BENCH_telemetry.json` at the
-//! repository root for CI trend tracking — a regression in the disabled
+//! asserting the served bytes are bit-identical, and printing the
+//! disabled-mode absolute throughput — a regression in the disabled
 //! number means the "off" path grew real work.
 //!
 //! Set `SAND_BENCH_QUICK=1` for a short CI-smoke run.
@@ -92,14 +91,4 @@ fn main() {
     println!("bench telemetry/disabled            {off_avg:>12.4} s/sweep ({iters} iters)");
     println!("bench telemetry/enabled             {on_avg:>12.4} s/sweep ({iters} iters)");
     println!("bench telemetry/enabled_overhead    {overhead_pct:>12.2} %");
-
-    let host = sand_bench::host::host_context_json();
-    let json = format!(
-        "{{\n  \"bench\": \"telemetry_overhead\",\n  \"quick\": {quick},\n  \"epochs\": {epochs},\n  \"disabled_secs\": {off_avg:.4},\n  \"enabled_secs\": {on_avg:.4},\n  \"enabled_overhead_pct\": {overhead_pct:.2},\n  \"bit_identical\": true,\n  \"host\": {host}\n}}\n"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_telemetry.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
 }

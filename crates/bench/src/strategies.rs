@@ -75,8 +75,6 @@ pub fn run_strategy(
                     total_epochs: epochs.end,
                     epochs_per_chunk: (epochs.end - epochs.start).max(1),
                     seed,
-                    decode_threads: workload.decode_threads,
-                    aug_threads: workload.aug_threads,
                     sched: sand_sched::SchedConfig {
                         threads: PIPELINE_WORKERS,
                         reserved_demand_threads: 0,

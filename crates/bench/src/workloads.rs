@@ -27,12 +27,6 @@ pub struct Workload {
     pub dataset: DatasetSpec,
     /// Classes in the dataset.
     pub classes: u32,
-    /// Threads for GOP-parallel pre-materialization decode
-    /// (`EngineConfig::decode_threads`).
-    pub decode_threads: usize,
-    /// Sub-jobs each video's materialize bucket fans out into
-    /// (`EngineConfig::aug_threads`).
-    pub aug_threads: usize,
 }
 
 /// vCPUs per GPU in the paper's GCP A2 instances.
@@ -44,14 +38,6 @@ pub const VCPUS_PER_GPU: usize = 12;
 /// only a few host CPUs per GPU; 4 workers keeps runs faithful on
 /// many-core CI machines too.
 pub const PIPELINE_WORKERS: usize = 2;
-
-/// Decode threads for the engine's segment-parallel pre-materialization
-/// (one per pipeline worker; each keyframe segment decodes independently).
-pub const DECODE_THREADS: usize = 2;
-
-/// Materialize fan-out for the engine's parallel augmentation stage
-/// (matches the pipeline workers so every worker gets a sub-job).
-pub const AUG_THREADS: usize = 2;
 
 fn task(yaml: &str) -> TaskConfig {
     parse_task_config(yaml).expect("workload pipeline must parse")
@@ -121,8 +107,6 @@ dataset:
             ..Default::default()
         },
         classes: 4,
-        decode_threads: DECODE_THREADS,
-        aug_threads: AUG_THREADS,
     }
 }
 
@@ -179,8 +163,6 @@ dataset:
             ..Default::default()
         },
         classes: 4,
-        decode_threads: DECODE_THREADS,
-        aug_threads: AUG_THREADS,
     }
 }
 
@@ -240,8 +222,6 @@ dataset:
             ..Default::default()
         },
         classes: 4,
-        decode_threads: DECODE_THREADS,
-        aug_threads: AUG_THREADS,
     }
 }
 
@@ -291,8 +271,6 @@ dataset:
             ..Default::default()
         },
         classes: 4,
-        decode_threads: DECODE_THREADS,
-        aug_threads: AUG_THREADS,
     }
 }
 

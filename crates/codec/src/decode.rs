@@ -10,11 +10,8 @@
 //! Because the codec uses closed GOPs, the frames between two consecutive
 //! keyframes form an independent decode unit: no reconstruction crosses a
 //! keyframe boundary backwards. [`Decoder::decode_indices`] exploits this by
-//! grouping sorted targets into keyframe segments and, when configured with
-//! more than one thread, decoding the segments concurrently on a scoped
-//! thread pool. Stats are accumulated per worker and merged after the join
-//! (every counter is a commutative sum, so the result is identical to a
-//! sequential decode, bit for bit).
+//! grouping sorted targets into keyframe segments and walking each segment's
+//! anchor chain once.
 //!
 //! For single-frame demand reads, [`WarmDecoder`] keeps the newest
 //! reconstructed anchor of the last GOP it walked, so a subsequent read
@@ -215,8 +212,7 @@ impl<'v> ChainWalker<'v> {
     /// Decodes every target of one keyframe segment (`targets` sorted,
     /// deduplicated, all sharing `keyframe_before`). `requested` is the
     /// full sorted request set across *all* segments: discard accounting
-    /// checks membership there, so parallel per-segment decodes count
-    /// exactly what a sequential pass would.
+    /// checks membership there.
     ///
     /// The walk keeps a single chain tip plus only the anchors that a
     /// still-pending target needs (counted up front), dropping every other
@@ -310,36 +306,23 @@ impl<'v> ChainWalker<'v> {
     }
 }
 
-/// One worker's output: produced `(index, pixels)` pairs plus its stats.
-type SegmentOutput = (Vec<(usize, Vec<u8>)>, DecodeStats);
-
 /// A decoder bound to one encoded video.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     video: &'a EncodedVideo,
     stats: DecodeStats,
-    threads: usize,
     /// Optional telemetry: per-GOP-segment decode timing. `None` (the
     /// default) takes no timestamps at all.
     metrics: Option<sand_telemetry::CodecMetrics>,
 }
 
 impl<'a> Decoder<'a> {
-    /// Creates a single-threaded decoder over `video`.
+    /// Creates a decoder over `video`.
     #[must_use]
     pub fn new(video: &'a EncodedVideo) -> Self {
-        Self::with_threads(video, 1)
-    }
-
-    /// Creates a decoder that may use up to `threads` worker threads to
-    /// decode independent keyframe segments concurrently. `0` is treated
-    /// as `1`.
-    #[must_use]
-    pub fn with_threads(video: &'a EncodedVideo, threads: usize) -> Self {
         Decoder {
             video,
             stats: DecodeStats::default(),
-            threads: threads.max(1),
             metrics: None,
         }
     }
@@ -350,11 +333,6 @@ impl<'a> Decoder<'a> {
     pub fn with_metrics(mut self, metrics: Option<sand_telemetry::CodecMetrics>) -> Self {
         self.metrics = metrics;
         self
-    }
-
-    /// Changes the segment-parallelism level for subsequent decodes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Work counters accumulated so far.
@@ -387,10 +365,6 @@ impl<'a> Decoder<'a> {
     /// chain back to the GOP keyframe, B-frames additionally require the
     /// following anchor.
     ///
-    /// Closed GOPs make each keyframe segment independent, so with more
-    /// than one configured thread the segments are decoded concurrently;
-    /// results and stats are identical to a sequential decode.
-    ///
     /// Returns frames in the order requested. The stats record counts every
     /// intermediate frame that had to be decoded to reach the targets.
     pub fn decode_indices(&mut self, indices: &[usize]) -> Result<Vec<Frame>> {
@@ -421,57 +395,16 @@ impl<'a> Decoder<'a> {
             }
         }
         let mut produced: HashMap<usize, Vec<u8>> = HashMap::with_capacity(sorted.len());
-        if self.threads <= 1 || segments.len() <= 1 {
-            let mut walker = ChainWalker::new(self.video);
-            for seg in &segments {
-                let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
-                produced.extend(walker.decode_segment(seg, &sorted)?);
-                if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-                    m.segment_us.observe_duration(t0.elapsed());
-                    m.segments.inc();
-                }
-            }
-            self.stats.merge(&walker.stats);
-        } else {
-            let workers = self.threads.min(segments.len());
-            let video = self.video;
-            let sorted_ref = &sorted;
-            let segments_ref = &segments;
-            let metrics = self.metrics.clone();
-            let results: Vec<Result<SegmentOutput>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let metrics = metrics.clone();
-                        s.spawn(move || {
-                            let mut walker = ChainWalker::new(video);
-                            let mut pairs = Vec::new();
-                            for seg in segments_ref.iter().skip(w).step_by(workers) {
-                                let t0 = metrics.as_ref().map(|_| std::time::Instant::now());
-                                pairs.extend(walker.decode_segment(seg, sorted_ref)?);
-                                if let (Some(m), Some(t0)) = (&metrics, t0) {
-                                    m.segment_us.observe_duration(t0.elapsed());
-                                    m.segments.inc();
-                                }
-                            }
-                            Ok((pairs, walker.stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or(Err(CodecError::Corrupt {
-                            what: "decode worker panicked",
-                        }))
-                    })
-                    .collect()
-            });
-            for r in results {
-                let (pairs, stats) = r?;
-                produced.extend(pairs);
-                self.stats.merge(&stats);
+        let mut walker = ChainWalker::new(self.video);
+        for seg in &segments {
+            let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+            produced.extend(walker.decode_segment(seg, &sorted)?);
+            if let (Some(m), Some(t0)) = (&self.metrics, t0) {
+                m.segment_us.observe_duration(t0.elapsed());
+                m.segments.inc();
             }
         }
+        self.stats.merge(&walker.stats);
         // Restore the caller's order (with possible duplicates), moving
         // each buffer out of the map on its last use.
         let mut remaining: HashMap<usize, usize> = HashMap::with_capacity(sorted.len());
@@ -901,39 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_is_bit_identical_to_sequential() {
-        let src = gradient_video(60, 8, 8);
-        for b in [0usize, 2] {
-            let v = encode_b(&src, 10, 2, b);
-            let picks = [3usize, 7, 14, 14, 29, 31, 42, 58, 5];
-            let mut seq = Decoder::new(&v);
-            let seq_out = seq.decode_indices(&picks).unwrap();
-            let mut par = Decoder::with_threads(&v, 4);
-            let par_out = par.decode_indices(&picks).unwrap();
-            assert_eq!(seq_out.len(), par_out.len());
-            for (a, p) in seq_out.iter().zip(par_out.iter()) {
-                assert_eq!(a.as_bytes(), p.as_bytes());
-                assert_eq!(a.meta, p.meta);
-            }
-            assert_eq!(seq.stats(), par.stats(), "b_frames={b}");
-        }
-    }
-
-    #[test]
-    fn parallel_full_decode_matches_sequential() {
-        let src = gradient_video(36, 8, 8);
-        let v = encode_b(&src, 12, 2, 2);
-        let mut seq = Decoder::new(&v);
-        let seq_out = seq.decode_all().unwrap();
-        let mut par = Decoder::with_threads(&v, 3);
-        let par_out = par.decode_all().unwrap();
-        for (a, p) in seq_out.iter().zip(par_out.iter()) {
-            assert_eq!(a.as_bytes(), p.as_bytes());
-        }
-        assert_eq!(seq.stats(), par.stats());
-    }
-
-    #[test]
     fn warm_forward_read_skips_keyframe_redecode() {
         let src = gradient_video(40, 8, 8);
         let v = Arc::new(encode(&src, 10, 2));
@@ -999,16 +899,14 @@ mod tests {
         let metrics = sand_telemetry::CodecMetrics::register(&telemetry).unwrap();
         let src = gradient_video(40, 8, 8);
         let v = encode(&src, 10, 2);
-        for threads in [1usize, 3] {
-            // Targets span three distinct GOPs → three timed segments.
-            let mut dec = Decoder::with_threads(&v, threads).with_metrics(Some(metrics.clone()));
-            dec.decode_indices(&[3, 15, 27]).unwrap();
-        }
+        // Targets span three distinct GOPs → three timed segments.
+        let mut dec = Decoder::new(&v).with_metrics(Some(metrics));
+        dec.decode_indices(&[3, 15, 27]).unwrap();
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("decode.segments"), Some(6));
+        assert_eq!(snap.counter("decode.segments"), Some(3));
         assert_eq!(
             snap.histogram("decode.segment_us").map(|h| h.count),
-            Some(6)
+            Some(3)
         );
     }
 

@@ -130,33 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_decode_bit_identical_to_sequential(
-        frames in arb_video(),
-        gop in 1usize..8,
-        quant in 1u8..5,
-        b in 0usize..3,
-        threads in 2usize..6,
-        picks in prop::collection::vec(any::<prop::sample::Index>(), 1..12),
-    ) {
-        prop_assume!(b + 1 < gop || gop == 1);
-        let b = if gop == 1 { 0 } else { b };
-        let enc = Encoder::new(EncoderConfig { gop_size: gop, quantizer: quant, fps_milli: 30_000, b_frames: b }).unwrap();
-        let v = enc.encode(&frames, 1, 0).unwrap();
-        let indices: Vec<usize> = picks.iter().map(|p| p.index(frames.len())).collect();
-        let mut seq = Decoder::new(&v);
-        let seq_out = seq.decode_indices(&indices).unwrap();
-        let mut par = Decoder::with_threads(&v, threads);
-        let par_out = par.decode_indices(&indices).unwrap();
-        prop_assert_eq!(seq_out.len(), par_out.len());
-        for (a, p) in seq_out.iter().zip(par_out.iter()) {
-            prop_assert_eq!(a.as_bytes(), p.as_bytes());
-            prop_assert_eq!(&a.meta, &p.meta);
-        }
-        // Work metering must be identical too, not just the pixels.
-        prop_assert_eq!(seq.stats(), par.stats());
-    }
-
-    #[test]
     fn warm_session_reads_match_cold_decodes(
         frames in arb_video(),
         gop in 1usize..8,

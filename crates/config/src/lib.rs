@@ -27,9 +27,7 @@ pub mod yaml;
 
 pub use condition::Condition;
 pub use parse::parse_task_config;
-pub use types::{
-    AugOp, Branch, BranchArm, BranchType, ExecutionConfig, InputSource, SamplingConfig, TaskConfig,
-};
+pub use types::{AugOp, Branch, BranchArm, BranchType, InputSource, SamplingConfig, TaskConfig};
 pub use yaml::Value;
 
 use std::fmt;

@@ -1,9 +1,7 @@
 //! Conversion from parsed YAML to the typed configuration model.
 
 use crate::condition::Condition;
-use crate::types::{
-    AugOp, Branch, BranchArm, BranchType, ExecutionConfig, InputSource, SamplingConfig, TaskConfig,
-};
+use crate::types::{AugOp, Branch, BranchArm, BranchType, InputSource, SamplingConfig, TaskConfig};
 use crate::yaml::{self, Value};
 use crate::{ConfigError, Result};
 
@@ -397,29 +395,12 @@ pub fn parse_task_config(text: &str) -> Result<TaskConfig> {
             })
         }
     };
-    let execution = match ds.get("execution") {
-        None | Some(Value::Null) => ExecutionConfig::default(),
-        Some(ex) => ExecutionConfig {
-            aug_threads: match ex.get("aug_threads") {
-                None => 0,
-                Some(_) => req_usize(ex, "aug_threads")?,
-            },
-            sticky_affinity: match ex.get("sticky_affinity") {
-                None => true,
-                Some(v) => v.as_bool().ok_or_else(|| ConfigError::InvalidField {
-                    field: "execution.sticky_affinity".into(),
-                    what: "expected a boolean".into(),
-                })?,
-            },
-        },
-    };
     let cfg = TaskConfig {
         tag: req_str(ds, "tag")?,
         input_source: InputSource::parse(&req_str(ds, "input_source")?)?,
         video_dataset_path: req_str(ds, "video_dataset_path")?,
         sampling,
         augmentation,
-        execution,
     };
     cfg.validate()?;
     Ok(cfg)
@@ -663,48 +644,11 @@ dataset:
     }
 
     #[test]
-    fn execution_section_defaults_when_absent() {
-        let cfg = parse_task_config(FIG9).unwrap();
-        assert_eq!(cfg.execution, ExecutionConfig::default());
-        assert_eq!(cfg.execution.aug_threads, 0);
-        assert!(cfg.execution.sticky_affinity);
-    }
-
-    #[test]
-    fn execution_section_parses() {
-        let text = r#"
-dataset:
-  tag: "train"
-  input_source: file
-  video_dataset_path: /dataset/train
-  sampling:
-    videos_per_batch: 8
-    frames_per_video: 8
-    frame_stride: 4
-  execution:
-    aug_threads: 4
-    sticky_affinity: false
-"#;
-        let cfg = parse_task_config(text).unwrap();
-        assert_eq!(cfg.execution.aug_threads, 4);
-        assert!(!cfg.execution.sticky_affinity);
-    }
-
-    #[test]
-    fn execution_fanout_cap_enforced() {
-        let text = r#"
-dataset:
-  tag: "train"
-  input_source: file
-  video_dataset_path: /dataset/train
-  sampling:
-    videos_per_batch: 8
-    frames_per_video: 8
-    frame_stride: 4
-  execution:
-    aug_threads: 4096
-"#;
-        let err = parse_task_config(text).unwrap_err();
-        assert!(err.to_string().contains("execution.aug_threads"), "{err}");
+    fn retired_execution_section_is_an_ignored_unknown_key() {
+        let with_block = format!("{FIG9}  execution:\n    sticky_affinity: false\n");
+        assert_eq!(
+            parse_task_config(&with_block).unwrap(),
+            parse_task_config(FIG9).unwrap()
+        );
     }
 }

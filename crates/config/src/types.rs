@@ -316,42 +316,6 @@ pub struct Branch {
     pub arms: Vec<BranchArm>,
 }
 
-/// Engine-execution hints carried by a task config. The task file is the
-/// single source of tuning truth in SAND's model, so per-task performance
-/// knobs ride along with sampling and augmentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutionConfig {
-    /// Sub-jobs the engine may fan one video's materialize bucket out
-    /// into (`0` = inherit the engine-level `aug_threads` setting).
-    pub aug_threads: usize,
-    /// Keep a video's pre-materialize jobs on its sticky worker — the
-    /// one holding its warm decoder session — instead of pure work
-    /// stealing. `false` on any task disables affinity engine-wide.
-    pub sticky_affinity: bool,
-}
-
-impl Default for ExecutionConfig {
-    fn default() -> Self {
-        ExecutionConfig {
-            aug_threads: 0,
-            sticky_affinity: true,
-        }
-    }
-}
-
-impl ExecutionConfig {
-    /// Bounds-checks the fan-out hint.
-    pub fn validate(&self) -> Result<()> {
-        if self.aug_threads > 1024 {
-            return Err(ConfigError::InvalidField {
-                field: "execution.aug_threads".into(),
-                what: format!("{} exceeds the 1024 fan-out cap", self.aug_threads),
-            });
-        }
-        Ok(())
-    }
-}
-
 /// A complete task configuration (one Fig. 9 file).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskConfig {
@@ -365,8 +329,6 @@ pub struct TaskConfig {
     pub sampling: SamplingConfig,
     /// Augmentation dataflow stages.
     pub augmentation: Vec<Branch>,
-    /// Execution hints for the engine's materialize pass.
-    pub execution: ExecutionConfig,
 }
 
 impl TaskConfig {
@@ -391,7 +353,6 @@ impl TaskConfig {
             });
         }
         self.sampling.validate()?;
-        self.execution.validate()?;
         let mut produced: Vec<&str> = vec!["frame"];
         let mut names: Vec<&str> = Vec::new();
         for b in &self.augmentation {
@@ -572,7 +533,6 @@ mod tests {
             video_dataset_path: "/data".into(),
             sampling: SamplingConfig::default(),
             augmentation: aug,
-            execution: ExecutionConfig::default(),
         }
     }
 

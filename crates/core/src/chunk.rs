@@ -35,7 +35,7 @@ use sand_graph::{prune_to_budget, ConcreteGraph, NodeId, ObjectKey, Planner, Pla
 use sand_sanitizer::TrackedMutex;
 use sand_sched::{Job, JobKind};
 use sand_storage::ObjectMeta;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,8 +87,6 @@ struct FanoutNode {
     id: NodeId,
     /// Epoch of earliest need, relative to the chunk's first epoch.
     bucket: usize,
-    /// Index of the nearest source-frame ancestor (`u64::MAX` = none).
-    frame: u64,
 }
 
 impl Chunk {
@@ -119,17 +117,11 @@ impl Chunk {
             .max()
             .unwrap_or(1);
         let epoch_span = (graph.epochs.end - graph.epochs.start) as usize;
-        let mut frame_of = vec![u64::MAX; graph.nodes.len()];
         let mut fanout = Vec::new();
         for video_id in video_ids {
             let mut nodes = Vec::new();
-            // Preorder: a node's frame ancestor is resolved before it is.
             for id in graph.video_subtree(video_id) {
                 let node = &graph.nodes[id];
-                frame_of[id] = match node.key {
-                    ObjectKey::Frame { frame, .. } => frame as u64,
-                    _ => node.parent.map_or(u64::MAX, |p| frame_of[p]),
-                };
                 if node.cached && !matches!(node.key, ObjectKey::Video { .. }) {
                     let bucket = match deadlines[id] {
                         Some(clock) => {
@@ -138,11 +130,7 @@ impl Chunk {
                         }
                         None => epoch_span,
                     };
-                    nodes.push(FanoutNode {
-                        id,
-                        bucket,
-                        frame: frame_of[id],
-                    });
+                    nodes.push(FanoutNode { id, bucket });
                 }
             }
             if !nodes.is_empty() {
@@ -380,49 +368,24 @@ impl Inner {
         Ok(chunk)
     }
 
-    /// Splits one bucket's node list into at most `parts` sub-job lists.
-    ///
-    /// Nodes are grouped by their nearest source-frame ancestor first, so
-    /// augmentation chains growing out of one decoded frame stay in the
-    /// same sub-job: the pass memo and the flight would merge their work
-    /// anyway, but co-locating them turns the merge into a same-worker
-    /// reuse instead of a cross-job wait. Groups are dealt round-robin in
-    /// frame order, which is deterministic.
-    fn split_bucket(nodes: &[FanoutNode], parts: usize) -> Vec<Vec<NodeId>> {
-        if parts <= 1 || nodes.len() <= 1 {
-            return vec![nodes.iter().map(|n| n.id).collect()];
-        }
-        let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        for n in nodes {
-            groups.entry(n.frame).or_default().push(n.id);
-        }
-        let n = parts.min(groups.len()).max(1);
-        let mut out = vec![Vec::new(); n];
-        for (i, (_, group)) in groups.into_iter().enumerate() {
-            out[i % n].extend(group);
-        }
-        out.retain(|v| !v.is_empty());
-        out
-    }
-
-    /// Submits pre-materialization jobs: per (video, deadline bucket),
-    /// fanned out into up to `aug_threads` sub-jobs.
+    /// Submits pre-materialization jobs: one per non-empty (video,
+    /// deadline bucket).
     ///
     /// Granularity matters twice over. Jobs must be small enough that a
     /// demand-feeding job never sits behind a long-running worker (the
     /// scheduler preempts between jobs, not within one), and the first
-    /// sub-job of a video decodes the *union* of the chunk's source frames
+    /// job of a video decodes the *union* of the chunk's source frames
     /// in one GOP-efficient pass, persisting them so every later epoch's
     /// bucket reuses the decoded frames instead of re-touching the codec —
     /// the paper's "decode once, cache for k epochs".
     ///
-    /// All of a video's sub-jobs share one [`Scratch`] and carry the
+    /// All of a video's jobs share one [`Scratch`] and carry the
     /// video id as a scheduler affinity hint, so chains meeting at a
-    /// common decoded frame merge work, and the sub-jobs prefer the
+    /// common decoded frame merge work, and the jobs prefer the
     /// worker already holding the video's warm decode state.
     ///
     /// This runs on the serve thread at the boundary, so it walks no
-    /// graph: the per-video node lists, buckets and frame groups were
+    /// graph: the per-video node lists and buckets were
     /// prepared with the plan, and what is left is one store probe per
     /// node (objects that survive from an earlier chunk or an earlier run
     /// are not queued again) and one submission per job. A video's jobs
@@ -430,9 +393,8 @@ impl Inner {
     /// on the first videos while the rest are still being handed over.
     fn submit_prematerialization(self: &Arc<Self>, chunk: &Arc<Chunk>, fanout: Vec<VideoFanout>) {
         let epoch_span = (chunk.graph.epochs.end - chunk.graph.epochs.start) as usize;
-        let aug_threads = self.effective_aug_threads();
         for video in fanout {
-            let mut buckets: Vec<Vec<FanoutNode>> = vec![Vec::new(); epoch_span + 1];
+            let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); epoch_span + 1];
             let mut todo: Vec<NodeId> = Vec::new();
             for &n in &video.nodes {
                 if !self
@@ -440,58 +402,56 @@ impl Inner {
                     .contains(&store_key(&chunk.graph.nodes[n.id].key))
                 {
                     todo.push(n.id);
-                    buckets[n.bucket].push(n);
+                    buckets[n.bucket].push(n.id);
                 }
             }
             if todo.is_empty() {
                 continue;
             }
-            // The video's first sub-job pre-decodes the union of source
+            // The video's first job pre-decodes the union of source
             // frames the whole subtree needs; the others pre-decode only
-            // their own slice (the flight claims make any overlap
+            // their own bucket (the flight claims make any overlap
             // race-free).
             let mut union = Some(todo);
             let scratch = Arc::new(Scratch::new());
-            for bucket_nodes in buckets {
-                if bucket_nodes.is_empty() {
+            for nodes in buckets {
+                if nodes.is_empty() {
                     continue;
                 }
-                for nodes in Self::split_bucket(&bucket_nodes, aug_threads) {
-                    let deadline = nodes
-                        .iter()
-                        .filter_map(|&id| chunk.deadlines[id])
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    let remaining_work = nodes.len() as u64;
-                    let ticket = {
-                        let mut work = chunk.work.lock();
-                        work.push(Some(PrematWork {
-                            decode_targets: union.take().unwrap_or_else(|| nodes.clone()),
-                            nodes,
-                            scratch: Arc::clone(&scratch),
-                        }));
-                        work.len() - 1
-                    };
-                    let inner = Arc::clone(self);
-                    // Weak: the queue must not keep a retired chunk
-                    // alive, and has nothing left to do for it.
-                    let weak = Arc::downgrade(chunk);
-                    // Pre-materialization serves the union plan — shared
-                    // across tenants by construction — so it stays
-                    // untenanted: charged to nobody's virtual clock.
-                    self.sched.submit(Job {
-                        kind: JobKind::PreMaterialize,
-                        deadline,
-                        remaining_work,
-                        affinity: Some(video.video_id),
-                        tenant: None,
-                        run: Box::new(move || {
-                            if let Some(chunk) = weak.upgrade() {
-                                inner.prematerialize(&chunk, ticket);
-                            }
-                        }),
-                    });
-                }
+                let deadline = nodes
+                    .iter()
+                    .filter_map(|&id| chunk.deadlines[id])
+                    .min()
+                    .unwrap_or(u64::MAX);
+                let remaining_work = nodes.len() as u64;
+                let ticket = {
+                    let mut work = chunk.work.lock();
+                    work.push(Some(PrematWork {
+                        decode_targets: union.take().unwrap_or_else(|| nodes.clone()),
+                        nodes,
+                        scratch: Arc::clone(&scratch),
+                    }));
+                    work.len() - 1
+                };
+                let inner = Arc::clone(self);
+                // Weak: the queue must not keep a retired chunk
+                // alive, and has nothing left to do for it.
+                let weak = Arc::downgrade(chunk);
+                // Pre-materialization serves the union plan — shared
+                // across tenants by construction — so it stays
+                // untenanted: charged to nobody's virtual clock.
+                self.sched.submit(Job {
+                    kind: JobKind::PreMaterialize,
+                    deadline,
+                    remaining_work,
+                    affinity: Some(video.video_id),
+                    tenant: None,
+                    run: Box::new(move || {
+                        if let Some(chunk) = weak.upgrade() {
+                            inner.prematerialize(&chunk, ticket);
+                        }
+                    }),
+                });
             }
         }
         self.report_pressure();
@@ -723,6 +683,24 @@ dataset:
         let (bytes_8, jobs_8) = run(8);
         assert_eq!(bytes_1, bytes_8);
         assert_eq!(jobs_8, jobs_1, "a racing boundary fanned out twice");
+    }
+
+    #[test]
+    fn one_prematerialization_job_per_video_and_deadline_bucket() {
+        let e = engine(EngineConfig {
+            tasks: tasks(1),
+            total_epochs: 2,
+            epochs_per_chunk: 2,
+            ..Default::default()
+        });
+        e.wait_idle();
+        // Nothing has been served, so every job so far is the hand-off's.
+        // Each epoch samples all 4 videos and crops them afresh, so each
+        // video has objects first needed in epoch 0 and in epoch 1: two
+        // non-empty buckets per video, one job each, never subdivided.
+        let s = e.stats().sched;
+        assert_eq!(s.demand_served + s.prefetch_served, 0);
+        assert_eq!(s.pre_served, 4 * 2);
     }
 
     #[test]

@@ -51,15 +51,6 @@ pub struct EngineConfig {
     /// provably behaviour-identical: served bytes never depend on the
     /// depth (`prop_prefetch_parity`).
     pub prefetch_depth: usize,
-    /// Threads used to decode independent keyframe segments of one video
-    /// concurrently during pre-materialization (closed GOPs make the
-    /// segments independent). `1` keeps decodes sequential.
-    pub decode_threads: usize,
-    /// Sub-jobs one video's materialize bucket fans out into: chains over
-    /// different source frames run as independent scheduler jobs sharing
-    /// a per-video scratch. `1` keeps each bucket a single job. Task
-    /// configs may raise this via `execution.aug_threads`.
-    pub aug_threads: usize,
     /// Static-analysis level for the startup lint pass: `Off` skips it,
     /// `Warn` reports findings to stderr, `Deny` additionally fails
     /// startup on any deny-severity finding.
@@ -71,7 +62,7 @@ pub struct EngineConfig {
     pub telemetry: Option<TelemetryConfig>,
     /// Closed-loop adaptive control: `Some` runs a controller that
     /// periodically reads the telemetry snapshot and retunes the runtime
-    /// knobs (prefetch depth, demand slack, aug/decode thread split)
+    /// knobs (prefetch depth, demand slack)
     /// online, with hysteresis and hard clamps. `None` (default) keeps
     /// every knob static and adds zero overhead to the serve path,
     /// pinned by `benches/autotune_overhead.rs`. Requires telemetry
@@ -114,8 +105,6 @@ impl Default for EngineConfig {
             aug_service: None,
             prematerialize: true,
             prefetch_depth: 0,
-            decode_threads: 1,
-            aug_threads: 1,
             lint: LintLevel::default(),
             telemetry: None,
             autotune: None,
@@ -141,12 +130,6 @@ impl EngineConfig {
     /// The resource and feature facts the lint rules check the workload
     /// against, over a dataset of `videos` videos.
     fn lint_options(&self, videos: usize) -> LintOptions {
-        let threads = self.sched.threads.max(1);
-        let reserved = if self.sched.policy == sand_sched::Policy::Priority {
-            self.sched.reserved_demand_threads.min(threads - 1)
-        } else {
-            0
-        };
         LintOptions {
             total_epochs: self.total_epochs,
             iterations_per_epoch: self
@@ -156,12 +139,9 @@ impl EngineConfig {
                 .max(),
             cache_budget: self.cache_budget,
             memory_budget: self.store.memory_budget,
-            aug_threads: self.aug_threads.max(1),
-            pre_workers: threads - reserved,
             telemetry: self.telemetry.clone(),
             prefetch_depth: self.prefetch_depth,
             store_shards: self.store.shards,
-            decode_threads: self.decode_threads.max(1),
             sanitize: sand_sanitizer::enabled(),
             release_build: cfg!(not(debug_assertions)),
             persistent: self.store_dir.is_some(),
@@ -183,9 +163,6 @@ impl EngineConfig {
             }),
             remote: self.remote.as_ref().map(|r| RemoteLint {
                 peers: r.peers.len(),
-                // `PeerSpec::addr` is already a parsed `SocketAddr`, so
-                // every configured peer is dialable by construction.
-                resolvable_peers: r.peers.len(),
                 fetch_timeout_ms: r.fetch_timeout.as_millis() as u64,
                 retries: r.retries,
             }),

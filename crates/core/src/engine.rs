@@ -17,7 +17,7 @@ use sand_autotune::{Controller, KnobValues};
 use sand_codec::{Dataset, DecodeStats};
 use sand_net::RemoteTier;
 use sand_sanitizer::TrackedMutex;
-use sand_sched::{SchedConfig, Scheduler};
+use sand_sched::Scheduler;
 use sand_storage::ObjectStore;
 use sand_telemetry::{
     AutotuneMetrics, CodecMetrics, EngineMetrics, FleetMetrics, MaterializeMetrics,
@@ -26,7 +26,7 @@ use sand_telemetry::{
 };
 use sand_vfs::SandVfs;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Aggregate engine statistics.
@@ -67,13 +67,6 @@ pub(crate) struct Inner {
     pub(crate) engine_metrics: Option<EngineMetrics>,
     pub(crate) mat_metrics: Option<MaterializeMetrics>,
     pub(crate) codec_metrics: Option<CodecMetrics>,
-    /// Live materialize fan-out: the runtime value of the `aug_threads`
-    /// knob. Seeded from the config; retuned by the controller or
-    /// [`SandEngine::set_aug_threads`]. Folded with per-task
-    /// `execution.aug_threads` hints at submit time.
-    pub(crate) aug_threads_live: AtomicUsize,
-    /// Live intra-video decode fan-out, read per pre-decode pass.
-    pub(crate) decode_threads_live: AtomicUsize,
     /// The cluster cache tier (`None` unless `EngineConfig::remote`).
     pub(crate) remote: Option<Arc<RemoteTier>>,
     /// The engine's one singleflight over canonical object keys
@@ -180,15 +173,7 @@ impl SandEngine {
         if let Some(m) = StoreMetrics::register(&telemetry, store.shard_count()) {
             store.set_metrics(m);
         }
-        // Any task opting out of sticky affinity disables it globally:
-        // tasks share the worker pool, so per-task stickiness is
-        // meaningless.
-        let sched_config = SchedConfig {
-            sticky_affinity: config.sched.sticky_affinity
-                && config.tasks.iter().all(|t| t.execution.sticky_affinity),
-            ..config.sched
-        };
-        let sched = Scheduler::with_metrics(sched_config, SchedMetrics::register(&telemetry));
+        let sched = Scheduler::with_metrics(config.sched, SchedMetrics::register(&telemetry));
         let tenancy = config.tenancy.as_ref().map(|ten| {
             let weights: Vec<u64> = ten.tenants.iter().map(|t| t.weight).collect();
             sched.set_tenant_weights(&weights);
@@ -212,8 +197,6 @@ impl SandEngine {
             let seeds = KnobValues {
                 prefetch_depth: config.prefetch_depth as u64,
                 demand_slack: config.sched.demand_slack,
-                aug_threads: config.aug_threads.max(1) as u64,
-                decode_threads: config.decode_threads.max(1) as u64,
             };
             TrackedMutex::new("engine.autotune", Controller::new(a.clone(), seeds))
         });
@@ -234,8 +217,6 @@ impl SandEngine {
             engine_metrics: EngineMetrics::register(&telemetry),
             mat_metrics: MaterializeMetrics::register(&telemetry),
             codec_metrics: CodecMetrics::register(&telemetry),
-            aug_threads_live: AtomicUsize::new(config.aug_threads.max(1)),
-            decode_threads_live: AtomicUsize::new(config.decode_threads.max(1)),
             remote: config
                 .remote
                 .clone()

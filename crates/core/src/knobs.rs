@@ -45,38 +45,6 @@ impl SandEngine {
         self.inner.publish_effective_knobs();
     }
 
-    /// The materialize fan-out knob currently in effect (before the
-    /// per-task `execution.aug_threads` max-fold).
-    #[must_use]
-    pub fn aug_threads(&self) -> usize {
-        self.inner.aug_threads_live.load(Ordering::Relaxed)
-    }
-
-    /// Retunes the materialize fan-out at runtime. Applies to buckets
-    /// submitted from the next chunk on; the value participates in the
-    /// same max-fold as per-task hints.
-    pub fn set_aug_threads(&self, n: usize) {
-        self.inner
-            .aug_threads_live
-            .store(n.max(1), Ordering::Relaxed);
-        self.inner.publish_effective_knobs();
-    }
-
-    /// The intra-video decode fan-out currently in effect.
-    #[must_use]
-    pub fn decode_threads(&self) -> usize {
-        self.inner.decode_threads_live.load(Ordering::Relaxed)
-    }
-
-    /// Retunes the intra-video decode fan-out at runtime; read once per
-    /// pre-decode pass.
-    pub fn set_decode_threads(&self, n: usize) {
-        self.inner
-            .decode_threads_live
-            .store(n.max(1), Ordering::Relaxed);
-        self.inner.publish_effective_knobs();
-    }
-
     /// Runs one controller tick synchronously: snapshot the registry,
     /// advance the policies, apply the resulting knob values, and export
     /// decisions. Returns `None` when autotune or telemetry is disabled
@@ -89,23 +57,6 @@ impl SandEngine {
 }
 
 impl Inner {
-    /// The materialize fan-out actually in effect: the *live* engine
-    /// knob, maxed with every task-level `execution.aug_threads` hint.
-    ///
-    /// The fold starts from the runtime value (`aug_threads_live`), not
-    /// the static config, so a controller- or API-driven override
-    /// participates in the same max-fold as the per-task hints — raising
-    /// the knob above every hint takes effect instead of being silently
-    /// shadowed by a larger static hint.
-    pub(crate) fn effective_aug_threads(&self) -> usize {
-        self.config
-            .tasks
-            .iter()
-            .map(|t| t.execution.aug_threads)
-            .fold(self.aug_threads_live.load(Ordering::Relaxed), usize::max)
-            .max(1)
-    }
-
     /// Spawns the background control thread (only when autotune is
     /// configured with a nonzero interval). The thread holds a `Weak` to
     /// the engine state, so it never keeps a dropped engine alive; it
@@ -156,8 +107,8 @@ impl Inner {
     /// SL034 denies that configuration up front).
     ///
     /// Bit-identity: every knob this tick can move is a *performance*
-    /// knob — prefetch depth, demand slack, thread splits — none of which
-    /// participate in planning, sampling, or augmentation math, so served
+    /// knob — prefetch depth, demand slack — neither of which
+    /// participates in planning, sampling, or augmentation math, so served
     /// bytes are unchanged under any decision schedule
     /// (`prop_autotune_parity`).
     fn autotune_tick(&self) -> Option<Vec<Decision>> {
@@ -174,10 +125,6 @@ impl Inner {
         // tick.
         self.prefetcher.set_depth(values.prefetch_depth as usize);
         self.sched.set_demand_slack(values.demand_slack);
-        self.aug_threads_live
-            .store((values.aug_threads as usize).max(1), Ordering::Relaxed);
-        self.decode_threads_live
-            .store((values.decode_threads as usize).max(1), Ordering::Relaxed);
         for d in &decisions {
             self.telemetry.push_decision(d.render());
         }
@@ -193,8 +140,6 @@ impl Inner {
             }
             m.prefetch_depth.set(values.prefetch_depth as i64);
             m.demand_slack.set(values.demand_slack as i64);
-            m.aug_threads.set(values.aug_threads as i64);
-            m.decode_threads.set(values.decode_threads as i64);
         }
         self.publish_effective_knobs();
         Some(decisions)
@@ -212,10 +157,6 @@ impl Inner {
             .set(self.prefetcher.depth() as i64);
         m.effective_demand_slack
             .set(self.sched.demand_slack() as i64);
-        m.effective_aug_threads
-            .set(self.aug_threads_live.load(Ordering::Relaxed) as i64);
-        m.effective_decode_threads
-            .set(self.decode_threads_live.load(Ordering::Relaxed) as i64);
         let (peers, timeout) = self
             .remote
             .as_ref()
@@ -223,38 +164,5 @@ impl Inner {
         m.effective_remote_peers.set(peers as i64);
         m.effective_remote_timeout_ms
             .set(timeout.as_millis() as i64);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::engine::tests::{dataset, TASK};
-    use crate::engine::{EngineConfig, Inner, SandEngine};
-    use sand_config::parse_task_config;
-
-    #[test]
-    fn runtime_aug_threads_override_joins_the_max_fold() {
-        let mut task = parse_task_config(TASK).unwrap();
-        task.execution.aug_threads = 4;
-        let config = EngineConfig {
-            tasks: vec![task],
-            prematerialize: false,
-            total_epochs: 4,
-            epochs_per_chunk: 2,
-            aug_threads: 1,
-            ..Default::default()
-        };
-        let e = SandEngine::new(config, dataset()).unwrap();
-        // The task hint dominates the static knob.
-        assert_eq!(Inner::effective_aug_threads(&e.inner), 4);
-        // A runtime override below the hint folds in but cannot shrink
-        // past it (the hint is a per-task floor, not a suggestion).
-        e.set_aug_threads(2);
-        assert_eq!(Inner::effective_aug_threads(&e.inner), 4);
-        // Raising above every hint takes effect — the override joins the
-        // same max-fold instead of being shadowed by the static hint.
-        e.set_aug_threads(8);
-        assert_eq!(Inner::effective_aug_threads(&e.inner), 8);
-        assert_eq!(e.aug_threads(), 8);
     }
 }

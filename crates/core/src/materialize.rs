@@ -451,8 +451,7 @@ impl Inner {
         while let Some(video_id) = rest.peek().map(|w| w.0) {
             let group: Vec<_> = std::iter::from_fn(|| rest.next_if(|w| w.0 == video_id)).collect();
             let indices: Vec<usize> = group.iter().map(|w| w.1).collect();
-            let decode_threads = self.decode_threads_live.load(Ordering::Relaxed);
-            let mut dec = Decoder::with_threads(&self.video(video_id)?.encoded, decode_threads)
+            let mut dec = Decoder::new(&self.video(video_id)?.encoded)
                 .with_metrics(self.codec_metrics.clone());
             let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
             let frames = dec.decode_indices(&indices)?;
@@ -656,15 +655,14 @@ dataset:
 
     #[test]
     fn parallel_materialize_matches_sequential() {
-        let run = |aug_threads: usize| {
+        let run = |threads: usize| {
             let config = EngineConfig {
                 tasks: vec![parse_task_config(TASK).unwrap()],
                 prematerialize: true,
                 total_epochs: 2,
                 epochs_per_chunk: 2,
-                aug_threads,
                 sched: SchedConfig {
-                    threads: 4,
+                    threads,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -682,11 +680,11 @@ dataset:
         };
         let (seq, seq_ops) = run(1);
         let (par, par_ops) = run(4);
-        assert_eq!(seq, par, "parallel materialize changed served bytes");
+        assert_eq!(seq, par, "worker count changed served bytes");
         assert_eq!(
             seq_ops, par_ops,
-            "parallel materialize changed the op count (duplicated or \
-             skipped chain work)"
+            "worker count changed the op count (duplicated or skipped \
+             chain work)"
         );
     }
 

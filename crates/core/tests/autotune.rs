@@ -81,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The tentpole's bit-identity bar, knob-schedule edition: a run
-    /// whose prefetch depth, demand slack, and thread splits are retuned
+    /// whose prefetch depth and demand slack are retuned
     /// between every batch serves exactly the bytes the static engine
     /// serves, and the prefetch counters stay exactly conserved across
     /// every resize (including shrink-to-zero cancellations).
@@ -131,8 +131,6 @@ proptest! {
                 tuned.push(e.serve_batch("t", epoch, it).unwrap());
                 e.set_prefetch_depth(depths[step % depths.len()]);
                 e.set_demand_slack(slacks[step % slacks.len()]);
-                e.set_aug_threads(1 + step % 3);
-                e.set_decode_threads(1 + (step + 1) % 2);
                 step += 1;
             }
         }
@@ -199,10 +197,6 @@ proptest! {
         prop_assert_eq!(
             snap.gauge("autotune.demand_slack"),
             Some(e.demand_slack() as i64)
-        );
-        prop_assert_eq!(
-            snap.gauge("autotune.aug_threads"),
-            Some(e.aug_threads() as i64)
         );
     }
 }

@@ -1,9 +1,9 @@
-//! Parallel-materialize parity: for any generated single-chunk workload,
-//! an engine with `aug_threads > 1` must serve bit-identical batches and
-//! apply exactly as many augmentation ops as the sequential engine — the
-//! fan-out may only change *where* chains run, never what they compute
-//! (the shared per-video scratch guarantees each node is computed at most
-//! once per pass in both modes).
+//! Worker-count parity: for any generated single-chunk workload, an
+//! engine with `sched.threads > 1` must serve bit-identical batches and
+//! apply exactly as many augmentation ops as the one-worker engine — the
+//! pool may only change *where* a (video, bucket) job runs, never what it
+//! computes (the shared per-video scratch guarantees each node is computed
+//! at most once per pass in both modes).
 
 #![allow(clippy::unwrap_used)]
 
@@ -71,7 +71,7 @@ fn render_task(spec: &Spec) -> String {
 
 /// Serves every batch of the (single) chunk; returns the raw batch bytes
 /// and the engine's applied-op counter.
-fn run(spec: &Spec, dataset: &Arc<Dataset>, aug_threads: usize) -> (Vec<Vec<u8>>, u64) {
+fn run(spec: &Spec, dataset: &Arc<Dataset>, threads: usize) -> (Vec<Vec<u8>>, u64) {
     let config = EngineConfig {
         tasks: vec![parse_task_config(&render_task(spec)).unwrap()],
         prematerialize: true,
@@ -80,9 +80,8 @@ fn run(spec: &Spec, dataset: &Arc<Dataset>, aug_threads: usize) -> (Vec<Vec<u8>>
         total_epochs: spec.epochs,
         epochs_per_chunk: spec.epochs,
         seed: spec.seed,
-        aug_threads,
         sched: SchedConfig {
-            threads: 4,
+            threads,
             ..Default::default()
         },
         ..Default::default()
@@ -104,7 +103,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn parallel_pass_is_bit_identical(spec in spec_strategy()) {
+    fn worker_count_is_bit_identical(spec in spec_strategy()) {
         let dataset = Arc::new(
             Dataset::generate(&DatasetSpec {
                 num_videos: spec.videos,
@@ -125,11 +124,11 @@ proptest! {
         );
         let (seq, seq_ops) = run(&spec, &dataset, 1);
         let (par, par_ops) = run(&spec, &dataset, 4);
-        prop_assert_eq!(seq, par, "parallel materialize changed served bytes");
+        prop_assert_eq!(seq, par, "worker count changed served bytes");
         prop_assert_eq!(
             seq_ops,
             par_ops,
-            "parallel materialize duplicated or skipped chain work"
+            "worker count duplicated or skipped chain work"
         );
     }
 }

@@ -66,7 +66,6 @@ fn arb_task(tag: &'static str) -> impl Strategy<Value = TaskConfig> {
                     samples_per_video: samples,
                 },
                 augmentation: branches,
-                execution: Default::default(),
             }
         })
 }

@@ -163,31 +163,25 @@ fn lint_persistent_without_budget(opts: &LintOptions, out: &mut Vec<Diagnostic>)
 
 /// `SL037`: a remote tier with no dialable peers.
 ///
-/// A one-node "cluster" (no peers) or a peer list whose every address
-/// failed to parse leaves the ring with a single reachable owner: self.
-/// Every fetch short-circuits to `None`, every offer is a no-op, yet the
-/// configuration claims cluster-wide at-most-once materialization. The
-/// config cannot do what it says — deny it up front, like SL034/SL036.
+/// A one-node "cluster" (no peers) leaves the ring with a single
+/// reachable owner: self. Every fetch short-circuits to `None`, every
+/// offer is a no-op, yet the configuration claims cluster-wide
+/// at-most-once materialization. The config cannot do what it says —
+/// deny it up front, like SL034/SL036.
 fn lint_remote_without_peers(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let Some(remote) = &opts.remote else {
         return;
     };
-    if remote.peers == 0 || remote.resolvable_peers == 0 {
-        let what = if remote.peers == 0 {
-            "an empty peer list".to_string()
-        } else {
-            format!("{} peers, none with a resolvable address", remote.peers)
-        };
+    if remote.peers == 0 {
         out.push(Diagnostic {
             code: "SL037",
             severity: Severity::Deny,
             location: "remote.peers".into(),
-            message: format!(
-                "the remote tier is enabled with {what}: the placement ring \
-                 degenerates to this node alone, so every remote fetch \
-                 short-circuits to a local materialization and the tier is \
-                 pure overhead"
-            ),
+            message: "the remote tier is enabled with an empty peer list: \
+                      the placement ring degenerates to this node alone, so \
+                      every remote fetch short-circuits to a local \
+                      materialization and the tier is pure overhead"
+                .into(),
             help: "list at least one reachable peer (node_id + host:port of \
                    its view server), or drop EngineConfig::remote for \
                    single-process runs"
@@ -423,7 +417,6 @@ mod tests {
             autotune: Some(vec![
                 clamp("prefetch_depth", 4, 4), // empty
                 clamp("demand_slack", 8, 2),   // inverted
-                clamp("aug_threads", 1, 8),    // fine
             ]),
             telemetry: Some(sand_telemetry::TelemetryConfig::default()),
             ..Default::default()
@@ -467,34 +460,31 @@ mod tests {
         }
     }
 
-    fn remote(peers: usize, resolvable: usize, timeout_ms: u64, retries: u32) -> RemoteLint {
+    fn remote(peers: usize, timeout_ms: u64, retries: u32) -> RemoteLint {
         RemoteLint {
             peers,
-            resolvable_peers: resolvable,
             fetch_timeout_ms: timeout_ms,
             retries,
         }
     }
 
     #[test]
-    fn sl037_empty_or_unresolvable_peer_set_denies() {
-        for r in [remote(0, 0, 250, 1), remote(3, 0, 250, 1)] {
-            let opts = LintOptions {
-                remote: Some(r),
-                ..Default::default()
-            };
-            let out = lint_concurrency(&opts);
-            assert_eq!(out.len(), 1, "{out:?}");
-            assert_eq!(out[0].code, "SL037");
-            assert_eq!(out[0].severity, Severity::Deny);
-            assert_eq!(out[0].location, "remote.peers");
-        }
+    fn sl037_empty_peer_set_denies() {
+        let opts = LintOptions {
+            remote: Some(remote(0, 250, 1)),
+            ..Default::default()
+        };
+        let out = lint_concurrency(&opts);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].code, "SL037");
+        assert_eq!(out[0].severity, Severity::Deny);
+        assert_eq!(out[0].location, "remote.peers");
     }
 
     #[test]
-    fn sl037_silent_with_a_resolvable_peer_or_without_remote() {
+    fn sl037_silent_with_a_peer_or_without_remote() {
         let opts = LintOptions {
-            remote: Some(remote(2, 2, 250, 1)),
+            remote: Some(remote(2, 250, 1)),
             ..Default::default()
         };
         assert!(lint_concurrency(&opts).is_empty());
@@ -505,7 +495,7 @@ mod tests {
     fn sl038_timeout_at_or_over_stall_budget_warns() {
         // 250 ms x 2 attempts = 500 ms worst case vs. a 400 ms budget.
         let opts = LintOptions {
-            remote: Some(remote(2, 2, 250, 1)),
+            remote: Some(remote(2, 250, 1)),
             telemetry: Some(sand_telemetry::TelemetryConfig {
                 stall_budget_us: 400_000,
                 ..Default::default()
@@ -523,7 +513,7 @@ mod tests {
     fn sl038_silent_when_fallback_fits_or_budget_unset() {
         // 50 ms x 2 attempts = 100 ms, well inside a 400 ms budget.
         let fits = LintOptions {
-            remote: Some(remote(2, 2, 50, 1)),
+            remote: Some(remote(2, 50, 1)),
             telemetry: Some(sand_telemetry::TelemetryConfig {
                 stall_budget_us: 400_000,
                 ..Default::default()
@@ -533,14 +523,14 @@ mod tests {
         assert!(lint_concurrency(&fits).is_empty());
         // Budget 0 = "report every batch", not a latency goal.
         let no_budget = LintOptions {
-            remote: Some(remote(2, 2, 250, 3)),
+            remote: Some(remote(2, 250, 3)),
             telemetry: Some(sand_telemetry::TelemetryConfig::default()),
             ..Default::default()
         };
         assert!(lint_concurrency(&no_budget).is_empty());
         // Telemetry off: not decidable, stay silent.
         let no_telemetry = LintOptions {
-            remote: Some(remote(2, 2, 250, 3)),
+            remote: Some(remote(2, 250, 3)),
             ..Default::default()
         };
         assert!(lint_concurrency(&no_telemetry).is_empty());

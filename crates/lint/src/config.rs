@@ -281,7 +281,6 @@ mod tests {
             video_dataset_path: "/d".into(),
             sampling: SamplingConfig::default(),
             augmentation: aug,
-            execution: Default::default(),
         }
     }
 

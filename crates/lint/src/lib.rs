@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | config semantics | `SL001`–`SL006` | unreachable arms, dead streams, bad probabilities |
 //! | graph invariants | `SL010`–`SL014` | edge legality, acyclicity, dangling references |
-//! | resource feasibility | `SL020`–`SL025` | budget lower bounds, decode amplification, telemetry buckets, prefetch/shard sizing |
+//! | resource feasibility | `SL020`–`SL022`, `SL024`, `SL025` | budget lower bounds, decode amplification, telemetry buckets, prefetch window sizing |
 //! | sharing | `SL030`–`SL031` | near-miss cross-task merge opportunities |
 //! | concurrency | `SL032`–`SL040` | single-shard prefetch contention, sanitizer-in-release, autotune wiring, dead persistent tier, remote-tier wiring, fleet QoS wiring |
 //!
@@ -150,12 +150,6 @@ pub struct LintOptions {
     pub cache_budget: u64,
     /// Memory-tier budget of the object store in bytes.
     pub memory_budget: u64,
-    /// Engine-level materialize fan-out (`aug_threads`); task-level
-    /// `execution.aug_threads` hints are maxed on top of this.
-    pub aug_threads: usize,
-    /// Scheduler workers available for pre-materialization (total threads
-    /// minus reserved demand-feeding threads).
-    pub pre_workers: usize,
     /// Telemetry configuration when the engine enables observability
     /// (`None` = telemetry off, its lints are skipped).
     pub telemetry: Option<sand_telemetry::TelemetryConfig>,
@@ -164,8 +158,6 @@ pub struct LintOptions {
     pub prefetch_depth: usize,
     /// Object-store shard count (`StoreConfig::shards`).
     pub store_shards: usize,
-    /// Decoder worker threads (`EngineConfig::decode_threads`).
-    pub decode_threads: usize,
     /// Whether the engine was compiled with the `sanitize` feature
     /// (tracked locks + lockset instrumentation).
     pub sanitize: bool,
@@ -208,8 +200,6 @@ pub struct FleetLint {
 pub struct RemoteLint {
     /// Configured peer count (other nodes on the placement ring).
     pub peers: usize,
-    /// Peers whose dial address parsed as a socket address.
-    pub resolvable_peers: usize,
     /// Per-attempt remote fetch timeout in milliseconds.
     pub fetch_timeout_ms: u64,
     /// Additional fetch attempts after the first.
@@ -234,12 +224,9 @@ impl Default for LintOptions {
             iterations_per_epoch: None,
             cache_budget: 256 << 20,
             memory_budget: 64 << 20,
-            aug_threads: 1,
-            pre_workers: 3,
             telemetry: None,
             prefetch_depth: 0,
             store_shards: 1,
-            decode_threads: 1,
             sanitize: false,
             release_build: false,
             autotune: None,

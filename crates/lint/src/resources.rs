@@ -1,4 +1,4 @@
-//! Resource-feasibility analyses (`SL020`–`SL025`).
+//! Resource-feasibility analyses (`SL020`–`SL022`, `SL024`, `SL025`).
 //!
 //! These bound, *statically*, what the runtime will need: the largest
 //! single-batch working set is a hard lower bound on live bytes — no
@@ -27,26 +27,17 @@ pub fn lint_resources(
         lint_budgets(g, opts, &mut out);
     }
     lint_decode_amplification(tasks, videos, &mut out);
-    lint_aug_fanout(tasks, opts, &mut out);
     lint_telemetry(opts, &mut out);
-    lint_prefetch_store(tasks, concrete, opts, &mut out);
+    lint_prefetch_store(concrete, opts, &mut out);
     out
 }
 
-/// `SL025`: prefetch/shard configuration that cannot pay off.
-///
-/// Deny: a prefetch window of `prefetch_depth` batches, each needing up
+/// `SL025`: a prefetch window of `prefetch_depth` batches, each needing up
 /// to the largest single-batch working set, cannot fit the store's
 /// memory budget alongside the batch being consumed — the prefetcher's
 /// back-pressure would permanently stall it, or worse, speculative
 /// materialization would evict the very objects the demand path needs.
-///
-/// Warn: the store is sharded (`store_shards > 1`) but every producer
-/// stage is single-threaded (`decode_threads == 1 && aug_threads == 1`),
-/// so at most one thread ever touches the store at a time and the
-/// sharding only adds hashing overhead.
 fn lint_prefetch_store(
-    tasks: &[TaskConfig],
     concrete: Option<&ConcreteGraph>,
     opts: &LintOptions,
     out: &mut Vec<Diagnostic>,
@@ -72,28 +63,6 @@ fn lint_prefetch_store(
                 });
             }
         }
-    }
-    let effective_aug = tasks
-        .iter()
-        .map(|t| t.execution.aug_threads)
-        .fold(opts.aug_threads, usize::max)
-        .max(1);
-    if opts.store_shards > 1 && opts.decode_threads == 1 && effective_aug == 1 {
-        out.push(Diagnostic {
-            code: "SL025",
-            severity: Severity::Warn,
-            location: "engine.store.shards".into(),
-            message: format!(
-                "store is split into {} shards but decode_threads == 1 and \
-                 aug_threads == 1: only one producer thread ever touches the \
-                 store, so sharding adds hashing overhead without reducing \
-                 contention",
-                opts.store_shards
-            ),
-            help: "raise decode_threads / aug_threads to create real \
-                   concurrency, or set store.shards to 1"
-                .into(),
-        });
     }
 }
 
@@ -148,39 +117,6 @@ fn lint_telemetry(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                     .into(),
             });
         }
-    }
-}
-
-/// `SL023`: the requested materialize fan-out exceeds the scheduler
-/// workers that can actually run pre-materialization jobs, so the extra
-/// sub-jobs only queue behind each other and add submission overhead.
-fn lint_aug_fanout(tasks: &[TaskConfig], opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-    let effective = tasks
-        .iter()
-        .map(|t| t.execution.aug_threads)
-        .fold(opts.aug_threads, usize::max)
-        .max(1);
-    let workers = opts.pre_workers.max(1);
-    if effective > workers {
-        let hinted = tasks
-            .iter()
-            .find(|t| t.execution.aug_threads == effective)
-            .map_or("engine.aug_threads".to_string(), |t| {
-                format!("{}.execution.aug_threads", t.tag)
-            });
-        out.push(Diagnostic {
-            code: "SL023",
-            severity: Severity::Warn,
-            location: hinted,
-            message: format!(
-                "aug fan-out of {effective} exceeds the {workers} scheduler \
-                 worker(s) available for pre-materialization; the extra \
-                 sub-jobs cannot run concurrently"
-            ),
-            help: "raise sched threads (or lower reserved_demand_threads), \
-                   or reduce aug_threads to the available workers"
-                .into(),
-        });
     }
 }
 
@@ -405,48 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn sl023_fanout_beyond_pre_workers() {
-        let (tasks, _, vs) = planned(2, 8);
-        let opts = LintOptions {
-            aug_threads: 8,
-            pre_workers: 3,
-            ..Default::default()
-        };
-        let d = lint_resources(&tasks, None, &vs, &opts);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, "SL023");
-        assert_eq!(d[0].severity, Severity::Warn);
-        assert_eq!(d[0].location, "engine.aug_threads");
-        assert!(d[0].message.contains("fan-out of 8"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn sl023_honours_task_level_hint() {
-        let (mut tasks, _, vs) = planned(2, 8);
-        tasks[0].execution.aug_threads = 6;
-        let opts = LintOptions {
-            aug_threads: 1,
-            pre_workers: 2,
-            ..Default::default()
-        };
-        let d = lint_resources(&tasks, None, &vs, &opts);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, "SL023");
-        assert_eq!(d[0].location, "t.execution.aug_threads");
-    }
-
-    #[test]
-    fn sl023_silent_when_fanout_fits() {
-        let (tasks, _, vs) = planned(2, 8);
-        let opts = LintOptions {
-            aug_threads: 3,
-            pre_workers: 3,
-            ..Default::default()
-        };
-        assert!(lint_resources(&tasks, None, &vs, &opts).is_empty());
-    }
-
-    #[test]
     fn sl025_prefetch_window_exceeds_memory_budget() {
         let (tasks, g, vs) = planned(2, 8);
         // A batch of 2 videos x 4 frames of 32x32x3 terminals needs
@@ -474,49 +368,6 @@ mod tests {
             ..Default::default()
         };
         assert!(lint_resources(&tasks, Some(&g), &vs, &opts).is_empty());
-    }
-
-    #[test]
-    fn sl025_shards_without_producer_concurrency() {
-        let (tasks, _, vs) = planned(2, 8);
-        let opts = LintOptions {
-            store_shards: 8,
-            decode_threads: 1,
-            aug_threads: 1,
-            ..Default::default()
-        };
-        let d = lint_resources(&tasks, None, &vs, &opts);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, "SL025");
-        assert_eq!(d[0].severity, Severity::Warn);
-        assert_eq!(d[0].location, "engine.store.shards");
-    }
-
-    #[test]
-    fn sl025_shards_silent_with_concurrency_or_single_shard() {
-        let (mut tasks, _, vs) = planned(2, 8);
-        // Any producer concurrency quiets the warning...
-        for (decode, aug) in [(4, 1), (1, 3)] {
-            let opts = LintOptions {
-                store_shards: 8,
-                decode_threads: decode,
-                aug_threads: aug,
-                ..Default::default()
-            };
-            assert!(lint_resources(&tasks, None, &vs, &opts).is_empty());
-        }
-        // ...as does a task-level aug hint, matching SL023's notion of
-        // effective fan-out...
-        tasks[0].execution.aug_threads = 4;
-        let opts = LintOptions {
-            store_shards: 8,
-            pre_workers: 8,
-            ..Default::default()
-        };
-        assert!(lint_resources(&tasks, None, &vs, &opts).is_empty());
-        tasks[0].execution.aug_threads = 1;
-        // ...and a single-shard store never warns.
-        assert!(lint_resources(&tasks, None, &vs, &LintOptions::default()).is_empty());
     }
 
     #[test]

@@ -241,7 +241,6 @@ fn constructed_bad_distribution_fires_sl005() {
                 },
             ],
         }],
-        execution: Default::default(),
     };
     let d = lint_configs(&[cfg], &LintOptions::default());
     assert!(d.iter().any(|x| x.code == "SL005"), "{d:?}");
@@ -274,7 +273,6 @@ fn dead_arm_is_warn_not_deny() {
                 },
             ],
         }],
-        execution: Default::default(),
     };
     let d = lint_configs(&[cfg], &LintOptions::default());
     assert_eq!(d.len(), 1);

@@ -654,10 +654,6 @@ pub struct EngineMetrics {
     pub effective_prefetch_depth: Gauge,
     /// Live scheduler demand-slack window actually in force.
     pub effective_demand_slack: Gauge,
-    /// Live materialize fan-out actually in force.
-    pub effective_aug_threads: Gauge,
-    /// Live demand-decode fan-out actually in force.
-    pub effective_decode_threads: Gauge,
     /// Remote-tier peer count the placement ring was built over
     /// (0 when the remote tier is disabled).
     pub effective_remote_peers: Gauge,
@@ -688,8 +684,6 @@ impl EngineMetrics {
             chunk_plan_ahead_miss: r.counter("engine.chunk_plan_ahead_miss"),
             effective_prefetch_depth: r.gauge("engine.effective_prefetch_depth"),
             effective_demand_slack: r.gauge("engine.effective_demand_slack"),
-            effective_aug_threads: r.gauge("engine.effective_aug_threads"),
-            effective_decode_threads: r.gauge("engine.effective_decode_threads"),
             effective_remote_peers: r.gauge("engine.effective_remote_peers"),
             effective_remote_timeout_ms: r.gauge("engine.effective_remote_timeout_ms"),
         })
@@ -809,10 +803,6 @@ pub struct AutotuneMetrics {
     pub prefetch_depth: Gauge,
     /// Live scheduler demand-slack window.
     pub demand_slack: Gauge,
-    /// Live materialize fan-out.
-    pub aug_threads: Gauge,
-    /// Live demand-decode fan-out.
-    pub decode_threads: Gauge,
 }
 
 impl AutotuneMetrics {
@@ -825,8 +815,6 @@ impl AutotuneMetrics {
             lowers: r.counter("autotune.lowers"),
             prefetch_depth: r.gauge("autotune.prefetch_depth"),
             demand_slack: r.gauge("autotune.demand_slack"),
-            aug_threads: r.gauge("autotune.aug_threads"),
-            decode_threads: r.gauge("autotune.decode_threads"),
         })
     }
 }

@@ -105,15 +105,13 @@ fn parse_args() -> Result<Args, String> {
 fn phase_signals(phase: &str) -> Signals {
     match phase {
         // Sustained pressure: late/miss dominate, affinity misses pile
-        // up, aug owns the stall budget, headroom is ample.
+        // up, headroom is ample.
         "pressure" => Signals {
             prefetch_pressure: 0.9,
             prefetch_settled: 100,
             store_headroom: 0.9,
             demand_affinity_miss_ratio: 0.8,
             demand_picks: 50,
-            aug_stall_share: 0.7,
-            decode_stall_share: 0.1,
             ..Default::default()
         },
         // Dead band: every drive sits strictly inside its hysteresis
@@ -124,20 +122,15 @@ fn phase_signals(phase: &str) -> Signals {
             store_headroom: 0.9,
             demand_affinity_miss_ratio: 0.3,
             demand_picks: 50,
-            aug_stall_share: 0.4,
-            decode_stall_share: 0.4,
             ..Default::default()
         },
-        // Sustained relief: hits dominate, affinity hits dominate,
-        // decode owns the stall budget.
+        // Sustained relief: hits dominate, affinity hits dominate.
         _ => Signals {
             prefetch_pressure: 0.01,
             prefetch_settled: 100,
             store_headroom: 0.9,
             demand_affinity_miss_ratio: 0.02,
             demand_picks: 50,
-            aug_stall_share: 0.05,
-            decode_stall_share: 0.7,
             ..Default::default()
         },
     }
@@ -168,8 +161,6 @@ fn run_simulated(args: &Args) -> Result<(), String> {
         KnobValues {
             prefetch_depth: 0,
             demand_slack: 0,
-            aug_threads: 1,
-            decode_threads: 3,
         },
     );
     let per_phase = args.ticks / 3;
@@ -193,8 +184,8 @@ fn run_simulated(args: &Args) -> Result<(), String> {
     let v = controller.values();
     if !args.report_json {
         println!(
-            "final knobs: prefetch_depth={} demand_slack={} aug_threads={} decode_threads={}",
-            v.prefetch_depth, v.demand_slack, v.aug_threads, v.decode_threads
+            "final knobs: prefetch_depth={} demand_slack={}",
+            v.prefetch_depth, v.demand_slack
         );
     }
     if hold_decisions > 0 {
@@ -229,8 +220,6 @@ fn run_engine(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             total_epochs: 2,
             epochs_per_chunk: 2,
             prefetch_depth: 2,
-            aug_threads: 2,
-            decode_threads: 2,
             store: StoreConfig {
                 shards: 4,
                 ..Default::default()

@@ -90,7 +90,6 @@ fn engine_config(remote: Option<RemoteTierConfig>) -> EngineConfig {
         // attributable to the serve schedule below.
         prematerialize: false,
         prefetch_depth: 0,
-        decode_threads: 2,
         store: StoreConfig {
             memory_budget: 512 << 20, // no eviction: counters stay exact
             shards: 4,
