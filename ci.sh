@@ -29,6 +29,12 @@ if grep -rnE 'aug_threads|decode_threads|with_threads|thread_split|ExecutionConf
     exit 1
 fi
 
+echo "==> one victim selection (the full-store scan lives on only as the tests' reference)"
+if grep -rn 'fn scan_victim' crates/*/src; then
+    echo "scan_victim is back in shipped code: victims come from the shards' ordered index (crates/storage/src/shard.rs)"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -47,8 +53,10 @@ cargo test -q --features sanitize
 echo "==> sand-sanitizer unit tests (feature on)"
 cargo test -q -p sand-sanitizer --features sanitize
 
-echo "==> store_contention bench smoke (quick mode)"
-SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench store_contention
+echo "==> store_contention bench smoke (quick mode); an evicting put at 16 384 resident objects costs <= 3x one at 1 024"
+SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench store_contention | tee /dev/stderr |
+    awk '/evict_put_ratio/ { seen = 1; if ($3 + 0 > 3.0) { print "evicting put grows faster than O(log n): " $3; exit 1 } }
+         END { if (!seen) { print "no evict_put_ratio line"; exit 1 } }'
 
 echo "==> persist_replay bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench persist_replay

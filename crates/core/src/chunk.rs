@@ -44,6 +44,9 @@ use std::time::Instant;
 /// One planned epoch chunk.
 pub(crate) struct Chunk {
     pub(crate) graph: ConcreteGraph,
+    /// Per-node store key, derived once here so that no probe, hand-off
+    /// or consumption on the serve path formats and hashes it again.
+    keys: Vec<String>,
     /// Per-node earliest-need clock.
     pub(crate) deadlines: Vec<Option<u64>>,
     /// Per-node transitive consumer count (for store `future_uses`).
@@ -93,6 +96,7 @@ impl Chunk {
     /// Derives the serving indexes and the pre-materialization fan-out
     /// from a planned graph. `video_ids` fixes the fan-out's video order.
     fn build(graph: ConcreteGraph, video_ids: impl Iterator<Item = u64>) -> Self {
+        let keys = graph.nodes.iter().map(|n| store_key(&n.key)).collect();
         let deadlines = graph.deadlines();
         let mut future_uses: Vec<u32> = graph
             .nodes
@@ -139,6 +143,7 @@ impl Chunk {
         }
         Chunk {
             graph,
+            keys,
             deadlines,
             future_uses,
             batch_index,
@@ -147,6 +152,11 @@ impl Chunk {
             work: TrackedMutex::new("engine.chunk.work", Vec::new()),
             next_requested: AtomicBool::new(false),
         }
+    }
+
+    /// The store key of node `id`'s object.
+    pub(crate) fn key(&self, id: NodeId) -> &str {
+        &self.keys[id]
     }
 
     /// The store metadata node `id`'s object is kept under.
@@ -397,10 +407,7 @@ impl Inner {
             let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); epoch_span + 1];
             let mut todo: Vec<NodeId> = Vec::new();
             for &n in &video.nodes {
-                if !self
-                    .store
-                    .contains(&store_key(&chunk.graph.nodes[n.id].key))
-                {
+                if !self.store.contains(chunk.key(n.id)) {
                     todo.push(n.id);
                     buckets[n.bucket].push(n.id);
                 }
@@ -469,7 +476,7 @@ impl Inner {
             return;
         };
         // The demand path may have got to some of them since the hand-off.
-        nodes.retain(|&id| !self.store.contains(&store_key(&chunk.graph.nodes[id].key)));
+        nodes.retain(|&id| !self.store.contains(chunk.key(id)));
         nodes.sort_by_key(|&id| chunk.deadlines[id].unwrap_or(u64::MAX));
         // One GOP-efficient pass (it skips targets the store already
         // covers); decoded frames persist in the store.

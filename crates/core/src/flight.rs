@@ -19,6 +19,7 @@
 //! nothing.
 
 use sand_sanitizer::{TrackedCondvar, TrackedMutex};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -92,7 +93,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
     }
 
     /// Claims `key`, or returns the slot of the flight already on it.
-    fn claim_or_join(&self, key: &K) -> Result<Claim<'_, K, V>, Arc<FlightSlot<V>>> {
+    /// Keys are looked up borrowed (`&str` for a `String` flight) and
+    /// only a won claim copies one.
+    fn claim_or_join<Q>(&self, key: &Q) -> Result<Claim<'_, K, V>, Arc<FlightSlot<V>>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
         let mut slots = self.slots.lock();
         if let Some(slot) = slots.get(key) {
             return Err(Arc::clone(slot));
@@ -101,10 +108,10 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
             done: TrackedMutex::new(self.done_label, None),
             cv: TrackedCondvar::new(),
         });
-        slots.insert(key.clone(), Arc::clone(&slot));
+        slots.insert(key.to_owned(), Arc::clone(&slot));
         Ok(Claim {
             flight: self,
-            key: key.clone(),
+            key: key.to_owned(),
             slot,
             value: None,
             keep: false,
@@ -114,7 +121,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
     /// Claims `key` unless a flight is already on it; never blocks. The
     /// bulk pre-decode takes ownership of the frames it delivers this
     /// way without ever waiting on another job.
-    pub(crate) fn try_claim(&self, key: &K) -> Option<Claim<'_, K, V>> {
+    pub(crate) fn try_claim<Q>(&self, key: &Q) -> Option<Claim<'_, K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
         self.claim_or_join(key).ok()
     }
 
@@ -122,12 +133,16 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
     /// computed here under a fresh claim and published to whoever joins
     /// meanwhile. `keep` caches a success in the map until
     /// [`Flight::retire`].
-    pub(crate) fn get_or_compute<E>(
+    pub(crate) fn get_or_compute<Q, E>(
         &self,
-        key: &K,
+        key: &Q,
         keep: bool,
         compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(V, Arrival), E> {
+    ) -> Result<(V, Arrival), E>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
         let claim = loop {
             match self.claim_or_join(key) {
                 Ok(claim) => break claim,
@@ -161,7 +176,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
 
     /// Threads that joined the flight on `key` and have not left it yet.
     #[cfg(test)]
-    pub(crate) fn joined(&self, key: &K) -> usize {
+    pub(crate) fn joined<Q>(&self, key: &Q) -> usize
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         // The map and the claim hold the other two references.
         let slots = self.slots.lock();
         slots.get(key).map_or(0, |s| Arc::strong_count(s) - 2)

@@ -9,14 +9,20 @@
 
 use sand_graph::ObjectKey;
 
-/// FNV-1a 64-bit hash (stable across platforms and runs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64-bit hash (stable across platforms and runs), fed in pieces.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 /// The storage key for a concrete object.
@@ -30,14 +36,14 @@ pub fn store_key(key: &ObjectKey) -> String {
             frame,
             chain,
         } => {
-            let mut buf = Vec::new();
+            let mut digest = Fnv1a::new();
             for (name, params) in chain {
-                buf.extend_from_slice(name.as_bytes());
-                buf.push(0x1f);
-                buf.extend_from_slice(params.as_bytes());
-                buf.push(0x1e);
+                digest.write(name.as_bytes());
+                digest.write(&[0x1f]);
+                digest.write(params.as_bytes());
+                digest.write(&[0x1e]);
             }
-            format!("v{video_id:04}/f{frame:05}/a{:016x}", fnv1a(&buf))
+            format!("v{video_id:04}/f{frame:05}/a{:016x}", digest.0)
         }
     }
 }

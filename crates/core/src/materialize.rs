@@ -12,7 +12,6 @@
 use crate::chunk::Chunk;
 use crate::engine::Inner;
 use crate::flight::{Arrival, Claim};
-use crate::keys::store_key;
 use crate::{CoreError, Result};
 use sand_codec::{Decoder, EncodedVideo, VideoEntry, WarmDecoder};
 use sand_frame::{compress_frame, decompress_frame, Frame};
@@ -206,18 +205,17 @@ impl Inner {
     }
 
     /// Runs `produce` under the engine flight for the object's store
-    /// key, or adopts the object of whoever is already producing it —
+    /// key `key`, or adopts the object of whoever is already producing it —
     /// another tenant's demand job, a prefetch build, pre-materialization
     /// — so an object is produced at most once however many callers race
     /// for it.
     pub(crate) fn in_flight(
         &self,
-        object: &ObjectKey,
-        produce: impl FnOnce(&str) -> Result<Object>,
+        key: &str,
+        produce: impl FnOnce() -> Result<Object>,
     ) -> Result<(Object, Arrival)> {
-        let key = store_key(object);
         let t0 = self.fleet_metrics.as_ref().map(|_| Instant::now());
-        let (object, arrival) = self.flight.get_or_compute(&key, false, || produce(&key))?;
+        let (object, arrival) = self.flight.get_or_compute(key, false, produce)?;
         if let (Some(m), Some(t0)) = (&self.fleet_metrics, t0) {
             if arrival == Arrival::Computed {
                 m.dedup_wins.inc();
@@ -241,7 +239,8 @@ impl Inner {
             return Ok(frame.into());
         }
         let node = &chunk.graph.nodes[id];
-        let (object, arrival) = self.in_flight(&node.key, |key| {
+        let key = chunk.key(id);
+        let (object, arrival) = self.in_flight(key, || {
             // A pass-mate may have finished the node between the check
             // above and this claim.
             if let Some(frame) = memo.get(id) {
@@ -387,7 +386,7 @@ impl Inner {
         let mut cur = Some(target);
         while let Some(nid) = cur {
             let node = &chunk.graph.nodes[nid];
-            if memo.get(nid).is_some() || self.store.contains(&store_key(&node.key)) {
+            if memo.get(nid).is_some() || self.store.contains(chunk.key(nid)) {
                 return None;
             }
             if let ObjectKey::Frame { video_id, frame } = node.key {
@@ -427,14 +426,14 @@ impl Inner {
                 continue;
             }
             let node = &chunk.graph.nodes[nid];
-            let key = store_key(&node.key);
-            let claim = match self.flight.try_claim(&key) {
+            let key = chunk.key(nid);
+            let claim = match self.flight.try_claim(key) {
                 // Ours to deliver. A frame the store or the ring owner
                 // already holds is adopted instead of re-decoded — the
                 // bulk pass honors at-most-once the same way the
                 // per-node path does. Only cached nodes can exist
                 // remotely.
-                Some(claim) if node.cached => match self.lookup(&key, Some(chunk.meta(nid))) {
+                Some(claim) if node.cached => match self.lookup(key, Some(chunk.meta(nid))) {
                     Some(hit) => {
                         memo.insert(nid, Arc::clone(&hit.frame));
                         claim.publish(hit, false);
@@ -469,11 +468,11 @@ impl Inner {
                 // eviction order, so this never outlives its usefulness.
                 // (Unlike `compute`, nothing is offered to the ring
                 // owner here.)
-                let key = store_key(&chunk.graph.nodes[nid].key);
-                let bytes = if self.store.contains(&key) {
+                let key = chunk.key(nid);
+                let bytes = if self.store.contains(key) {
                     None
                 } else {
-                    Some(self.store_frame(&key, &frame, chunk.meta(nid))?)
+                    Some(self.store_frame(key, &frame, chunk.meta(nid))?)
                 };
                 let frame = Arc::new(frame);
                 memo.insert(nid, Arc::clone(&frame));
@@ -905,7 +904,7 @@ dataset:
                 // source frame — except through the aug view, which only
                 // reaches (depth-1) augmented objects.
                 let id = find_node(&chunk, |n| {
-                    remote.is_remote(&store_key(&n.key))
+                    remote.is_remote(chunk.key(n.id))
                         && match &n.key {
                             ObjectKey::Frame { .. } => entry != Entry::AugView,
                             ObjectKey::Aug { chain, .. } => {
@@ -916,7 +915,7 @@ dataset:
                 });
                 let target = &chunk.graph.nodes[id];
                 assert_eq!(target.cached, !naive);
-                let key = store_key(&target.key);
+                let key = chunk.key(id);
                 let (video_id, frame) = match target.key {
                     ObjectKey::Frame { video_id, frame }
                     | ObjectKey::Aug {
@@ -936,28 +935,25 @@ dataset:
                 // An augmented object's parent is at hand locally, so
                 // the only key that can go to the owner is the target's.
                 if let Some(parent) = target.parent.filter(|_| entry == Entry::AugView) {
-                    let parent_key = store_key(&chunk.graph.nodes[parent].key);
+                    let parent_key = chunk.key(parent);
                     let bytes = compress_frame(&plain(parent).frame).into();
-                    e.store().put(&parent_key, bytes, far).unwrap();
+                    e.store().put(parent_key, bytes, far).unwrap();
                 }
                 match case {
                     Case::MemHit => {
                         let near = ObjectMeta::default();
-                        e.store().put(&key, Arc::clone(&right_bytes), near).unwrap();
-                        assert_eq!(e.store().tier_of(&key), Some(Tier::Memory));
+                        e.store().put(key, Arc::clone(&right_bytes), near).unwrap();
+                        assert_eq!(e.store().tier_of(key), Some(Tier::Memory));
                     }
                     Case::DiskHit => {
-                        e.store().put(&key, Arc::clone(&right_bytes), far).unwrap();
-                        assert_eq!(e.store().tier_of(&key), Some(Tier::Disk));
+                        e.store().put(key, Arc::clone(&right_bytes), far).unwrap();
+                        assert_eq!(e.store().tier_of(key), Some(Tier::Disk));
                     }
-                    Case::CorruptLocal => e.store().put(&key, garbage(), far).unwrap(),
+                    Case::CorruptLocal => e.store().put(key, garbage(), far).unwrap(),
                     Case::RemoteHit { .. } => {
-                        owner
-                            .store
-                            .put(&key, Arc::clone(&right_bytes), far)
-                            .unwrap();
+                        owner.store.put(key, Arc::clone(&right_bytes), far).unwrap();
                     }
-                    Case::RemoteNotAFrame => owner.store.put(&key, garbage(), far).unwrap(),
+                    Case::RemoteNotAFrame => owner.store.put(key, garbage(), far).unwrap(),
                     Case::Miss => {}
                 }
                 let work = |e: &SandEngine| {
@@ -1000,7 +996,7 @@ dataset:
                 if let Case::RemoteHit { cached } = case {
                     // The owner's bytes are adopted iff the plan caches
                     // the node.
-                    assert_eq!(e.store().contains(&key), cached, "{entry:?}");
+                    assert_eq!(e.store().contains(key), cached, "{entry:?}");
                 }
             }
         }
@@ -1017,16 +1013,16 @@ dataset:
         let chunk = e.inner.ensure_chunk(0).unwrap();
         let remote = e.remote_tier().unwrap();
         let id = find_node(&chunk, |n| {
-            matches!(n.key, ObjectKey::Frame { .. }) && remote.is_remote(&store_key(&n.key))
+            matches!(n.key, ObjectKey::Frame { .. }) && remote.is_remote(chunk.key(n.id))
         });
-        let key = store_key(&chunk.graph.nodes[id].key);
+        let key = chunk.key(id);
         let reference = node(&ds, None, None, false);
         let right = reference
             .inner
             .materialize(&chunk, id, &Scratch::new())
             .unwrap();
         let bytes = compress_frame(&right.frame).into();
-        owner.store.put(&key, bytes, ObjectMeta::default()).unwrap();
+        owner.store.put(key, bytes, ObjectMeta::default()).unwrap();
         // Eight passes at once, each with its own memo: whoever wins the
         // flight fetches and adopts; the rest join it or, arriving after
         // it retired, find the adopted object in the store.
@@ -1063,7 +1059,7 @@ dataset:
             |n| matches!(&n.key, ObjectKey::Aug { chain, .. } if chain.len() == 1),
         );
         let child = chunk.graph.nodes[parent].children[0];
-        let key = store_key(&chunk.graph.nodes[parent].key);
+        let key = chunk.key(parent);
         let reference = node(&ds, None, None, true);
         let resized = reference
             .inner
@@ -1074,10 +1070,10 @@ dataset:
             .materialize(&chunk, child, &Scratch::new())
             .unwrap();
         let memo = Scratch::new();
-        let claim = e.inner.flight.try_claim(&key).unwrap();
+        let claim = e.inner.flight.try_claim(key).unwrap();
         std::thread::scope(|s| {
             let job = s.spawn(|| e.inner.materialize(&chunk, child, &memo).unwrap());
-            while e.inner.flight.joined(&key) == 0 {
+            while e.inner.flight.joined(key) == 0 {
                 std::thread::yield_now();
             }
             memo.insert(parent, resized.frame);
@@ -1129,9 +1125,9 @@ dataset:
             assert_eq!(work(&concurrent), work(&sequential), "pass {pass}");
             // The next pass finds nothing in the store either.
             for &child in children {
-                let key = store_key(&chunk.graph.nodes[child].key);
-                concurrent.store().remove(&key).unwrap();
-                sequential.store().remove(&key).unwrap();
+                let key = chunk.key(child);
+                concurrent.store().remove(key).unwrap();
+                sequential.store().remove(key).unwrap();
             }
         }
         // One decode walk, one resize and each crop once, per pass.

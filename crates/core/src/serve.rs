@@ -4,7 +4,6 @@
 
 use crate::chunk::Chunk;
 use crate::engine::Inner;
-use crate::keys::store_key;
 use crate::materialize::Scratch;
 use crate::prefetch::{lost_job, BatchBuild};
 use crate::{CoreError, Result};
@@ -318,7 +317,7 @@ impl Inner {
     fn mark_used_ancestors(&self, chunk: &Chunk, id: NodeId) {
         let mut cur = chunk.graph.nodes[id].parent;
         while let Some(p) = cur {
-            self.store.mark_used(&store_key(&chunk.graph.nodes[p].key));
+            self.store.mark_used(chunk.key(p));
             cur = chunk.graph.nodes[p].parent;
         }
     }
@@ -344,7 +343,7 @@ impl Inner {
         // from cache.
         for plan in &batch.samples {
             for &t in &plan.frame_nodes {
-                self.store.mark_used(&store_key(&chunk.graph.nodes[t].key));
+                self.store.mark_used(chunk.key(t));
                 self.mark_used_ancestors(chunk, t);
             }
         }

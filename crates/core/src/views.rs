@@ -2,6 +2,7 @@
 //! views, and their extended attributes.
 
 use crate::engine::SandEngine;
+use crate::keys::store_key;
 use crate::materialize::{Object, Scratch};
 use crate::{CoreError, Result};
 use sand_codec::VideoEntry;
@@ -69,12 +70,11 @@ impl ViewProvider for SandEngine {
                 // adopted for one use with no deadline (the default
                 // meta), and a decode is not stored.
                 let adopt = ObjectMeta::default();
+                let key = store_key(&ObjectKey::Frame { video_id, frame });
                 let (object, _) =
-                    inner.in_flight(&ObjectKey::Frame { video_id, frame }, |key| {
-                        match inner.lookup(key, Some(adopt)) {
-                            Some(hit) => Ok(hit),
-                            None => Ok(Arc::new(inner.decode_one(video_id, frame)?).into()),
-                        }
+                    inner.in_flight(&key, || match inner.lookup(&key, Some(adopt)) {
+                        Some(hit) => Ok(hit),
+                        None => Ok(Arc::new(inner.decode_one(video_id, frame)?).into()),
                     })?;
                 Ok(self.object_bytes(object))
             }
@@ -188,15 +188,6 @@ impl ViewProvider for SandEngine {
                 }
             }
             ViewPath::AugFrame { .. } => Err(no_attr()),
-        }
-    }
-
-    fn released(&self, path: &ViewPath) {
-        // Closing a batch view ends its iteration: spent memory-tier
-        // objects (future_uses == 0) are freed promptly by the watermark
-        // machinery on the next enforce.
-        if matches!(path, ViewPath::Batch { .. }) {
-            let _ = self.inner.store.enforce_budgets();
         }
     }
 }

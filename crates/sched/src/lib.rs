@@ -30,7 +30,7 @@
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sand_sanitizer::{TrackedCondvar, TrackedMutex};
 use sand_telemetry::SchedMetrics;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -211,6 +211,9 @@ struct Shared {
     queue: TrackedMutex<Vec<Entry>>,
     available: TrackedCondvar,
     shutdown: AtomicBool,
+    /// Once `shutdown` is set: workers with this id or a higher one may
+    /// exit (see [`Scheduler::stop_workers`]).
+    leave_from: AtomicUsize,
     running: AtomicU64,
     memory_pressure_milli: AtomicU64,
     stats: TrackedMutex<SchedStats>,
@@ -292,6 +295,7 @@ impl Scheduler {
             queue: TrackedMutex::new("sched.queue", Vec::new()),
             available: TrackedCondvar::new(),
             shutdown: AtomicBool::new(false),
+            leave_from: AtomicUsize::new(usize::MAX),
             running: AtomicU64::new(0),
             memory_pressure_milli: AtomicU64::new(0),
             stats: TrackedMutex::new("sched.stats", SchedStats::default()),
@@ -461,15 +465,28 @@ impl Scheduler {
     /// Signals shutdown and joins workers — except the current thread,
     /// which can happen when a job holds the last reference to the
     /// structure owning this scheduler (joining oneself would deadlock).
+    ///
+    /// Every worker stops taking jobs at once, but they exit one at a
+    /// time, last spawned first, each joined before the next may go. The
+    /// allocator hands a new thread the arena of the thread that exited
+    /// last, and workers are not alike — the reserved demand workers
+    /// allocate little, the others fill the object store — so when a
+    /// process runs engines back to back, an exit order left to chance
+    /// swaps the roles' arenas at random: the store then fills a second
+    /// arena while the first sits idle, still resident. Leaving in the
+    /// reverse of spawn order gives every new worker the arena its
+    /// predecessor in the same role left.
     fn stop_workers(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // A worker checks the flag and starts waiting under the queue
-        // lock; passing through the lock here means the notification
-        // cannot fall between its check and its wait and be lost.
-        drop(self.shared.queue.lock());
-        self.shared.available.notify_all();
         let me = std::thread::current().id();
-        for w in self.workers.drain(..) {
+        for (id, w) in self.workers.drain(..).enumerate().rev() {
+            self.shared.leave_from.store(id, Ordering::SeqCst);
+            // A worker checks the flags and starts waiting under the
+            // queue lock; passing through the lock here means the
+            // notification cannot fall between its check and its wait
+            // and be lost.
+            drop(self.shared.queue.lock());
+            self.shared.available.notify_all();
             if w.thread().id() != me {
                 let _ = w.join();
             }
@@ -603,6 +620,9 @@ fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
             let mut q = shared.queue.lock();
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
+                    while shared.leave_from.load(Ordering::SeqCst) > w.id {
+                        shared.available.wait(&mut q);
+                    }
                     return;
                 }
                 let pressure = shared.memory_pressure_milli.load(Ordering::Relaxed);
@@ -993,6 +1013,46 @@ mod tests {
         // must not hang or crash.
         sched.shutdown();
         assert!(count.load(Ordering::SeqCst) <= 5);
+    }
+
+    /// Teardown mirrors start-up: the last worker spawned is the first
+    /// to exit, and each is gone — thread-locals destroyed — before the
+    /// next leaves.
+    #[test]
+    fn workers_exit_in_reverse_spawn_order() {
+        use std::cell::RefCell;
+        use std::sync::{Barrier, Mutex};
+        use std::thread::ThreadId;
+        struct Exit(ThreadId, Arc<Mutex<Vec<ThreadId>>>);
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+        thread_local! {
+            static EXIT: RefCell<Option<Exit>> = const { RefCell::new(None) };
+        }
+        let sched = Scheduler::new(SchedConfig {
+            threads: 3,
+            ..Default::default()
+        });
+        let spawned: Vec<ThreadId> = sched.workers.iter().map(|w| w.thread().id()).collect();
+        let exited = Arc::new(Mutex::new(Vec::new()));
+        // The barrier holds each worker to one job, so all three plant
+        // an exit marker.
+        let barrier = Arc::new(Barrier::new(3));
+        for _ in 0..3 {
+            let (exited, barrier) = (Arc::clone(&exited), Arc::clone(&barrier));
+            sched.submit(job(JobKind::Demand, 1, 1, move || {
+                let marker = Exit(std::thread::current().id(), exited);
+                EXIT.with(|slot| *slot.borrow_mut() = Some(marker));
+                barrier.wait();
+            }));
+        }
+        sched.wait_idle();
+        sched.shutdown();
+        let exited = exited.lock().unwrap().clone();
+        assert_eq!(exited, spawned.into_iter().rev().collect::<Vec<_>>());
     }
 
     #[test]

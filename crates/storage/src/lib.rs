@@ -25,6 +25,7 @@
 
 pub mod manifest;
 pub mod modeled_link;
+mod shard;
 pub mod store;
 pub mod vlog;
 

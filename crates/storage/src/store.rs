@@ -15,10 +15,13 @@
 //!   approximations.
 //! - **Victim ordering is global and deterministic.** The prune pass
 //!   ([`ObjectStore::enforce_budgets`]) is a coordinated sweep: each
-//!   round scans every shard for its best candidate under the paper's
+//!   round asks every shard for its best candidate under the paper's
 //!   ordering (spent objects first, then longest deadline, with the key
 //!   as a total-order tie-break) and applies the single global winner.
-//!   Shard boundaries never influence which object is pruned.
+//!   A shard answers from an ordered index of its records
+//!   ([`crate::shard`]), so a round costs O(shards · log n), not a walk
+//!   over every resident object. Shard boundaries never influence which
+//!   object is pruned.
 //!
 //! ## The persistent tier
 //!
@@ -38,12 +41,12 @@
 //! quarantined under `quarantine/` and **not** adopted into the byte
 //! accounting.
 
-use crate::vlog::{Ptr, RecordMeta, SyncPolicy, ValueLog};
+use crate::shard::{Record, Shard, Victims};
+use crate::vlog::{RecordMeta, SyncPolicy, ValueLog};
 use crate::{decode_key, Result, StorageError};
 use sand_sanitizer::{ShadowCell, TrackedMutex, TrackedMutexGuard};
 use sand_telemetry::{record_stage, Stage, StoreMetrics};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
@@ -184,26 +187,6 @@ pub struct StoreStats {
     pub vlog_fsyncs: u64,
 }
 
-/// Internal per-object record.
-#[derive(Debug, Clone)]
-struct Record {
-    tier: Tier,
-    size: u64,
-    meta: ObjectMeta,
-    /// Memory-resident bytes (None when on disk).
-    bytes: Option<Arc<Vec<u8>>>,
-    /// Location of the object's record in the value log (always `Some`
-    /// when the store has a persistent tier).
-    ptr: Option<Ptr>,
-}
-
-/// One shard of the key index. Byte accounting lives outside, in the
-/// store-global atomics.
-#[derive(Debug, Default)]
-struct Shard {
-    objects: HashMap<String, Record>,
-}
-
 /// The tiered object store.
 ///
 /// Thread-safe: materialization workers `put` while feeding threads
@@ -221,11 +204,13 @@ pub struct ObjectStore {
     /// Global live persistent bytes, maintained under shard locks.
     disk_bytes: AtomicU64,
     /// Serializes budget sweeps so concurrent `enforce_budgets` callers
-    /// cannot race each other's victim selection.
+    /// cannot race each other's victim selection. Taken only by a caller
+    /// that finds a tier over its limit.
     sweep: TrackedMutex<()>,
-    /// Sanitizer shadow for the global byte counters: every mutation
-    /// must happen under some shard lock (the invariant `remove_locked`
-    /// documents); the lockset checker enforces it.
+    /// Sanitizer shadow for the global byte counters and the shards'
+    /// victim index: every mutation must happen under some shard lock
+    /// (the invariant `remove_locked` documents); the lockset checker
+    /// enforces it.
     bytes_shadow: ShadowCell,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -321,8 +306,8 @@ impl ObjectStore {
                     continue;
                 };
                 let idx = store.shard_of(&rec.key);
-                store.shards[idx].lock().objects.insert(
-                    rec.key,
+                store.shards[idx].lock().insert(
+                    &rec.key,
                     Record {
                         tier: Tier::Disk,
                         size: u64::from(ptr.val_len),
@@ -385,7 +370,7 @@ impl ObjectStore {
             };
             let idx = self.shard_of(&key);
             let mut shard = self.shards[idx].lock();
-            if shard.objects.contains_key(&key) {
+            if shard.contains(&key) {
                 // The log already has a newer, checksummed copy.
                 fs::remove_file(&path)?;
                 continue;
@@ -395,8 +380,8 @@ impl ObjectStore {
             })?;
             let meta = ObjectMeta::default();
             let ptr = vlog.append(&key, meta.to_record(), &bytes)?;
-            shard.objects.insert(
-                key,
+            shard.insert(
+                &key,
                 Record {
                     tier: Tier::Disk,
                     size: u64::from(ptr.val_len),
@@ -588,7 +573,7 @@ impl ObjectStore {
                 // The append cannot fail past this point: settle the
                 // replaced record (its log bytes become garbage) and
                 // install the new one.
-                if let Some(old) = shard.objects.remove(key) {
+                if let Some(old) = shard.remove(key) {
                     self.bytes_shadow.write();
                     if old.tier == Tier::Memory {
                         self.memory_bytes.fetch_sub(old.size, Ordering::Relaxed);
@@ -606,8 +591,8 @@ impl ObjectStore {
                 } else {
                     (Tier::Disk, None)
                 };
-                shard.objects.insert(
-                    key.to_string(),
+                shard.insert(
+                    key,
                     Record {
                         tier,
                         size,
@@ -619,14 +604,14 @@ impl ObjectStore {
             } else {
                 // Memory-only: the replace is a single in-memory step
                 // with no failure path between removal and insertion.
-                if let Some(old) = shard.objects.remove(key) {
+                if let Some(old) = shard.remove(key) {
                     self.bytes_shadow.write();
                     self.memory_bytes.fetch_sub(old.size, Ordering::Relaxed);
                 }
                 self.bytes_shadow.write();
                 self.memory_bytes.fetch_add(size, Ordering::Relaxed);
-                shard.objects.insert(
-                    key.to_string(),
+                shard.insert(
+                    key,
                     Record {
                         tier: Tier::Memory,
                         size,
@@ -651,7 +636,7 @@ impl ObjectStore {
     pub fn get(&self, key: &str) -> Result<Arc<Vec<u8>>> {
         let ptr = {
             let shard = self.lock_shard(self.shard_of(key));
-            match shard.objects.get(key) {
+            match shard.get(key) {
                 Some(rec) => match (&rec.tier, &rec.bytes) {
                     (Tier::Memory, Some(b)) => {
                         self.memory_hits.fetch_add(1, Ordering::Relaxed);
@@ -715,18 +700,13 @@ impl ObjectStore {
     /// True when the store holds the object in either tier.
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
-        self.lock_shard(self.shard_of(key))
-            .objects
-            .contains_key(key)
+        self.lock_shard(self.shard_of(key)).contains(key)
     }
 
     /// Which tier an object occupies, if present.
     #[must_use]
     pub fn tier_of(&self, key: &str) -> Option<Tier> {
-        self.lock_shard(self.shard_of(key))
-            .objects
-            .get(key)
-            .map(|r| r.tier)
+        self.lock_shard(self.shard_of(key)).get(key).map(|r| r.tier)
     }
 
     /// An object's remaining retained-use count, if present. Zero means
@@ -734,7 +714,6 @@ impl ObjectStore {
     #[must_use]
     pub fn future_uses_of(&self, key: &str) -> Option<u32> {
         self.lock_shard(self.shard_of(key))
-            .objects
             .get(key)
             .map(|r| r.meta.future_uses)
     }
@@ -742,17 +721,8 @@ impl ObjectStore {
     /// Records a consumption: decrements `future_uses`.
     pub fn mark_used(&self, key: &str) {
         let mut shard = self.lock_shard(self.shard_of(key));
-        if let Some(rec) = shard.objects.get_mut(key) {
-            rec.meta.future_uses = rec.meta.future_uses.saturating_sub(1);
-        }
-    }
-
-    /// Updates an object's deadline.
-    pub fn set_deadline(&self, key: &str, deadline: u64) {
-        let mut shard = self.lock_shard(self.shard_of(key));
-        if let Some(rec) = shard.objects.get_mut(key) {
-            rec.meta.deadline = Some(deadline);
-        }
+        self.bytes_shadow.write();
+        shard.burn_use(key);
     }
 
     /// Removes an object from both tiers.
@@ -767,7 +737,7 @@ impl ObjectStore {
     /// persistent tier the removal appends a tombstone so it survives
     /// restart; the dead record is garbage until compaction.
     fn remove_locked(&self, shard: &mut Shard, key: &str) -> Result<()> {
-        if let Some(rec) = shard.objects.remove(key) {
+        if let Some(rec) = shard.remove(key) {
             self.bytes_shadow.write();
             if rec.tier == Tier::Memory {
                 self.memory_bytes.fetch_sub(rec.size, Ordering::Relaxed);
@@ -784,82 +754,68 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Scans every shard for the best prune candidate among records
-    /// matching `eligible`, under the global victim order: maximum
-    /// `(deadline, key)` — longest deadline first, key as a
-    /// deterministic total-order tie-break (`None` deadlines sort
-    /// farthest-future). Shards are locked one at a time; the caller
-    /// re-validates the winner under its shard lock before acting.
-    fn scan_victim(&self, eligible: impl Fn(&Record) -> bool) -> Option<(usize, String)> {
-        let mut best: Option<(u64, String, usize)> = None;
+    /// The global first victim among `class`: the maximum `(deadline,
+    /// key)` — longest deadline first, key as a deterministic
+    /// total-order tie-break (`None` deadlines sort farthest-future) —
+    /// over the shards' own first victims. Shards are locked one at a
+    /// time; the caller re-validates the winner under its shard lock
+    /// before acting.
+    fn pick_victim(&self, class: Victims) -> Option<(usize, Arc<str>)> {
+        let mut best: Option<(u64, Arc<str>, usize)> = None;
         for idx in 0..self.shards.len() {
             let shard = self.lock_shard(idx);
-            for (key, rec) in shard.objects.iter().filter(|(_, r)| eligible(r)) {
-                let deadline = rec.meta.deadline.unwrap_or(u64::MAX);
-                let better = match &best {
-                    None => true,
-                    Some((bd, bk, _)) => (deadline, key.as_str()) > (*bd, bk.as_str()),
-                };
+            if let Some((deadline, key)) = shard.victim(class) {
+                let better = best
+                    .as_ref()
+                    .is_none_or(|(bd, bk, _)| (deadline, &**key) > (*bd, &**bk));
                 if better {
-                    best = Some((deadline, key.clone(), idx));
+                    best = Some((deadline, Arc::clone(key), idx));
                 }
             }
         }
         best.map(|(_, key, idx)| (idx, key))
     }
 
-    /// Drops one memory copy (longest deadline first). The object stays
-    /// in the log (write-through), so no data moves. Part of the
-    /// coordinated sweep: candidate selection spans all shards,
-    /// application re-validates under the winner's shard lock and
-    /// re-scans if a concurrent put/remove got there first.
-    fn spill_one(&self) -> Result<bool> {
-        if self.dir.is_none() {
-            return Ok(false);
-        }
-        loop {
-            let Some((idx, key)) = self.scan_victim(|r| r.tier == Tier::Memory) else {
-                return Ok(false);
-            };
-            let mut shard = self.lock_shard(idx);
-            if let Some(rec) = shard.objects.get_mut(&key) {
-                if rec.tier == Tier::Memory {
-                    rec.bytes = None;
-                    rec.tier = Tier::Disk;
-                    self.bytes_shadow.write();
-                    self.memory_bytes.fetch_sub(rec.size, Ordering::Relaxed);
-                    self.publish_mem_usage();
-                    self.spills.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.get() {
-                        m.spills.inc();
-                    }
-                    return Ok(true);
-                }
-            }
-            // The victim vanished or changed tier between the scan and
-            // the shard lock: re-scan.
+    /// Counts one whole-object eviction.
+    fn count_eviction(&self) {
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = self.metrics.get() {
+            m.evictions.inc();
         }
     }
 
-    /// Evicts one memory-tier object entirely (the memory-only fallback
-    /// when there is no disk tier to spill to).
-    fn evict_memory_one(&self) -> Result<bool> {
+    /// Sheds one memory-resident object, longest deadline first. With a
+    /// persistent tier that is a spill: the memory copy is dropped and
+    /// the object stays in the log (write-through), so no data moves.
+    /// Memory-only, the object is evicted. Part of the coordinated
+    /// sweep: candidate selection spans all shards, application
+    /// re-validates under the winner's shard lock and picks again if a
+    /// concurrent put/remove got there first. Returns false when nothing
+    /// is memory-resident.
+    fn shed_memory_one(&self) -> Result<bool> {
         loop {
-            let Some((idx, key)) = self.scan_victim(|r| r.tier == Tier::Memory) else {
+            let Some((idx, key)) = self.pick_victim(Victims::Memory) else {
                 return Ok(false);
             };
             let mut shard = self.lock_shard(idx);
-            match shard.objects.get(&key) {
-                Some(rec) if rec.tier == Tier::Memory => {
+            if self.vlog.is_none() {
+                if shard.get(&key).is_some_and(|r| r.tier == Tier::Memory) {
                     self.remove_locked(&mut shard, &key)?;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.get() {
-                        m.evictions.inc();
-                    }
+                    self.count_eviction();
                     return Ok(true);
                 }
-                _ => {}
+            } else if let Some(size) = shard.spill(&key) {
+                self.bytes_shadow.write();
+                self.memory_bytes.fetch_sub(size, Ordering::Relaxed);
+                self.publish_mem_usage();
+                self.spills.fetch_add(1, Ordering::Relaxed);
+                if let Some(m) = self.metrics.get() {
+                    m.spills.inc();
+                }
+                return Ok(true);
             }
+            // The victim vanished or changed tier between the pick and
+            // the shard lock: pick again.
         }
     }
 
@@ -870,68 +826,81 @@ impl ObjectStore {
             // (1) used and not needed in future epochs, (2) longest
             // deadline.
             let victim = self
-                .scan_victim(|r| r.meta.future_uses == 0)
-                .or_else(|| self.scan_victim(|_| true));
+                .pick_victim(Victims::Spent)
+                .or_else(|| self.pick_victim(Victims::All));
             let Some((idx, key)) = victim else {
                 return Ok(false);
             };
             let mut shard = self.lock_shard(idx);
-            if shard.objects.contains_key(&key) {
+            if shard.contains(&key) {
                 self.remove_locked(&mut shard, &key)?;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.evictions.inc();
-                }
+                self.count_eviction();
                 return Ok(true);
             }
         }
     }
 
-    /// Brings all three tiers under their budgets — the Algorithm-1
-    /// prune pass as a coordinated cross-shard sweep, extended to the
-    /// persistent tier's log-garbage accounting. Serialized by the sweep
-    /// lock; each round applies one globally best victim, so concurrent
-    /// callers cannot interleave conflicting selections, and every
-    /// successful round strictly shrinks the over-budget tier (the sweep
-    /// terminates). After the byte budgets hold, the value log is
-    /// compacted if its dead-byte ratio crossed the threshold.
-    pub fn enforce_budgets(&self) -> Result<()> {
-        let _sweep = self.sweep.lock();
-        let mem_limit = self.config.memory_budget;
-        // Memory over budget: spill to disk (or evict when memory-only).
-        while self.memory_bytes.load(Ordering::Relaxed) > mem_limit {
-            if !self.spill_one()? && !self.evict_memory_one()? {
-                break;
-            }
-        }
-        // Disk over the 75% watermark: evict per policy.
-        let disk_limit = (self.config.disk_budget as f64 * self.config.evict_watermark) as u64;
-        while self.disk_bytes.load(Ordering::Relaxed) > disk_limit {
-            if !self.evict_one()? {
-                break;
-            }
-        }
-        // Third tier: dead log bytes past the compaction threshold.
-        self.maybe_compact_locked()?;
-        Ok(())
+    /// The disk tier's eviction watermark, in live object bytes.
+    fn disk_limit(&self) -> u64 {
+        (self.config.disk_budget as f64 * self.config.evict_watermark) as u64
     }
 
-    /// Compacts the value log when the dead-byte ratio crossed the
-    /// configured threshold (and the absolute garbage clears the floor).
-    /// Caller must hold the sweep lock.
-    fn maybe_compact_locked(&self) -> Result<bool> {
+    /// True when the log's dead-byte ratio crossed the configured
+    /// threshold (and the absolute garbage clears the floor).
+    fn compaction_due(&self) -> bool {
         let Some(vlog) = &self.vlog else {
-            return Ok(false);
+            return false;
         };
         let (total, live) = vlog.byte_totals();
         let garbage = total.saturating_sub(live);
-        if garbage < COMPACT_MIN_GARBAGE
-            || (garbage as f64) < self.config.compact_threshold * (total as f64)
+        garbage >= COMPACT_MIN_GARBAGE
+            && (garbage as f64) >= self.config.compact_threshold * (total as f64)
+    }
+
+    /// Brings all three tiers under their budgets — the Algorithm-1
+    /// prune pass as a coordinated cross-shard sweep, extended to the
+    /// persistent tier's log-garbage accounting.
+    ///
+    /// A caller that finds every tier within its limit returns without
+    /// taking a lock. That check cannot miss work: a byte budget is only
+    /// ever exceeded by a `put`, which calls this after its own update
+    /// and so sees it, and log garbage (which removals grow without
+    /// enforcing, as they always have) is read by every caller.
+    ///
+    /// Otherwise the pass is serialized by the sweep lock; each round
+    /// applies one globally best victim, so concurrent callers cannot
+    /// interleave conflicting selections, and every successful round
+    /// strictly shrinks the over-budget tier (the sweep terminates).
+    /// After the byte budgets hold, the value log is compacted if its
+    /// dead-byte ratio crossed the threshold.
+    pub fn enforce_budgets(&self) -> Result<()> {
+        let mem_limit = self.config.memory_budget;
+        let disk_limit = self.disk_limit();
+        if self.memory_bytes.load(Ordering::Relaxed) > mem_limit
+            || self.disk_bytes.load(Ordering::Relaxed) > disk_limit
+            || self.compaction_due()
         {
-            self.publish_log_usage();
-            return Ok(false);
+            let _sweep = self.sweep.lock();
+            // Memory over budget: spill to disk (or evict when
+            // memory-only).
+            while self.memory_bytes.load(Ordering::Relaxed) > mem_limit {
+                if !self.shed_memory_one()? {
+                    break;
+                }
+            }
+            // Disk over the 75% watermark: evict per policy.
+            while self.disk_bytes.load(Ordering::Relaxed) > disk_limit {
+                if !self.evict_one()? {
+                    break;
+                }
+            }
+            // Third tier: dead log bytes past the compaction threshold.
+            if self.compaction_due() {
+                self.compact_log_locked()?;
+            }
         }
-        self.compact_log_locked()
+        self.publish_log_usage();
+        Ok(())
     }
 
     /// Unconditionally compacts the log: rotates to a fresh active
@@ -950,16 +919,15 @@ impl ObjectStore {
         for idx in 0..self.shards.len() {
             let mut shard = self.lock_shard(idx);
             let keys: Vec<String> = shard
-                .objects
-                .iter()
+                .records()
                 .filter(|(_, r)| {
                     r.ptr
                         .is_some_and(|p| sealed.binary_search(&p.segment).is_ok())
                 })
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| k.to_string())
                 .collect();
             for key in keys {
-                let Some(rec) = shard.objects.get(&key) else {
+                let Some(rec) = shard.get(&key) else {
                     continue;
                 };
                 let Some(old_ptr) = rec.ptr else { continue };
@@ -971,9 +939,7 @@ impl ObjectStore {
                     Ok(bytes) => {
                         let new_ptr = vlog.append(&key, rec.meta.to_record(), bytes.as_slice())?;
                         vlog.retire(u64::from(old_ptr.total_len));
-                        if let Some(rec) = shard.objects.get_mut(&key) {
-                            rec.ptr = Some(new_ptr);
-                        }
+                        shard.relocate(&key, new_ptr);
                     }
                     Err(StorageError::Corrupt { .. } | StorageError::NotFound { .. }) => {
                         // Bit rot under the index: the object is gone.
@@ -982,7 +948,7 @@ impl ObjectStore {
                         if let Some(m) = self.metrics.get() {
                             m.vlog_corrupt_records.inc();
                         }
-                        if let Some(old) = shard.objects.remove(&key) {
+                        if let Some(old) = shard.remove(&key) {
                             self.bytes_shadow.write();
                             if old.tier == Tier::Memory {
                                 self.memory_bytes.fetch_sub(old.size, Ordering::Relaxed);
@@ -1017,9 +983,18 @@ impl ObjectStore {
     pub fn keys(&self) -> Vec<String> {
         let mut keys = Vec::new();
         for idx in 0..self.shards.len() {
-            keys.extend(self.lock_shard(idx).objects.keys().cloned());
+            keys.extend(self.lock_shard(idx).records().map(|(k, _)| k.to_string()));
         }
         keys
+    }
+
+    /// Panics unless every shard's victim index is exactly what its
+    /// records imply. For tests and stress runs; walks every record.
+    #[doc(hidden)]
+    pub fn check_index(&self) {
+        for idx in 0..self.shards.len() {
+            self.lock_shard(idx).check_index();
+        }
     }
 
     /// Aggregate statistics snapshot.
@@ -1560,7 +1535,7 @@ mod tests {
         let mut disk = 0u64;
         for idx in 0..s.shards.len() {
             let shard = s.shards[idx].lock();
-            for rec in shard.objects.values() {
+            for (_, rec) in shard.records() {
                 if rec.tier == Tier::Memory {
                     mem += rec.size;
                 }
@@ -1649,7 +1624,41 @@ mod tests {
         // Two re-put rounds make two thirds of the appended bytes dead:
         // the third-tier sweep must have compacted at least once.
         assert!(stats.compactions > 0, "stress never compacted the log");
+        s.check_index();
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A caller that finds nothing over budget takes no lock: with the
+    /// sweep lock held elsewhere for the whole call, it still returns.
+    #[test]
+    fn under_budget_enforce_does_not_take_the_sweep_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let s = Arc::new(ObjectStore::memory_only(StoreConfig::default()).unwrap());
+        s.put("k", vec![0; 64].into(), meta(0, 1)).unwrap();
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let _sweep = s.sweep.lock();
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        };
+        held_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let caller = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || done_tx.send(s.enforce_budgets()).unwrap())
+        };
+        let returned = done_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        caller.join().unwrap();
+        returned
+            .expect("enforce_budgets waited for the sweep lock")
+            .unwrap();
     }
 
     /// Contended shard locks show up in the per-shard wait histograms

@@ -3,15 +3,18 @@
 
 #![allow(clippy::unwrap_used)]
 
+mod scan_reference;
+
 use proptest::prelude::*;
 use sand_storage::{ObjectMeta, ObjectStore, StoreConfig, SyncPolicy};
+use scan_reference::ScanStore;
 
 #[derive(Debug, Clone)]
 enum Op {
     Put {
         key: u8,
         size: usize,
-        deadline: u64,
+        deadline: Option<u64>,
         uses: u32,
     },
     Get {
@@ -35,7 +38,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 Op::Put {
                     key,
                     size,
-                    deadline: deadline % 1000,
+                    // One put in five has no deadline: the farthest-future
+                    // arm of the victim order.
+                    deadline: (!deadline.is_multiple_of(5)).then_some(deadline / 5 % 1000),
                     uses,
                 }
             }
@@ -61,7 +66,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Put { key, size, deadline, uses } => {
-                    let meta = ObjectMeta { deadline: Some(deadline), future_uses: uses };
+                    let meta = ObjectMeta { deadline, future_uses: uses };
                     if store.put(&format!("k{key}"), vec![0u8; size].into(), meta).is_ok() {
                         live.insert(key, size);
                     }
@@ -123,7 +128,7 @@ proptest! {
                 match op {
                     Op::Put { key, size, deadline, uses } => {
                         let payload: Vec<u8> = (0..size).map(|i| (i as u8) ^ key).collect();
-                        let meta = ObjectMeta { deadline: Some(deadline), future_uses: uses };
+                        let meta = ObjectMeta { deadline, future_uses: uses };
                         if store.put(&format!("k{key}"), payload.clone().into(), meta).is_ok() {
                             content.insert(key, payload);
                         }
@@ -185,7 +190,7 @@ proptest! {
                 match op.clone() {
                     Op::Put { key, size, deadline, uses } => {
                         let payload: Vec<u8> = (0..size).map(|i| (i as u8) ^ key).collect();
-                        let meta = ObjectMeta { deadline: Some(deadline), future_uses: uses };
+                        let meta = ObjectMeta { deadline, future_uses: uses };
                         let _ = store.put(&format!("k{key}"), payload.into(), meta);
                     }
                     Op::Get { key } => {
@@ -225,6 +230,87 @@ proptest! {
         drop(stores);
         for dir in dirs {
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The ordered victim index picks exactly the victims the full scan
+    /// picked: after every op, a memory-only and a disk-backed store, at
+    /// one shard and at eight, hold what a model that walks every record
+    /// per victim (`scan_reference`) holds — same keys, tiers, use
+    /// counts, bytes and victim counts — and every index still matches
+    /// its records.
+    #[test]
+    fn prop_victim_order_matches_reference_scan(ops in prop::collection::vec(arb_op(), 1..60)) {
+        for persistent in [false, true] {
+            for shards in [1usize, 8] {
+                let config = StoreConfig {
+                    memory_budget: 8 * 1024,
+                    disk_budget: 64 * 1024,
+                    evict_watermark: 0.75,
+                    memory_horizon: 1,
+                    shards,
+                    compact_threshold: 0.5,
+                    sync: SyncPolicy::Never,
+                };
+                let dir = persistent.then(|| {
+                    std::env::temp_dir().join(format!(
+                        "sand_prop_victims{}_{}_{}",
+                        shards,
+                        std::process::id(),
+                        rand_suffix()
+                    ))
+                });
+                if let Some(dir) = &dir {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+                let store = ObjectStore::open(config, dir.clone()).unwrap();
+                let mut model = ScanStore::new(config, persistent);
+                for op in &ops {
+                    match *op {
+                        Op::Put { key, size, deadline, uses } => {
+                            let name = format!("k{key}");
+                            let meta = ObjectMeta { deadline, future_uses: uses };
+                            let stored = store.put(&name, vec![key; size].into(), meta);
+                            prop_assert_eq!(stored.is_ok(), model.put(&name, size as u64, meta));
+                        }
+                        Op::Get { key } => {
+                            let name = format!("k{key}");
+                            prop_assert_eq!(store.get(&name).is_ok(), model.tier_of(&name).is_some());
+                        }
+                        Op::Remove { key } => {
+                            let name = format!("k{key}");
+                            store.remove(&name).unwrap();
+                            model.remove(&name);
+                        }
+                        Op::MarkUsed { key } => {
+                            let name = format!("k{key}");
+                            store.mark_used(&name);
+                            model.mark_used(&name);
+                        }
+                        Op::SetClock { clock } => {
+                            store.set_clock(clock);
+                            model.set_clock(clock);
+                        }
+                    }
+                    store.check_index();
+                    let mut keys = store.keys();
+                    keys.sort();
+                    prop_assert_eq!(&keys, &model.keys(), "retained sets diverged");
+                    for k in &keys {
+                        prop_assert_eq!(store.tier_of(k), model.tier_of(k), "tier of {}", k);
+                        prop_assert_eq!(store.future_uses_of(k), model.future_uses_of(k));
+                    }
+                    let stats = store.stats();
+                    prop_assert_eq!(stats.memory_bytes, model.memory_bytes);
+                    prop_assert_eq!(stats.disk_bytes, model.disk_bytes);
+                    prop_assert_eq!(stats.evictions, model.evictions);
+                    prop_assert_eq!(stats.spills, model.spills);
+                }
+                drop(store);
+                if let Some(dir) = &dir {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+            }
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use sand::sanitizer::{explore, ExploreConfig};
 use sand::storage::{ObjectMeta, ObjectStore, StoreConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn store(shards: usize, memory_budget: u64) -> Arc<ObjectStore> {
     Arc::new(
@@ -35,12 +35,15 @@ fn payload(tag: usize) -> Arc<Vec<u8>> {
 /// the others are about to demand — 64 seeded schedules, every
 /// interleaving replayable by seed. Under `--features sanitize` each
 /// schedule also runs the lock-order and lockset analyses over the
-/// store's real locks.
+/// store's real locks. Whatever the interleaving did, each schedule's
+/// store must end with its victim index matching its records.
 #[test]
 fn explore_store_stress_is_clean_over_64_schedules() {
+    let stores = Mutex::new(Vec::new());
     let result = explore(&ExploreConfig::default(), |s| {
         // Small budget so `put`s trip the eviction sweep mid-schedule.
         let st = store(4, 16 << 10);
+        stores.lock().unwrap().push(Arc::clone(&st));
         // One prefetcher: inserts keys ahead of the demand threads.
         {
             let st = Arc::clone(&st);
@@ -86,6 +89,9 @@ fn explore_store_stress_is_clean_over_64_schedules() {
         }
     });
     result.assert_clean();
+    for st in stores.into_inner().unwrap() {
+        st.check_index();
+    }
 }
 
 /// The same scenario must produce the identical interleaving when a
