@@ -2,10 +2,9 @@
 
 use crate::engine::{video_metas, SandEngine};
 use crate::{CoreError, Result};
-use sand_autotune::AutotuneConfig;
 use sand_config::TaskConfig;
 use sand_graph::{AbstractGraph, PlanInput, Planner, PlannerOptions};
-use sand_lint::{lint_all, AutotuneClamp, FleetLint, LintLevel, LintOptions, RemoteLint};
+use sand_lint::{lint_all, FleetLint, LintLevel, LintOptions, RemoteLint};
 use sand_net::RemoteTierConfig;
 use sand_sched::SchedConfig;
 use sand_storage::StoreConfig;
@@ -60,14 +59,6 @@ pub struct EngineConfig {
     /// (default) disables it entirely — instrumented paths never read
     /// the clock, pinned by `benches/telemetry_overhead.rs`.
     pub telemetry: Option<TelemetryConfig>,
-    /// Closed-loop adaptive control: `Some` runs a controller that
-    /// periodically reads the telemetry snapshot and retunes the runtime
-    /// knobs (prefetch depth, demand slack)
-    /// online, with hysteresis and hard clamps. `None` (default) keeps
-    /// every knob static and adds zero overhead to the serve path,
-    /// pinned by `benches/autotune_overhead.rs`. Requires telemetry
-    /// (lint SL034 denies the combination `autotune` without it).
-    pub autotune: Option<AutotuneConfig>,
     /// Multi-node operation: `Some` joins a cluster of SAND engines on a
     /// consistent-hash placement ring and adds a **remote tier** below
     /// mem/disk — a local store miss consults the key's ring owner before
@@ -83,7 +74,7 @@ pub struct EngineConfig {
     /// demand jobs are attributed to their tenant (`tenant.<id>.*`
     /// metrics, per-tenant stall sections). `None` (default) is
     /// single-tenant; jobs run untenanted at zero virtual time —
-    /// exactly the pre-fleet bounded-EDF order. Usually installed by
+    /// exactly the pre-fleet EDF order. Usually installed by
     /// [`crate::fleet::Fleet`], not by hand.
     pub tenancy: Option<crate::fleet::Tenancy>,
 }
@@ -107,7 +98,6 @@ impl Default for EngineConfig {
             prefetch_depth: 0,
             lint: LintLevel::default(),
             telemetry: None,
-            autotune: None,
             remote: None,
             tenancy: None,
         }
@@ -146,16 +136,6 @@ impl EngineConfig {
             release_build: cfg!(not(debug_assertions)),
             persistent: self.store_dir.is_some(),
             disk_budget: self.store.disk_budget,
-            autotune: self.autotune.as_ref().map(|a| {
-                a.clamps()
-                    .into_iter()
-                    .map(|(knob, min, max)| AutotuneClamp {
-                        knob: knob.to_string(),
-                        min,
-                        max,
-                    })
-                    .collect()
-            }),
             fleet: self.tenancy.as_ref().map(|t| FleetLint {
                 tenants: t.tenants.len(),
                 weights: t.tenants.iter().map(|x| x.weight).collect(),

@@ -3,8 +3,7 @@
 //! What the engine *does* lives beside this file, one responsibility
 //! each: `config` (configuration and the startup lint), `chunk`
 //! (planning), `materialize` (lookup → decode/augment), `serve` (batch
-//! assembly and prefetch), `views` (the `ViewProvider` face) and `knobs`
-//! (runtime knobs and autotune).
+//! assembly and prefetch) and `views` (the `ViewProvider` face).
 
 pub use crate::config::EngineConfig;
 
@@ -13,20 +12,18 @@ use crate::flight::Flight;
 use crate::materialize::{Object, WarmPool, WARM_SESSION_CAP};
 use crate::prefetch::Prefetcher;
 use crate::{CoreError, Result};
-use sand_autotune::{Controller, KnobValues};
 use sand_codec::{Dataset, DecodeStats};
 use sand_net::RemoteTier;
 use sand_sanitizer::TrackedMutex;
 use sand_sched::Scheduler;
 use sand_storage::ObjectStore;
 use sand_telemetry::{
-    AutotuneMetrics, CodecMetrics, EngineMetrics, FleetMetrics, MaterializeMetrics,
-    PrefetchMetrics, SchedMetrics, Snapshot, StallReport, StoreMetrics, Telemetry, TenantMetrics,
-    VfsMetrics,
+    CodecMetrics, EngineMetrics, FleetMetrics, MaterializeMetrics, PrefetchMetrics, SchedMetrics,
+    Snapshot, StallReport, StoreMetrics, Telemetry, TenantMetrics, VfsMetrics,
 };
 use sand_vfs::SandVfs;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Aggregate engine statistics.
@@ -79,25 +76,6 @@ pub(crate) struct Inner {
     pub(crate) tenancy: Option<TenancyRuntime>,
     /// Fleet dedup/admission metrics (`None` unless tenancy + telemetry).
     pub(crate) fleet_metrics: Option<FleetMetrics>,
-    /// The adaptive controller (`None` unless `EngineConfig::autotune`).
-    pub(crate) autotune: Option<TrackedMutex<Controller>>,
-    pub(crate) autotune_metrics: Option<AutotuneMetrics>,
-    /// Shutdown flag for the background control thread.
-    pub(crate) autotune_stop: Arc<AtomicBool>,
-    /// Background control thread handle, joined on engine drop.
-    pub(crate) autotune_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Stop and join the control thread. It only ever holds a `Weak`
-        // to this `Inner` (a live upgrade would keep us from dropping),
-        // so the join is bounded by one sleep step plus one tick.
-        self.autotune_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.autotune_thread.lock().take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// Per-engine tenant attribution: which tenant each task belongs to and
@@ -193,13 +171,6 @@ impl SandEngine {
                     .collect(),
             }
         });
-        let autotune = config.autotune.as_ref().map(|a| {
-            let seeds = KnobValues {
-                prefetch_depth: config.prefetch_depth as u64,
-                demand_slack: config.sched.demand_slack,
-            };
-            TrackedMutex::new("engine.autotune", Controller::new(a.clone(), seeds))
-        });
         let inner = Arc::new(Inner {
             store,
             sched,
@@ -227,19 +198,10 @@ impl SandEngine {
                 .tenancy
                 .as_ref()
                 .and_then(|_| FleetMetrics::register(&telemetry)),
-            autotune,
-            autotune_metrics: config
-                .autotune
-                .as_ref()
-                .and_then(|_| AutotuneMetrics::register(&telemetry)),
-            autotune_stop: Arc::new(AtomicBool::new(false)),
-            autotune_thread: TrackedMutex::new("engine.autotune_thread", None),
             telemetry,
             config,
             dataset,
         });
-        inner.publish_effective_knobs();
-        inner.spawn_autotune_loop();
         Ok(SandEngine { inner })
     }
 

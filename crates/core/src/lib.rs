@@ -26,7 +26,6 @@ pub mod engine;
 pub mod fleet;
 mod flight;
 pub mod keys;
-mod knobs;
 mod materialize;
 mod prefetch;
 mod serve;
@@ -36,7 +35,6 @@ mod views;
 pub use engine::{EngineConfig, EngineStats, SandEngine};
 pub use fleet::{Fleet, FleetConfig, RejectedTenant, Tenancy, TenantId, TenantSpec};
 pub use keys::store_key;
-pub use sand_autotune::{AutotuneConfig, Decision as AutotuneDecision};
 pub use sand_lint::LintLevel;
 pub use sand_sched::TenantShare;
 pub use sand_telemetry::{

@@ -38,7 +38,7 @@ use sand_frame::Tensor;
 use sand_sanitizer::{ShadowCell, TrackedCondvar, TrackedMutex};
 use sand_telemetry::PrefetchMetrics;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Identity of a prefetchable batch: (task id, epoch, iteration).
@@ -188,10 +188,8 @@ struct Entry {
 /// The epoch-ahead prefetcher: a window of speculative batch builds
 /// keyed by (task, epoch, iteration).
 pub(crate) struct Prefetcher {
-    /// Live look-ahead depth. Seeded from `EngineConfig::prefetch_depth`
-    /// and runtime-adjustable via [`Prefetcher::set_depth`] (the autotune
-    /// controller's actuation point).
-    depth: AtomicUsize,
+    /// Look-ahead depth (`EngineConfig::prefetch_depth`).
+    depth: usize,
     entries: TrackedMutex<HashMap<PrefetchKey, Entry>>,
     pub(crate) metrics: Option<PrefetchMetrics>,
 }
@@ -199,7 +197,7 @@ pub(crate) struct Prefetcher {
 impl Prefetcher {
     pub(crate) fn new(depth: usize, metrics: Option<PrefetchMetrics>) -> Self {
         Prefetcher {
-            depth: AtomicUsize::new(depth),
+            depth,
             entries: TrackedMutex::new("prefetch.entries", HashMap::new()),
             metrics,
         }
@@ -210,34 +208,9 @@ impl Prefetcher {
         self.depth() > 0
     }
 
-    /// The look-ahead depth currently in effect.
+    /// The look-ahead depth.
     pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Retunes the look-ahead window at runtime.
-    ///
-    /// Resizing must preserve the per-entry conservation invariant
-    /// `scheduled == hit + late + miss + cancelled`:
-    ///
-    /// - **Growing** needs nothing: the next `schedule_prefetch` pass
-    ///   simply looks further ahead.
-    /// - **Shrinking to a smaller non-zero depth** needs nothing either:
-    ///   already-scheduled entries beyond the new window are *ahead of
-    ///   consumption*, so the serve path consumes and settles each one
-    ///   naturally before any new scheduling happens.
-    /// - **Shrinking to zero** cancels every in-flight entry (each
-    ///   counted once in `prefetch.cancelled`), because a disabled
-    ///   window may never be consumed again — e.g. when the engine shuts
-    ///   down with the feature off. The serve path still drains any
-    ///   entry that races this cancellation (it consumes while
-    ///   `pending() > 0` even when disabled), so either path settles
-    ///   each entry exactly once.
-    pub(crate) fn set_depth(&self, depth: usize) {
-        let old = self.depth.swap(depth, Ordering::Relaxed);
-        if depth == 0 && old != 0 {
-            self.cancel_all();
-        }
+        self.depth
     }
 
     /// Cancels an entry that left the window unconsumed, counting it.
@@ -245,14 +218,6 @@ impl Prefetcher {
         entry.build.cancel();
         if let Some(m) = &self.metrics {
             m.cancelled.inc();
-        }
-    }
-
-    /// Cancels every entry in the window, counting each once.
-    fn cancel_all(&self) {
-        let mut entries = self.entries.lock();
-        for (_, entry) in entries.drain() {
-            self.cancel(&entry);
         }
     }
 
@@ -381,27 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn resizing_keeps_inflight_entries_except_shrink_to_zero() {
-        let p = Prefetcher::new(4, None);
+    fn depth_bounds_scheduling_not_the_entries_held() {
+        let p = Prefetcher::new(1, None);
         let a = p.begin((0, 0, 1), 0, 1).expect("fresh key");
         let b = p.begin((0, 0, 2), 0, 1).expect("fresh key");
-        // Shrinking to a smaller non-zero depth keeps in-flight entries:
-        // they are ahead of consumption and will be consumed naturally.
-        p.set_depth(1);
         assert_eq!(p.depth(), 1);
         assert_eq!(p.pending(), 2);
         assert!(!a.cancelled() && !b.cancelled());
-        // Growing is also just a bound change.
-        p.set_depth(8);
-        assert_eq!(p.depth(), 8);
-        assert_eq!(p.pending(), 2);
-        // Shrinking to zero cancels everything in flight.
-        p.set_depth(0);
-        assert!(!p.enabled());
-        assert_eq!(p.pending(), 0);
-        assert!(a.cancelled() && b.cancelled());
-        // Redundant disable does not re-count anything (no entries).
-        p.set_depth(0);
-        assert_eq!(p.pending(), 0);
     }
 }

@@ -83,16 +83,8 @@ impl Inner {
         self.request_next_chunk(&chunk, epoch);
         let batch = self.find_batch(&chunk, task, epoch, iteration)?;
         let chunk_id = epoch / self.config.epochs_per_chunk;
-        // The consume path stays open past `enabled()` while entries are
-        // still pending: a controller shrinking the depth to 0 races the
-        // serve loop, and entries scheduled before the shrink must still
-        // settle exactly one outcome counter. The extra `pending()` probe
-        // only runs with autotune configured, so the static
-        // `prefetch_depth = 0` path keeps its zero extra locking.
-        let consume = self.prefetcher.enabled()
-            || (self.config.autotune.is_some() && self.prefetcher.pending() > 0);
         let mut served = None;
-        if consume {
+        if self.prefetcher.enabled() {
             // Chunk rollover: speculative batches built against the
             // previous chunk's plan are dead — cancel, never serve.
             self.prefetcher.cancel_stale(chunk_id);
@@ -548,5 +540,39 @@ mod tests {
             Some(8),
             "4 batches x 2 samples pass through the demand queue"
         );
+    }
+
+    /// `prefetch_depth = 0` is statically off: a full sweep serves every
+    /// batch inline, no prefetch counter moves and no `Prefetch` job
+    /// reaches the scheduler. (One chunk: the only other user of the
+    /// `Prefetch` band is the plan-ahead job at a chunk boundary.)
+    #[test]
+    fn depth_zero_serves_every_batch_inline() {
+        let config = EngineConfig {
+            tasks: vec![parse_task_config(TASK).unwrap()],
+            prematerialize: false,
+            total_epochs: 2,
+            epochs_per_chunk: 2,
+            prefetch_depth: 0,
+            telemetry: Some(TelemetryConfig::default()),
+            ..Default::default()
+        };
+        let e = SandEngine::new(config, dataset()).unwrap();
+        e.start().unwrap();
+        for epoch in 0..2 {
+            for it in 0..2 {
+                e.serve_batch("train", epoch, it).unwrap();
+            }
+        }
+        e.wait_idle();
+        let stats = e.stats();
+        assert_eq!(stats.batches_served, 4);
+        assert_eq!(stats.sched.prefetch_served, 0);
+        assert_eq!(stats.sched.demand_served, 8, "4 batches x 2 samples");
+        let snap = e.metrics_snapshot().expect("telemetry enabled");
+        for outcome in ["scheduled", "hit", "late", "miss", "cancelled"] {
+            let name = format!("prefetch.{outcome}");
+            assert_eq!(snap.counter(&name), Some(0), "{name}");
+        }
     }
 }

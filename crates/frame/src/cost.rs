@@ -9,7 +9,8 @@
 //! Costs are expressed in abstract *cost units*; one unit corresponds to a
 //! fixed amount of per-byte work. The constants below were calibrated once
 //! against wall-clock measurements of the real implementations in this
-//! workspace (see `benches/ops.rs` in `sand-bench`).
+//! workspace; `sandbench`'s `frame.aug_us_per_op` layer probe times the
+//! same ops today.
 
 /// Cost of recomputing an object, in abstract units plus output bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -13,8 +13,6 @@ pub fn lint_concurrency(opts: &LintOptions) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     lint_single_shard_prefetch(opts, &mut out);
     lint_sanitize_in_release(opts, &mut out);
-    lint_autotune_without_telemetry(opts, &mut out);
-    lint_autotune_clamp_ranges(opts, &mut out);
     lint_persistent_without_budget(opts, &mut out);
     lint_remote_without_peers(opts, &mut out);
     lint_remote_timeout_vs_budget(opts, &mut out);
@@ -75,64 +73,6 @@ fn lint_sanitize_in_release(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `SL034`: the adaptive control plane enabled without telemetry.
-///
-/// The controller's only input is the metric registry snapshot. With
-/// telemetry `None` there is no registry, so every tick observes nothing
-/// and the controller silently never moves a knob — the user believes the
-/// engine is self-tuning when it is inert. Deny: the configuration cannot
-/// do what it says.
-fn lint_autotune_without_telemetry(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-    if opts.autotune.is_some() && opts.telemetry.is_none() {
-        out.push(Diagnostic {
-            code: "SL034",
-            severity: Severity::Deny,
-            location: "autotune".into(),
-            message: "autotune is enabled but telemetry is off: the \
-                      controller's only input is the metric registry \
-                      snapshot, so every tick observes nothing and no knob \
-                      ever moves"
-                .into(),
-            help: "set EngineConfig::telemetry = Some(TelemetryConfig { .. }) \
-                   so the controller has signals, or drop the autotune \
-                   config"
-                .into(),
-        });
-    }
-}
-
-/// `SL035`: an autotune knob clamp range that is empty or inverted.
-///
-/// A policy whose `min == max` can never move (the hysteresis machinery
-/// is dead weight), and `max < min` makes every clamp target
-/// contradictory. Both are configuration mistakes, not tuning choices —
-/// deny them up front instead of letting the controller spin no-ops.
-fn lint_autotune_clamp_ranges(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-    let Some(clamps) = &opts.autotune else {
-        return;
-    };
-    for c in clamps {
-        if c.max <= c.min {
-            let (what, fix) = if c.max < c.min {
-                ("inverted", "swap min and max")
-            } else {
-                ("empty", "widen the range so the policy has room to move")
-            };
-            out.push(Diagnostic {
-                code: "SL035",
-                severity: Severity::Deny,
-                location: format!("autotune.{}", c.knob),
-                message: format!(
-                    "knob `{}` has an {what} clamp range [{}, {}]: the \
-                     policy can never change the knob's value",
-                    c.knob, c.min, c.max
-                ),
-                help: format!("{fix}, or remove the knob from the autotune config"),
-            });
-        }
-    }
-}
-
 /// `SL036`: a persistent tier with a zero disk budget.
 ///
 /// With `disk_budget == 0` the watermark is also zero, so the
@@ -167,7 +107,7 @@ fn lint_persistent_without_budget(opts: &LintOptions, out: &mut Vec<Diagnostic>)
 /// reachable owner: self. Every fetch short-circuits to `None`, every
 /// offer is a no-op, yet the configuration claims cluster-wide
 /// at-most-once materialization. The config cannot do what it says —
-/// deny it up front, like SL034/SL036.
+/// deny it up front, like SL036.
 fn lint_remote_without_peers(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let Some(remote) = &opts.remote else {
         return;
@@ -333,7 +273,7 @@ fn lint_fleet_without_telemetry(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AutotuneClamp, FleetLint, RemoteLint};
+    use crate::{FleetLint, RemoteLint};
 
     #[test]
     fn sl032_single_shard_prefetch_warns() {
@@ -375,60 +315,6 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].code, "SL033");
         assert_eq!(out[0].severity, Severity::Warn);
-    }
-
-    fn clamp(knob: &str, min: u64, max: u64) -> AutotuneClamp {
-        AutotuneClamp {
-            knob: knob.into(),
-            min,
-            max,
-        }
-    }
-
-    #[test]
-    fn sl034_autotune_without_telemetry_denies() {
-        let opts = LintOptions {
-            autotune: Some(vec![clamp("prefetch_depth", 0, 8)]),
-            telemetry: None,
-            ..Default::default()
-        };
-        let out = lint_concurrency(&opts);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].code, "SL034");
-        assert_eq!(out[0].severity, Severity::Deny);
-        assert_eq!(out[0].location, "autotune");
-    }
-
-    #[test]
-    fn sl034_silent_with_telemetry_or_without_autotune() {
-        let with_telemetry = LintOptions {
-            autotune: Some(vec![clamp("prefetch_depth", 0, 8)]),
-            telemetry: Some(sand_telemetry::TelemetryConfig::default()),
-            ..Default::default()
-        };
-        assert!(lint_concurrency(&with_telemetry).is_empty());
-        let without_autotune = LintOptions::default();
-        assert!(lint_concurrency(&without_autotune).is_empty());
-    }
-
-    #[test]
-    fn sl035_empty_and_inverted_clamps_deny() {
-        let opts = LintOptions {
-            autotune: Some(vec![
-                clamp("prefetch_depth", 4, 4), // empty
-                clamp("demand_slack", 8, 2),   // inverted
-            ]),
-            telemetry: Some(sand_telemetry::TelemetryConfig::default()),
-            ..Default::default()
-        };
-        let out = lint_concurrency(&opts);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out.iter().all(|d| d.code == "SL035"));
-        assert!(out.iter().all(|d| d.severity == Severity::Deny));
-        assert_eq!(out[0].location, "autotune.prefetch_depth");
-        assert!(out[0].message.contains("empty"), "{out:?}");
-        assert_eq!(out[1].location, "autotune.demand_slack");
-        assert!(out[1].message.contains("inverted"), "{out:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | graph invariants | `SL010`–`SL014` | edge legality, acyclicity, dangling references |
 //! | resource feasibility | `SL020`–`SL022`, `SL024`, `SL025` | budget lower bounds, decode amplification, telemetry buckets, prefetch window sizing |
 //! | sharing | `SL030`–`SL031` | near-miss cross-task merge opportunities |
-//! | concurrency | `SL032`–`SL040` | single-shard prefetch contention, sanitizer-in-release, autotune wiring, dead persistent tier, remote-tier wiring, fleet QoS wiring |
+//! | concurrency | `SL032`–`SL040` | single-shard prefetch contention, sanitizer-in-release, dead persistent tier, remote-tier wiring, fleet QoS wiring |
 //!
 //! Diagnostics render rustc-style for humans ([`LintReport::render_human`])
 //! and as JSON lines for tooling ([`LintReport::render_jsonl`]). The engine
@@ -163,10 +163,6 @@ pub struct LintOptions {
     pub sanitize: bool,
     /// Whether this is an optimized (release) build.
     pub release_build: bool,
-    /// Autotune knob clamp ranges when the engine enables the adaptive
-    /// control plane (`None` = autotune off, its lints are skipped). One
-    /// entry per controlled knob, in declaration order.
-    pub autotune: Option<Vec<AutotuneClamp>>,
     /// Whether the engine was configured with a persistent tier (a store
     /// directory and its value log).
     pub persistent: bool,
@@ -206,17 +202,6 @@ pub struct RemoteLint {
     pub retries: u32,
 }
 
-/// One autotune knob's hard clamp range, as configured.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutotuneClamp {
-    /// Knob name, e.g. `prefetch_depth`.
-    pub knob: String,
-    /// Hard lower clamp.
-    pub min: u64,
-    /// Hard upper clamp.
-    pub max: u64,
-}
-
 impl Default for LintOptions {
     fn default() -> Self {
         LintOptions {
@@ -229,7 +214,6 @@ impl Default for LintOptions {
             store_shards: 1,
             sanitize: false,
             release_build: false,
-            autotune: None,
             persistent: false,
             disk_budget: 512 << 20,
             remote: None,

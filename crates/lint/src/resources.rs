@@ -66,11 +66,9 @@ fn lint_prefetch_store(
     }
 }
 
-/// `SL024`: telemetry is enabled but a histogram bucket configuration
-/// cannot represent what it will observe — bounds that are empty or not
-/// strictly increasing (degenerate/inverted), or deadline-slack buckets
-/// whose largest bound is below the workload's deadline clock range, so
-/// every slack observation collapses into the overflow bucket.
+/// `SL024`: telemetry is enabled but the latency histogram bounds
+/// cannot represent what they will observe — empty or not strictly
+/// increasing (degenerate/inverted).
 fn lint_telemetry(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let Some(t) = &opts.telemetry else { return };
     let degenerate = |bounds: &[u64]| bounds.is_empty() || bounds.windows(2).any(|w| w[0] >= w[1]);
@@ -87,36 +85,6 @@ fn lint_telemetry(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                    the TelemetryConfig defaults"
                 .into(),
         });
-    }
-    if degenerate(&t.slack_buckets) {
-        out.push(Diagnostic {
-            code: "SL024",
-            severity: Severity::Warn,
-            location: "engine.telemetry.slack_buckets".into(),
-            message: "deadline-slack histogram bounds are degenerate (empty \
-                      or not strictly increasing); every slack observation \
-                      lands in one bucket"
-                .into(),
-            help: "use strictly increasing clock-tick upper bounds".into(),
-        });
-    } else if let Some(iters) = opts.iterations_per_epoch {
-        let clock_range = opts.total_epochs.saturating_mul(iters);
-        let max_bound = t.slack_buckets.last().copied().unwrap_or(0);
-        if max_bound < clock_range.saturating_sub(1) {
-            out.push(Diagnostic {
-                code: "SL024",
-                severity: Severity::Warn,
-                location: "engine.telemetry.slack_buckets".into(),
-                message: format!(
-                    "largest deadline-slack bound ({max_bound}) is below the \
-                     workload's deadline clock range ({clock_range} ticks); \
-                     large slack values all collapse into the overflow bucket"
-                ),
-                help: "extend slack_buckets to cover the clock range, or \
-                       shrink the workload"
-                    .into(),
-            });
-        }
     }
 }
 
@@ -394,40 +362,6 @@ mod tests {
             assert_eq!(d[0].severity, Severity::Warn);
             assert_eq!(d[0].location, "engine.telemetry.latency_buckets_us");
         }
-    }
-
-    #[test]
-    fn sl024_slack_buckets_below_clock_range() {
-        let (tasks, _, vs) = planned(2, 8);
-        // 100 epochs x 50 iterations = 5000 clock ticks, but the largest
-        // slack bound is 4: nearly every slack lands in overflow.
-        let opts = LintOptions {
-            total_epochs: 100,
-            iterations_per_epoch: Some(50),
-            telemetry: Some(sand_telemetry::TelemetryConfig {
-                slack_buckets: vec![0, 1, 2, 4],
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let d = lint_resources(&tasks, None, &vs, &opts);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, "SL024");
-        assert_eq!(d[0].location, "engine.telemetry.slack_buckets");
-        assert!(d[0].message.contains("5000"), "{}", d[0].message);
-        // Degenerate slack bounds are flagged as such even when the
-        // clock-range check would not fire.
-        let opts = LintOptions {
-            telemetry: Some(sand_telemetry::TelemetryConfig {
-                slack_buckets: vec![8, 8],
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let d = lint_resources(&tasks, None, &vs, &opts);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, "SL024");
-        assert!(d[0].message.contains("degenerate"), "{}", d[0].message);
     }
 
     #[test]

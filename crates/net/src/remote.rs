@@ -161,11 +161,6 @@ impl RemoteTier {
         self.peers.len()
     }
 
-    /// The configured per-attempt fetch timeout.
-    pub fn fetch_timeout(&self) -> Duration {
-        self.config.fetch_timeout
-    }
-
     /// The ring owner of `key`.
     pub fn owner_of(&self, key: &str) -> Option<&str> {
         self.placement.owner_of(key)

@@ -115,15 +115,6 @@ pub struct SchedConfig {
     /// else. `false` reverts to pure work sharing (the ablation knob).
     /// Only honoured under [`Policy::Priority`].
     pub sticky_affinity: bool,
-    /// Bounded deadline slack for demand picks: a worker may prefer a
-    /// pinned demand job whose deadline is within `demand_slack` clock
-    /// ticks of the most urgent queued demand deadline, trading strict
-    /// EDF order for warm decoder-session reuse. `0` (the default)
-    /// keeps pure earliest-deadline-first with affinity as a tie-break
-    /// only. Only honoured under [`Policy::Priority`] with
-    /// [`SchedConfig::sticky_affinity`] enabled. This is the *initial*
-    /// window; [`Scheduler::set_demand_slack`] retunes it at runtime.
-    pub demand_slack: u64,
 }
 
 impl Default for SchedConfig {
@@ -134,7 +125,6 @@ impl Default for SchedConfig {
             policy: Policy::Priority,
             reserved_demand_threads: 1,
             sticky_affinity: true,
-            demand_slack: 0,
         }
     }
 }
@@ -219,10 +209,6 @@ struct Shared {
     stats: TrackedMutex<SchedStats>,
     idle: TrackedCondvar,
     config: SchedConfig,
-    /// Live demand-slack window. Seeded from `config.demand_slack`;
-    /// runtime-adjustable via [`Scheduler::set_demand_slack`] (the
-    /// autotune controller's actuation point), read once per pick.
-    demand_slack: AtomicU64,
     /// Per-worker "currently executing a job" flags, used by the sticky
     /// affinity policy: a pinned job may only be stolen while its
     /// preferred worker is busy (i.e. backlogged), otherwise it is left
@@ -233,8 +219,8 @@ struct Shared {
     /// always after `queue` when both are held (pick path), never while
     /// holding `stats`.
     tenants: TrackedMutex<Option<TenantTable>>,
-    /// Telemetry handles: queue depth, per-kind queue wait, deadline
-    /// slack at pick time, and demand affinity hit/miss counters.
+    /// Telemetry handles: queue depth, per-kind queue wait, and demand
+    /// affinity hit/miss counters.
     metrics: Option<SchedMetrics>,
 }
 
@@ -300,7 +286,6 @@ impl Scheduler {
             memory_pressure_milli: AtomicU64::new(0),
             stats: TrackedMutex::new("sched.stats", SchedStats::default()),
             idle: TrackedCondvar::new(),
-            demand_slack: AtomicU64::new(config.demand_slack),
             config,
             worker_busy: (0..threads).map(|_| AtomicBool::new(false)).collect(),
             tenants: TrackedMutex::new("sched.tenants", None),
@@ -375,20 +360,6 @@ impl Scheduler {
         self.shared
             .memory_pressure_milli
             .store(milli, Ordering::Relaxed);
-    }
-
-    /// Retunes the bounded-EDF demand-slack window at runtime (the
-    /// autotune controller's actuation point). Affects the very next
-    /// pick; queued jobs need no migration because slack is a pick-time
-    /// policy input, not a property of the entries.
-    pub fn set_demand_slack(&self, slack: u64) {
-        self.shared.demand_slack.store(slack, Ordering::Relaxed);
-    }
-
-    /// The demand-slack window currently in effect.
-    #[must_use]
-    pub fn demand_slack(&self) -> u64 {
-        self.shared.demand_slack.load(Ordering::Relaxed)
     }
 
     /// Installs (or clears, with an empty slice) the weighted-QoS tenant
@@ -500,14 +471,10 @@ impl Drop for Scheduler {
     }
 }
 
-/// Picks the next entry index under the active policy. `demand_slack`
-/// is passed separately from the (immutable) config because it is the
-/// one policy input that can change at runtime — the worker loop reads
-/// the live atomic once per pick.
+/// Picks the next entry index under the active policy.
 fn pick_index(
     entries: &[Entry],
     config: &SchedConfig,
-    demand_slack: u64,
     pressure_milli: u64,
     w: WorkerCtx,
     worker_busy: &[AtomicBool],
@@ -518,32 +485,19 @@ fn pick_index(
     }
     let sticky = config.sticky_affinity && config.policy == Policy::Priority;
     // Demand selection is weighted-fair across tenants, then earliest-
-    // deadline-first with a bounded slack window within a virtual-time
-    // tie group: a job at home on this worker may be preferred while its
-    // deadline sits within `demand_slack` clock ticks of the most
-    // urgent queued demand deadline. With no tenant table every entry's
-    // virtual time is 0 and the order degenerates to the pre-fleet
-    // bounded-EDF: an affinity match only breaks deadline ties — a
-    // GPU-blocking read never waits for a particular worker beyond the
-    // configured bound.
-    let slack = demand_slack;
+    // deadline-first within a virtual-time tie group, an affinity match
+    // only breaking deadline ties — a GPU-blocking read never waits for
+    // a particular worker. With no tenant table every entry's virtual
+    // time is 0 and the order degenerates to the pre-fleet EDF.
     let vtime = |e: &Entry| tenants.map_or(0, |t| t.vtime_of(e.job.tenant));
     let pick_demand = |entries: &[Entry]| {
-        let urgent = entries
-            .iter()
-            .filter(|e| e.job.kind == JobKind::Demand)
-            .map(|e| e.job.deadline)
-            .min()?;
         entries
             .iter()
             .enumerate()
             .filter(|(_, e)| e.job.kind == JobKind::Demand)
             .min_by_key(|(_, e)| {
-                let at_home_in_window =
-                    sticky && e.job.deadline <= urgent.saturating_add(slack) && w.prefers(e);
                 (
                     vtime(e),
-                    u8::from(!at_home_in_window),
                     e.job.deadline,
                     u8::from(sticky && !w.prefers(e)),
                     e.seq,
@@ -626,14 +580,12 @@ fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
                     return;
                 }
                 let pressure = shared.memory_pressure_milli.load(Ordering::Relaxed);
-                let slack = shared.demand_slack.load(Ordering::Relaxed);
                 let picked = {
                     // Lock order queue → tenants; dropped before any wait.
                     let tenants = shared.tenants.lock();
                     pick_index(
                         &q,
                         &shared.config,
-                        slack,
                         pressure,
                         w,
                         &shared.worker_busy,
@@ -643,17 +595,6 @@ fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
                 if let Some((idx, mode)) = picked {
                     if let Some(m) = &shared.metrics {
                         let picked = &q[idx];
-                        // Slack of this pick relative to the most urgent
-                        // queued deadline of the same kind (0 = strict
-                        // EDF; >0 = the affinity window took precedence).
-                        let urgent = q
-                            .iter()
-                            .filter(|e| e.job.kind == picked.job.kind)
-                            .map(|e| e.job.deadline)
-                            .min()
-                            .unwrap_or(picked.job.deadline);
-                        m.deadline_slack
-                            .observe(picked.job.deadline.saturating_sub(urgent));
                         if let Some(t) = picked.submitted {
                             let wait = t.elapsed();
                             match picked.job.kind {
@@ -754,6 +695,7 @@ fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
@@ -1154,11 +1096,11 @@ mod tests {
         sched.shutdown();
     }
 
-    /// The bounded deadline-slack window, exercised directly against
-    /// `pick_index`: worker 2 prefers affinity key 1 (threads=4,
-    /// reserved=1 → preferred worker = 1 + key % 3).
+    /// Demand order exercised directly against `pick_index`: worker 2
+    /// prefers affinity key 1 (threads=4, reserved=1 → preferred worker
+    /// = 1 + key % 3).
     #[test]
-    fn demand_slack_window_prefers_pinned_jobs() {
+    fn demand_is_strict_edf_with_affinity_as_tie_break() {
         let w = WorkerCtx {
             id: 2,
             demand_only: false,
@@ -1184,50 +1126,19 @@ mod tests {
                 })
                 .collect()
         };
-        let pick = |slack: u64, q: &[Entry]| {
+        let pick = |q: &[Entry]| {
             let config = SchedConfig::default();
-            pick_index(q, &config, slack, 0, w, &busy, None).map(|(i, _)| i)
+            pick_index(q, &config, 0, w, &busy, None).map(|(i, _)| i)
         };
         // Key 0 → worker 1 (foreign), key 1 → worker 2 (at home).
         let q = entries([(5, 0), (6, 1)]);
-        assert_eq!(pick(0, &q), Some(0), "slack 0 is strict EDF");
-        assert_eq!(pick(1, &q), Some(1), "within +1 clock, stay home");
-        let q = entries([(5, 0), (7, 1)]);
-        assert_eq!(pick(1, &q), Some(0), "outside the window, EDF wins");
-        // Equal deadlines: affinity already breaks the tie at slack 0.
+        assert_eq!(pick(&q), Some(0), "strict EDF");
         let q = entries([(5, 0), (5, 1)]);
-        assert_eq!(pick(0, &q), Some(1));
+        assert_eq!(pick(&q), Some(1), "affinity breaks a deadline tie");
     }
 
-    /// The slack window is runtime-adjustable without restarting the
-    /// pool: the live value is a pick-time input, seeded from config.
-    #[test]
-    fn demand_slack_is_runtime_adjustable() {
-        let sched = Scheduler::new(SchedConfig {
-            threads: 2,
-            demand_slack: 3,
-            ..Default::default()
-        });
-        assert_eq!(sched.demand_slack(), 3, "seeded from config");
-        sched.set_demand_slack(12);
-        assert_eq!(sched.demand_slack(), 12);
-        sched.set_demand_slack(0);
-        assert_eq!(sched.demand_slack(), 0);
-        // The pool still serves jobs after retuning.
-        let count = Arc::new(AtomicU64::new(0));
-        for i in 0..8 {
-            let c = Arc::clone(&count);
-            sched.submit(job(JobKind::Demand, i, 1, move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        sched.wait_idle();
-        assert_eq!(count.load(Ordering::SeqCst), 8);
-        sched.shutdown();
-    }
-
-    /// Telemetry wiring: queue depth returns to zero, every pick lands
-    /// in a wait histogram, and the slack histogram sees every pick.
+    /// Telemetry wiring: queue depth returns to zero and every pick
+    /// lands in a wait histogram.
     #[test]
     fn metrics_account_queue_depth_and_waits() {
         let telemetry = sand_telemetry::Telemetry::new(sand_telemetry::TelemetryConfig::default());
@@ -1254,10 +1165,6 @@ mod tests {
         assert_eq!(
             snap.histogram("sched.pre_wait_us").map(|h| h.count),
             Some(10)
-        );
-        assert_eq!(
-            snap.histogram("sched.deadline_slack").map(|h| h.count),
-            Some(20)
         );
     }
 
@@ -1308,7 +1215,7 @@ mod tests {
         };
         let config = SchedConfig::default();
         let pick = |q: &[Entry], t: Option<&TenantTable>| {
-            pick_index(q, &config, 0, 0, w, &busy, t).map(|(i, _)| i)
+            pick_index(q, &config, 0, w, &busy, t).map(|(i, _)| i)
         };
         // Tenant 1 is behind in virtual time: it wins despite the later
         // deadline. Without a table, plain EDF picks the earlier one.
@@ -1381,5 +1288,120 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.affinity_hits + stats.affinity_steals, 40);
         sched.shutdown();
+    }
+
+    /// The demand ranking `pick_index` used while it still had a slack
+    /// window, at slack 0: a first pass finds the most urgent queued
+    /// demand deadline, a second ranks every demand entry by whether it
+    /// is at home *and* at that deadline, then deadline, affinity and
+    /// submission order. Kept only as the oracle of
+    /// `single_pass_demand_pick_matches_two_pass_reference`.
+    fn two_pass_demand_pick(
+        entries: &[Entry],
+        sticky: bool,
+        w: WorkerCtx,
+        tenants: Option<&TenantTable>,
+    ) -> Option<usize> {
+        let urgent = entries
+            .iter()
+            .filter(|e| e.job.kind == JobKind::Demand)
+            .map(|e| e.job.deadline)
+            .min()?;
+        entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.job.kind == JobKind::Demand)
+            .min_by_key(|(_, e)| {
+                let at_home_in_window = sticky && e.job.deadline <= urgent && w.prefers(e);
+                (
+                    tenants.map_or(0, |t| t.vtime_of(e.job.tenant)),
+                    u8::from(!at_home_in_window),
+                    e.job.deadline,
+                    u8::from(sticky && !w.prefers(e)),
+                    e.seq,
+                )
+            })
+            .map(|(i, _)| i)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Drains a random queue the way a worker does (pick, then
+        /// `swap_remove`) and checks every pick against the two-pass
+        /// reference: same index, same mode, so the pick sequence is
+        /// the old one. Deadlines, virtual times and affinity keys come
+        /// from small ranges so ties at every level of the key are common.
+        #[test]
+        fn single_pass_demand_pick_matches_two_pass_reference(
+            jobs in prop::collection::vec(
+                (0u8..3, 0u64..5, 0u64..4, any::<bool>(), 0u64..6, any::<bool>(), 0u32..4, any::<u32>()),
+                0..24,
+            ),
+            (sticky, fifo, pressured) in (any::<bool>(), any::<bool>(), any::<bool>()),
+            vtimes in prop::collection::vec(0u64..3, 0..4),
+            threads in 1usize..5,
+            reserved in 0usize..3,
+            worker in any::<prop::sample::Index>(),
+            busy in prop::collection::vec(any::<bool>(), 4),
+        ) {
+            // Distinct sequence numbers in an order unrelated to queue
+            // order, as it is after a few `swap_remove`s.
+            let mut queue: Vec<Entry> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, deadline, work, pin, key, tenanted, tenant, salt))| Entry {
+                    seq: (u64::from(salt) << 8) | i as u64,
+                    job: Job {
+                        kind: [JobKind::Demand, JobKind::Prefetch, JobKind::PreMaterialize]
+                            [kind as usize],
+                        deadline,
+                        remaining_work: work,
+                        affinity: pin.then_some(key),
+                        tenant: tenanted.then_some(tenant),
+                        run: Box::new(|| {}),
+                    },
+                    submitted: None,
+                })
+                .collect();
+            let config = SchedConfig {
+                threads,
+                policy: if fifo { Policy::Fifo } else { Policy::Priority },
+                sticky_affinity: sticky,
+                ..Default::default()
+            };
+            let reserved = reserved.min(threads - 1);
+            let id = worker.index(threads);
+            let w = WorkerCtx { id, demand_only: id < reserved, reserved, threads };
+            let busy: Vec<AtomicBool> = busy.into_iter().map(AtomicBool::new).collect();
+            // An empty `vtimes` is the single-tenant engine: no table.
+            let table = (!vtimes.is_empty()).then(|| TenantTable {
+                shares: vtimes
+                    .iter()
+                    .map(|&vtime| TenantShare { weight: 1, vtime, busy_ns: 0 })
+                    .collect(),
+                vclock: 0,
+            });
+            let pressure = if pressured { 950 } else { 0 };
+            let demand_band = w.demand_only || !fifo;
+            let sticky = sticky && !fifo;
+            loop {
+                let got = pick_index(&queue, &config, pressure, w, &busy, table.as_ref());
+                let reference = two_pass_demand_pick(&queue, sticky, w, table.as_ref());
+                match reference.filter(|_| demand_band) {
+                    Some(i) => prop_assert_eq!(got, Some((i, "demand"))),
+                    // No demand pick is due: the other bands are the
+                    // parent's code, and a reserved worker takes nothing.
+                    None => {
+                        let allowed = |mode| mode != "demand" && !w.demand_only;
+                        prop_assert!(got.is_none_or(|(_, mode)| allowed(mode)));
+                    }
+                }
+                match got {
+                    Some((i, _)) => drop(queue.swap_remove(i)),
+                    None => break,
+                }
+            }
+        }
     }
 }

@@ -1702,7 +1702,7 @@ mod tests {
 
     /// The residency gauges track the store's own accounting, so budget
     /// headroom (`1 - mem_bytes/mem_budget`) is derivable from any
-    /// snapshot — the autotune controller's back-pressure signal.
+    /// snapshot.
     #[test]
     fn memory_gauges_track_accounting() {
         use sand_telemetry::{StoreMetrics, Telemetry, TelemetryConfig};

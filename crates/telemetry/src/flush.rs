@@ -332,7 +332,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let path = dir.join("metrics.jsonl");
         let t = Telemetry::new(TelemetryConfig::default());
-        // A controller-driven store rebuild: 4 shards, then 2, then 2
+        // A store re-registered at another shard count: 4, then 2, then 2
         // again. Registration is get-or-create and the shrink sweep
         // retires stale series, so the flushed snapshot must carry
         // shard0/shard1 exactly once and shard2/shard3 not at all.

@@ -279,10 +279,6 @@ impl Registry {
 pub struct TelemetryConfig {
     /// Upper bounds (µs) shared by every latency histogram.
     pub latency_buckets_us: Vec<u64>,
-    /// Upper bounds (clock ticks) for the scheduler deadline-slack
-    /// histogram. Must be able to represent the configured deadline
-    /// clock range (lint SL024 flags configs that cannot).
-    pub slack_buckets: Vec<u64>,
     /// A batch served slower than this is *stalled* and appears in the
     /// stall-attribution report. `0` means every batch is reported —
     /// useful for the example CLI and for tests.
@@ -298,7 +294,6 @@ impl Default for TelemetryConfig {
                 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
                 500_000, 1_000_000,
             ],
-            slack_buckets: vec![0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024],
             stall_budget_us: 0,
             trace_cap: 1024,
         }
@@ -314,9 +309,6 @@ struct TelemetryCore {
     config: TelemetryConfig,
     registry: Registry,
     traces: TrackedMutex<VecDeque<BatchTrace>>,
-    /// Rendered autotune decisions, ring-buffered like traces so the
-    /// stall report can show *why* the knobs sit where they sit.
-    decisions: TrackedMutex<VecDeque<String>>,
 }
 
 /// The cheap-clone handle the engine threads through the workspace.
@@ -336,7 +328,6 @@ impl Telemetry {
                 config,
                 registry: Registry::new(),
                 traces: TrackedMutex::new("telemetry.traces", VecDeque::new()),
-                decisions: TrackedMutex::new("telemetry.decisions", VecDeque::new()),
             })),
         }
     }
@@ -379,18 +370,6 @@ impl Telemetry {
         }
     }
 
-    /// Appends a rendered autotune decision to the decision log (same
-    /// ring cap as traces). No-op when disabled.
-    pub fn push_decision(&self, decision: String) {
-        if let Some(core) = &self.core {
-            let mut decisions = core.decisions.lock();
-            if decisions.len() >= core.config.trace_cap.max(1) {
-                decisions.pop_front();
-            }
-            decisions.push_back(decision);
-        }
-    }
-
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.core.as_deref().map(|c| c.registry.snapshot())
     }
@@ -399,7 +378,6 @@ impl Telemetry {
         self.core.as_deref().map(|c| StallReport {
             budget_us: c.config.stall_budget_us,
             traces: c.traces.lock().iter().cloned().collect(),
-            decisions: c.decisions.lock().iter().cloned().collect(),
             chunks: ChunkPlans::from_snapshot(&c.registry.snapshot()),
         })
     }
@@ -478,8 +456,8 @@ pub struct StoreMetrics {
     /// Bytes resident in the memory tier, published on every accounting
     /// change so budget headroom is derivable from any snapshot.
     pub mem_bytes: Gauge,
-    /// The configured memory-tier budget, published once at attach. The
-    /// autotune controller reads `1 - mem_bytes/mem_budget` as headroom.
+    /// The configured memory-tier budget, published once at attach:
+    /// `1 - mem_bytes/mem_budget` is the tier's headroom.
     pub mem_budget: Gauge,
 }
 
@@ -541,10 +519,6 @@ pub struct SchedMetrics {
     pub pre_wait_us: Histogram,
     /// Queue wait of epoch-ahead prefetch jobs, submission → pick.
     pub prefetch_wait_us: Histogram,
-    /// How far (in clock ticks) a picked job's deadline sat above the
-    /// most urgent queued deadline of the same kind. Non-zero demand
-    /// slack means the affinity window overrode strict EDF order.
-    pub deadline_slack: Histogram,
     /// Pre-materialization jobs run on their preferred worker.
     pub affinity_hits: Counter,
     /// Pre-materialization jobs stolen from a busy preferred worker.
@@ -563,7 +537,6 @@ impl SchedMetrics {
             demand_wait_us: r.histogram("sched.demand_wait_us", &c.latency_buckets_us),
             pre_wait_us: r.histogram("sched.pre_wait_us", &c.latency_buckets_us),
             prefetch_wait_us: r.histogram("sched.prefetch_wait_us", &c.latency_buckets_us),
-            deadline_slack: r.histogram("sched.deadline_slack", &c.slack_buckets),
             affinity_hits: r.counter("sched.affinity_hits"),
             affinity_steals: r.counter("sched.affinity_steals"),
             demand_affinity_hits: r.counter("sched.demand_affinity_hits"),
@@ -647,19 +620,6 @@ pub struct EngineMetrics {
     pub chunk_plan_ahead_late: Counter,
     /// Boundaries that planned inline (cold start, seek, straggler).
     pub chunk_plan_ahead_miss: Counter,
-    /// Live prefetcher look-ahead depth as the serve path sees it. The
-    /// `engine.effective_*` gauges mirror the *applied* knob values (after
-    /// autotune, setters, and clamps), so decision logs and operators
-    /// read the same numbers `metrics_snapshot()` exports.
-    pub effective_prefetch_depth: Gauge,
-    /// Live scheduler demand-slack window actually in force.
-    pub effective_demand_slack: Gauge,
-    /// Remote-tier peer count the placement ring was built over
-    /// (0 when the remote tier is disabled).
-    pub effective_remote_peers: Gauge,
-    /// Remote-tier per-attempt fetch timeout in milliseconds (0 when
-    /// the remote tier is disabled).
-    pub effective_remote_timeout_ms: Gauge,
 }
 
 impl EngineMetrics {
@@ -682,10 +642,6 @@ impl EngineMetrics {
             chunk_plan_ahead_hit: r.counter("engine.chunk_plan_ahead_hit"),
             chunk_plan_ahead_late: r.counter("engine.chunk_plan_ahead_late"),
             chunk_plan_ahead_miss: r.counter("engine.chunk_plan_ahead_miss"),
-            effective_prefetch_depth: r.gauge("engine.effective_prefetch_depth"),
-            effective_demand_slack: r.gauge("engine.effective_demand_slack"),
-            effective_remote_peers: r.gauge("engine.effective_remote_peers"),
-            effective_remote_timeout_ms: r.gauge("engine.effective_remote_timeout_ms"),
         })
     }
 }
@@ -781,40 +737,6 @@ impl PrefetchMetrics {
             miss: r.counter("prefetch.miss"),
             scheduled: r.counter("prefetch.scheduled"),
             wait_us: r.histogram("prefetch.wait_us", &c.latency_buckets_us),
-        })
-    }
-}
-
-/// Adaptive-controller metrics (`autotune.*`), recorded by the engine's
-/// closed-loop control plane: tick/decision counters plus one gauge per
-/// driven knob so the current operating point is visible in any
-/// snapshot.
-#[derive(Clone, Debug)]
-pub struct AutotuneMetrics {
-    /// Control ticks taken (including observe-only ones).
-    pub ticks: Counter,
-    /// Knob changes committed.
-    pub decisions: Counter,
-    /// Committed decisions that raised a knob.
-    pub raises: Counter,
-    /// Committed decisions that lowered a knob.
-    pub lowers: Counter,
-    /// Live prefetcher look-ahead depth.
-    pub prefetch_depth: Gauge,
-    /// Live scheduler demand-slack window.
-    pub demand_slack: Gauge,
-}
-
-impl AutotuneMetrics {
-    pub fn register(t: &Telemetry) -> Option<Self> {
-        let r = t.registry()?;
-        Some(Self {
-            ticks: r.counter("autotune.ticks"),
-            decisions: r.counter("autotune.decisions"),
-            raises: r.counter("autotune.raises"),
-            lowers: r.counter("autotune.lowers"),
-            prefetch_depth: r.gauge("autotune.prefetch_depth"),
-            demand_slack: r.gauge("autotune.demand_slack"),
         })
     }
 }
@@ -965,30 +887,7 @@ mod tests {
         assert!(EngineMetrics::register(&t).is_none());
         assert!(NetMetrics::register(&t).is_none());
         assert!(PrefetchMetrics::register(&t).is_none());
-        assert!(AutotuneMetrics::register(&t).is_none());
         assert!(LoaderMetrics::register(&t, "cpu").is_none());
-        t.push_decision("tick 1: prefetch_depth 0 -> 1".into());
-        assert!(t.stall_report().is_none());
-    }
-
-    #[test]
-    fn decision_log_rides_the_stall_report() {
-        let t = Telemetry::new(TelemetryConfig {
-            trace_cap: 2,
-            ..TelemetryConfig::default()
-        });
-        assert_eq!(
-            t.stall_report().expect("enabled").decisions.len(),
-            0,
-            "no decisions until the controller pushes some"
-        );
-        for i in 0..4 {
-            t.push_decision(format!("tick {i}: prefetch_depth {i} -> {}", i + 1));
-        }
-        let report = t.stall_report().expect("enabled");
-        assert_eq!(report.decisions.len(), 2, "same ring cap as traces");
-        assert_eq!(report.decisions[0], "tick 2: prefetch_depth 2 -> 3");
-        assert_eq!(report.decisions[1], "tick 3: prefetch_depth 3 -> 4");
     }
 
     #[test]

@@ -407,9 +407,6 @@ impl ChunkPlans {
 pub struct StallReport {
     pub budget_us: u64,
     pub traces: Vec<BatchTrace>,
-    /// Rendered autotune decisions, oldest first (empty unless the
-    /// adaptive controller is enabled and has committed knob changes).
-    pub decisions: Vec<String>,
     /// Chunk planning and plan-ahead outcomes over the engine's life.
     pub chunks: ChunkPlans,
 }
@@ -534,19 +531,12 @@ impl StallReport {
                 self.chunks.plan_us,
             ));
         }
-        if !self.decisions.is_empty() {
-            out.push_str(&format!("autotune decisions ({}):\n", self.decisions.len()));
-            for d in &self.decisions {
-                out.push_str(&format!("  {d}\n"));
-            }
-        }
         out
     }
 
     /// One JSON line per trace (stalled or not; the `stalled` field
     /// carries the classification), followed by one
-    /// `"type":"autotune_decision"` line per controller decision when
-    /// the adaptive control plane is active.
+    /// `"type":"tenant_summary"` line per tenant.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         for t in &self.traces {
@@ -570,12 +560,6 @@ impl StallReport {
             line.push('}');
             out.push_str(&line);
             out.push('\n');
-        }
-        for d in &self.decisions {
-            out.push_str(&format!(
-                "{{\"type\":\"autotune_decision\",\"decision\":\"{}\"}}\n",
-                json_escape(d)
-            ));
         }
         out
     }
@@ -713,14 +697,13 @@ mod tests {
     }
 
     #[test]
-    fn stall_report_renders_the_decision_log() {
+    fn stall_report_renders_chunk_boundaries() {
         let probe = BatchProbe::new(1);
         probe.mark_submitted(0);
         probe.run_sample(0, || {});
         let report = StallReport {
             budget_us: 0,
             traces: vec![probe.finish(meta(), 0)],
-            decisions: vec!["tick 3: prefetch_depth 1 -> 2 (late/miss dominate)".into()],
             chunks: ChunkPlans {
                 planned: 3,
                 plan_us: 4_200,
@@ -729,33 +712,15 @@ mod tests {
                 ahead_miss: 1,
             },
         };
-        let table = report.render_table();
-        assert!(table.contains("autotune decisions (1):"));
-        assert!(table.contains("prefetch_depth 1 -> 2"));
-        assert!(table.contains(
+        assert!(report.render_table().contains(
             "chunk boundaries: 3 crossed — plan ready at 2, in flight at 0, planned inline at 1"
         ));
-        let jsonl = report.render_jsonl();
-        let decision_line = jsonl
-            .lines()
-            .find(|l| l.contains("autotune_decision"))
-            .expect("decision line present");
-        let v = crate::parse_json(decision_line).expect("decision json parses");
-        assert_eq!(
-            v.get("type").and_then(|t| t.as_str()),
-            Some("autotune_decision")
-        );
-
-        // Without decisions neither renderer mentions autotune at all.
         let silent = StallReport {
             budget_us: 0,
             traces: Vec::new(),
-            decisions: Vec::new(),
             chunks: ChunkPlans::default(),
         };
-        assert!(!silent.render_table().contains("autotune"));
         assert!(!silent.render_table().contains("chunk boundaries"));
-        assert!(!silent.render_jsonl().contains("autotune"));
     }
 
     /// Tenant attribution: traces group by tenant, the table gains a
@@ -784,7 +749,6 @@ mod tests {
         let report = StallReport {
             budget_us: 0,
             traces,
-            decisions: Vec::new(),
             chunks: ChunkPlans::default(),
         };
         let sections = report.tenant_sections();
@@ -838,7 +802,6 @@ mod tests {
         let report = StallReport {
             budget_us: 0,
             traces: vec![probe.finish(meta(), 0)],
-            decisions: Vec::new(),
             chunks: ChunkPlans::default(),
         };
         assert!(report.tenant_sections().is_empty());

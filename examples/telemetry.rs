@@ -9,7 +9,7 @@
 //! cargo run --release --example telemetry
 //! cargo run --release --example telemetry -- --json > metrics.jsonl
 //! cargo run --release --example telemetry -- --quick --check
-//! cargo run --release --example telemetry -- --demand-slack 2 --stall-budget-us 5000
+//! cargo run --release --example telemetry -- --stall-budget-us 5000
 //! ```
 //!
 //! `--check` validates the run instead of (only) printing it: the JSONL
@@ -24,7 +24,6 @@
 use sand::codec::{Dataset, DatasetSpec};
 use sand::core::{EngineConfig, SandEngine, TelemetryConfig};
 use sand::frame::Tensor;
-use sand::sched::SchedConfig;
 use sand::telemetry::validate_jsonl;
 use sand::vfs::ViewPath;
 use std::process::ExitCode;
@@ -70,7 +69,6 @@ struct Args {
     epochs: u64,
     videos: usize,
     frames: usize,
-    demand_slack: u64,
     stall_budget_us: u64,
 }
 
@@ -81,7 +79,6 @@ const USAGE: &str = "usage: telemetry [options]\n\
   --epochs N           total training epochs (default 2)\n\
   --videos N           synthetic dataset size (default 8)\n\
   --frames N           frames per synthetic video (default 48)\n\
-  --demand-slack N     scheduler demand deadline slack in clock ticks (default 0)\n\
   --stall-budget-us N  stall budget in microseconds; 0 reports every batch (default 0)";
 
 fn parse_args() -> Result<Args, String> {
@@ -92,7 +89,6 @@ fn parse_args() -> Result<Args, String> {
         epochs: 2,
         videos: 8,
         frames: 48,
-        demand_slack: 0,
         stall_budget_us: 0,
     };
     let mut it = std::env::args().skip(1);
@@ -110,7 +106,6 @@ fn parse_args() -> Result<Args, String> {
             "--epochs" => args.epochs = num("--epochs")?,
             "--videos" => args.videos = num("--videos")? as usize,
             "--frames" => args.frames = num("--frames")? as usize,
-            "--demand-slack" => args.demand_slack = num("--demand-slack")?,
             "--stall-budget-us" => args.stall_budget_us = num("--stall-budget-us")?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown option `{other}`\n{USAGE}")),
@@ -186,10 +181,6 @@ fn run(args: &Args) -> Result<ExitCode, Box<dyn std::error::Error>> {
         EngineConfig {
             tasks: vec![sand::config::parse_task_config(PIPELINE)?],
             total_epochs: args.epochs,
-            sched: SchedConfig {
-                demand_slack: args.demand_slack,
-                ..Default::default()
-            },
             telemetry: Some(TelemetryConfig {
                 stall_budget_us: args.stall_budget_us,
                 ..Default::default()

@@ -13,7 +13,6 @@
 //! - [`net`] — multi-node SAND: RPC view serving, consistent-hash
 //!   placement, and the cluster-wide remote cache tier
 //! - [`telemetry`] — metrics registry, per-batch stall attribution
-//! - [`autotune`] — closed-loop adaptive control over the engine's runtime knobs
 //! - [`sanitizer`] — tracked locks, lock-order/lockset analysis, schedule exploration
 //! - [`sim`] — GPU / power / cluster models used by the experiments
 //! - [`core`] — the SAND engine tying everything together
@@ -26,7 +25,6 @@
 //! dataset, write a pipeline config, mount the SAND engine, and read training
 //! batches through `open`/`read`/`getxattr`/`close`.
 
-pub use sand_autotune as autotune;
 pub use sand_codec as codec;
 pub use sand_config as config;
 pub use sand_core as core;
