@@ -36,7 +36,6 @@ use sand_sanitizer::TrackedMutex;
 use sand_sched::{Job, JobKind};
 use sand_storage::ObjectMeta;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -312,64 +311,37 @@ impl Inner {
         });
     }
 
-    /// Plans, prunes and checkpoints one chunk (or reloads its
-    /// checkpoint) and builds its serving indexes.
+    /// Plans and prunes one chunk and builds its serving indexes. The
+    /// plan is a function of the configs, the seed and the dataset, so a
+    /// restarted engine plans again and gets the keys the store kept.
     fn plan_chunk(&self, chunk_id: u64) -> Result<Chunk> {
         let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
         let config = &self.config;
         let k = config.epochs_per_chunk;
         let start = chunk_id * k;
         let end = (start + k).min(config.total_epochs);
-        // Inside the store directory, under a metadata subdirectory the
-        // object scan ignores.
-        let checkpoint: Option<PathBuf> = config
-            .store_dir
-            .as_ref()
-            .map(|d| d.join("_meta").join(format!("graph_chunk_{chunk_id}.ckpt")));
-        // Fast path: a checkpointed plan from a previous run (Sec. 5.5's
-        // "checkpointed every k epochs for faster recovery"). Configs and
-        // seed are deterministic, so a matching checkpoint is the plan.
-        let restored = checkpoint
-            .as_ref()
-            .and_then(|path| std::fs::read(path).ok())
-            .and_then(|bytes| sand_graph::checkpoint::from_bytes(&bytes).ok())
-            .filter(|graph| graph.epochs == (start..end));
-        let graph = match restored {
-            Some(graph) => graph,
-            None => {
-                let planner = Planner::new(
-                    config.plan_inputs(),
-                    video_metas(&self.dataset),
-                    PlannerOptions {
-                        seed: config.seed,
-                        coordinate: config.coordinate,
-                        epochs: start..end,
-                    },
-                )?;
-                let mut graph = planner.plan()?;
-                if config.naive_leaf_cache {
-                    // Keep only leaves cached: the naive plan that stores
-                    // final training objects and recomputes everything
-                    // else.
-                    for node in &mut graph.nodes {
-                        if !matches!(node.key, ObjectKey::Video { .. }) {
-                            node.cached = node.children.is_empty();
-                        }
-                    }
+        let planner = Planner::new(
+            config.plan_inputs(),
+            video_metas(&self.dataset),
+            PlannerOptions {
+                seed: config.seed,
+                coordinate: config.coordinate,
+                epochs: start..end,
+            },
+        )?;
+        let mut graph = planner.plan()?;
+        if config.naive_leaf_cache {
+            // Keep only leaves cached: the naive plan that stores final
+            // training objects and recomputes everything else.
+            for node in &mut graph.nodes {
+                if !matches!(node.key, ObjectKey::Video { .. }) {
+                    node.cached = node.children.is_empty();
                 }
-                if config.prune {
-                    prune_to_budget(&mut graph, config.cache_budget);
-                }
-                // Best-effort checkpoint for crash recovery.
-                if let Some(path) = &checkpoint {
-                    if let Some(dir) = path.parent() {
-                        let _ = std::fs::create_dir_all(dir);
-                    }
-                    let _ = std::fs::write(path, sand_graph::checkpoint::to_bytes(&graph));
-                }
-                graph
             }
-        };
+        }
+        if config.prune {
+            prune_to_budget(&mut graph, config.cache_budget);
+        }
         let chunk = Chunk::build(graph, self.dataset.videos().iter().map(|v| v.video_id));
         if let (Some(m), Some(t0)) = (self.engine_metrics.as_ref(), t0) {
             m.chunk_plan_us.observe_duration(t0.elapsed());
@@ -736,6 +708,65 @@ dataset:
         // for chunk 1 — retired as well — ahead of need.
         assert_eq!(counter(&e, "engine.chunks_planned"), total + 2);
         assert!(e.inner_chunks().len() <= retain);
+    }
+
+    /// The plan is a function of the configs, the seed and the dataset;
+    /// the store directory holds objects, never a plan. An engine
+    /// restarted over a directory an earlier run filled serves what a
+    /// fresh engine with the *restarted* config serves, whatever the
+    /// earlier run's config was, and a plan file an older build left
+    /// there is not read.
+    #[test]
+    fn restart_over_a_store_dir_plans_from_the_new_config() {
+        let dir = std::env::temp_dir().join(format!("sand_replan_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = |store_dir: Option<std::path::PathBuf>| EngineConfig {
+            tasks: tasks(1),
+            total_epochs: 2,
+            epochs_per_chunk: 2,
+            store_dir,
+            ..Default::default()
+        };
+        // (served bytes, chunk 0's cached nodes)
+        let run = |config: EngineConfig| {
+            let tags: Vec<String> = config.tasks.iter().map(|t| t.tag.clone()).collect();
+            let e = engine(config);
+            let served = serve_all(&e, &tags, 2);
+            e.wait_idle();
+            let (chunk, _) = e.inner.chunks.get_or_plan(&e.inner, 0).unwrap();
+            let cached = chunk.graph.nodes.iter().filter(|n| n.cached).count();
+            (served, cached)
+        };
+        let first = run(config(Some(dir.clone())));
+        assert!(first == run(config(None)));
+        let stale = dir.join("_meta/graph_chunk_0.ckpt");
+        std::fs::create_dir_all(stale.parent().unwrap()).unwrap();
+        std::fs::write(&stale, b"a plan an older build wrote").unwrap();
+        // The same config again: the same bytes, now off the log.
+        assert!(run(config(Some(dir.clone()))) == first);
+
+        type Change = fn(&mut EngineConfig);
+        let variants: [(&str, Change); 3] = [
+            ("seed", |c| c.seed += 1),
+            ("cache_budget", |c| c.cache_budget = 16 << 10),
+            ("tasks", |c| c.tasks = tasks(2)),
+        ];
+        for (what, change) in variants {
+            let (mut restarted, mut fresh) = (config(Some(dir.clone())), config(None));
+            change(&mut restarted);
+            change(&mut fresh);
+            let want = run(fresh);
+            assert!(want != first, "changing {what} changes nothing: no test");
+            assert!(
+                run(restarted) == want,
+                "restart with a different {what} did not serve that config's plan"
+            );
+        }
+        assert_eq!(
+            std::fs::read(&stale).unwrap(),
+            b"a plan an older build wrote"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

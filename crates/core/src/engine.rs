@@ -454,35 +454,6 @@ dataset:
     }
 
     #[test]
-    fn plan_checkpoints_written_and_reused() {
-        let dir = std::env::temp_dir().join(format!("sand_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mk = || {
-            let config = EngineConfig {
-                tasks: vec![parse_task_config(TASK).unwrap()],
-                total_epochs: 2,
-                epochs_per_chunk: 2,
-                store_dir: Some(dir.clone()),
-                prematerialize: false,
-                ..Default::default()
-            };
-            SandEngine::new(config, dataset()).unwrap()
-        };
-        let a = mk();
-        a.start().unwrap();
-        let first = a.serve_batch("train", 0, 0).unwrap();
-        let ckpt = dir.join("_meta").join("graph_chunk_0.ckpt");
-        assert!(ckpt.exists(), "checkpoint written at {}", ckpt.display());
-        drop(a);
-        // A restarted engine loads the checkpointed plan and serves the
-        // same batch bytes.
-        let b = mk();
-        b.start().unwrap();
-        assert_eq!(b.serve_batch("train", 0, 0).unwrap(), first);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn coordinated_two_tasks_share_store_objects() {
         let mut t2 = parse_task_config(TASK).unwrap();
         t2.tag = "second".into();

@@ -275,8 +275,9 @@ pub struct ConcreteGraph {
 }
 
 impl ConcreteGraph {
-    /// Reassembles a graph from checkpointed parts, rebuilding the
-    /// root table and key index.
+    /// Assembles a graph from its nodes and batches, building the root
+    /// table and key index (the linter's tests hand-edit a plan and
+    /// put it back together with this).
     #[must_use]
     pub fn from_parts(
         nodes: Vec<ConcreteNode>,

@@ -22,7 +22,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod abstract_graph;
-pub mod checkpoint;
 pub mod concrete;
 pub mod pool;
 pub mod prune;

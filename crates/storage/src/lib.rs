@@ -5,15 +5,18 @@
 //!
 //! - a **memory tier** for objects needed in the current or near-future
 //!   iterations,
-//! - a **disk tier** (real files) for pre-materialized objects destined
-//!   for later epochs, with a byte budget standing in for the 1.5–3 TB
-//!   local SSD of the paper's GCP instances.
+//! - a **disk tier** for pre-materialized objects destined for later
+//!   epochs: an append-only, checksummed value log ([`vlog`]) of segment
+//!   files plus a `MANIFEST` ([`manifest`]), with a byte budget standing
+//!   in for the 1.5–3 TB local SSD of the paper's GCP instances.
 //!
 //! The store implements the paper's eviction policy: when usage crosses
 //! 75% of the budget it evicts, in order, (1) objects that have been used
 //! and will not be needed again, then (2) objects with the longest
-//! deadlines. Disk contents are self-describing files, which is what the
-//! crash-recovery scan in `sand-core` walks on restart.
+//! deadlines. Crash recovery is [`ObjectStore::open`] replaying the log:
+//! every record carries its key, scheduling metadata and a CRC, so the
+//! index is rebuilt from the segments alone and a torn tail is truncated
+//! rather than adopted. The store reads nothing else in its directory.
 //!
 //! The [`modeled_link`] module models a WAN-attached dataset store
 //! (Google Filestore in the paper) behind a link of configurable
@@ -67,7 +70,7 @@ pub enum StorageError {
         what: String,
     },
     /// Persisted bytes failed checksum validation (torn write or bit
-    /// rot). Recovery truncates/quarantines these; runtime reads treat
+    /// rot). Recovery truncates the log at these; runtime reads treat
     /// them as misses so callers recompute instead of crashing.
     Corrupt {
         /// Human-readable description.
@@ -107,72 +110,3 @@ impl From<std::io::Error> for StorageError {
 
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;
-
-/// Percent-encodes an object key into a safe file name.
-#[must_use]
-pub fn encode_key(key: &str) -> String {
-    let mut out = String::with_capacity(key.len());
-    for b in key.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'.' | b'_' | b'-' => {
-                out.push(b as char);
-            }
-            _ => {
-                out.push('%');
-                out.push_str(&format!("{b:02X}"));
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`encode_key`]; returns `None` for malformed input.
-#[must_use]
-pub fn decode_key(name: &str) -> Option<String> {
-    let bytes = name.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes.get(i + 1..i + 3)?;
-            let s = std::str::from_utf8(hex).ok()?;
-            out.push(u8::from_str_radix(s, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn key_encoding_roundtrip() {
-        for key in [
-            "video0001/frame3/aug2",
-            "task a/epoch 0/iter 1/view",
-            "plain",
-            "with%percent",
-            "unicode/日本語",
-        ] {
-            let enc = encode_key(key);
-            assert!(enc.bytes().all(|b| b.is_ascii_alphanumeric()
-                || b == b'.'
-                || b == b'_'
-                || b == b'-'
-                || b == b'%'));
-            assert_eq!(decode_key(&enc).as_deref(), Some(key));
-        }
-    }
-
-    #[test]
-    fn malformed_decode_rejected() {
-        assert!(decode_key("%").is_none());
-        assert!(decode_key("%G1").is_none());
-        assert!(decode_key("%2").is_none());
-    }
-}

@@ -35,19 +35,16 @@
 //! absolute garbage clears a small floor) the Algorithm-1 sweep runs a
 //! **compaction**: seal the active segment, copy live records out of the
 //! sealed ones (memory-resident objects re-append from their in-memory
-//! bytes without a read), delete the sealed files. Pre-vlog stores that
-//! spilled one file per object are migrated on open: readable files are
-//! appended into the log and deleted, unreadable or empty ones are
-//! quarantined under `quarantine/` and **not** adopted into the byte
-//! accounting.
+//! bytes without a read), delete the sealed files. The store reads and
+//! writes only the log's segment files and its `MANIFEST`; anything else
+//! in the directory is not the store's and is left alone.
 
 use crate::shard::{Record, Shard, Victims};
 use crate::vlog::{RecordMeta, SyncPolicy, ValueLog};
-use crate::{decode_key, Result, StorageError};
+use crate::{Result, StorageError};
 use sand_sanitizer::{ShadowCell, TrackedMutex, TrackedMutexGuard};
 use sand_telemetry::{record_stage, Stage, StoreMetrics};
 use std::collections::hash_map::DefaultHasher;
-use std::fs;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,7 +125,7 @@ pub struct StoreConfig {
     pub compact_threshold: f64,
     /// When value-log appends reach stable storage (see
     /// [`SyncPolicy`]). `Never` keeps the historical no-fsync put path;
-    /// `Group` coalesces concurrent appends into one fsync.
+    /// `Always` returns from a put only once an fsync covers it.
     pub sync: SyncPolicy,
 }
 
@@ -178,12 +175,9 @@ pub struct StoreStats {
     pub torn_truncations: u64,
     /// Records rejected for checksum mismatch (recovery + runtime).
     pub corrupt_records: u64,
-    /// Legacy spill files quarantined instead of adopted.
-    pub quarantined: u64,
     /// Objects adopted from the log on open.
     pub replayed_objects: u64,
     /// Fsyncs issued by the value log (0 under `SyncPolicy::Never`).
-    /// With group commit, `puts / vlog_fsyncs` is the coalescing ratio.
     pub vlog_fsyncs: u64,
 }
 
@@ -223,7 +217,6 @@ pub struct ObjectStore {
     /// metrics attach.
     torn_truncations: AtomicU64,
     corrupt_records: AtomicU64,
-    quarantined: AtomicU64,
     replayed_objects: AtomicU64,
     replay_us: AtomicU64,
     /// Current global clock, advanced by the engine each iteration; used
@@ -240,8 +233,8 @@ impl ObjectStore {
     /// checksummed value log under that directory (created if missing);
     /// records from a previous run are replayed and adopted (crash
     /// recovery), with torn tails truncated and corrupt records
-    /// rejected. Legacy file-per-object spills are migrated into the
-    /// log; unreadable ones are quarantined, never adopted.
+    /// rejected. Files in `dir` other than the log's segments and
+    /// `MANIFEST` are neither read nor touched.
     pub fn open(config: StoreConfig, dir: Option<PathBuf>) -> Result<Self> {
         if config.memory_budget == 0 {
             return Err(StorageError::InvalidConfig {
@@ -282,7 +275,6 @@ impl ObjectStore {
             compactions: AtomicU64::new(0),
             torn_truncations: AtomicU64::new(0),
             corrupt_records: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
             replayed_objects: AtomicU64::new(0),
             replay_us: AtomicU64::new(0),
             clock: AtomicU64::new(0),
@@ -323,89 +315,12 @@ impl ObjectStore {
                 adopted += 1;
             }
             store.vlog = Some(vlog);
-            adopted += store.migrate_legacy_files(d)?;
             store.replayed_objects.store(adopted, Ordering::Relaxed);
             store
                 .replay_us
                 .store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
         }
         Ok(store)
-    }
-
-    /// Migrates pre-vlog file-per-object spills found in `dir` into the
-    /// value log: readable, non-empty files whose names decode under the
-    /// key scheme are appended (then deleted); empty or unreadable ones
-    /// — the torn-write artifacts the old `fs::write` path could leave —
-    /// are moved to `quarantine/` and **not** adopted. Returns the
-    /// number of migrated objects.
-    fn migrate_legacy_files(&self, dir: &std::path::Path) -> Result<u64> {
-        let mut migrated = 0u64;
-        let mut quarantine: Vec<(PathBuf, String)> = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let Ok(meta) = entry.metadata() else { continue };
-            if !meta.is_file() {
-                continue;
-            }
-            let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-                continue;
-            };
-            if name == crate::manifest::MANIFEST_NAME
-                || name.starts_with("MANIFEST")
-                || crate::vlog::parse_segment_name(&name).is_some()
-            {
-                continue;
-            }
-            let Some(key) = decode_key(&name) else {
-                continue;
-            };
-            let path = entry.path();
-            if meta.len() == 0 {
-                quarantine.push((path, name));
-                continue;
-            }
-            let Ok(bytes) = fs::read(&path) else {
-                quarantine.push((path, name));
-                continue;
-            };
-            let idx = self.shard_of(&key);
-            let mut shard = self.shards[idx].lock();
-            if shard.contains(&key) {
-                // The log already has a newer, checksummed copy.
-                fs::remove_file(&path)?;
-                continue;
-            }
-            let vlog = self.vlog.as_ref().ok_or(StorageError::InvalidConfig {
-                what: "migration without a value log",
-            })?;
-            let meta = ObjectMeta::default();
-            let ptr = vlog.append(&key, meta.to_record(), &bytes)?;
-            shard.insert(
-                &key,
-                Record {
-                    tier: Tier::Disk,
-                    size: u64::from(ptr.val_len),
-                    meta,
-                    bytes: None,
-                    ptr: Some(ptr),
-                },
-            );
-            self.bytes_shadow.write();
-            self.disk_bytes
-                .fetch_add(u64::from(ptr.val_len), Ordering::Relaxed);
-            drop(shard);
-            fs::remove_file(&path)?;
-            migrated += 1;
-        }
-        if !quarantine.is_empty() {
-            let qdir = dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            for (path, name) in quarantine {
-                fs::rename(&path, qdir.join(&name))?;
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(migrated)
     }
 
     /// Attaches telemetry handles (idempotent; the first caller wins).
@@ -431,9 +346,6 @@ impl ObjectStore {
             metrics
                 .vlog_corrupt_records
                 .add(self.corrupt_records.load(Ordering::Relaxed));
-            metrics
-                .vlog_quarantined
-                .add(self.quarantined.load(Ordering::Relaxed));
             metrics
                 .vlog_replayed_objects
                 .add(self.replayed_objects.load(Ordering::Relaxed));
@@ -1014,7 +926,6 @@ impl ObjectStore {
             compactions: self.compactions.load(Ordering::Relaxed),
             torn_truncations: self.torn_truncations.load(Ordering::Relaxed),
             corrupt_records: self.corrupt_records.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
             replayed_objects: self.replayed_objects.load(Ordering::Relaxed),
             vlog_fsyncs: self.vlog.as_ref().map_or(0, ValueLog::fsync_count),
         }
@@ -1030,8 +941,8 @@ impl ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_key;
     use crate::vlog::segment_name;
+    use std::fs;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("sand_store_{}_{}", name, std::process::id()));
@@ -1287,36 +1198,36 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Legacy file-per-object spills migrate into the log on open;
-    /// empty (torn `fs::write`) files are quarantined, never adopted,
-    /// and never counted into `disk_bytes`.
+    /// The store directory is a value log: `open` reads segment files
+    /// and `MANIFEST` and nothing else. Whatever else sits there — an
+    /// operator's notes, an empty file, a `quarantine/` directory an
+    /// older build left — is not adopted, not counted and not moved.
     #[test]
-    fn legacy_files_migrate_and_torn_ones_quarantine() {
-        let dir = tmp("migrate");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(encode_key("old/frame1")), vec![9u8; 48]).unwrap();
-        fs::write(dir.join(encode_key("old/frame2")), Vec::<u8>::new()).unwrap(); // torn
+    fn stray_files_are_neither_adopted_nor_touched() {
+        let dir = tmp("stray");
+        fs::create_dir_all(dir.join("quarantine")).unwrap();
+        fs::write(dir.join("notes.txt"), b"do not delete").unwrap();
+        fs::write(dir.join("empty"), b"").unwrap();
+        fs::write(dir.join("quarantine").join("old%2Fframe"), b"torn").unwrap();
         let s = ObjectStore::open(StoreConfig::default(), Some(dir.clone())).unwrap();
-        assert!(s.contains("old/frame1"));
-        assert_eq!(*s.get("old/frame1").unwrap(), vec![9u8; 48]);
-        assert!(!s.contains("old/frame2"), "torn legacy file adopted");
+        for key in ["notes.txt", "empty", "quarantine", "old/frame"] {
+            assert!(!s.contains(key), "stray `{key}` adopted as an object");
+        }
         let st = s.stats();
-        assert_eq!(st.disk_bytes, 48, "only validated bytes accounted");
-        assert_eq!(st.quarantined, 1);
-        assert!(
-            !dir.join(encode_key("old/frame1")).exists(),
-            "migrated file removed"
-        );
-        assert!(
-            dir.join("quarantine")
-                .join(encode_key("old/frame2"))
-                .exists(),
-            "torn file quarantined, not deleted"
-        );
-        // The migrated object survives the *next* restart through the log.
+        assert_eq!(st.disk_bytes, 0);
+        assert_eq!(st.replayed_objects, 0);
+        assert_eq!(st.log_bytes, 0, "a stray file was appended to the log");
+        // Still usable as a store, and the strays survive that too.
+        s.put("real", vec![1u8; 16].into(), meta(100, 1)).unwrap();
         drop(s);
         let s2 = ObjectStore::open(StoreConfig::default(), Some(dir.clone())).unwrap();
-        assert_eq!(*s2.get("old/frame1").unwrap(), vec![9u8; 48]);
+        assert_eq!(s2.stats().replayed_objects, 1);
+        assert_eq!(fs::read(dir.join("notes.txt")).unwrap(), b"do not delete");
+        assert_eq!(fs::read(dir.join("empty")).unwrap(), b"");
+        assert_eq!(
+            fs::read(dir.join("quarantine").join("old%2Fframe")).unwrap(),
+            b"torn"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -47,14 +47,15 @@
 //! The checksum-last format makes a crash *safe* (no torn record is ever
 //! adopted) but not *durable*: with [`SyncPolicy::Never`] (the default,
 //! and the pre-policy behaviour) an OS crash can lose recently-appended
-//! records still sitting in the page cache. [`SyncPolicy::Always`]
-//! fsyncs before every append returns. [`SyncPolicy::Group`] is the
-//! middle ground — **group commit**: concurrent appenders elect a
-//! leader, the leader waits a small time window (skipped once enough
-//! unsynced bytes pile up) so stragglers can pile on, then issues
-//! *one* fsync that covers every append up to the snapshot point, and
-//! wakes all of them. N threads appending concurrently cost ~1 fsync,
-//! not N (pinned by `benches/persist_replay.rs`).
+//! records still sitting in the page cache. With [`SyncPolicy::Always`]
+//! an append returns only once an fsync covers it. Concurrent appenders
+//! share fsyncs: the first uncovered one becomes the leader, snapshots
+//! the active segment's length and flushes outside every lock; the
+//! others wait and re-check, so N threads appending at once cost
+//! between 1 and N fsyncs, never more (pinned by the
+//! `always_covers_every_append_before_it_returns` unit test). Sealing a
+//! segment under `Always` fsyncs it on the way out, so "sealed" also
+//! means "stable".
 
 use crate::manifest::Manifest;
 use crate::{Result, StorageError};
@@ -75,24 +76,13 @@ pub enum SyncPolicy {
     /// lose the newest appends. The historical behaviour.
     #[default]
     Never,
-    /// Every append is fsynced before it returns. Maximum durability,
-    /// one fsync per put.
+    /// Every append is covered by an fsync before it returns. Maximum
+    /// durability; concurrent appenders share fsyncs.
     Always,
-    /// Group commit: concurrent appends coalesce into one fsync. The
-    /// elected leader waits up to `window_us` (skipped once
-    /// `max_bytes` of unsynced records accumulate) so concurrent
-    /// appenders can join the batch, then one fsync covers them all.
-    Group {
-        /// How long the leader waits for stragglers, in microseconds.
-        window_us: u64,
-        /// Unsynced-byte level that flushes immediately, bypassing the
-        /// window.
-        max_bytes: u64,
-    },
 }
 
-/// Group-commit bookkeeping: how far into the log stable storage is
-/// known to reach, and whether some appender is currently the leader.
+/// Sync bookkeeping: how far into the log stable storage is known to
+/// reach, and whether some appender is currently the leader.
 #[derive(Debug)]
 struct SyncState {
     /// Fsync covers everything up to (and in segments before)
@@ -231,17 +221,14 @@ pub struct ValueLog {
     live_bytes: AtomicU64,
     /// Durability policy for appends.
     sync: SyncPolicy,
-    /// Group-commit state. **Never held together with `writer`**: the
+    /// Sync state. **Never held together with `writer`**: the
     /// leader drops this lock before snapshotting under `writer`, and
     /// the fsync itself runs outside both, so appenders keep appending
     /// while the disk flushes.
     sync_state: TrackedMutex<SyncState>,
     sync_cv: TrackedCondvar,
-    /// Fsyncs issued (the group-commit coalescing ratio's denominator).
+    /// Fsyncs issued.
     fsyncs: AtomicU64,
-    /// Record bytes appended since the last fsync (approximate; gates
-    /// the group window bypass).
-    unsynced_bytes: AtomicU64,
     /// Optional telemetry mirror of `fsyncs`, attached by the store.
     fsync_metric: OnceLock<sand_telemetry::Counter>,
 }
@@ -478,7 +465,6 @@ impl ValueLog {
             ),
             sync_cv: TrackedCondvar::new(),
             fsyncs: AtomicU64::new(0),
-            unsynced_bytes: AtomicU64::new(0),
             fsync_metric: OnceLock::new(),
         };
         log.write_manifest(active_id + 1)?;
@@ -539,8 +525,6 @@ impl ValueLog {
         self.live_bytes
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         if self.sync != SyncPolicy::Never {
-            self.unsynced_bytes
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
             self.sync_to(segment, offset + buf.len() as u64)?;
         }
         Ok(Ptr {
@@ -552,10 +536,9 @@ impl ValueLog {
     }
 
     /// Blocks until stable storage covers the active segment up to
-    /// `offset` — the group-commit leader/follower protocol.
+    /// `offset` — the leader/follower protocol.
     ///
-    /// The first uncovered appender becomes **leader**: it (optionally)
-    /// sleeps the group window so concurrent appenders can join, briefly
+    /// The first uncovered appender becomes **leader**: it briefly
     /// takes the writer lock to snapshot the active file handle and
     /// length, then fsyncs *outside every lock* and publishes how far
     /// the flush reached. Appenders that arrive while a leader is
@@ -577,16 +560,6 @@ impl ValueLog {
             s.leader = true;
             drop(s);
 
-            if let SyncPolicy::Group {
-                window_us,
-                max_bytes,
-            } = self.sync
-            {
-                if window_us > 0 && self.unsynced_bytes.load(Ordering::Relaxed) < max_bytes.max(1) {
-                    std::thread::sleep(Duration::from_micros(window_us));
-                }
-            }
-
             // Snapshot the flush target under the writer lock, then
             // fsync with no lock held — appends proceed concurrently and
             // simply miss this flush.
@@ -607,7 +580,6 @@ impl ValueLog {
                         s.synced_segment = id;
                         s.synced_offset = len;
                     }
-                    self.unsynced_bytes.store(0, Ordering::Relaxed);
                     self.fsyncs.fetch_add(1, Ordering::Relaxed);
                     if let Some(c) = self.fsync_metric.get() {
                         c.inc();
@@ -929,6 +901,79 @@ mod tests {
             log.read("keep", p),
             Err(StorageError::NotFound { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `Always` is a promise about *when* an append returns: only once
+    /// stable storage covers its last byte. Four appenders race, a
+    /// rotation seals the segment under them a quarter of the way in,
+    /// and the fsync count stays between one and one per append (plus
+    /// the seal's).
+    #[test]
+    fn always_covers_every_append_before_it_returns() {
+        const THREADS: usize = 4;
+        const APPENDS: usize = 64;
+        let dir = tmp("always");
+        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Always).unwrap();
+        let barrier = std::sync::Barrier::new(THREADS + 1);
+        let covered = |ptr: Ptr| {
+            log.sync_state
+                .lock()
+                .covers(ptr.segment, ptr.offset + u64::from(ptr.total_len))
+        };
+        let ptrs: Vec<Ptr> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (log, barrier, covered) = (&log, &barrier, &covered);
+                    s.spawn(move || {
+                        let mut ptrs = Vec::new();
+                        for i in 0..APPENDS {
+                            if i % (APPENDS / 4) == 0 {
+                                barrier.wait();
+                            }
+                            let key = format!("t{t}/{i}");
+                            let ptr = log.append(&key, meta(i as u64, 1), &[t as u8; 32]).unwrap();
+                            assert!(covered(ptr), "`{key}` returned before its fsync");
+                            ptrs.push(ptr);
+                        }
+                        ptrs
+                    })
+                })
+                .collect();
+            // The threads meet at each quarter. The rotation runs beside
+            // the second quarter's appends: segment 0 holds at least the
+            // first quarter, segment 1 at least the second half.
+            barrier.wait();
+            barrier.wait();
+            assert_eq!(log.rotate().unwrap(), vec![0]);
+            barrier.wait();
+            barrier.wait();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(ptrs.len(), THREADS * APPENDS);
+        assert!(ptrs.iter().any(|p| p.segment == 0) && ptrs.iter().any(|p| p.segment == 1));
+        assert!(
+            ptrs.iter().all(|&p| covered(p)),
+            "the rotation uncovered an earlier append"
+        );
+        let fsyncs = log.fsync_count();
+        let seal = 1;
+        assert!(
+            (1..=(THREADS * APPENDS) as u64 + seal).contains(&fsyncs),
+            "{fsyncs} fsyncs for {} appends",
+            THREADS * APPENDS
+        );
+        drop(log);
+        let (_, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        assert_eq!(stats.records, (THREADS * APPENDS) as u64);
+        assert_eq!(stats.torn_truncations + stats.corrupt_records, 0);
+        assert_eq!(
+            recs.iter().filter(|r| r.put.is_some()).count(),
+            THREADS * APPENDS
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -442,15 +442,12 @@ pub struct StoreMetrics {
     pub vlog_log_bytes: Gauge,
     /// Log compactions run.
     pub vlog_compactions: Counter,
-    /// Fsyncs issued by the value log's append path (group commit's
-    /// coalescing denominator; 0 under `SyncPolicy::Never`).
+    /// Fsyncs issued by the value log (0 under `SyncPolicy::Never`).
     pub vlog_fsyncs: Counter,
     /// Torn tails truncated during recovery.
     pub vlog_torn_truncations: Counter,
     /// Records rejected for checksum mismatch (recovery + runtime reads).
     pub vlog_corrupt_records: Counter,
-    /// Legacy per-object files quarantined during migration.
-    pub vlog_quarantined: Counter,
     /// Objects adopted from the log by the recovery replay.
     pub vlog_replayed_objects: Counter,
     /// Bytes resident in the memory tier, published on every accounting
@@ -491,7 +488,6 @@ impl StoreMetrics {
             vlog_fsyncs: r.counter("store.vlog.fsyncs"),
             vlog_torn_truncations: r.counter("store.vlog.torn_truncations"),
             vlog_corrupt_records: r.counter("store.vlog.corrupt_records"),
-            vlog_quarantined: r.counter("store.vlog.quarantined"),
             vlog_replayed_objects: r.counter("store.vlog.replayed_objects"),
             mem_bytes: r.gauge("store.mem_bytes"),
             mem_budget: r.gauge("store.mem_budget"),
@@ -607,8 +603,7 @@ pub struct EngineMetrics {
     pub corrupt_dropped_local: Counter,
     /// Ring-owner replies the lookup ignored for the same reason.
     pub corrupt_dropped_remote: Counter,
-    /// Time to plan one chunk: plan (or checkpoint reload), prune,
-    /// checkpoint, index build.
+    /// Time to plan one chunk: plan, prune, index build.
     pub chunk_plan_us: Histogram,
     /// Chunks planned (a retired chunk planned again counts again).
     pub chunks_planned: Counter,
