@@ -28,9 +28,12 @@ retired='aug_threads|decode_threads|with_threads|thread_split|ExecutionConfig|sp
 retired="$retired|sand_autotune|autotune_tick|set_prefetch_depth|set_demand_slack|demand_slack|slack_buckets|AutotuneClamp|criterion::"
 # `graph_chunk_\{` is the name being built; the restart test's fixture spells one such file out.
 retired="$retired|checkpoint::|graph_chunk_\{|migrate_legacy|decode_key|encode_key|vlog_quarantined|SyncPolicy::Group|window_us|unsynced_bytes"
+# The lint checks the task configs and the plan; engine wiring that cannot run is a constructor's typed error.
+# The quoted codes match only code literals (`code: "SL0xx"`), not prose.
+retired="$retired|lint_concurrency|FleetLint|RemoteLint|fn with_store|\"SL00[56]\"|\"SL024\"|\"SL03[2-9]\"|\"SL040\""
 if grep -rnE "$retired" crates examples tests src ||
     grep -nE 'sand-autotune|criterion' Cargo.toml crates/*/Cargo.toml; then
-    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log"
+    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans"
     exit 1
 fi
 
@@ -106,5 +109,35 @@ cargo run -q --release --example cluster > /dev/null
 
 echo "==> fleet example smoke (3-tenant parity + admission rejection + dedup)"
 cargo run -q --release --example fleet > /dev/null
+
+echo "==> lint CLI smoke (a valid config exits 0; an unreachable cache budget is an SL020 deny, exit 1)"
+cfg=$(mktemp)
+cat > "$cfg" <<'YAML'
+dataset:
+  tag: smoke
+  input_source: file
+  video_dataset_path: /d
+  sampling:
+    videos_per_batch: 2
+    frames_per_video: 4
+    frame_stride: 2
+  augmentation:
+    - name: r
+      branch_type: single
+      inputs: ["frame"]
+      outputs: ["a0"]
+      config:
+        - resize:
+            shape: [16, 16]
+YAML
+cargo run -q --release --example lint -- "$cfg" > /dev/null
+status=0
+out=$(cargo run -q --release --example lint -- --cache-budget 1000 "$cfg" 2>&1) || status=$?
+rm -f "$cfg"
+if [ "$status" -ne 1 ] || ! grep -q SL020 <<< "$out"; then
+    echo "lint CLI: expected exit 1 with SL020 for --cache-budget 1000, got exit $status:"
+    echo "$out"
+    exit 1
+fi
 
 echo "CI green."

@@ -4,8 +4,14 @@
 
 #![allow(clippy::unwrap_used)]
 
+mod spec_gen;
+
 use proptest::prelude::*;
-use sand_config::{parse_task_config, yaml, Condition};
+use sand_config::{
+    parse_task_config, yaml, Branch, BranchArm, BranchType, Condition, InputSource, SamplingConfig,
+    TaskConfig,
+};
+use spec_gen::{render, spec_strategy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -83,4 +89,67 @@ proptest! {
         prop_assert_eq!(cfg.sampling.videos_per_batch, vpb);
         prop_assert_eq!(cfg.sampling.clip_span(), (fpv - 1) * stride + 1);
     }
+
+    /// Perturbing one arm probability past the tolerance (bypassing the
+    /// parser, as a programmatic config constructor could) fails
+    /// `validate`, which the engine runs before anything else.
+    #[test]
+    fn perturbed_probabilities_fail_validate(
+        spec in spec_strategy(),
+        delta in 0.001f64..0.4,
+    ) {
+        let yaml = render(&spec);
+        let mut cfg = parse_task_config(&yaml).unwrap();
+        let Some(branch) = cfg
+            .augmentation
+            .iter_mut()
+            .find(|b| b.branch_type == BranchType::Random)
+        else {
+            return Ok(()); // no random branch generated this round
+        };
+        if let Some(p) = &mut branch.arms[0].prob {
+            *p += delta;
+        }
+        prop_assert!(cfg.validate().is_err(), "accepted {cfg:?}");
+    }
+
+    /// Rewiring a branch input to an undefined stream fails `validate`.
+    #[test]
+    fn dangling_inputs_fail_validate(spec in spec_strategy()) {
+        let yaml = render(&spec);
+        let mut cfg = parse_task_config(&yaml).unwrap();
+        cfg.augmentation[0].inputs = vec!["nope".to_string()];
+        prop_assert!(cfg.validate().is_err(), "accepted {cfg:?}");
+    }
+}
+
+/// Direct-construction mutation: a config with probabilities summing to
+/// 0.6 routed past the parser must fail `validate`, not be trusted.
+#[test]
+fn constructed_bad_distribution_fails_validate() {
+    let cfg = TaskConfig {
+        tag: "t".into(),
+        input_source: InputSource::File,
+        video_dataset_path: "/d".into(),
+        sampling: SamplingConfig::default(),
+        augmentation: vec![Branch {
+            name: "r".into(),
+            branch_type: BranchType::Random,
+            inputs: vec!["frame".into()],
+            outputs: vec!["a0".into()],
+            arms: vec![
+                BranchArm {
+                    condition: None,
+                    prob: Some(0.3),
+                    ops: vec![],
+                },
+                BranchArm {
+                    condition: None,
+                    prob: Some(0.3),
+                    ops: vec![],
+                },
+            ],
+        }],
+    };
+    assert!(cfg.validate().is_err());
 }

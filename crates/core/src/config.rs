@@ -4,7 +4,7 @@ use crate::engine::{video_metas, SandEngine};
 use crate::{CoreError, Result};
 use sand_config::TaskConfig;
 use sand_graph::{AbstractGraph, PlanInput, Planner, PlannerOptions};
-use sand_lint::{lint_all, FleetLint, LintLevel, LintOptions, RemoteLint};
+use sand_lint::{lint_all, LintLevel, LintOptions};
 use sand_net::RemoteTierConfig;
 use sand_sched::SchedConfig;
 use sand_storage::StoreConfig;
@@ -117,8 +117,8 @@ impl EngineConfig {
             .collect()
     }
 
-    /// The resource and feature facts the lint rules check the workload
-    /// against, over a dataset of `videos` videos.
+    /// The domain and budgets the lint rules check the workload against,
+    /// over a dataset of `videos` videos.
     fn lint_options(&self, videos: usize) -> LintOptions {
         LintOptions {
             total_epochs: self.total_epochs,
@@ -129,23 +129,7 @@ impl EngineConfig {
                 .max(),
             cache_budget: self.cache_budget,
             memory_budget: self.store.memory_budget,
-            telemetry: self.telemetry.clone(),
             prefetch_depth: self.prefetch_depth,
-            store_shards: self.store.shards,
-            sanitize: sand_sanitizer::enabled(),
-            release_build: cfg!(not(debug_assertions)),
-            persistent: self.store_dir.is_some(),
-            disk_budget: self.store.disk_budget,
-            fleet: self.tenancy.as_ref().map(|t| FleetLint {
-                tenants: t.tenants.len(),
-                weights: t.tenants.iter().map(|x| x.weight).collect(),
-                admission_budget: t.admission_budget,
-            }),
-            remote: self.remote.as_ref().map(|r| RemoteLint {
-                peers: r.peers.len(),
-                fetch_timeout_ms: r.fetch_timeout.as_millis() as u64,
-                retries: r.retries,
-            }),
         }
     }
 }
@@ -273,5 +257,74 @@ mod tests {
         let strict = SandEngine::new(config, dataset()).unwrap();
         strict.start().unwrap();
         drop(e);
+    }
+
+    /// A config that cannot run fails the constructor that reads the
+    /// field, at every `LintLevel`: `Off` skips the lint pass and `Warn`
+    /// only prints it, so neither may be what stops these.
+    #[test]
+    fn unrunnable_configs_fail_new_at_every_lint_level() {
+        use crate::fleet::{Fleet, FleetConfig, TenantSpec};
+        let dir = std::env::temp_dir().join(format!("sand_zero_disk_{}", std::process::id()));
+        for lint in [LintLevel::Off, LintLevel::Warn] {
+            let base = EngineConfig {
+                tasks: vec![parse_task_config(TASK).unwrap()],
+                prematerialize: false,
+                store: StoreConfig {
+                    memory_budget: 256 << 20,
+                    ..Default::default()
+                },
+                lint,
+                ..Default::default()
+            };
+            let fleet = |weight, admission_budget| {
+                let tenants = vec![TenantSpec {
+                    name: "solo".into(),
+                    weight,
+                    tasks: base.tasks.clone(),
+                }];
+                let config = FleetConfig {
+                    base: base.clone(),
+                    tenants,
+                    admission_budget,
+                };
+                Fleet::new(config, dataset()).map(|_| ())
+            };
+            let engine = |edit: &dyn Fn(&mut EngineConfig)| {
+                let mut config = base.clone();
+                edit(&mut config);
+                SandEngine::new(config, dataset()).map(|_| ())
+            };
+            let cases = [
+                ("admission_budget", fleet(1, 512 << 20)),
+                ("tenants.weight", fleet(0, 0)),
+                (
+                    "remote.peers",
+                    engine(&|c| c.remote = Some(RemoteTierConfig::default())),
+                ),
+                (
+                    "store.disk_budget",
+                    engine(&|c| {
+                        c.store_dir = Some(dir.clone());
+                        c.store.disk_budget = 0;
+                    }),
+                ),
+            ];
+            for (field, got) in cases {
+                match got {
+                    Err(CoreError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),
+                    Err(CoreError::Storage(sand_storage::StorageError::InvalidConfig { what }))
+                        if field == "store.disk_budget" =>
+                    {
+                        assert!(what.contains("disk budget"), "{what}");
+                    }
+                    other => panic!("{lint:?} {field}: expected a typed rejection, got {other:?}"),
+                }
+            }
+        }
+        assert!(
+            !dir.exists(),
+            "a rejected store must not create its directory"
+        );
     }
 }

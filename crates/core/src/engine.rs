@@ -11,7 +11,7 @@ use crate::chunk::Chunks;
 use crate::flight::Flight;
 use crate::materialize::{Object, WarmPool, WARM_SESSION_CAP};
 use crate::prefetch::Prefetcher;
-use crate::{CoreError, Result};
+use crate::{invalid, Result};
 use sand_codec::{Dataset, DecodeStats};
 use sand_net::RemoteTier;
 use sand_sanitizer::TrackedMutex;
@@ -125,23 +125,27 @@ impl SandEngine {
     /// the same keys, so surviving objects are never recomputed.
     pub fn new(config: EngineConfig, dataset: Arc<Dataset>) -> Result<Self> {
         if config.tasks.is_empty() {
-            return Err(CoreError::State {
-                what: "no tasks configured".into(),
-            });
+            return invalid("tasks", "no tasks configured");
         }
-        if config.epochs_per_chunk == 0 || config.total_epochs == 0 {
-            return Err(CoreError::State {
-                what: "epochs must be nonzero".into(),
-            });
+        for (field, epochs) in [
+            ("epochs_per_chunk", config.epochs_per_chunk),
+            ("total_epochs", config.total_epochs),
+        ] {
+            if epochs == 0 {
+                return invalid(field, "epochs must be nonzero");
+            }
         }
         let mut task_ids = HashMap::new();
         for (i, t) in config.tasks.iter().enumerate() {
             t.validate()?;
             if task_ids.insert(t.tag.clone(), i as u32).is_some() {
-                return Err(CoreError::State {
-                    what: format!("duplicate task tag `{}`", t.tag),
-                });
+                return invalid("tasks.tag", format!("duplicate task tag `{}`", t.tag));
             }
+        }
+        // A ring of this node alone: every fetch would short-circuit and
+        // every offer would be a no-op.
+        if config.remote.as_ref().is_some_and(|r| r.peers.is_empty()) {
+            return invalid("remote.peers", "the remote tier needs at least one peer");
         }
         let telemetry = config
             .telemetry

@@ -27,7 +27,7 @@
 //!    and per-tenant stall sections attribute what each tenant got.
 
 use crate::engine::{EngineConfig, SandEngine};
-use crate::{CoreError, Result};
+use crate::{invalid, CoreError, Result};
 use sand_codec::Dataset;
 use sand_config::TaskConfig;
 use sand_sched::TenantShare;
@@ -42,7 +42,7 @@ use std::sync::Arc;
 pub struct TenantId {
     /// Fleet-unique tenant name (metric names embed it).
     pub name: String,
-    /// QoS weight (>= 1; zero is clamped to 1 by the scheduler).
+    /// QoS weight (>= 1; [`Fleet::new`] rejects zero).
     pub weight: u64,
 }
 
@@ -58,9 +58,6 @@ pub struct Tenancy {
     /// `tenants`. Unmapped tasks are untenanted: scheduled at zero
     /// virtual time and excluded from per-tenant attribution.
     pub task_tenant: HashMap<String, u32>,
-    /// Working-set budget admission control enforced, in bytes (recorded
-    /// for the lint pass; `0` = the store memory budget was used).
-    pub admission_budget: u64,
 }
 
 /// One tenant submitted to the fleet: a name, a QoS weight, and the
@@ -69,7 +66,7 @@ pub struct Tenancy {
 pub struct TenantSpec {
     /// Fleet-unique tenant name.
     pub name: String,
-    /// QoS weight; demand capacity divides proportionally under
+    /// QoS weight (>= 1); demand capacity divides proportionally under
     /// contention.
     pub weight: u64,
     /// The tenant's tasks, with *their own* tags (the fleet namespaces
@@ -87,7 +84,8 @@ pub struct FleetConfig {
     /// Tenants in submission order (admission considers them in order).
     pub tenants: Vec<TenantSpec>,
     /// Admission working-set budget in bytes; `0` uses the store's
-    /// memory budget. Must not exceed the store budget (lint SL039).
+    /// memory budget. [`Fleet::new`] rejects a budget above the store's:
+    /// admission would promise memory the store does not have.
     pub admission_budget: u64,
 }
 
@@ -124,34 +122,44 @@ pub fn fleet_tag(tenant: &str, tag: &str) -> String {
 
 impl Fleet {
     /// Admits tenants against the working-set budget, builds the union
-    /// engine over the admitted set, and starts it (lint pass included:
-    /// SL039/SL040 see the fleet facts).
+    /// engine over the admitted set, and starts it.
     pub fn new(config: FleetConfig, dataset: Arc<Dataset>) -> Result<Fleet> {
         if config.tenants.is_empty() {
-            return Err(CoreError::State {
-                what: "fleet has no tenants".into(),
-            });
+            return invalid("tenants", "fleet has no tenants");
         }
         let mut seen = std::collections::HashSet::new();
         for t in &config.tenants {
             if t.name.is_empty() {
-                return Err(CoreError::State {
-                    what: "tenant with empty name".into(),
-                });
+                return invalid("tenants.name", "tenant with empty name");
             }
             if !seen.insert(t.name.as_str()) {
-                return Err(CoreError::State {
-                    what: format!("duplicate tenant name `{}`", t.name),
-                });
+                return invalid(
+                    "tenants.name",
+                    format!("duplicate tenant name `{}`", t.name),
+                );
             }
             if t.tasks.is_empty() {
-                return Err(CoreError::State {
-                    what: format!("tenant `{}` has no tasks", t.name),
-                });
+                return invalid("tenants.tasks", format!("tenant `{}` has no tasks", t.name));
+            }
+            if t.weight == 0 {
+                return invalid(
+                    "tenants.weight",
+                    format!("tenant `{}` has weight 0", t.name),
+                );
             }
         }
+        let memory_budget = config.base.store.memory_budget;
+        if config.admission_budget > memory_budget {
+            return invalid(
+                "admission_budget",
+                format!(
+                    "{} B exceeds the store's {memory_budget} B memory budget",
+                    config.admission_budget
+                ),
+            );
+        }
         let budget = if config.admission_budget == 0 {
-            config.base.store.memory_budget
+            memory_budget
         } else {
             config.admission_budget
         };
@@ -186,8 +194,9 @@ impl Fleet {
             specs.push(t);
         }
         if admitted.is_empty() {
-            return Err(CoreError::State {
-                what: format!(
+            return invalid(
+                "admission_budget",
+                format!(
                     "admission rejected every tenant (budget {budget} B): {}",
                     rejected
                         .iter()
@@ -195,7 +204,7 @@ impl Fleet {
                         .collect::<Vec<_>>()
                         .join(", ")
                 ),
-            });
+            );
         }
         // Union workload: every admitted tenant's tasks, tags namespaced
         // so identical per-tenant configs coexist in one plan.
@@ -205,7 +214,7 @@ impl Fleet {
         for (idx, spec) in specs.iter().enumerate() {
             tenants.push(TenantId {
                 name: spec.name.clone(),
-                weight: spec.weight.max(1),
+                weight: spec.weight,
             });
             for task in &spec.tasks {
                 let mut task = task.clone();
@@ -219,7 +228,6 @@ impl Fleet {
         engine_config.tenancy = Some(Tenancy {
             tenants,
             task_tenant,
-            admission_budget: config.admission_budget,
         });
         let engine = SandEngine::new(engine_config, dataset)?;
         engine.start()?;

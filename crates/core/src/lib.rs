@@ -62,6 +62,14 @@ pub enum CoreError {
         /// Human-readable description.
         what: String,
     },
+    /// A configuration no engine can run, rejected by the constructor
+    /// that reads the field, whatever the `LintLevel`.
+    InvalidConfig {
+        /// The offending field, as a dotted config path.
+        field: &'static str,
+        /// Why the value cannot run.
+        reason: String,
+    },
     /// Engine state error (e.g. epoch beyond `total_epochs`).
     State {
         /// Human-readable description.
@@ -85,6 +93,9 @@ impl fmt::Display for CoreError {
             CoreError::Frame(e) => write!(f, "frame: {e}"),
             CoreError::Storage(e) => write!(f, "storage: {e}"),
             CoreError::UnknownView { what } => write!(f, "unknown view: {what}"),
+            CoreError::InvalidConfig { field, reason } => {
+                write!(f, "invalid config `{field}`: {reason}")
+            }
             CoreError::State { what } => write!(f, "engine state: {what}"),
             CoreError::Lint { denies, report } => {
                 write!(
@@ -130,3 +141,11 @@ impl From<sand_storage::StorageError> for CoreError {
 
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+/// A constructor's rejection of `field`.
+pub(crate) fn invalid<T>(field: &'static str, reason: impl Into<String>) -> Result<T> {
+    Err(CoreError::InvalidConfig {
+        field,
+        reason: reason.into(),
+    })
+}

@@ -1,11 +1,13 @@
-//! Config-semantics analyses (`SL001`–`SL006`).
+//! Config-semantics analyses (`SL001`–`SL004`).
 //!
 //! These run over the parsed [`TaskConfig`] set alone, before any graph is
 //! built, and reason about the *training domain*: conditions are evaluated
 //! symbolically over `epoch ∈ [0, total_epochs)` and (when the iteration
 //! bound is known) `iteration ∈ [0, total_epochs × iterations_per_epoch)`,
 //! matching exactly the values the planner later feeds to
-//! `Condition::eval`.
+//! `Condition::eval`. They assume a config that passed
+//! `TaskConfig::validate` (probabilities form a distribution, every input
+//! names an earlier stream); the parser and `SandEngine::new` both run it.
 
 use crate::{Diagnostic, LintOptions, Severity};
 use sand_config::condition::{CondOp, CondVar};
@@ -75,29 +77,8 @@ fn condition_range(cond: &Condition, opts: &LintOptions) -> (bool, bool) {
 
 fn lint_one(task: &TaskConfig, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let tag = &task.tag;
-    // Streams produced so far (the decoded-frame source is predefined),
-    // and who consumes what, for SL004/SL006.
-    let mut produced: Vec<&str> = vec!["frame"];
-    for (b_idx, branch) in task.augmentation.iter().enumerate() {
+    for branch in &task.augmentation {
         let loc = |suffix: &str| format!("{tag}.augmentation.{}{suffix}", branch.name);
-        // SL006: dangling stream reference.
-        for (i, input) in branch.inputs.iter().enumerate() {
-            if !produced.iter().any(|p| p == input) {
-                out.push(Diagnostic {
-                    code: "SL006",
-                    severity: Severity::Deny,
-                    location: loc(&format!(".inputs[{i}]")),
-                    message: format!(
-                        "branch `{}` consumes stream `{input}`, which no earlier \
-                         branch produces",
-                        branch.name
-                    ),
-                    help: "connect the input to `frame` or to an output of an \
-                           earlier branch"
-                        .into(),
-                });
-            }
-        }
         match branch.branch_type {
             BranchType::Conditional => {
                 // SL001: an arm is unreachable when its own condition can
@@ -146,53 +127,22 @@ fn lint_one(task: &TaskConfig, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
             }
             BranchType::Random => {
                 // SL002: zero-probability arms are dead configuration.
-                let mut sum = 0.0;
-                let mut missing = false;
                 for (i, arm) in branch.arms.iter().enumerate() {
-                    match arm.prob {
-                        Some(p) => {
-                            sum += p;
-                            if p == 0.0 {
-                                out.push(Diagnostic {
-                                    code: "SL002",
-                                    severity: Severity::Warn,
-                                    location: loc(&format!(".arms[{i}]")),
-                                    message: format!(
-                                        "arm {i} of random branch `{}` has \
-                                         probability 0 and is never selected",
-                                        branch.name
-                                    ),
-                                    help: "remove the arm or give it nonzero \
-                                           probability"
-                                        .into(),
-                                });
-                            }
-                        }
-                        None => missing = true,
+                    if arm.prob == Some(0.0) {
+                        out.push(Diagnostic {
+                            code: "SL002",
+                            severity: Severity::Warn,
+                            location: loc(&format!(".arms[{i}]")),
+                            message: format!(
+                                "arm {i} of random branch `{}` has \
+                                 probability 0 and is never selected",
+                                branch.name
+                            ),
+                            help: "remove the arm or give it nonzero \
+                                   probability"
+                                .into(),
+                        });
                     }
-                }
-                // SL005: the selection distribution must be a distribution.
-                if missing || (sum - 1.0).abs() > 1e-6 {
-                    out.push(Diagnostic {
-                        code: "SL005",
-                        severity: Severity::Deny,
-                        location: loc(".arms"),
-                        message: if missing {
-                            format!(
-                                "random branch `{}` has arms without a probability",
-                                branch.name
-                            )
-                        } else {
-                            format!(
-                                "random branch `{}` arm probabilities sum to \
-                                 {sum}, not 1",
-                                branch.name
-                            )
-                        },
-                        help: "make the arm probabilities a distribution summing \
-                               to 1"
-                            .into(),
-                    });
                 }
             }
             BranchType::Merge => {
@@ -220,10 +170,6 @@ fn lint_one(task: &TaskConfig, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
                 }
             }
             BranchType::Single | BranchType::Multi => {}
-        }
-        let _ = b_idx;
-        for o in &branch.outputs {
-            produced.push(o);
         }
     }
     // SL004: streams produced but never consumed. Unconsumed streams are
@@ -444,37 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn sl005_probabilities_must_sum_to_one() {
-        let mk = |p1, p2| {
-            base(vec![Branch {
-                name: "r".into(),
-                branch_type: BranchType::Random,
-                inputs: vec!["frame".into()],
-                outputs: vec!["a".into()],
-                arms: vec![
-                    BranchArm {
-                        condition: None,
-                        prob: p1,
-                        ops: vec![],
-                    },
-                    BranchArm {
-                        condition: None,
-                        prob: p2,
-                        ops: vec![],
-                    },
-                ],
-            }])
-        };
-        let d = lint_configs(&[mk(Some(0.3), Some(0.3))], &opts());
-        assert_eq!(codes(&d), vec!["SL005"]);
-        assert_eq!(d[0].severity, Severity::Deny);
-        // A missing probability is the same family.
-        let d = lint_configs(&[mk(Some(0.5), None)], &opts());
-        assert_eq!(codes(&d), vec!["SL005"]);
-        assert!(lint_configs(&[mk(Some(0.25), Some(0.75))], &opts()).is_empty());
-    }
-
-    #[test]
     fn sl003_single_input_merge() {
         let cfg = base(vec![
             Branch {
@@ -543,24 +458,6 @@ mod tests {
         let d = lint_configs(&[cfg], &opts());
         assert_eq!(codes(&d), vec!["SL004"]);
         assert!(d[0].message.contains("`a0`"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn sl006_dangling_stream_reference() {
-        let cfg = base(vec![Branch {
-            name: "c".into(),
-            branch_type: BranchType::Single,
-            inputs: vec!["nope".into()],
-            outputs: vec!["a0".into()],
-            arms: vec![BranchArm {
-                condition: None,
-                prob: None,
-                ops: vec![],
-            }],
-        }]);
-        let d = lint_configs(&[cfg], &opts());
-        assert_eq!(codes(&d), vec!["SL006"]);
-        assert_eq!(d[0].severity, Severity::Deny);
     }
 
     #[test]

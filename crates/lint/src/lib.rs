@@ -10,11 +10,15 @@
 //!
 //! | family | codes | what it covers |
 //! |---|---|---|
-//! | config semantics | `SL001`–`SL006` | unreachable arms, dead streams, bad probabilities |
+//! | config semantics | `SL001`–`SL004` | unreachable arms, zero-probability arms, vacuous merges, dead streams |
 //! | graph invariants | `SL010`–`SL014` | edge legality, acyclicity, dangling references |
-//! | resource feasibility | `SL020`–`SL022`, `SL024`, `SL025` | budget lower bounds, decode amplification, telemetry buckets, prefetch window sizing |
+//! | resource feasibility | `SL020`–`SL022`, `SL025` | budget lower bounds, decode amplification, prefetch window sizing |
 //! | sharing | `SL030`–`SL031` | near-miss cross-task merge opportunities |
-//! | concurrency | `SL032`–`SL040` | single-shard prefetch contention, sanitizer-in-release, dead persistent tier, remote-tier wiring, fleet QoS wiring |
+//!
+//! The lint judges what the user wrote: the task configs and the plan
+//! derived from them. A config that cannot run at all is not a finding —
+//! `TaskConfig::validate` and the constructors that read the field
+//! (`ObjectStore::open`, `SandEngine::new`, `Fleet::new`) reject it.
 //!
 //! Diagnostics render rustc-style for humans ([`LintReport::render_human`])
 //! and as JSON lines for tooling ([`LintReport::render_jsonl`]). The engine
@@ -23,13 +27,11 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod concurrency;
 pub mod config;
 pub mod graph;
 pub mod resources;
 pub mod sharing;
 
-pub use concurrency::lint_concurrency;
 pub use config::lint_configs;
 pub use graph::{lint_abstract, lint_concrete};
 pub use resources::lint_resources;
@@ -150,56 +152,9 @@ pub struct LintOptions {
     pub cache_budget: u64,
     /// Memory-tier budget of the object store in bytes.
     pub memory_budget: u64,
-    /// Telemetry configuration when the engine enables observability
-    /// (`None` = telemetry off, its lints are skipped).
-    pub telemetry: Option<sand_telemetry::TelemetryConfig>,
     /// Epoch-ahead prefetch depth (`EngineConfig::prefetch_depth`;
     /// `0` = prefetching off, its lints are skipped).
     pub prefetch_depth: usize,
-    /// Object-store shard count (`StoreConfig::shards`).
-    pub store_shards: usize,
-    /// Whether the engine was compiled with the `sanitize` feature
-    /// (tracked locks + lockset instrumentation).
-    pub sanitize: bool,
-    /// Whether this is an optimized (release) build.
-    pub release_build: bool,
-    /// Whether the engine was configured with a persistent tier (a store
-    /// directory and its value log).
-    pub persistent: bool,
-    /// Disk-tier byte budget of the object store
-    /// (`StoreConfig::disk_budget`).
-    pub disk_budget: u64,
-    /// Remote-tier wiring when the engine joins a cluster (`None` =
-    /// single-process, its lints are skipped).
-    pub remote: Option<RemoteLint>,
-    /// Fleet (multi-tenant) wiring when the engine serves several
-    /// tenants (`None` = single-tenant, its lints are skipped).
-    pub fleet: Option<FleetLint>,
-}
-
-/// Fleet facts the concurrency lints need, pre-digested so this crate
-/// does not depend on the fleet front-end.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetLint {
-    /// Declared tenant count.
-    pub tenants: usize,
-    /// Per-tenant scheduler weights, in tenant order.
-    pub weights: Vec<u64>,
-    /// Admission-control working-set budget in bytes (what the fleet
-    /// will admit against).
-    pub admission_budget: u64,
-}
-
-/// Remote-tier facts the concurrency lints need, pre-digested so this
-/// crate does not depend on `sand-net`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteLint {
-    /// Configured peer count (other nodes on the placement ring).
-    pub peers: usize,
-    /// Per-attempt remote fetch timeout in milliseconds.
-    pub fetch_timeout_ms: u64,
-    /// Additional fetch attempts after the first.
-    pub retries: u32,
 }
 
 impl Default for LintOptions {
@@ -209,27 +164,8 @@ impl Default for LintOptions {
             iterations_per_epoch: None,
             cache_budget: 256 << 20,
             memory_budget: 64 << 20,
-            telemetry: None,
             prefetch_depth: 0,
-            store_shards: 1,
-            sanitize: false,
-            release_build: false,
-            persistent: false,
-            disk_budget: 512 << 20,
-            remote: None,
-            fleet: None,
         }
-    }
-}
-
-impl LintOptions {
-    /// Adopts the memory- and disk-tier budgets from an object-store
-    /// configuration.
-    #[must_use]
-    pub fn with_store(mut self, store: &sand_storage::StoreConfig) -> Self {
-        self.memory_budget = store.memory_budget;
-        self.disk_budget = store.disk_budget;
-        self
     }
 }
 
@@ -316,7 +252,6 @@ pub fn lint_all(
     }
     diagnostics.extend(lint_resources(tasks, concrete, videos, opts));
     diagnostics.extend(lint_sharing(tasks));
-    diagnostics.extend(lint_concurrency(opts));
     LintReport { diagnostics }
 }
 

@@ -1,4 +1,4 @@
-//! Resource-feasibility analyses (`SL020`–`SL022`, `SL024`, `SL025`).
+//! Resource-feasibility analyses (`SL020`–`SL022`, `SL025`).
 //!
 //! These bound, *statically*, what the runtime will need: the largest
 //! single-batch working set is a hard lower bound on live bytes — no
@@ -27,7 +27,6 @@ pub fn lint_resources(
         lint_budgets(g, opts, &mut out);
     }
     lint_decode_amplification(tasks, videos, &mut out);
-    lint_telemetry(opts, &mut out);
     lint_prefetch_store(concrete, opts, &mut out);
     out
 }
@@ -63,28 +62,6 @@ fn lint_prefetch_store(
                 });
             }
         }
-    }
-}
-
-/// `SL024`: telemetry is enabled but the latency histogram bounds
-/// cannot represent what they will observe — empty or not strictly
-/// increasing (degenerate/inverted).
-fn lint_telemetry(opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-    let Some(t) = &opts.telemetry else { return };
-    let degenerate = |bounds: &[u64]| bounds.is_empty() || bounds.windows(2).any(|w| w[0] >= w[1]);
-    if degenerate(&t.latency_buckets_us) {
-        out.push(Diagnostic {
-            code: "SL024",
-            severity: Severity::Warn,
-            location: "engine.telemetry.latency_buckets_us".into(),
-            message: "latency histogram bounds are degenerate (empty or not \
-                      strictly increasing); every latency observation lands \
-                      in one bucket"
-                .into(),
-            help: "use strictly increasing microsecond upper bounds, e.g. \
-                   the TelemetryConfig defaults"
-                .into(),
-        });
     }
 }
 
@@ -336,43 +313,5 @@ mod tests {
             ..Default::default()
         };
         assert!(lint_resources(&tasks, Some(&g), &vs, &opts).is_empty());
-    }
-
-    #[test]
-    fn sl024_silent_without_telemetry() {
-        let (tasks, _, vs) = planned(2, 8);
-        // Default options carry no telemetry config: no SL024 either way.
-        assert!(lint_resources(&tasks, None, &vs, &LintOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn sl024_degenerate_latency_buckets() {
-        let (tasks, _, vs) = planned(2, 8);
-        for bad in [vec![], vec![100, 50], vec![10, 10, 20]] {
-            let opts = LintOptions {
-                telemetry: Some(sand_telemetry::TelemetryConfig {
-                    latency_buckets_us: bad.clone(),
-                    ..Default::default()
-                }),
-                ..Default::default()
-            };
-            let d = lint_resources(&tasks, None, &vs, &opts);
-            assert_eq!(d.len(), 1, "{bad:?}: {d:?}");
-            assert_eq!(d[0].code, "SL024");
-            assert_eq!(d[0].severity, Severity::Warn);
-            assert_eq!(d[0].location, "engine.telemetry.latency_buckets_us");
-        }
-    }
-
-    #[test]
-    fn sl024_clean_default_telemetry_config() {
-        let (tasks, _, vs) = planned(2, 8);
-        let opts = LintOptions {
-            total_epochs: 4,
-            iterations_per_epoch: Some(2),
-            telemetry: Some(sand_telemetry::TelemetryConfig::default()),
-            ..Default::default()
-        };
-        assert!(lint_resources(&tasks, None, &vs, &opts).is_empty());
     }
 }

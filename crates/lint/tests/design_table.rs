@@ -21,7 +21,6 @@ fn design_table_lists_exactly_the_emitted_codes() {
         include_str!("../src/graph.rs"),
         include_str!("../src/resources.rs"),
         include_str!("../src/sharing.rs"),
-        include_str!("../src/concurrency.rs"),
     ]
     .iter()
     .flat_map(|src| codes_after(src, "code: \""))

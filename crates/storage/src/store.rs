@@ -234,7 +234,9 @@ impl ObjectStore {
     /// records from a previous run are replayed and adopted (crash
     /// recovery), with torn tails truncated and corrupt records
     /// rejected. Files in `dir` other than the log's segments and
-    /// `MANIFEST` are neither read nor touched.
+    /// `MANIFEST` are neither read nor touched. A `dir` with a zero
+    /// `disk_budget` is rejected: the budget sweep would evict every
+    /// object the moment it reached the log, so nothing would persist.
     pub fn open(config: StoreConfig, dir: Option<PathBuf>) -> Result<Self> {
         if config.memory_budget == 0 {
             return Err(StorageError::InvalidConfig {
@@ -254,6 +256,11 @@ impl ObjectStore {
         if !(config.compact_threshold > 0.0 && config.compact_threshold <= 1.0) {
             return Err(StorageError::InvalidConfig {
                 what: "compact threshold must be in (0,1]",
+            });
+        }
+        if dir.is_some() && config.disk_budget == 0 {
+            return Err(StorageError::InvalidConfig {
+                what: "disk budget must be nonzero with a store directory",
             });
         }
         let mut store = ObjectStore {
@@ -1417,6 +1424,25 @@ mod tests {
             ..Default::default()
         })
         .is_err());
+    }
+
+    #[test]
+    fn zero_disk_budget_rejected_only_with_a_directory() {
+        let dir = tmp("zero_disk_budget");
+        let cfg = StoreConfig {
+            disk_budget: 0,
+            ..Default::default()
+        };
+        assert!(matches!(
+            ObjectStore::open(cfg, Some(dir.clone())),
+            Err(StorageError::InvalidConfig { what }) if what.contains("disk budget")
+        ));
+        assert!(
+            !dir.exists(),
+            "a rejected config must not create its directory"
+        );
+        // Memory-only: the disk budget is never consulted.
+        ObjectStore::memory_only(cfg).unwrap();
     }
 
     #[test]

@@ -120,10 +120,14 @@ pub struct Histogram {
 }
 
 impl Histogram {
+    /// Bounds may come in any order and repeat: they are sorted and
+    /// deduplicated here, so `observe`'s binary search always sees a
+    /// strictly increasing list and no bucket is unreachable.
     pub fn new(bounds: &[u64]) -> Self {
+        let bounds = sorted_unique(bounds);
         let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Self {
-            bounds: Arc::new(bounds.to_vec()),
+            bounds: Arc::new(bounds),
             state: Arc::new(HistState {
                 counts,
                 sum: AtomicU64::new(0),
@@ -172,6 +176,19 @@ impl Histogram {
             sum: self.sum(),
         }
     }
+}
+
+/// `bounds` sorted, without repeats. Out of line and cold: it runs once
+/// per registration, and the same sort inlined into `Histogram::new`
+/// moved hot code in `sandbench`'s release build enough to cost
+/// `fig13_multi_constrained` about 15 % of its batches/s (EXPERIMENTS.md).
+#[cold]
+#[inline(never)]
+fn sorted_unique(bounds: &[u64]) -> Vec<u64> {
+    let mut bounds = bounds.to_vec();
+    bounds.sort_unstable();
+    bounds.dedup();
+    bounds
 }
 
 // ---------------------------------------------------------------------------
@@ -863,6 +880,24 @@ mod tests {
         assert_eq!(s.counts, vec![2, 2, 0, 1]);
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 5 + 10 + 11 + 100 + 5000);
+    }
+
+    #[test]
+    fn histogram_bounds_are_sorted_and_deduplicated() {
+        let h = Histogram::new(&[100, 50]);
+        h.observe(60);
+        let s = h.snapshot_value();
+        assert_eq!(s.bounds, vec![50, 100]);
+        // 60 lands under bound 100, not in the overflow bucket.
+        assert_eq!(s.counts, vec![0, 1, 0]);
+        // A repeated bound leaves no bucket that no value can reach.
+        let h = Histogram::new(&[10, 10, 20]);
+        for v in [5, 15, 25] {
+            h.observe(v);
+        }
+        let s = h.snapshot_value();
+        assert_eq!(s.bounds, vec![10, 20]);
+        assert_eq!(s.counts, vec![1, 1, 1]);
     }
 
     #[test]

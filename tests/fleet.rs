@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use sand::codec::{Dataset, DatasetSpec};
 use sand::core::fleet::{fleet_tag, Fleet, FleetConfig, TenantSpec};
-use sand::core::{EngineConfig, SandEngine};
+use sand::core::{CoreError, EngineConfig, SandEngine};
 use sand::storage::StoreConfig;
 use sand::telemetry::TelemetryConfig;
 use std::sync::Arc;
@@ -367,18 +367,19 @@ fn admission_rejects_over_budget_tenant() {
     let snapshot = fleet.engine().metrics_snapshot().unwrap();
     assert_eq!(snapshot.gauge("fleet.admitted"), Some(2));
     assert_eq!(snapshot.counter("fleet.rejected"), Some(1));
-    // The QoS ledger covers exactly the admitted tenants, clamped
-    // weights included.
+    // The QoS ledger covers exactly the admitted tenants, weights
+    // included.
     let shares = fleet.tenant_shares().unwrap();
     assert_eq!(shares.len(), 2);
     assert!(shares.iter().all(|s| s.weight == 1));
 }
 
-/// SL039 reaches the fleet end to end: an admission budget above the
-/// store's memory budget fails startup under `LintLevel::Deny` —
-/// admission must not promise memory the store does not have.
+/// An admission budget above the store's memory budget fails
+/// `Fleet::new` with a typed error at every lint level (this fleet runs
+/// with the lint pass off): admission must not promise memory the store
+/// does not have.
 #[test]
-fn lint_denies_admission_budget_above_store_budget() {
+fn admission_budget_above_store_budget_is_rejected() {
     let dataset = Arc::new(
         Dataset::generate(&DatasetSpec {
             num_videos: 4,
@@ -388,11 +389,9 @@ fn lint_denies_admission_budget_above_store_budget() {
         })
         .unwrap(),
     );
-    let mut base = base_config(5);
-    base.lint = sand::lint::LintLevel::Deny;
     let err = Fleet::new(
         FleetConfig {
-            base,
+            base: base_config(5),
             tenants: vec![TenantSpec {
                 name: "solo".into(),
                 weight: 1,
@@ -404,9 +403,14 @@ fn lint_denies_admission_budget_above_store_budget() {
     )
     .map(|_| ())
     .unwrap_err();
-    let rendered = err.to_string();
     assert!(
-        rendered.contains("SL039"),
-        "expected an SL039 deny, got: {rendered}"
+        matches!(
+            err,
+            CoreError::InvalidConfig {
+                field: "admission_budget",
+                ..
+            }
+        ),
+        "expected an admission_budget rejection, got: {err}"
     );
 }
