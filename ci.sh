@@ -53,6 +53,12 @@ if grep -rn 'fn scan_victim' crates/*/src; then
     exit 1
 fi
 
+echo "==> one residual decoder (the per-step reader lives on only in the encoder's tests and the decoder's test reference)"
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/codec/src/decode.rs | grep get_steps; then
+    echo "get_steps is back in the decoder: residual frames decode from their run-length blocks (apply_residual in crates/codec/src/decode.rs)"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -253,6 +253,16 @@ impl EncodedVideo {
             what: "bad pixel format",
         })?;
         pos += 1;
+        // Every decoder buffer is `width * height * channels` bytes.
+        if width
+            .checked_mul(height)
+            .and_then(|px| px.checked_mul(format.channels()))
+            .is_none_or(|bytes| bytes == 0)
+        {
+            return Err(CodecError::Corrupt {
+                what: "implausible frame dimensions",
+            });
+        }
         let quantizer = *bytes.get(pos).ok_or(CodecError::Corrupt {
             what: "truncated quantizer",
         })?;

@@ -19,7 +19,7 @@
 //! re-decoding from the keyframe.
 
 use crate::container::{EncodedVideo, FrameKind};
-use crate::encode::{q, unfilter_rows};
+use crate::encode::{q, unfilter_rows, RESIDUAL_ESCAPE};
 use crate::{CodecError, Result};
 use sand_frame::cost::{per_pixel_cost, units, OpCost};
 use sand_frame::wire::{get_varint, rle_unpack};
@@ -104,6 +104,141 @@ fn wrap_frame(video: &EncodedVideo, index: usize, pixels: Vec<u8>) -> Result<Fra
     Ok(frame)
 }
 
+/// Reconstructs a residual-coded frame from its payload against
+/// `predictor` in one pass over the payload's run-length blocks.
+///
+/// The payload is the step stream's length (a varint) followed by the
+/// [`sand_frame::wire::rle_pack`] blocks of the stream. A run of the zero
+/// step copies the predictor slice it covers, and a run of any other
+/// one-byte step is one saturating add or subtract over that slice (equal
+/// to the per-pixel `(p + steps * q).clamp(0, 255)`). Literal blocks and
+/// runs of the escape byte go through [`Steps::byte`], so an escape triplet
+/// may straddle blocks. The output never outgrows `predictor`, and nothing
+/// is sized from a length read out of the payload.
+///
+/// Accepts exactly the payloads whose blocks unpack to the declared number
+/// of bytes, forming one step per predictor byte and nothing more.
+fn apply_residual(payload: &[u8], predictor: &[u8], quantizer: u8) -> Result<Vec<u8>> {
+    let corrupt = |what| CodecError::Corrupt { what };
+    let mut pos = 0usize;
+    let mut left =
+        get_varint(payload, &mut pos).map_err(|_| corrupt("bad residual stream length"))?;
+    let mut steps = Steps {
+        predictor,
+        out: Vec::with_capacity(predictor.len()),
+        q: i32::from(quantizer),
+        escape: Escape::Idle,
+    };
+    while pos < payload.len() {
+        let head = get_varint(payload, &mut pos).map_err(|_| corrupt("bad residual block"))?;
+        let len = head >> 1;
+        left = left
+            .checked_sub(len)
+            .ok_or(corrupt("residual block exceeds stream length"))?;
+        if head & 1 == 1 {
+            let b = *payload.get(pos).ok_or(corrupt("truncated residual run"))?;
+            pos += 1;
+            steps.run(b, len)?;
+        } else {
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= payload.len())
+                .ok_or(corrupt("truncated residual literal"))?;
+            for &b in &payload[pos..end] {
+                steps.byte(b)?;
+            }
+            pos = end;
+        }
+    }
+    if left != 0 || steps.escape != Escape::Idle || steps.out.len() != predictor.len() {
+        return Err(corrupt("residual stream length mismatch"));
+    }
+    Ok(steps.out)
+}
+
+/// Where [`Steps`] stands inside an escape triplet (marker, low, high).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Escape {
+    /// The next byte starts a step.
+    Idle,
+    /// The marker was read; the low byte is next.
+    Marker,
+    /// The low byte was read; the high byte completes the step.
+    Low(u8),
+}
+
+/// The step-stream reader of [`apply_residual`]: each completed step
+/// reconstructs the next output pixel from its predictor pixel.
+struct Steps<'p> {
+    predictor: &'p [u8],
+    out: Vec<u8>,
+    q: i32,
+    escape: Escape,
+}
+
+impl Steps<'_> {
+    /// Reconstructs the next pixel as its predictor plus `steps * q`.
+    fn push(&mut self, steps: i32) -> Result<()> {
+        let p = *self
+            .predictor
+            .get(self.out.len())
+            .ok_or(CodecError::Corrupt {
+                what: "residual stream longer than the frame",
+            })?;
+        // Widened: an escape step near i16::MAX times q overflows i16.
+        self.out
+            .push((i32::from(p) + steps * self.q).clamp(0, 255) as u8);
+        Ok(())
+    }
+
+    /// Feeds one byte of the step stream.
+    fn byte(&mut self, b: u8) -> Result<()> {
+        match self.escape {
+            Escape::Idle if b == RESIDUAL_ESCAPE => self.escape = Escape::Marker,
+            Escape::Idle => return self.push(i32::from(b) - 128),
+            Escape::Marker => self.escape = Escape::Low(b),
+            Escape::Low(lo) => {
+                self.escape = Escape::Idle;
+                return self.push(i32::from(i16::from_le_bytes([lo, b])));
+            }
+        }
+        Ok(())
+    }
+
+    /// Feeds `len` copies of `b`. Bytes that finish a pending escape
+    /// triplet, and escape runs, take the byte path (an escape run errs
+    /// once it passes the frame, so it is bounded by the predictor); the
+    /// rest is one slice operation over the predictor.
+    fn run(&mut self, b: u8, mut len: u64) -> Result<()> {
+        while len > 0 && (b == RESIDUAL_ESCAPE || self.escape != Escape::Idle) {
+            self.byte(b)?;
+            len -= 1;
+        }
+        if len == 0 {
+            return Ok(());
+        }
+        let start = self.out.len();
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .filter(|&end| end <= self.predictor.len())
+            .ok_or(CodecError::Corrupt {
+                what: "residual run longer than the frame",
+            })?;
+        let pred = &self.predictor[start..end];
+        let delta = (i32::from(b) - 128) * self.q;
+        // |delta| >= 255 saturates every pixel, as the clamp would.
+        let mag = delta.unsigned_abs().min(255) as u8;
+        match delta.signum() {
+            0 => self.out.extend_from_slice(pred),
+            1 => self.out.extend(pred.iter().map(|&p| p.saturating_add(mag))),
+            _ => self.out.extend(pred.iter().map(|&p| p.saturating_sub(mag))),
+        }
+        Ok(())
+    }
+}
+
 /// Walks one keyframe segment's anchor chain, decoding frames and
 /// metering work. Owns the B-frame predictor scratch buffer so averaging
 /// two anchors never allocates per frame.
@@ -165,32 +300,7 @@ impl<'v> ChainWalker<'v> {
         }
         self.stats.payload_bytes += f.payload.len() as u64;
         self.stats.pixel_bytes += expected as u64;
-        let mut pos = 0usize;
-        let stream_len = get_varint(&f.payload, &mut pos).map_err(|_| CodecError::Corrupt {
-            what: "bad residual stream length",
-        })? as usize;
-        let stream =
-            rle_unpack(&f.payload[pos..], stream_len).map_err(|_| CodecError::Corrupt {
-                what: "bad residual payload",
-            })?;
-        let qi = i16::from(h.quantizer);
-        let mut out = Vec::with_capacity(expected);
-        let mut spos = 0usize;
-        for &p in predictor.iter() {
-            let steps = q::get_steps(&stream, &mut spos).ok_or(CodecError::Corrupt {
-                what: "truncated residual stream",
-            })?;
-            // Widen: corrupted escape-coded streams can carry step counts
-            // near i16::MAX, which would overflow in i16 arithmetic.
-            let v = i32::from(p) + i32::from(steps) * i32::from(qi);
-            out.push(v.clamp(0, 255) as u8);
-        }
-        if spos != stream.len() {
-            return Err(CodecError::Corrupt {
-                what: "residual stream length mismatch",
-            });
-        }
-        Ok(out)
+        apply_residual(&f.payload, predictor, h.quantizer)
     }
 
     /// Decodes the B-frame at `index` predicted from the average of two
@@ -606,7 +716,12 @@ impl WarmDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::{Encoder, EncoderConfig};
+    use crate::container::{ContainerHeader, EncodedFrame};
+    use crate::encode::{get_steps, Encoder, EncoderConfig};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sand_frame::wire::put_varint;
     use sand_frame::{Frame, PixelFormat};
 
     fn gradient_video(frames: usize, w: usize, h: usize) -> Vec<Frame> {
@@ -957,5 +1072,344 @@ mod tests {
         let mut dec = Decoder::new(&v2);
         let out = dec.decode_all().unwrap();
         assert_eq!(out.len(), 15);
+    }
+
+    /// The residual decoder [`apply_residual`] replaced, kept as its
+    /// oracle: unpack the whole step stream, then read one step per pixel.
+    fn reference_decode_residual(
+        payload: &[u8],
+        predictor: &[u8],
+        quantizer: u8,
+    ) -> Result<Vec<u8>> {
+        let mut pos = 0usize;
+        let stream_len = get_varint(payload, &mut pos).map_err(|_| CodecError::Corrupt {
+            what: "bad residual stream length",
+        })? as usize;
+        let stream = rle_unpack(&payload[pos..], stream_len).map_err(|_| CodecError::Corrupt {
+            what: "bad residual payload",
+        })?;
+        let qi = i16::from(quantizer);
+        let mut out = Vec::with_capacity(predictor.len());
+        let mut spos = 0usize;
+        for &p in predictor.iter() {
+            let steps = get_steps(&stream, &mut spos).ok_or(CodecError::Corrupt {
+                what: "truncated residual stream",
+            })?;
+            // Widen: corrupted escape-coded streams can carry step counts
+            // near i16::MAX, which would overflow in i16 arithmetic.
+            let v = i32::from(p) + i32::from(steps) * i32::from(qi);
+            out.push(v.clamp(0, 255) as u8);
+        }
+        if spos != stream.len() {
+            return Err(CodecError::Corrupt {
+                what: "residual stream length mismatch",
+            });
+        }
+        Ok(out)
+    }
+
+    /// The reference's verdict (`None` = rejected). The reference sizes a
+    /// buffer from the declared stream length before it looks at the
+    /// blocks, so a length over three bytes a pixel (which no accepted
+    /// payload has: a step is one or three bytes) would abort on the
+    /// allocation; the oracle returns the rejection the reference would
+    /// reach.
+    fn oracle(payload: &[u8], predictor: &[u8], q: u8) -> Option<Vec<u8>> {
+        let mut pos = 0;
+        if get_varint(payload, &mut pos).is_ok_and(|len| len > 3 * predictor.len() as u64) {
+            return None;
+        }
+        reference_decode_residual(payload, predictor, q).ok()
+    }
+
+    /// One run-length block of a hand-built residual payload.
+    #[derive(Debug, Clone)]
+    enum Block {
+        Lit(Vec<u8>),
+        Run(u8, u64),
+    }
+
+    /// Serializes a declared stream length and `blocks` as a payload.
+    fn pack(stream_len: u64, blocks: &[Block]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, stream_len);
+        for b in blocks {
+            match b {
+                Block::Lit(bytes) => {
+                    put_varint(&mut out, (bytes.len() as u64) << 1);
+                    out.extend_from_slice(bytes);
+                }
+                Block::Run(b, len) => {
+                    put_varint(&mut out, (len << 1) | 1);
+                    out.push(*b);
+                }
+            }
+        }
+        out
+    }
+
+    /// Cuts `stream` into short literal blocks and runs at random places
+    /// (so escape triplets straddle blocks), with an empty block now and then.
+    fn split_blocks(stream: &[u8], rng: &mut StdRng) -> Vec<Block> {
+        let mut blocks = Vec::new();
+        let mut i = 0;
+        while i < stream.len() {
+            if rng.gen_bool(0.05) {
+                blocks.push(if rng.gen_bool(0.5) {
+                    Block::Lit(Vec::new())
+                } else {
+                    Block::Run(rng.gen(), 0)
+                });
+            }
+            if rng.gen_bool(0.5) {
+                let b = stream[i];
+                let same = stream[i..].iter().take_while(|&&x| x == b).count();
+                let len = rng.gen_range(1..=same);
+                blocks.push(Block::Run(b, len as u64));
+                i += len;
+            } else {
+                let len = rng.gen_range(1..=4usize).min(stream.len() - i);
+                blocks.push(Block::Lit(stream[i..i + len].to_vec()));
+                i += len;
+            }
+        }
+        blocks
+    }
+
+    /// A small random video whose motion style yields zero runs (a moving
+    /// patch on a still frame), runs of one nonzero step (a global shift),
+    /// literals (fresh noise) or escape triplets (a few large jumps).
+    fn random_frames(rng: &mut StdRng) -> Vec<Frame> {
+        let (w, h, n) = (
+            rng.gen_range(4..14usize),
+            rng.gen_range(4..14usize),
+            rng.gen_range(4..12usize),
+        );
+        let style = rng.gen_range(0..4u8);
+        let mut cur: Vec<u8> = (0..w * h).map(|_| rng.gen()).collect();
+        let mut frames = Vec::with_capacity(n);
+        for _ in 0..n {
+            frames.push(Frame::from_vec(w, h, PixelFormat::Gray8, cur.clone()).unwrap());
+            match style {
+                0 => {
+                    let (x0, y0) = (rng.gen_range(0..w), rng.gen_range(0..h));
+                    let v: u8 = rng.gen();
+                    for y in y0..(y0 + 3).min(h) {
+                        for x in x0..(x0 + 3).min(w) {
+                            cur[y * w + x] = v;
+                        }
+                    }
+                }
+                1 => {
+                    let d = rng.gen_range(-40..=40i32);
+                    for p in &mut cur {
+                        *p = (i32::from(*p) + d).clamp(0, 255) as u8;
+                    }
+                }
+                2 => cur.iter_mut().for_each(|p| *p = rng.gen()),
+                _ => {
+                    for _ in 0..4 {
+                        let i = rng.gen_range(0..cur.len());
+                        cur[i] = if cur[i] < 128 { 255 } else { 0 };
+                    }
+                }
+            }
+        }
+        frames
+    }
+
+    /// Each residual frame of `v` with the predictor the decoder uses for
+    /// it, rebuilt from a full decode.
+    fn residual_frames(v: &EncodedVideo) -> Vec<(usize, Vec<u8>)> {
+        let all = Decoder::new(v).decode_all().unwrap();
+        (1..v.frames.len())
+            .filter_map(|i| match v.frames[i].kind {
+                FrameKind::Intra => None,
+                FrameKind::Predicted => {
+                    let a = v.anchor_before(i - 1).unwrap();
+                    Some((i, all[a].as_bytes().to_vec()))
+                }
+                FrameKind::Bidirectional => {
+                    let a = all[v.anchor_before(i).unwrap()].as_bytes();
+                    let b = all[v.anchor_after(i).unwrap().unwrap()].as_bytes();
+                    let avg = a
+                        .iter()
+                        .zip(b)
+                        .map(|(&x, &y)| ((u16::from(x) + u16::from(y)) / 2) as u8)
+                        .collect();
+                    Some((i, avg))
+                }
+            })
+            .collect()
+    }
+
+    /// Applies mutation `kind` to an encoder-written `payload`, returning
+    /// the payloads to try.
+    fn mutate(payload: &[u8], kind: u8, rng: &mut StdRng) -> Vec<Vec<u8>> {
+        let mut pos = 0;
+        let stream_len = get_varint(payload, &mut pos).unwrap();
+        let stream = rle_unpack(&payload[pos..], stream_len as usize).unwrap();
+        match kind {
+            // Bit flips.
+            0 => {
+                let mut p = payload.to_vec();
+                for _ in 0..rng.gen_range(1..=3) {
+                    let i = rng.gen_range(0..p.len());
+                    p[i] ^= 1u8 << rng.gen_range(0..8u32);
+                }
+                vec![p]
+            }
+            // Every prefix.
+            1 => (0..payload.len()).map(|n| payload[..n].to_vec()).collect(),
+            // Appended bytes, raw or as a literal block the length counts.
+            2 => {
+                let extra: Vec<u8> = (0..rng.gen_range(1..=4)).map(|_| rng.gen()).collect();
+                let mut raw = payload.to_vec();
+                raw.extend_from_slice(&extra);
+                let mut blocks = split_blocks(&stream, rng);
+                let counted = stream_len + extra.len() as u64;
+                blocks.push(Block::Lit(extra));
+                vec![raw, pack(counted, &blocks)]
+            }
+            // The declared stream length off by a few.
+            3 => {
+                let k = rng.gen_range(1..=3u64);
+                let blocks = split_blocks(&stream, rng);
+                vec![
+                    pack(stream_len + k, &blocks),
+                    pack(stream_len.saturating_sub(k), &blocks),
+                ]
+            }
+            // Escape-coded steps (some large) re-cut so triplets straddle blocks.
+            4 => {
+                let mut tokens = Vec::new();
+                let mut spos = 0;
+                while let Some(s) = get_steps(&stream, &mut spos) {
+                    tokens.push(s);
+                }
+                for _ in 0..rng.gen_range(1..=4) {
+                    let i = rng.gen_range(0..tokens.len());
+                    tokens[i] = rng.gen::<u16>() as i16;
+                }
+                let mut escaped = Vec::new();
+                for s in tokens {
+                    escaped.push(RESIDUAL_ESCAPE);
+                    escaped.extend_from_slice(&s.to_le_bytes());
+                }
+                vec![pack(escaped.len() as u64, &split_blocks(&escaped, rng))]
+            }
+            // A run of the escape byte between two blocks.
+            5 => {
+                let mut blocks = split_blocks(&stream, rng);
+                let k = rng.gen_range(1..=9u64);
+                let at = rng.gen_range(0..=blocks.len());
+                blocks.insert(at, Block::Run(RESIDUAL_ESCAPE, k));
+                vec![pack(stream_len, &blocks), pack(stream_len + k, &blocks)]
+            }
+            // Random blocks of random steps whose length is about the frame's.
+            6 => {
+                let mut blocks = Vec::new();
+                let mut total = 0u64;
+                while total < stream_len {
+                    let b = match rng.gen_range(0..4) {
+                        0 => 128,
+                        1 => RESIDUAL_ESCAPE,
+                        _ => rng.gen(),
+                    };
+                    let len = rng.gen_range(0..=6u64);
+                    blocks.push(if rng.gen_bool(0.5) {
+                        Block::Run(b, len)
+                    } else {
+                        Block::Lit((0..len).map(|_| rng.gen()).collect())
+                    });
+                    total += len;
+                }
+                vec![pack(total, &blocks)]
+            }
+            // Raw random bytes.
+            _ => vec![(0..rng.gen_range(0..48)).map(|_| rng.gen()).collect()],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The one-pass kernel returns the reference's bytes wherever the
+        /// reference accepts, and rejects wherever it rejects: on encoder
+        /// payloads with their real predictors, and on mutated payloads
+        /// with random predictors.
+        #[test]
+        fn kernel_matches_reference(seed in any::<u64>(), q in 1u8..9, b in 0usize..3, kind in 0u8..8) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let frames = random_frames(&mut rng);
+            let gop = rng.gen_range(b + 2..10);
+            let cfg = EncoderConfig { gop_size: gop, quantizer: q, fps_milli: 30_000, b_frames: b };
+            let v = Encoder::new(cfg).unwrap().encode(&frames, 1, 0).unwrap();
+            for (i, predictor) in residual_frames(&v) {
+                let payload = &v.frames[i].payload;
+                let want = oracle(payload, &predictor, q);
+                prop_assert!(want.is_some(), "reference rejects encoder output");
+                prop_assert_eq!(apply_residual(payload, &predictor, q).ok(), want);
+                for bad in mutate(payload, kind, &mut rng) {
+                    let len = match rng.gen_range(0..8) {
+                        0 => predictor.len() + 1,
+                        1 => predictor.len() - 1,
+                        _ => predictor.len(),
+                    };
+                    let random: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                    prop_assert_eq!(
+                        apply_residual(&bad, &random, q).ok(),
+                        oracle(&bad, &random, q),
+                        "mutation {} of frame {}: {:?}", kind, i, bad
+                    );
+                }
+            }
+        }
+    }
+
+    /// A container frame whose residual payload claims 2^62 stream bytes.
+    /// A decoder that sizes a buffer from that length aborts here
+    /// (`memory allocation of 4611686018427387904 bytes failed`); an abort
+    /// is no panic, so no worker could catch it.
+    #[test]
+    fn huge_declared_stream_length_is_corrupt_not_an_abort() {
+        let src = gradient_video(2, 8, 8);
+        let mut v = encode(&src, 8, 2);
+        let mut payload = Vec::new();
+        put_varint(&mut payload, 1 << 62);
+        put_varint(&mut payload, (64 << 1) | 1);
+        payload.push(128);
+        v.frames[1].payload = payload;
+        let parsed = EncodedVideo::from_bytes(&v.to_bytes()).unwrap();
+        assert!(matches!(
+            Decoder::new(&parsed).decode_indices(&[1]),
+            Err(CodecError::Corrupt { .. })
+        ));
+    }
+
+    /// A container whose `width * height` overflows is rejected when it is
+    /// parsed. Accepted, it would overflow the decoder's frame-size
+    /// multiplication (a panic in debug builds, a wrapped size in release).
+    #[test]
+    fn overflowing_dimensions_are_corrupt() {
+        let v = EncodedVideo {
+            header: ContainerHeader {
+                video_id: 0,
+                class_id: 0,
+                width: 1 << 33,
+                height: 1 << 33,
+                fps_milli: 30_000,
+                gop_size: 8,
+                format: PixelFormat::Gray8,
+                quantizer: 2,
+            },
+            frames: vec![EncodedFrame {
+                kind: FrameKind::Intra,
+                payload: vec![2, 0],
+            }],
+        };
+        let decoded = EncodedVideo::from_bytes(&v.to_bytes())
+            .and_then(|parsed| Decoder::new(&parsed).decode_all().map(drop));
+        assert!(matches!(decoded, Err(CodecError::Corrupt { .. })));
     }
 }

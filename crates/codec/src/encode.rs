@@ -103,7 +103,9 @@ fn put_steps(stream: &mut Vec<u8>, steps: i16) {
     }
 }
 
-/// Reads one escape-coded step count from `stream` at `pos`.
+/// Reads one escape-coded step count from `stream` at `pos` (the
+/// per-step reader; the decoder walks run-length blocks instead).
+#[cfg(test)]
 pub(crate) fn get_steps(stream: &[u8], pos: &mut usize) -> Option<i16> {
     let b = *stream.get(*pos)?;
     *pos += 1;
@@ -300,7 +302,7 @@ pub(crate) fn unfilter_rows(data: &mut [u8], stride: usize) {
 
 /// Internal quantization hooks shared with the decoder.
 pub(crate) mod q {
-    pub(crate) use super::{dequantize_intra, get_steps};
+    pub(crate) use super::dequantize_intra;
 }
 
 #[cfg(test)]
