@@ -59,6 +59,12 @@ if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/codec
     exit 1
 fi
 
+echo "==> one bilinear kernel (the per-pixel body lives on only as the test reference; rounding is exact without libm)"
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/frame/src/ops/resize.rs | grep -F '.round()'; then
+    echo ".round() is back in the resize kernel: bilinear output rows come from column taps and two row passes (bilinear in crates/frame/src/ops/resize.rs), rounded by round_u8"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

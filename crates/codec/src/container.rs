@@ -17,7 +17,7 @@
 
 use crate::{CodecError, Result};
 use sand_frame::wire::{get_varint, put_varint};
-use sand_frame::PixelFormat;
+use sand_frame::{PixelFormat, MAX_FRAME_BYTES};
 
 /// Magic bytes identifying a SAND video ("SVID").
 pub const MAGIC: [u8; 4] = *b"SVID";
@@ -257,7 +257,7 @@ impl EncodedVideo {
         if width
             .checked_mul(height)
             .and_then(|px| px.checked_mul(format.channels()))
-            .is_none_or(|bytes| bytes == 0)
+            .is_none_or(|bytes| bytes == 0 || bytes > MAX_FRAME_BYTES)
         {
             return Err(CodecError::Corrupt {
                 what: "implausible frame dimensions",
@@ -402,6 +402,24 @@ mod tests {
         let h = sample().header;
         assert_eq!(h.timestamp_us(0), 0);
         assert_eq!(h.timestamp_us(30), 1_000_000);
+    }
+
+    /// A header may declare up to `MAX_FRAME_BYTES` per frame, not one
+    /// row more; the check counts channels.
+    #[test]
+    fn frame_size_bound_is_inclusive() {
+        let parses = |width: usize, height: usize, format: PixelFormat| {
+            let mut v = sample();
+            v.header.width = width;
+            v.header.height = height;
+            v.header.format = format;
+            EncodedVideo::from_bytes(&v.to_bytes()).is_ok()
+        };
+        let side = 1 << 14;
+        assert_eq!(side * side, MAX_FRAME_BYTES);
+        assert!(parses(side, side, PixelFormat::Gray8));
+        assert!(!parses(side, side + 1, PixelFormat::Gray8));
+        assert!(!parses(side, side, PixelFormat::Rgb8));
     }
 
     #[test]

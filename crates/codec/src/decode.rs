@@ -721,7 +721,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sand_frame::wire::put_varint;
+    use sand_frame::wire::{put_varint, rle_pack};
     use sand_frame::{Frame, PixelFormat};
 
     fn gradient_video(frames: usize, w: usize, h: usize) -> Vec<Frame> {
@@ -1411,5 +1411,44 @@ mod tests {
         let decoded = EncodedVideo::from_bytes(&v.to_bytes())
             .and_then(|parsed| Decoder::new(&parsed).decode_all().map(drop));
         assert!(matches!(decoded, Err(CodecError::Corrupt { .. })));
+    }
+
+    /// A 2^25 × 2^25 container is corrupt, whether its I-frame is a
+    /// short payload or well-formed runs that really add up to 2^50 bytes.
+    /// Accepted, `decode_intra` reserves or expands to the declared size
+    /// and aborts here (`memory allocation of 1125899906842624 bytes
+    /// failed`).
+    #[test]
+    fn huge_declared_intra_frame_is_corrupt_not_an_abort() {
+        let runs = |lens: &[u64]| {
+            let mut out = Vec::new();
+            for &len in lens {
+                put_varint(&mut out, (len << 1) | 1);
+                out.push(7);
+            }
+            out
+        };
+        let short = rle_pack(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]);
+        for payload in [short, runs(&[1 << 50]), runs(&[1 << 49, 1 << 49])] {
+            let v = EncodedVideo {
+                header: ContainerHeader {
+                    video_id: 0,
+                    class_id: 0,
+                    width: 1 << 25,
+                    height: 1 << 25,
+                    fps_milli: 30_000,
+                    gop_size: 8,
+                    format: PixelFormat::Gray8,
+                    quantizer: 2,
+                },
+                frames: vec![EncodedFrame {
+                    kind: FrameKind::Intra,
+                    payload,
+                }],
+            };
+            let decoded = EncodedVideo::from_bytes(&v.to_bytes())
+                .and_then(|parsed| Decoder::new(&parsed).decode_indices(&[0]).map(drop));
+            assert!(matches!(decoded, Err(CodecError::Corrupt { .. })));
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! pixel format, and metadata, so a frame can be recovered from bytes alone
 //! (which the crash-recovery scan in `sand-core` relies on).
 
-use crate::frame::{Frame, FrameMeta, PixelFormat};
+use crate::frame::{Frame, FrameMeta, PixelFormat, MAX_FRAME_BYTES};
 use crate::wire::{get_varint, put_varint, rle_pack, rle_unpack};
 use crate::{FrameError, Result};
 
@@ -117,6 +117,9 @@ pub fn compress_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Decompresses a buffer produced by [`compress_frame`].
+///
+/// A header declaring more than [`MAX_FRAME_BYTES`] is `CorruptData`
+/// before anything is allocated.
 pub fn decompress_frame(bytes: &[u8]) -> Result<Frame> {
     if bytes.len() < 4 || bytes[..4] != MAGIC {
         return Err(FrameError::CorruptData {
@@ -153,8 +156,9 @@ pub fn decompress_frame(bytes: &[u8]) -> Result<Frame> {
     let expected = width
         .checked_mul(height)
         .and_then(|p| p.checked_mul(format.channels()))
+        .filter(|&n| n <= MAX_FRAME_BYTES)
         .ok_or(FrameError::CorruptData {
-            what: "dimension overflow",
+            what: "implausible frame dimensions",
         })?;
     let pixels = match mode {
         MODE_RAW => {
@@ -278,5 +282,68 @@ mod tests {
         c[n - 1] ^= 0xff;
         // Either decodes to the same frame (benign) or errors; must not panic.
         let _ = decompress_frame(&c);
+    }
+
+    /// A stored frame with a `width × height` Gray8 header over an RLE
+    /// payload.
+    fn stored(width: u64, height: u64, packed: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for v in [width, height] {
+            put_varint(&mut bytes, v);
+        }
+        bytes.push(PixelFormat::Gray8.tag());
+        for v in [0, 0, 0, 0] {
+            put_varint(&mut bytes, v);
+        }
+        bytes.push(MODE_RLE);
+        put_varint(&mut bytes, packed.len() as u64);
+        bytes.extend_from_slice(packed);
+        bytes
+    }
+
+    /// One RLE block per entry: a run of `len` copies of byte 7.
+    fn runs(lens: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &len in lens {
+            put_varint(&mut out, (len << 1) | 1);
+            out.push(7);
+        }
+        out
+    }
+
+    /// A header declaring a 2^25 × 2^25 frame is corrupt, over a short
+    /// payload and over well-formed runs that really add up to 2^50
+    /// bytes. Reserving or expanding to the declared size aborts here
+    /// (`memory allocation of 1125899906842624 bytes failed`).
+    #[test]
+    fn huge_declared_frame_is_corrupt_not_an_abort() {
+        let short = rle_pack(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]);
+        for packed in [short, runs(&[1 << 50]), runs(&[1 << 49, 1 << 49])] {
+            assert!(matches!(
+                decompress_frame(&stored(1 << 25, 1 << 25, &packed)),
+                Err(FrameError::CorruptData {
+                    what: "implausible frame dimensions"
+                })
+            ));
+        }
+    }
+
+    /// `MAX_FRAME_BYTES` itself passes the header check (the short
+    /// payload then fails on its own); one row more does not.
+    #[test]
+    fn frame_size_bound_is_inclusive() {
+        let side = 1 << 14;
+        assert_eq!((side * side) as usize, MAX_FRAME_BYTES);
+        let short = runs(&[3]);
+        let at = decompress_frame(&stored(side, side, &short));
+        assert!(
+            matches!(at, Err(FrameError::CorruptData { what }) if what != "implausible frame dimensions")
+        );
+        assert!(matches!(
+            decompress_frame(&stored(side, side + 1, &short)),
+            Err(FrameError::CorruptData {
+                what: "implausible frame dimensions"
+            })
+        ));
     }
 }

@@ -62,6 +62,13 @@ pub struct FrameMeta {
     pub aug_depth: u32,
 }
 
+/// Largest `width × height × channels` a serialized frame or video header
+/// may declare: 256 MiB, over twice an 8K RGB frame. The header parsers
+/// (`decompress_frame` here, `EncodedVideo::from_bytes` in the codec)
+/// reject more, so a few header bytes cannot make a decoder allocate an
+/// arbitrary buffer.
+pub const MAX_FRAME_BYTES: usize = 1 << 28;
+
 /// An owned, contiguous, interleaved row-major `u8` image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {

@@ -30,7 +30,7 @@ pub mod wire;
 
 pub use compress::{compress_frame, decompress_frame};
 pub use cost::OpCost;
-pub use frame::{Frame, FrameMeta, PixelFormat};
+pub use frame::{Frame, FrameMeta, PixelFormat, MAX_FRAME_BYTES};
 pub use tensor::Tensor;
 
 use std::fmt;

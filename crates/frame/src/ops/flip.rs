@@ -1,7 +1,7 @@
 //! Flip operator.
 
 use crate::cost::{per_pixel_cost, units, OpCost};
-use crate::frame::Frame;
+use crate::frame::{Frame, PixelFormat};
 use crate::ops::FrameOp;
 use crate::Result;
 
@@ -45,21 +45,15 @@ impl Flip {
 
 impl FrameOp for Flip {
     fn apply(&self, input: &Frame) -> Result<Frame> {
-        let (w, h, c) = (input.width(), input.height(), input.channels());
-        let src = input.as_bytes();
+        let (w, h) = (input.width(), input.height());
+        let (src, stride) = (input.as_bytes(), input.stride());
         let mut dst = vec![0u8; src.len()];
         match self.axis {
-            FlipAxis::Horizontal => {
-                for y in 0..h {
-                    for x in 0..w {
-                        let s = (y * w + x) * c;
-                        let d = (y * w + (w - 1 - x)) * c;
-                        dst[d..d + c].copy_from_slice(&src[s..s + c]);
-                    }
-                }
-            }
+            FlipAxis::Horizontal => match input.format() {
+                PixelFormat::Gray8 => mirror_rows::<1>(src, stride, &mut dst),
+                PixelFormat::Rgb8 => mirror_rows::<3>(src, stride, &mut dst),
+            },
             FlipAxis::Vertical => {
-                let stride = w * c;
                 for y in 0..h {
                     let s = y * stride;
                     let d = (h - 1 - y) * stride;
@@ -92,10 +86,19 @@ impl FrameOp for Flip {
     }
 }
 
+/// Writes each `stride`-byte row of `src` into `dst` with its `C`-byte
+/// pixels in reverse order.
+fn mirror_rows<const C: usize>(src: &[u8], stride: usize, dst: &mut [u8]) {
+    for (s, d) in src.chunks_exact(stride).zip(dst.chunks_exact_mut(stride)) {
+        for (sp, dp) in s.chunks_exact(C).rev().zip(d.chunks_exact_mut(C)) {
+            dp.copy_from_slice(sp);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::PixelFormat;
 
     fn marked() -> Frame {
         let mut f = Frame::zeroed(3, 2, PixelFormat::Gray8).unwrap();

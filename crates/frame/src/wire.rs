@@ -84,8 +84,13 @@ pub fn rle_pack(data: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`rle_pack`]; `expected_len` bounds and checks the output.
+///
+/// The up-front reservation is capped at 64 output bytes per payload
+/// byte, so an `expected_len` the blocks do not reach costs no large
+/// allocation. Callers bound `expected_len` itself: the headers they parse
+/// reject frames over [`MAX_FRAME_BYTES`](crate::frame::MAX_FRAME_BYTES).
 pub fn rle_unpack(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::with_capacity(expected_len.min(data.len().saturating_mul(64)));
     let mut pos = 0;
     while pos < data.len() {
         let head = get_varint(data, &mut pos)?;
@@ -172,6 +177,16 @@ mod tests {
     fn rle_empty_input() {
         assert!(rle_pack(&[]).is_empty());
         assert_eq!(rle_unpack(&[], 0).unwrap(), Vec::<u8>::new());
+    }
+
+    /// A stream whose blocks fall short of a declared 2^50 bytes is
+    /// corrupt, and reserves at most 64 bytes per payload byte. Reserving
+    /// the declared length first aborts here
+    /// (`memory allocation of 1125899906842624 bytes failed`).
+    #[test]
+    fn huge_expected_length_is_corrupt_not_an_abort() {
+        let short = rle_pack(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]);
+        assert!(rle_unpack(&short, 1 << 50).is_err());
     }
 
     #[test]
