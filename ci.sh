@@ -65,6 +65,12 @@ if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/frame
     exit 1
 fi
 
+echo "==> one batch serializer (a served batch is written once, by stack_to_bytes)"
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/src/serve.rs | grep -E 'stack\(|\.to_bytes\(\)'; then
+    echo "serve.rs stacks or serializes a batch again: finish_serve writes the sample tensors straight into the served buffer with stack_to_bytes (crates/frame/src/tensor.rs)"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -7,7 +7,7 @@ use crate::engine::Inner;
 use crate::materialize::Scratch;
 use crate::prefetch::{lost_job, BatchBuild};
 use crate::{CoreError, Result};
-use sand_frame::tensor::{clip_refs_to_tensor, stack};
+use sand_frame::tensor::{clip_refs_to_tensor, stack_to_bytes};
 use sand_frame::{Frame, Tensor};
 use sand_graph::{BatchRef, NodeId, SamplePlan};
 use sand_sched::{Job, JobKind};
@@ -323,7 +323,7 @@ impl Inner {
         tensors: &[Tensor],
         probe: Option<&BatchProbe>,
     ) -> Result<Vec<u8>> {
-        let batch_tensor = stack(tensors)?;
+        let bytes = stack_to_bytes(tensors)?;
         // A consumed terminal burns one retained use of itself *and of
         // every ancestor*. `Chunk::build` accumulates each node's
         // `future_uses` as the total planned consumptions in its subtree,
@@ -342,7 +342,6 @@ impl Inner {
         self.store.enforce_budgets()?;
         self.report_pressure();
         self.batches_served.fetch_add(1, Ordering::Relaxed);
-        let bytes = batch_tensor.to_bytes();
         self.last_batch_bytes
             .store(bytes.len() as u64, Ordering::Relaxed);
         let Some(probe) = probe else {

@@ -251,6 +251,33 @@ mod tests {
     }
 
     #[test]
+    fn frame_view_read_leaves_the_stored_object_intact() {
+        let e = engine(true);
+        e.start().unwrap();
+        e.wait_idle();
+        let key = e
+            .store()
+            .keys()
+            .into_iter()
+            .find(|k| {
+                k.contains("/f") && !k.contains("/a") && e.store().tier_of(k) == Some(Tier::Memory)
+            })
+            .expect("pre-materialization stored no frame objects in memory");
+        // A copy, so no reference of this test's keeps the store's buffer
+        // from being handed over.
+        let stored = e.store().get(&key).unwrap().to_vec();
+        let video: u64 = key[1..5].parse().unwrap();
+        let frame: usize = key[7..12].parse().unwrap();
+        let vfs = e.mount();
+        let fd = vfs
+            .open(&format!("/train/video{video:04}/frame{frame}"))
+            .unwrap();
+        assert_eq!(vfs.read_to_end(fd).unwrap(), stored);
+        vfs.close(fd).unwrap();
+        assert_eq!(*e.store().get(&key).unwrap(), stored);
+    }
+
+    #[test]
     fn aug_view_reachable_after_planning() {
         let e = engine(false);
         e.start().unwrap();

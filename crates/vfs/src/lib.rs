@@ -160,10 +160,19 @@ impl SandVfs {
     }
 
     /// Reads the entire remaining content of a descriptor.
+    ///
+    /// A descriptor at offset 0 that holds the only reference to its
+    /// content (every batch view: `fetch` wraps a freshly served buffer)
+    /// hands that buffer over instead of copying it. Content shared with
+    /// anyone else, such as a frame object the store still holds, is
+    /// copied. Either way the descriptor is at end of file afterwards.
     pub fn read_to_end(&self, fd: u64) -> Result<Vec<u8>> {
         let mut files = self.files.lock();
         let file = files.get_mut(&fd).ok_or(VfsError::BadFd { fd })?;
-        let out = file.content[file.offset..].to_vec();
+        let out = match Arc::get_mut(&mut file.content) {
+            Some(content) if file.offset == 0 => std::mem::take(content),
+            _ => file.content[file.offset..].to_vec(),
+        };
         file.offset = file.content.len();
         Ok(out)
     }
@@ -336,6 +345,55 @@ mod tests {
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counter("vfs.fetches"), Some(2));
         assert_eq!(snap.histogram("vfs.fetch_us").map(|h| h.count), Some(2));
+    }
+
+    #[test]
+    fn read_to_end_hands_over_what_chunked_reads_copy() {
+        let v = vfs();
+        let path = "/train/3/14/view";
+        let (a, b) = (v.open(path).unwrap(), v.open(path).unwrap());
+        let mut chunked = Vec::new();
+        let mut buf = [0u8; 3];
+        loop {
+            let n = v.read(a, &mut buf).unwrap();
+            if n == 0 {
+                break;
+            }
+            chunked.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(v.read_to_end(b).unwrap(), chunked);
+        // Handed over or not, the descriptor is at end of file.
+        assert_eq!(v.read(b, &mut buf).unwrap(), 0);
+        assert!(v.read_to_end(b).unwrap().is_empty());
+        v.close(a).unwrap();
+        v.close(b).unwrap();
+    }
+
+    /// Serves one buffer it keeps a reference to, as a store does.
+    struct SharedProvider(Arc<Vec<u8>>);
+
+    impl ViewProvider for SharedProvider {
+        fn fetch(&self, _path: &ViewPath) -> Result<Arc<Vec<u8>>> {
+            Ok(Arc::clone(&self.0))
+        }
+
+        fn metadata(&self, _path: &ViewPath, name: &str) -> Result<String> {
+            Err(VfsError::NoAttr {
+                name: name.to_string(),
+            })
+        }
+    }
+
+    #[test]
+    fn read_to_end_copies_content_it_shares() {
+        let provider = Arc::new(SharedProvider(Arc::new(b"stored frame".to_vec())));
+        let v = SandVfs::new(Arc::clone(&provider) as Arc<dyn ViewProvider>);
+        let fd = v.open("/t/video0001/frame2").unwrap();
+        assert_eq!(v.read_to_end(fd).unwrap(), b"stored frame");
+        let mut buf = [0u8; 4];
+        assert_eq!(v.read(fd, &mut buf).unwrap(), 0);
+        v.close(fd).unwrap();
+        assert_eq!(provider.0.as_slice(), b"stored frame");
     }
 
     #[test]
