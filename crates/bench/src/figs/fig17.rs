@@ -94,7 +94,6 @@ fn run_case(
             store: StoreConfig {
                 memory_budget: 48 << 20,
                 disk_budget: budget * 3 / 2,
-                evict_watermark: 0.75,
                 memory_horizon: 2,
                 ..Default::default()
             },

@@ -451,11 +451,6 @@ impl<'a> Decoder<'a> {
         &self.stats
     }
 
-    /// Resets the work counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = DecodeStats::default();
-    }
-
     /// Abstract compute cost of decoding one frame of the given kind at
     /// this video's dimensions (used as graph edge weight).
     #[must_use]

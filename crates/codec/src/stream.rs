@@ -92,15 +92,6 @@ impl VideoStream {
         }
         Ok(Some(self.produce()?))
     }
-
-    /// Drains every video that has already arrived.
-    pub fn collect_available(&mut self) -> Result<Vec<VideoEntry>> {
-        let mut out = Vec::new();
-        while let Some(v) = self.poll()? {
-            out.push(v);
-        }
-        Ok(out)
-    }
 }
 
 /// Accumulates streamed videos and cuts dataset snapshots ("generations")

@@ -325,7 +325,6 @@ mod tests {
                 // Small memory + horizon 0 pushes everything to disk.
                 memory_budget: 4 << 20,
                 disk_budget: 512 << 20,
-                evict_watermark: 0.75,
                 memory_horizon: 0,
                 ..Default::default()
             },

@@ -142,7 +142,6 @@ proptest! {
                 store: StoreConfig {
                     memory_budget: 64 << 10,
                     disk_budget: 512 << 20,
-                    evict_watermark: 0.75,
                     memory_horizon: 1,
                     shards,
                     compact_threshold: 0.5,

@@ -171,12 +171,6 @@ impl Frame {
         &mut self.data
     }
 
-    /// Consumes the frame, returning its pixel buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
-    }
-
     /// Returns the channel values of the pixel at `(x, y)`.
     pub fn pixel(&self, x: usize, y: usize) -> Result<&[u8]> {
         if x >= self.width || y >= self.height {

@@ -57,11 +57,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the element buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Mean of all elements.
     #[must_use]
     pub fn mean(&self) -> f32 {

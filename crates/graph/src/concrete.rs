@@ -73,18 +73,6 @@ impl ObjectKey {
             | ObjectKey::Aug { video_id, .. } => *video_id,
         }
     }
-
-    /// Stable path fragment for the VFS (`frame3/aug2` style).
-    #[must_use]
-    pub fn path_fragment(&self) -> String {
-        match self {
-            ObjectKey::Video { .. } => String::new(),
-            ObjectKey::Frame { frame, .. } => format!("frame{frame}"),
-            ObjectKey::Aug { frame, chain, .. } => {
-                format!("frame{frame}/aug{}", chain.len())
-            }
-        }
-    }
 }
 
 /// A consumer record: which (task, epoch, iteration) needs a node.
@@ -301,12 +289,6 @@ impl ConcreteGraph {
             epochs,
             key_index,
         }
-    }
-
-    /// Looks up a node by object identity.
-    #[must_use]
-    pub fn node_by_key(&self, key: &ObjectKey) -> Option<NodeId> {
-        self.key_index.get(key).copied()
     }
 
     /// Nodes of one video's subtree (preorder).

@@ -3,13 +3,13 @@
 //! engine.
 //!
 //! Retry contract: only **transport** failures are retried (connect,
-//! timeout, torn frame), always on a **fresh connection**, with bounded
-//! exponential backoff. That is safe because the protocol was shaped for
-//! it — `Read` is positional, `Put` is idempotent, and fd tables are
-//! per-connection, so a retried `Open` on a new connection cannot
-//! collide with state the dead one held. A [`Response::Error`] from the
-//! peer is *not* retried: the peer answered; repeating the question
-//! would not change the answer.
+//! timeout, torn frame), always on a **fresh connection**, after a 5 ms
+//! sleep that doubles per retry. That is safe because the protocol was
+//! shaped for it — `Read` is positional, `Put` is idempotent, and fd
+//! tables are per-connection, so a retried `Open` on a new connection
+//! cannot collide with state the dead one held. A [`Response::Error`]
+//! from the peer is *not* retried: the peer answered; repeating the
+//! question would not change the answer.
 
 use crate::wire::{self, err_code, Request, Response};
 use crate::{NetError, Result};
@@ -20,32 +20,26 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Sleep before the first retry; doubles per subsequent retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Idle connections kept pooled per peer.
+const POOL: usize = 2;
+
 /// Client tunables.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// Per-attempt socket read/write timeout.
-    pub io_timeout: Duration,
+    /// Per-attempt timeout: connect, and each socket read or write.
+    pub timeout: Duration,
     /// Additional attempts after the first (0 = fail fast).
     pub retries: u32,
-    /// Sleep before the first retry; doubles per subsequent retry.
-    pub backoff: Duration,
-    /// Idle connections kept pooled.
-    pub pool: usize,
-    /// Largest response frame accepted.
-    pub max_frame_bytes: u32,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout: Duration::from_millis(500),
-            io_timeout: Duration::from_millis(500),
+            timeout: Duration::from_millis(500),
             retries: 2,
-            backoff: Duration::from_millis(10),
-            pool: 2,
-            max_frame_bytes: 64 << 20,
         }
     }
 }
@@ -88,16 +82,16 @@ impl ViewClient {
         if let Some(s) = self.pool.lock().pop() {
             return Ok(s);
         }
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
+        let stream = TcpStream::connect_timeout(&self.addr, self.config.timeout)?;
+        stream.set_read_timeout(Some(self.config.timeout))?;
+        stream.set_write_timeout(Some(self.config.timeout))?;
         stream.set_nodelay(true)?;
         Ok(stream)
     }
 
     fn checkin(&self, stream: TcpStream) {
         let mut pool = self.pool.lock();
-        if pool.len() < self.config.pool {
+        if pool.len() < POOL {
             pool.push(stream);
         }
     }
@@ -109,10 +103,8 @@ impl ViewClient {
             m.bytes_tx.add(payload.len() as u64);
         }
         wire::write_frame(&mut stream, &payload)?;
-        let raw = wire::read_frame(&mut stream, self.config.max_frame_bytes)?.ok_or_else(|| {
-            NetError::Io {
-                what: "peer closed before responding".to_string(),
-            }
+        let raw = wire::read_frame(&mut stream, wire::MAX_FRAME)?.ok_or_else(|| NetError::Io {
+            what: "peer closed before responding".to_string(),
         })?;
         if let Some(m) = &self.metrics {
             m.bytes_rx.add(raw.len() as u64);
@@ -126,7 +118,7 @@ impl ViewClient {
     /// failure. Returns the peer's response verbatim (including
     /// [`Response::Error`]).
     pub fn call(&self, req: &Request) -> Result<Response> {
-        let mut backoff = self.config.backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut last: Option<NetError> = None;
         for attempt in 0..=self.config.retries {
             if attempt > 0 {
@@ -136,10 +128,8 @@ impl ViewClient {
                 // Stale pooled connections (peer restarted) are the
                 // common cause — drop them all before redialing.
                 self.pool.lock().clear();
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
+                std::thread::sleep(backoff);
+                backoff = backoff.saturating_mul(2);
             }
             match self.attempt(req) {
                 Ok(resp) => return Ok(resp),

@@ -20,8 +20,8 @@
 //!   optionally, its object store) over a TCP listener: bounded worker
 //!   pool, per-connection fd tables, positional reads so retries are
 //!   idempotent.
-//! - [`ViewClient`] — connection-pooled client with configurable
-//!   timeouts and bounded retry-with-backoff; [`RemoteProvider`] adapts
+//! - [`ViewClient`] — connection-pooled client with one per-attempt
+//!   timeout and bounded retry-with-backoff; [`RemoteProvider`] adapts
 //!   it back into a `ViewProvider`, so a remote engine mounts like a
 //!   local one.
 //! - [`RemoteTier`] — the cluster cache tier the engine consults on a

@@ -106,11 +106,6 @@ impl Placement {
         let (_, node) = self.ring[if idx == self.ring.len() { 0 } else { idx }];
         Some(&self.nodes[node])
     }
-
-    /// Whether `node` owns `key`.
-    pub fn is_owner(&self, key: &str, node: &str) -> bool {
-        self.owner_of(key) == Some(node)
-    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,9 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+/// Virtual nodes per physical node on the placement ring.
+const VNODES: usize = 64;
+
 /// One peer node: its ring identity and dial address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeerSpec {
@@ -51,14 +54,10 @@ pub struct RemoteTierConfig {
     pub node_id: String,
     /// The *other* nodes (self is implied on the ring).
     pub peers: Vec<PeerSpec>,
-    /// Virtual nodes per physical node on the placement ring.
-    pub vnodes: usize,
     /// Per-attempt timeout for remote fetches and pushes.
     pub fetch_timeout: Duration,
     /// Additional attempts after the first.
     pub retries: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub backoff: Duration,
     /// Push locally-materialized, remotely-owned objects to their owner.
     pub push_to_owner: bool,
     /// Consecutive failures before a peer is held down.
@@ -72,10 +71,8 @@ impl Default for RemoteTierConfig {
         Self {
             node_id: "node0".to_string(),
             peers: Vec::new(),
-            vnodes: 64,
             fetch_timeout: Duration::from_millis(250),
             retries: 1,
-            backoff: Duration::from_millis(5),
             push_to_owner: true,
             failure_threshold: 2,
             failure_cooldown: Duration::from_secs(1),
@@ -115,14 +112,10 @@ impl RemoteTier {
     pub fn new(config: RemoteTierConfig, telemetry: &Telemetry) -> Self {
         let mut ids: Vec<String> = config.peers.iter().map(|p| p.node_id.clone()).collect();
         ids.push(config.node_id.clone());
-        let placement = Placement::new(&ids, config.vnodes);
+        let placement = Placement::new(&ids, VNODES);
         let client_config = ClientConfig {
-            connect_timeout: config.fetch_timeout,
-            io_timeout: config.fetch_timeout,
+            timeout: config.fetch_timeout,
             retries: config.retries,
-            backoff: config.backoff,
-            pool: 2,
-            max_frame_bytes: 64 << 20,
         };
         let peers = config
             .peers

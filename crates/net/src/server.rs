@@ -32,25 +32,20 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Socket read timeout — the stop-flag polling interval, not a request
+/// deadline.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
 /// Server tunables.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Worker threads (each serves one connection at a time).
     pub workers: usize,
-    /// Largest request frame accepted.
-    pub max_frame_bytes: u32,
-    /// Socket read timeout — the stop-flag polling interval, not a
-    /// request deadline.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            workers: 4,
-            max_frame_bytes: 64 << 20,
-            poll_interval: Duration::from_millis(50),
-        }
+        Self { workers: 4 }
     }
 }
 
@@ -92,7 +87,6 @@ struct Shared {
     provider: Arc<dyn ViewProvider>,
     store: Option<Arc<ObjectStore>>,
     metrics: Option<NetMetrics>,
-    config: ServerConfig,
     stop: Arc<AtomicBool>,
 }
 
@@ -126,7 +120,6 @@ impl ViewServer {
             provider,
             store,
             metrics: NetMetrics::register(telemetry),
-            config: config.clone(),
             stop: Arc::clone(&stop),
         });
 
@@ -182,7 +175,7 @@ fn accept_loop(
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
+        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let _ = stream.set_nodelay(true);
         if tx.send(stream).is_err() {
             return;
@@ -192,7 +185,7 @@ fn accept_loop(
 
 fn worker_loop(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared) {
     loop {
-        match rx.recv_timeout(shared.config.poll_interval) {
+        match rx.recv_timeout(POLL_INTERVAL) {
             Ok(stream) => serve_connection(stream, shared),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                 if shared.stop.load(Ordering::SeqCst) {
@@ -261,10 +254,9 @@ fn read_frame_interruptible(stream: &mut TcpStream, shared: &Shared) -> Result<O
     }
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    let cap = shared.config.max_frame_bytes.min(wire::ABSOLUTE_MAX_FRAME);
-    if len > cap {
+    if len > wire::MAX_FRAME {
         return Err(NetError::Protocol {
-            what: format!("frame of {len} bytes exceeds cap of {cap}"),
+            what: format!("frame of {len} bytes exceeds cap of {}", wire::MAX_FRAME),
         });
     }
     let mut payload = vec![0u8; len as usize];
@@ -442,5 +434,72 @@ fn handle_request(req: Request, fds: &mut BTreeMap<u64, OpenEntry>, shared: &Sha
                 size: 0,
             },
         },
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use std::io::Write as _;
+
+    /// A node with no views: the frame cap is checked before any request
+    /// reaches a provider.
+    struct NoViews;
+
+    impl ViewProvider for NoViews {
+        fn fetch(&self, path: &ViewPath) -> sand_vfs::Result<Arc<Vec<u8>>> {
+            Err(VfsError::NoSuchView {
+                path: path.to_string(),
+            })
+        }
+
+        fn metadata(&self, _path: &ViewPath, name: &str) -> sand_vfs::Result<String> {
+            Err(VfsError::NoAttr {
+                name: name.to_string(),
+            })
+        }
+    }
+
+    /// A header announcing one byte more than `wire::MAX_FRAME` ends the
+    /// exchange before the server reads a payload: the client gets a
+    /// protocol error or a closed connection, never a read timeout (which
+    /// is what waiting for the unsent payload would look like).
+    #[test]
+    fn oversized_request_frame_is_rejected_before_reading_a_payload() {
+        let mut server = ViewServer::serve(
+            "127.0.0.1:0",
+            Arc::new(NoViews),
+            None,
+            ServerConfig { workers: 1 },
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&(wire::MAX_FRAME + 1).to_le_bytes());
+        stream.write_all(&header).unwrap();
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("the server neither answered nor closed the connection: {e}"),
+        }
+        if !reply.is_empty() {
+            let payload = wire::read_frame(&mut reply.as_slice(), wire::MAX_FRAME)
+                .unwrap()
+                .unwrap();
+            assert!(matches!(
+                Response::decode(&payload).unwrap(),
+                Response::Error {
+                    code: err_code::PROTOCOL,
+                    ..
+                }
+            ));
+        }
+        server.shutdown();
     }
 }

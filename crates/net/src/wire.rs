@@ -9,9 +9,8 @@
 //! The CRC is IEEE CRC-32 over the payload bytes (the same polynomial the
 //! value log commits last on disk), so a truncated or bit-flipped frame is
 //! rejected before any field is parsed — the receiver never sees a torn
-//! message. `payload_len` is validated against the receiver's
-//! `max_frame_bytes` *before* allocating, so a corrupt length prefix
-//! cannot drive an allocation.
+//! message. `payload_len` is validated against [`MAX_FRAME`] *before*
+//! allocating, so a corrupt length prefix cannot drive an allocation.
 //!
 //! The payload is a tag byte followed by fixed-order fields: integers are
 //! little-endian, strings and byte blobs are `u32` length + bytes,
@@ -26,9 +25,9 @@
 use crate::{NetError, Result};
 use std::io::{Read, Write};
 
-/// Hard ceiling a frame may never exceed regardless of configuration;
-/// guards against a corrupt or hostile length prefix.
-pub const ABSOLUTE_MAX_FRAME: u32 = 256 << 20;
+/// The largest frame payload a node sends or accepts (64 MiB); guards
+/// against a corrupt or hostile length prefix.
+pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Error codes carried by [`Response::Error`]. They mirror
 /// `sand_vfs::VfsError` so a remote VFS error round-trips losslessly.
@@ -87,9 +86,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| NetError::Protocol {
         what: format!("frame payload of {} bytes overflows u32", payload.len()),
     })?;
-    if len > ABSOLUTE_MAX_FRAME {
+    if len > MAX_FRAME {
         return Err(NetError::Protocol {
-            what: format!("frame payload of {len} bytes exceeds absolute cap"),
+            what: format!("frame payload of {len} bytes exceeds cap of {MAX_FRAME}"),
         });
     }
     let mut header = [0u8; 8];
@@ -101,13 +100,14 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads one frame from `r`, enforcing `max_frame_bytes` before
-/// allocating and rejecting any payload whose checksum does not match.
+/// Reads one frame from `r`, enforcing `cap` (never above [`MAX_FRAME`])
+/// before allocating and rejecting any payload whose checksum does not
+/// match.
 ///
 /// Returns `Ok(None)` on clean EOF at a frame boundary (the peer closed
 /// between messages); EOF anywhere inside a frame is a protocol error —
 /// a torn frame is never surfaced as data.
-pub fn read_frame<R: Read>(r: &mut R, max_frame_bytes: u32) -> Result<Option<Vec<u8>>> {
+pub fn read_frame<R: Read>(r: &mut R, cap: u32) -> Result<Option<Vec<u8>>> {
     let mut header = [0u8; 8];
     match read_full(r, &mut header)? {
         0 => return Ok(None),
@@ -120,7 +120,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame_bytes: u32) -> Result<Option<Vec
     }
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    let cap = max_frame_bytes.min(ABSOLUTE_MAX_FRAME);
+    let cap = cap.min(MAX_FRAME);
     if len > cap {
         return Err(NetError::Protocol {
             what: format!("frame of {len} bytes exceeds cap of {cap}"),

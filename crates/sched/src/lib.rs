@@ -8,10 +8,15 @@
 //!   and epochs, prioritized *inversely to their deadline* (the number of
 //!   iterations until the GPU needs them) so lagging subtrees get boosted.
 //!
-//! When memory pressure crosses a watermark (the paper uses 80%), the
+//! When memory pressure crosses the paper's 80% watermark, the
 //! pre-materialization policy flips to **shortest job first** by remaining
 //! unprocessed work, draining nearly-finished subtrees so their decoded
 //! raw frames can be freed.
+//!
+//! Under the priority policy, [`Job::affinity`] is always honoured: a
+//! pinned pre-materialization job is left for its preferred worker while
+//! that worker is free, and only stolen once it is busy with something
+//! else.
 //!
 //! The pool also supports a FIFO policy, which is the "without
 //! scheduling" ablation of Fig. 18.
@@ -27,13 +32,12 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use sand_sanitizer::{TrackedCondvar, TrackedMutex};
 use sand_telemetry::SchedMetrics;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Work category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +103,6 @@ impl std::fmt::Debug for Job {
 pub struct SchedConfig {
     /// Worker thread count.
     pub threads: usize,
-    /// Memory fraction above which the policy flips to SJF (paper: 0.8).
-    pub memory_high_watermark: f64,
     /// Pre-materialization pick policy.
     pub policy: Policy,
     /// Workers reserved for demand-feeding (the paper's dedicated
@@ -109,22 +111,14 @@ pub struct SchedConfig {
     /// materialization job. Only honoured under [`Policy::Priority`];
     /// the FIFO ablation deliberately has no reservation.
     pub reserved_demand_threads: usize,
-    /// Honour [`Job::affinity`] hints: a pinned pre-materialization job
-    /// is left for its preferred worker while that worker is free, and
-    /// only stolen once the preferred worker is busy with something
-    /// else. `false` reverts to pure work sharing (the ablation knob).
-    /// Only honoured under [`Policy::Priority`].
-    pub sticky_affinity: bool,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             threads: 4,
-            memory_high_watermark: 0.8,
             policy: Policy::Priority,
             reserved_demand_threads: 1,
-            sticky_affinity: true,
         }
     }
 }
@@ -152,6 +146,14 @@ pub struct SchedStats {
     /// the preferred worker was backlogged.
     pub affinity_steals: u64,
 }
+
+/// Memory fraction above which pre-materialization picks flip to SJF
+/// (the paper's 80%).
+const MEMORY_HIGH_WATERMARK: f64 = 0.8;
+
+/// How long [`Scheduler::wait_idle`] sleeps before re-checking, even
+/// without a wakeup.
+const IDLE_RECHECK: Duration = Duration::from_millis(20);
 
 /// Virtual-time scale: one nanosecond of service at weight `SCALE`
 /// advances virtual time by one unit. Keeps integer division honest for
@@ -207,6 +209,8 @@ struct Shared {
     running: AtomicU64,
     memory_pressure_milli: AtomicU64,
     stats: TrackedMutex<SchedStats>,
+    /// Notified when the last running job ends; [`Scheduler::wait_idle`]
+    /// waits on it.
     idle: TrackedCondvar,
     config: SchedConfig,
     /// Per-worker "currently executing a job" flags, used by the sticky
@@ -260,9 +264,6 @@ pub struct Scheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     seq: AtomicU64,
-    /// Completion notifications (used by `wait_idle`).
-    done_tx: Sender<()>,
-    done_rx: Receiver<()>,
 }
 
 impl Scheduler {
@@ -291,7 +292,6 @@ impl Scheduler {
             tenants: TrackedMutex::new("sched.tenants", None),
             metrics,
         });
-        let (done_tx, done_rx) = bounded(1024);
         let reserved = if config.policy == Policy::Priority {
             config
                 .reserved_demand_threads
@@ -302,22 +302,19 @@ impl Scheduler {
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let done = done_tx.clone();
                 let ctx = WorkerCtx {
                     id: i,
                     demand_only: i < reserved,
                     reserved,
                     threads,
                 };
-                std::thread::spawn(move || worker_loop(&shared, &done, ctx))
+                std::thread::spawn(move || worker_loop(&shared, ctx))
             })
             .collect();
         Scheduler {
             shared,
             workers,
             seq: AtomicU64::new(0),
-            done_tx,
-            done_rx,
         }
     }
 
@@ -364,8 +361,8 @@ impl Scheduler {
 
     /// Installs (or clears, with an empty slice) the weighted-QoS tenant
     /// table. `weights[i]` is tenant `i`'s relative share of the demand
-    /// band; zero weights are clamped to 1 (the lint layer denies
-    /// zero-sum configs before they get here). Resets virtual times, so
+    /// band; zero weights are clamped to 1 (`Fleet::new` rejects a
+    /// weight-0 tenant before it gets here). Resets virtual times, so
     /// this is meant to be called once at fleet construction.
     pub fn set_tenant_weights(&self, weights: &[u64]) {
         let table = if weights.is_empty() {
@@ -405,18 +402,9 @@ impl Scheduler {
 
     /// Blocks until the queue is empty and no job is running.
     pub fn wait_idle(&self) {
-        // Drain completion signals opportunistically, then verify.
-        loop {
-            {
-                let q = self.shared.queue.lock();
-                if q.is_empty() && self.shared.running.load(Ordering::SeqCst) == 0 {
-                    return;
-                }
-            }
-            // Wait for a completion (or timeout to re-check).
-            let _ = self
-                .done_rx
-                .recv_timeout(std::time::Duration::from_millis(20));
+        let mut q = self.shared.queue.lock();
+        while !(q.is_empty() && self.shared.running.load(Ordering::SeqCst) == 0) {
+            self.shared.idle.wait_for(&mut q, IDLE_RECHECK);
         }
     }
 
@@ -430,7 +418,6 @@ impl Scheduler {
     /// that have not started are dropped.
     pub fn shutdown(mut self) {
         self.stop_workers();
-        let _ = &self.done_tx;
     }
 
     /// Signals shutdown and joins workers — except the current thread,
@@ -483,7 +470,8 @@ fn pick_index(
     if entries.is_empty() {
         return None;
     }
-    let sticky = config.sticky_affinity && config.policy == Policy::Priority;
+    // Sticky affinity is part of the priority policy; FIFO ignores hints.
+    let sticky = config.policy == Policy::Priority;
     // Demand selection is weighted-fair across tenants, then earliest-
     // deadline-first within a virtual-time tie group, an affinity match
     // only breaking deadline ties — a GPU-blocking read never waits for
@@ -537,7 +525,7 @@ fn pick_index(
             .min_by_key(|(_, e)| e.seq)
             .map(|(i, _)| (i, "fifo")),
         Policy::Priority => {
-            let sjf = pressure_milli as f64 / 1000.0 > config.memory_high_watermark;
+            let sjf = pressure_milli as f64 / 1000.0 > MEMORY_HIGH_WATERMARK;
             let pick_pre = |eligible: &dyn Fn(&Entry) -> bool| {
                 let iter = entries.iter().enumerate().filter(|(_, e)| eligible(e));
                 if sjf {
@@ -548,9 +536,6 @@ fn pick_index(
                         .map(|(i, _)| (i, "deadline"))
                 }
             };
-            if !sticky {
-                return pick_pre(&|_| true);
-            }
             // Sticky pass 1: own pinned jobs and unpinned jobs.
             if let Some(pick) = pick_pre(&|e| w.prefers(e)) {
                 return Some(pick);
@@ -568,7 +553,7 @@ fn pick_index(
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
+fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
     loop {
         let entry = {
             let mut q = shared.queue.lock();
@@ -637,7 +622,6 @@ fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
                         _ => {}
                     }
                     if entry.job.kind == JobKind::PreMaterialize
-                        && shared.config.sticky_affinity
                         && shared.config.policy == Policy::Priority
                     {
                         if let Some(a) = entry.job.affinity {
@@ -682,12 +666,16 @@ fn worker_loop(shared: &Arc<Shared>, done: &Sender<()>, w: WorkerCtx) {
             }
         }
         shared.stats.lock().busy_nanos += busy;
-        shared.running.fetch_sub(1, Ordering::SeqCst);
-        shared.idle.notify_all();
+        if shared.running.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // The pool may be idle now. `wait_idle` checks and starts
+            // waiting under the queue lock; passing through it here means
+            // the wakeup cannot fall between its check and its wait.
+            drop(shared.queue.lock());
+            shared.idle.notify_all();
+        }
         // Wake peers: finishing a job can unblock pinned work for this
         // worker, and going idle changes what peers may steal.
         shared.available.notify_all();
-        let _ = done.try_send(());
     }
 }
 
@@ -1073,29 +1061,6 @@ mod tests {
         sched.shutdown();
     }
 
-    /// The ablation knob: with sticky affinity off, no affinity counters
-    /// move and everything still completes.
-    #[test]
-    fn sticky_affinity_off_ignores_hints() {
-        let sched = Scheduler::new(SchedConfig {
-            threads: 3,
-            sticky_affinity: false,
-            ..Default::default()
-        });
-        let count = Arc::new(AtomicUsize::new(0));
-        for i in 0..16 {
-            let c = Arc::clone(&count);
-            sched.submit(pinned(i, move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        sched.wait_idle();
-        assert_eq!(count.load(Ordering::SeqCst), 16);
-        let stats = sched.stats();
-        assert_eq!(stats.affinity_hits + stats.affinity_steals, 0);
-        sched.shutdown();
-    }
-
     /// Demand order exercised directly against `pick_index`: worker 2
     /// prefers affinity key 1 (threads=4, reserved=1 → preferred worker
     /// = 1 + key % 3).
@@ -1338,7 +1303,7 @@ mod tests {
                 (0u8..3, 0u64..5, 0u64..4, any::<bool>(), 0u64..6, any::<bool>(), 0u32..4, any::<u32>()),
                 0..24,
             ),
-            (sticky, fifo, pressured) in (any::<bool>(), any::<bool>(), any::<bool>()),
+            (fifo, pressured) in (any::<bool>(), any::<bool>()),
             vtimes in prop::collection::vec(0u64..3, 0..4),
             threads in 1usize..5,
             reserved in 0usize..3,
@@ -1367,7 +1332,6 @@ mod tests {
             let config = SchedConfig {
                 threads,
                 policy: if fifo { Policy::Fifo } else { Policy::Priority },
-                sticky_affinity: sticky,
                 ..Default::default()
             };
             let reserved = reserved.min(threads - 1);
@@ -1384,7 +1348,7 @@ mod tests {
             });
             let pressure = if pressured { 950 } else { 0 };
             let demand_band = w.demand_only || !fifo;
-            let sticky = sticky && !fifo;
+            let sticky = !fifo;
             loop {
                 let got = pick_index(&queue, &config, pressure, w, &busy, table.as_ref());
                 let reference = two_pass_demand_pick(&queue, sticky, w, table.as_ref());

@@ -39,15 +39,12 @@ proptest! {
         threads in 1usize..6,
         reserved in 0usize..3,
         fifo in any::<bool>(),
-        sticky in any::<bool>(),
         pressure in 0.0f64..1.0,
     ) {
         let sched = Scheduler::new(SchedConfig {
             threads,
             policy: if fifo { Policy::Fifo } else { Policy::Priority },
             reserved_demand_threads: reserved,
-            sticky_affinity: sticky,
-            ..Default::default()
         });
         sched.set_memory_pressure(pressure);
         let counters: Vec<Arc<AtomicUsize>> =

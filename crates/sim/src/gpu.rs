@@ -287,12 +287,6 @@ impl GpuSim {
         self.state.lock().busy
     }
 
-    /// Total modeled stalled time.
-    #[must_use]
-    pub fn stalled_time(&self) -> Duration {
-        self.state.lock().stalled
-    }
-
     /// Iterations completed.
     #[must_use]
     pub fn iterations(&self) -> u64 {

@@ -9,8 +9,8 @@
 //!   (decode-on-GPU steals memory → smaller max batch, Fig. 4), an NVDEC
 //!   hardware-decoder throughput model, and busy/stall accounting,
 //! - [`power`]: CPU/GPU power draw and energy integration (Figs. 5/15),
-//! - [`cluster`]: nodes grouping GPUs with a vCPU count, used by the
-//!   multi-job scenarios.
+//! - [`scale`]: Section 3's paper-scale arithmetic (dataset blow-up,
+//!   remote bandwidth, vCPUs needed).
 //!
 //! Real preprocessing work (the codec and augmentations are genuinely
 //! executed) meets modeled GPU compute through a configurable
@@ -19,12 +19,10 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod cluster;
 pub mod gpu;
 pub mod power;
 pub mod scale;
 
-pub use cluster::{ClusterSpec, NodeSpec};
 pub use gpu::{GpuSim, GpuSpec, MemoryModel, ModelProfile, NvdecModel, TimeScale};
 pub use power::{EnergyBreakdown, PowerModel, UsageWindow};
 pub use scale::{CorpusSpec, TrainingSpec};

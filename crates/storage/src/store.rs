@@ -110,8 +110,6 @@ pub struct StoreConfig {
     /// **live object bytes**, not log-file bytes; dead log bytes are
     /// bounded separately by the compaction threshold.
     pub disk_budget: u64,
-    /// Eviction watermark as a fraction of the budget (paper: 0.75).
-    pub evict_watermark: f64,
     /// Deadline horizon (clock ticks) within which new objects are kept
     /// in memory rather than parked on disk.
     pub memory_horizon: u64,
@@ -134,7 +132,6 @@ impl Default for StoreConfig {
         StoreConfig {
             memory_budget: 64 << 20,
             disk_budget: 512 << 20,
-            evict_watermark: 0.75,
             memory_horizon: 2,
             shards: default_shards(),
             compact_threshold: 0.5,
@@ -142,6 +139,10 @@ impl Default for StoreConfig {
         }
     }
 }
+
+/// The disk tier evicts once its live bytes pass this fraction of
+/// `disk_budget` (Algorithm 1's 75% watermark).
+const EVICT_WATERMARK: f64 = 0.75;
 
 /// Compaction only triggers once at least this much garbage exists, so
 /// tiny stores don't churn the log over a few dead kilobytes.
@@ -241,11 +242,6 @@ impl ObjectStore {
         if config.memory_budget == 0 {
             return Err(StorageError::InvalidConfig {
                 what: "memory budget must be nonzero",
-            });
-        }
-        if !(0.0..=1.0).contains(&config.evict_watermark) {
-            return Err(StorageError::InvalidConfig {
-                what: "watermark must be in [0,1]",
             });
         }
         if config.shards == 0 {
@@ -761,7 +757,7 @@ impl ObjectStore {
 
     /// The disk tier's eviction watermark, in live object bytes.
     fn disk_limit(&self) -> u64 {
-        (self.config.disk_budget as f64 * self.config.evict_watermark) as u64
+        (self.config.disk_budget as f64 * EVICT_WATERMARK) as u64
     }
 
     /// True when the log's dead-byte ratio crossed the configured
@@ -1123,7 +1119,6 @@ mod tests {
         let cfg = StoreConfig {
             memory_budget: 1 << 20,
             disk_budget: 400,
-            evict_watermark: 0.75,
             memory_horizon: 0,
             ..Default::default()
         };
@@ -1148,7 +1143,6 @@ mod tests {
         let cfg = StoreConfig {
             memory_budget: 1 << 20,
             disk_budget: 400,
-            evict_watermark: 0.75,
             memory_horizon: 0,
             ..Default::default()
         };
@@ -1405,11 +1399,6 @@ mod tests {
         })
         .is_err());
         assert!(ObjectStore::memory_only(StoreConfig {
-            evict_watermark: 1.5,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(ObjectStore::memory_only(StoreConfig {
             shards: 0,
             ..Default::default()
         })
@@ -1497,7 +1486,6 @@ mod tests {
         let cfg = StoreConfig {
             memory_budget: 64 * 1024, // small: constant spill pressure
             disk_budget: 1 << 30,     // huge: no evictions, no losses
-            evict_watermark: 0.75,
             memory_horizon: 4,
             shards: 8,
             compact_threshold: 0.5,

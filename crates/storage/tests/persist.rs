@@ -50,7 +50,6 @@ fn disk_cfg() -> StoreConfig {
     StoreConfig {
         memory_budget: 1 << 20,
         disk_budget: 1 << 30,
-        evict_watermark: 0.75,
         memory_horizon: 0, // everything lands on the disk tier
         shards: 4,
         compact_threshold: 1.0, // tests damage the log themselves

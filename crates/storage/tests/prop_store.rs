@@ -115,7 +115,6 @@ proptest! {
                 StoreConfig {
                     memory_budget: 16 * 1024,
                     disk_budget: 256 * 1024,
-                    evict_watermark: 0.75,
                     memory_horizon: 1,
                     ..Default::default()
                 },
@@ -173,7 +172,6 @@ proptest! {
                 StoreConfig {
                     memory_budget: 8 * 1024,
                     disk_budget: 64 * 1024,
-                    evict_watermark: 0.75,
                     memory_horizon: 1,
                     shards,
                     compact_threshold: 0.5,
@@ -246,7 +244,6 @@ proptest! {
                 let config = StoreConfig {
                     memory_budget: 8 * 1024,
                     disk_budget: 64 * 1024,
-                    evict_watermark: 0.75,
                     memory_horizon: 1,
                     shards,
                     compact_threshold: 0.5,

@@ -13,6 +13,9 @@
 use sand_storage::{ObjectMeta, StoreConfig, Tier};
 use std::collections::HashMap;
 
+/// The store's fixed disk-tier watermark (Algorithm 1's 75%).
+const EVICT_WATERMARK: f64 = 0.75;
+
 #[derive(Debug, Clone, Copy)]
 struct Record {
     tier: Tier,
@@ -144,7 +147,7 @@ impl ScanStore {
                 self.evictions += 1;
             }
         }
-        let disk_limit = (self.config.disk_budget as f64 * self.config.evict_watermark) as u64;
+        let disk_limit = (self.config.disk_budget as f64 * EVICT_WATERMARK) as u64;
         while self.disk_bytes > disk_limit {
             let victim = self
                 .scan_victim(|r| r.meta.future_uses == 0)

@@ -21,12 +21,10 @@
 //! binary must be bit-identical in behaviour and free of measurable
 //! overhead** (pinned by `crates/bench/benches/telemetry_overhead.rs`).
 
-mod flush;
 mod json;
 mod report;
 mod snapshot;
 
-pub use flush::{FlushConfig, JsonlFlusher};
 pub use json::{parse_json, validate_jsonl, JsonValue};
 pub use report::{
     record_stage, with_stage_cells, BatchMeta, BatchProbe, BatchTrace, ChunkPlans, SampleProbe,
@@ -291,11 +289,15 @@ impl Registry {
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Upper bounds (µs) shared by every latency histogram.
+const LATENCY_BUCKETS_US: [u64; 14] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+    1_000_000,
+];
+
 /// Telemetry configuration, carried by `EngineConfig::telemetry`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Upper bounds (µs) shared by every latency histogram.
-    pub latency_buckets_us: Vec<u64>,
     /// A batch served slower than this is *stalled* and appears in the
     /// stall-attribution report. `0` means every batch is reported —
     /// useful for the example CLI and for tests.
@@ -307,10 +309,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
-            latency_buckets_us: vec![
-                50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
-                500_000, 1_000_000,
-            ],
             stall_budget_us: 0,
             trace_cap: 1024,
         }
@@ -421,9 +419,9 @@ pub struct CodecMetrics {
 
 impl CodecMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
-            segment_us: r.histogram("decode.segment_us", &c.latency_buckets_us),
+            segment_us: r.histogram("decode.segment_us", &LATENCY_BUCKETS_US),
             segments: r.counter("decode.segments"),
         })
     }
@@ -479,7 +477,7 @@ impl StoreMetrics {
     /// `shards` is the store's shard count; one lock-wait histogram is
     /// registered per shard.
     pub fn register(t: &Telemetry, shards: usize) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         let this = Some(Self {
             mem_hits: r.counter("store.mem_hits"),
             disk_hits: r.counter("store.disk_hits"),
@@ -487,18 +485,13 @@ impl StoreMetrics {
             spills: r.counter("store.spills"),
             evictions: r.counter("store.evictions"),
             puts: r.counter("store.puts"),
-            disk_read_us: r.histogram("store.disk_read_us", &c.latency_buckets_us),
-            disk_write_us: r.histogram("store.disk_write_us", &c.latency_buckets_us),
+            disk_read_us: r.histogram("store.disk_read_us", &LATENCY_BUCKETS_US),
+            disk_write_us: r.histogram("store.disk_write_us", &LATENCY_BUCKETS_US),
             shard_lock_wait_us: (0..shards.max(1))
-                .map(|i| {
-                    r.histogram(
-                        &format!("store.shard{i}.lock_wait_us"),
-                        &c.latency_buckets_us,
-                    )
-                })
+                .map(|i| r.histogram(&format!("store.shard{i}.lock_wait_us"), &LATENCY_BUCKETS_US))
                 .collect(),
-            vlog_append_us: r.histogram("store.vlog.append_us", &c.latency_buckets_us),
-            vlog_replay_us: r.histogram("store.vlog.replay_us", &c.latency_buckets_us),
+            vlog_append_us: r.histogram("store.vlog.append_us", &LATENCY_BUCKETS_US),
+            vlog_replay_us: r.histogram("store.vlog.replay_us", &LATENCY_BUCKETS_US),
             vlog_garbage_pct: r.gauge("store.vlog.garbage_pct"),
             vlog_log_bytes: r.gauge("store.vlog.log_bytes"),
             vlog_compactions: r.counter("store.vlog.compactions"),
@@ -544,12 +537,12 @@ pub struct SchedMetrics {
 
 impl SchedMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
             queue_depth: r.gauge("sched.queue_depth"),
-            demand_wait_us: r.histogram("sched.demand_wait_us", &c.latency_buckets_us),
-            pre_wait_us: r.histogram("sched.pre_wait_us", &c.latency_buckets_us),
-            prefetch_wait_us: r.histogram("sched.prefetch_wait_us", &c.latency_buckets_us),
+            demand_wait_us: r.histogram("sched.demand_wait_us", &LATENCY_BUCKETS_US),
+            pre_wait_us: r.histogram("sched.pre_wait_us", &LATENCY_BUCKETS_US),
+            prefetch_wait_us: r.histogram("sched.prefetch_wait_us", &LATENCY_BUCKETS_US),
             affinity_hits: r.counter("sched.affinity_hits"),
             affinity_steals: r.counter("sched.affinity_steals"),
             demand_affinity_hits: r.counter("sched.demand_affinity_hits"),
@@ -568,9 +561,9 @@ pub struct VfsMetrics {
 
 impl VfsMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
-            fetch_us: r.histogram("vfs.fetch_us", &c.latency_buckets_us),
+            fetch_us: r.histogram("vfs.fetch_us", &LATENCY_BUCKETS_US),
             fetches: r.counter("vfs.fetches"),
         })
     }
@@ -586,9 +579,9 @@ pub struct MaterializeMetrics {
 
 impl MaterializeMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
-            op_us: r.histogram("aug.op_us", &c.latency_buckets_us),
+            op_us: r.histogram("aug.op_us", &LATENCY_BUCKETS_US),
             ops: r.counter("aug.ops"),
         })
     }
@@ -636,20 +629,20 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
-            serve_us: r.histogram("engine.serve_us", &c.latency_buckets_us),
+            serve_us: r.histogram("engine.serve_us", &LATENCY_BUCKETS_US),
             batches_served: r.counter("engine.batches_served"),
             batches_stalled: r.counter("engine.batches_stalled"),
             warm_hits: r.counter("engine.warm_hits"),
             cold_starts: r.counter("engine.cold_starts"),
-            demand_decode_us: r.histogram("engine.demand_decode_us", &c.latency_buckets_us),
-            predecode_us: r.histogram("engine.predecode_us", &c.latency_buckets_us),
+            demand_decode_us: r.histogram("engine.demand_decode_us", &LATENCY_BUCKETS_US),
+            predecode_us: r.histogram("engine.predecode_us", &LATENCY_BUCKETS_US),
             compressed_hits_mem: r.counter("engine.compressed_hits_mem"),
             compressed_hits_disk: r.counter("engine.compressed_hits_disk"),
             corrupt_dropped_local: r.counter("engine.corrupt_dropped.local"),
             corrupt_dropped_remote: r.counter("engine.corrupt_dropped.remote"),
-            chunk_plan_us: r.histogram("engine.chunk_plan_us", &c.latency_buckets_us),
+            chunk_plan_us: r.histogram("engine.chunk_plan_us", &LATENCY_BUCKETS_US),
             chunks_planned: r.counter("engine.chunks_planned"),
             chunk_plan_ahead_hit: r.counter("engine.chunk_plan_ahead_hit"),
             chunk_plan_ahead_late: r.counter("engine.chunk_plan_ahead_late"),
@@ -696,7 +689,7 @@ pub struct NetMetrics {
 
 impl NetMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
             fetch_hits: r.counter("net.fetch_hits"),
             fetch_misses: r.counter("net.fetch_misses"),
@@ -704,7 +697,7 @@ impl NetMetrics {
             retries: r.counter("net.retries"),
             pushes: r.counter("net.pushes"),
             push_errors: r.counter("net.push_errors"),
-            fetch_us: r.histogram("net.fetch_us", &c.latency_buckets_us),
+            fetch_us: r.histogram("net.fetch_us", &LATENCY_BUCKETS_US),
             peers_down: r.gauge("net.peers_down"),
             bytes_rx: r.counter("net.bytes_rx"),
             bytes_tx: r.counter("net.bytes_tx"),
@@ -741,14 +734,14 @@ pub struct PrefetchMetrics {
 
 impl PrefetchMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
             hit: r.counter("prefetch.hit"),
             late: r.counter("prefetch.late"),
             cancelled: r.counter("prefetch.cancelled"),
             miss: r.counter("prefetch.miss"),
             scheduled: r.counter("prefetch.scheduled"),
-            wait_us: r.histogram("prefetch.wait_us", &c.latency_buckets_us),
+            wait_us: r.histogram("prefetch.wait_us", &LATENCY_BUCKETS_US),
         })
     }
 }
@@ -772,9 +765,9 @@ impl LoaderMetrics {
     /// `loader` is the loader's `name()` (`sand`, `cpu`, `gpu`, ...);
     /// it becomes part of the metric names.
     pub fn register(t: &Telemetry, loader: &str) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
-            stall_us: r.histogram(&format!("loader.{loader}.stall_us"), &c.latency_buckets_us),
+            stall_us: r.histogram(&format!("loader.{loader}.stall_us"), &LATENCY_BUCKETS_US),
             batches: r.counter(&format!("loader.{loader}.batches")),
             cpu_work_us: r.counter(&format!("loader.{loader}.cpu_work_us")),
         })
@@ -798,10 +791,10 @@ impl TenantMetrics {
     /// `tenant` is the fleet-assigned tenant id; it becomes part of the
     /// metric names.
     pub fn register(t: &Telemetry, tenant: &str) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
             batches_served: r.counter(&format!("tenant.{tenant}.batches_served")),
-            serve_us: r.histogram(&format!("tenant.{tenant}.serve_us"), &c.latency_buckets_us),
+            serve_us: r.histogram(&format!("tenant.{tenant}.serve_us"), &LATENCY_BUCKETS_US),
             stalled: r.counter(&format!("tenant.{tenant}.stalled")),
         })
     }
@@ -827,11 +820,11 @@ pub struct FleetMetrics {
 
 impl FleetMetrics {
     pub fn register(t: &Telemetry) -> Option<Self> {
-        let (r, c) = (t.registry()?, t.config()?);
+        let r = t.registry()?;
         Some(Self {
             dedup_wins: r.counter("fleet.dedup_wins"),
             dedup_adoptions: r.counter("fleet.dedup_adoptions"),
-            dedup_wait_us: r.histogram("fleet.dedup_wait_us", &c.latency_buckets_us),
+            dedup_wait_us: r.histogram("fleet.dedup_wait_us", &LATENCY_BUCKETS_US),
             admitted: r.gauge("fleet.admitted"),
             rejected: r.counter("fleet.rejected"),
         })

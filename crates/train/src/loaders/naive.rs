@@ -178,12 +178,6 @@ impl NaiveCacheLoader {
     pub fn cache_misses(&self) -> u64 {
         self.cache.misses.load(Ordering::Relaxed)
     }
-
-    /// Bytes currently cached.
-    #[must_use]
-    pub fn cache_bytes(&self) -> u64 {
-        self.cache.used.load(Ordering::Relaxed)
-    }
 }
 
 impl Loader for NaiveCacheLoader {

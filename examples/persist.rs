@@ -47,7 +47,6 @@ fn store_config() -> StoreConfig {
     StoreConfig {
         memory_budget: 1 << 20,
         disk_budget: 1 << 30,
-        evict_watermark: 0.75,
         memory_horizon: 0, // everything write-through to the disk tier
         shards: 4,
         compact_threshold: 0.5, // churn below triggers real compactions

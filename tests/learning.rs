@@ -151,7 +151,6 @@ fn training_survives_heavy_storage_pressure() {
             store: StoreConfig {
                 memory_budget: 96 * 1024,
                 disk_budget: 200 * 1024,
-                evict_watermark: 0.75,
                 memory_horizon: 1,
                 ..Default::default()
             },
