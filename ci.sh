@@ -117,6 +117,10 @@ echo "==> sandbench smoke (fig11_single_fit for 2 s; exits 0 only when correct: 
 cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
     --workload fig11_single_fit --seed 1 --seconds 2 --trace 0 > /dev/null
 
+echo "==> sandbench smoke (fig13_multi_constrained for 2 s, the hard-pruned plan; exits 0 only when correct: true)"
+cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
+    --workload fig13_multi_constrained --seed 1 --seconds 2 --trace 0 > /dev/null
+
 echo "==> telemetry example smoke (quick workload, validates JSONL export)"
 cargo run -q --release --example telemetry -- --quick --json --check > /dev/null
 

@@ -357,9 +357,11 @@ impl Inner {
     /// demand-feeding job never sits behind a long-running worker (the
     /// scheduler preempts between jobs, not within one), and the first
     /// job of a video decodes the *union* of the chunk's source frames
-    /// in one GOP-efficient pass, persisting them so every later epoch's
-    /// bucket reuses the decoded frames instead of re-touching the codec —
-    /// the paper's "decode once, cache for k epochs".
+    /// in one GOP-efficient pass, keeping them — in the store where the
+    /// plan caches them, in the video's shared [`Scratch`] otherwise — so
+    /// every later epoch's bucket reuses the decoded frames instead of
+    /// re-touching the codec: the paper's "decode once, cache for k
+    /// epochs".
     ///
     /// All of a video's jobs share one [`Scratch`] and carry the
     /// video id as a scheduler affinity hint, so chains meeting at a
@@ -451,7 +453,7 @@ impl Inner {
         nodes.retain(|&id| !self.store.contains(chunk.key(id)));
         nodes.sort_by_key(|&id| chunk.deadlines[id].unwrap_or(u64::MAX));
         // One GOP-efficient pass (it skips targets the store already
-        // covers); decoded frames persist in the store.
+        // covers); the frames the plan caches persist in the store.
         let _ = self.predecode_nodes(chunk, &decode_targets, &scratch);
         for id in nodes {
             // Failures here only delay demand-path work; they are not
@@ -466,8 +468,10 @@ mod tests {
     use crate::engine::{EngineConfig, SandEngine};
     use sand_codec::{Dataset, DatasetSpec, EncoderConfig};
     use sand_config::{parse_task_config, TaskConfig};
+    use sand_graph::ObjectKey;
     use sand_sched::SchedConfig;
     use sand_telemetry::TelemetryConfig;
+    use std::collections::HashSet;
     use std::sync::{Arc, Barrier};
 
     const TASK: &str = r#"
@@ -767,6 +771,45 @@ dataset:
             b"a plan an older build wrote"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Under a budget the plan leaves objects uncached, decoded frames
+    /// among them; serving the chunk — through the bulk pre-decode, on
+    /// the demand path and from pre-materialization — stores none of them.
+    #[test]
+    fn store_holds_only_what_the_pruned_plan_caches() {
+        for prematerialize in [false, true] {
+            let e = engine(EngineConfig {
+                tasks: tasks(1),
+                total_epochs: 2,
+                epochs_per_chunk: 2,
+                cache_budget: 8 << 10,
+                prematerialize,
+                ..Default::default()
+            });
+            serve_all(&e, &["train".to_string()], 2);
+            e.wait_idle();
+            let (chunk, _) = e.inner.chunks.get_or_plan(&e.inner, 0).unwrap();
+            let uncached: HashSet<&str> = (0..chunk.graph.nodes.len())
+                .filter(|&id| !chunk.graph.nodes[id].cached)
+                .map(|id| chunk.key(id))
+                .collect();
+            let uncached_frames = chunk
+                .graph
+                .nodes
+                .iter()
+                .filter(|n| !n.cached && matches!(n.key, ObjectKey::Frame { .. }))
+                .count();
+            let stored = e.store().keys();
+            assert!(uncached_frames > 0, "the budget prunes no frame: no test");
+            assert!(!stored.is_empty());
+            for key in &stored {
+                assert!(
+                    !uncached.contains(key.as_str()),
+                    "prematerialize {prematerialize}: {key} is stored but not cached"
+                );
+            }
+        }
     }
 
     #[test]

@@ -399,7 +399,7 @@ impl Inner {
 
     /// Pre-decodes, in one GOP-efficient pass per video, every source
     /// frame the target nodes need that is not otherwise covered, into
-    /// the memo and the store.
+    /// the memo and, for the frames the plan caches, the store.
     ///
     /// Each frame is claimed on the engine flight without blocking. The
     /// claim makes this pass the one that looks the frame up and the one
@@ -461,15 +461,14 @@ impl Inner {
             }
             self.decode_stats.lock().merge(dec.stats());
             for ((_, _, nid, claim), frame) in group.into_iter().zip(frames) {
-                // Persist the decoded frame: whether or not the pruning
-                // pass marked it cached, keeping it until its descendants
-                // materialize saves re-decoding in later epoch buckets.
-                // Objects whose future uses run out are first in the
-                // eviction order, so this never outlives its usefulness.
-                // (Unlike `compute`, nothing is offered to the ring
-                // owner here.)
+                // Store the frame only if the plan caches it, as
+                // `compute` does: an uncached frame reaches its
+                // descendants through the memo and the flight claim, and
+                // in the store it would only push out objects the plan
+                // keeps. (Unlike `compute`, nothing is offered to the
+                // ring owner here.)
                 let key = chunk.key(nid);
-                let bytes = if self.store.contains(key) {
+                let bytes = if !chunk.graph.nodes[nid].cached || self.store.contains(key) {
                     None
                 } else {
                     Some(self.store_frame(key, &frame, chunk.meta(nid))?)

@@ -96,12 +96,14 @@ fn worth_compressing(frame: &Frame) -> bool {
 /// ```
 #[must_use]
 pub fn compress_frame(frame: &Frame) -> Vec<u8> {
-    let (mode, packed) = if worth_compressing(frame) {
-        (MODE_RLE, rle_pack(&up_filter(frame)))
-    } else {
-        (MODE_RAW, frame.as_bytes().to_vec())
+    // A raw payload is borrowed from the frame, so either payload is
+    // written into `out` exactly once.
+    let packed = worth_compressing(frame).then(|| rle_pack(&up_filter(frame)));
+    let (mode, payload) = match &packed {
+        Some(packed) => (MODE_RLE, packed.as_slice()),
+        None => (MODE_RAW, frame.as_bytes()),
     };
-    let mut out = Vec::with_capacity(packed.len() + 48);
+    let mut out = Vec::with_capacity(payload.len() + 48);
     out.extend_from_slice(&MAGIC);
     put_varint(&mut out, frame.width() as u64);
     put_varint(&mut out, frame.height() as u64);
@@ -111,8 +113,8 @@ pub fn compress_frame(frame: &Frame) -> Vec<u8> {
     put_varint(&mut out, frame.meta.video_id);
     put_varint(&mut out, u64::from(frame.meta.aug_depth));
     out.push(mode);
-    put_varint(&mut out, packed.len() as u64);
-    out.extend_from_slice(&packed);
+    put_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(payload);
     out
 }
 

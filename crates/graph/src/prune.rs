@@ -1,21 +1,35 @@
 //! Object graph pruning under a storage budget (Algorithm 1).
 //!
-//! The concrete graph starts with every leaf (fully preprocessed object)
-//! marked cached. When the cached set exceeds the storage budget, pruning
-//! walks bottom-up: it collects the parents of currently cached leaves,
-//! orders them by the recompute cost of their subtrees (cheapest first —
-//! collapsing those sacrifices the least), and collapses the first
-//! subtree whose parent is smaller than the sum of its cached leaves.
-//! Collapsing marks the parent cached and all its descendants uncached:
-//! the engine will recompute the leaves from the parent on demand. The
-//! outer loop round-robins across per-video subtrees until the cache fits.
+//! The planner hands over a graph with every object cached: each decoded
+//! frame and each augmented object (the video roots are cached too, but
+//! the encoded source costs no cache bytes). A graph within the storage
+//! budget is left exactly so. Over budget, pruning runs in two steps.
+//!
+//! 1. **Pass-through objects go first.** A non-root node with no
+//!    consumers of its own and exactly one child, that child cached, is
+//!    read only to produce the child, which the plan keeps anyway:
+//!    uncaching it adds no recompute. The rule reads the cached set as it
+//!    stands before the step, so the result does not depend on node
+//!    order, and along a chain A→B→C of such nodes only C stays cached.
+//!    A decoded frame that a single resize consumes thus leaves the cache
+//!    for the smaller resized object, instead of holding its bytes until
+//!    its whole video collapses.
+//! 2. **Collapse.** While the cached set still exceeds the budget, pruning
+//!    walks bottom-up: it collects the ancestors of cached nodes, orders
+//!    them by the recompute cost of their subtrees (cheapest first —
+//!    collapsing those sacrifices the least), and collapses the first
+//!    subtree whose root is smaller than the cached objects below it.
+//!    Collapsing marks that node cached and all its descendants uncached:
+//!    the engine will recompute them from it on demand. The outer loop
+//!    round-robins across per-video subtrees, in video-id order, until
+//!    the cache fits.
 //!
 //! Two pragmatic deviations from the paper's pseudocode, both documented
 //! here because the pseudocode as printed does not terminate cleanly:
 //! the budget check runs *before* any pruning (a graph already within
-//! budget is untouched), and the loop exits with `BudgetUnreachable` when
-//! no subtree yields a positive saving anymore (the paper's `while true`
-//! would spin forever).
+//! budget is untouched), and the loop exits with `within_budget: false`
+//! when no subtree yields a positive saving anymore (the paper's
+//! `while true` would spin forever).
 
 use crate::concrete::{ConcreteGraph, NodeId, ObjectKey};
 
@@ -178,11 +192,35 @@ impl<'g> Pruner<'g> {
     }
 }
 
+/// Uncaches every pass-through object — a cached non-root node with no
+/// consumers and exactly one child, that child cached — judged on the
+/// cached set as it stands before the call. Returns the bytes freed.
+fn uncache_pass_through(graph: &mut ConcreteGraph) -> u64 {
+    let pass_through: Vec<NodeId> = graph
+        .nodes
+        .iter()
+        .filter(|n| {
+            n.cached
+                && n.parent.is_some()
+                && n.consumers.is_empty()
+                && matches!(n.children[..], [child] if graph.nodes[child].cached)
+        })
+        .map(|n| n.id)
+        .collect();
+    let mut freed = 0;
+    for id in pass_through {
+        graph.nodes[id].cached = false;
+        freed += graph.nodes[id].size_bytes;
+    }
+    freed
+}
+
 /// Prunes the cached object set until it fits `budget_bytes`.
 ///
-/// Follows Algorithm 1: iterate over per-video object graphs, pruning one
-/// subtree per video per round, until the total cached size fits the
-/// budget or no further collapse can save space.
+/// Over budget, first uncaches the pass-through objects (see the module
+/// doc), then follows Algorithm 1: iterate over per-video object graphs,
+/// pruning one subtree per video per round, until the total cached size
+/// fits the budget or no further collapse can save space.
 pub fn prune_to_budget(graph: &mut ConcreteGraph, budget_bytes: u64) -> PruneOutcome {
     let mut outcome = PruneOutcome {
         cached_bytes: graph.cached_bytes(),
@@ -193,7 +231,15 @@ pub fn prune_to_budget(graph: &mut ConcreteGraph, budget_bytes: u64) -> PruneOut
     if outcome.cached_bytes <= budget_bytes {
         return outcome;
     }
-    let video_ids: Vec<u64> = graph.roots.keys().copied().collect();
+    outcome.cached_bytes -= uncache_pass_through(graph);
+    if outcome.cached_bytes <= budget_bytes {
+        return outcome;
+    }
+    // Round-robin in video-id order: `roots` is a hash map, whose order
+    // differs between two plans of the same chunk, and a loop that stops
+    // mid-round would keep a different cached set in each.
+    let mut video_ids: Vec<u64> = graph.roots.keys().copied().collect();
+    video_ids.sort_unstable();
     let mut pruner = Pruner::new(graph, &video_ids);
     loop {
         let mut progressed = false;
@@ -219,8 +265,9 @@ pub fn prune_to_budget(graph: &mut ConcreteGraph, budget_bytes: u64) -> PruneOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concrete::VideoMeta;
-    use crate::concrete::{PlanInput, Planner, PlannerOptions};
+    use crate::concrete::{
+        ConcreteNode, Consumer, MergeStats, PlanInput, Planner, PlannerOptions, VideoMeta,
+    };
     use sand_config::parse_task_config;
 
     const TASK: &str = r#"
@@ -278,22 +325,149 @@ dataset:
         .unwrap()
     }
 
+    /// A hand-built one-video graph, every node cached. `spec[i]` is
+    /// node `i`'s `(parent, size_bytes, edge_cost)`; node 0 is the video
+    /// root. A node with no children is a terminal with one consumer.
+    fn tree(spec: &[(Option<NodeId>, u64, f64)]) -> ConcreteGraph {
+        let mut nodes: Vec<ConcreteNode> = spec
+            .iter()
+            .enumerate()
+            .map(|(id, &(parent, size_bytes, edge_cost))| ConcreteNode {
+                id,
+                key: match parent {
+                    None => ObjectKey::Video { video_id: 0 },
+                    Some(0) => ObjectKey::Frame {
+                        video_id: 0,
+                        frame: id,
+                    },
+                    Some(_) => ObjectKey::Aug {
+                        video_id: 0,
+                        frame: id,
+                        chain: vec![("op".into(), id.to_string())],
+                    },
+                },
+                parent,
+                children: Vec::new(),
+                size_bytes,
+                edge_cost,
+                cached: true,
+                consumers: Vec::new(),
+                dims: (1, 1),
+                op: None,
+            })
+            .collect();
+        for id in 0..nodes.len() {
+            if let Some(parent) = nodes[id].parent {
+                nodes[parent].children.push(id);
+            }
+        }
+        for node in &mut nodes {
+            if node.children.is_empty() {
+                node.consumers.push(Consumer {
+                    task: 0,
+                    epoch: 0,
+                    iteration: 0,
+                    clock: 0,
+                });
+            }
+        }
+        ConcreteGraph::from_parts(nodes, Vec::new(), MergeStats::default(), 0..1)
+    }
+
+    fn cached(g: &ConcreteGraph) -> Vec<bool> {
+        g.nodes.iter().map(|n| n.cached).collect()
+    }
+
+    /// Cached bytes once the pass-through objects are gone: where the
+    /// collapse loop of any over-budget prune of `g` starts.
+    fn pass_through_floor(g: &ConcreteGraph) -> u64 {
+        let mut g = g.clone();
+        uncache_pass_through(&mut g);
+        g.cached_bytes()
+    }
+
+    #[test]
+    fn pass_through_chain_keeps_only_its_tail() {
+        // root -> frame -> resize -> crop: only the crop stays.
+        let mut g = tree(&[
+            (None, 0, 0.0),
+            (Some(0), 300, 50.0),
+            (Some(1), 30, 5.0),
+            (Some(2), 10, 1.0),
+        ]);
+        let out = prune_to_budget(&mut g, 339);
+        assert_eq!(cached(&g), [true, false, false, true]);
+        assert_eq!(
+            out,
+            PruneOutcome {
+                cached_bytes: 10,
+                collapses: 0,
+                recompute_cost_added: 0.0,
+                within_budget: true,
+            }
+        );
+        assert_eq!(g.cached_bytes(), 10);
+    }
+
+    #[test]
+    fn pass_through_spares_branch_points() {
+        // Frame 1 feeds two crops; frame 4 feeds one resize (node 5)
+        // that feeds two crops. Only frame 4 is a pass-through object.
+        let mut g = tree(&[
+            (None, 0, 0.0),
+            (Some(0), 300, 50.0),
+            (Some(1), 10, 1.0),
+            (Some(1), 10, 1.0),
+            (Some(0), 300, 50.0),
+            (Some(4), 30, 5.0),
+            (Some(5), 10, 1.0),
+            (Some(5), 10, 1.0),
+        ]);
+        assert_eq!(uncache_pass_through(&mut g), 300);
+        assert_eq!(
+            cached(&g),
+            [true, true, true, true, false, true, true, true]
+        );
+    }
+
+    #[test]
+    fn pass_through_needs_a_cached_only_child_and_no_consumer() {
+        // Node 1's only child (2) is uncached: reading 3 back needs 1.
+        // Node 4 is a terminal itself: its consumer reads it directly.
+        let mut g = tree(&[
+            (None, 0, 0.0),
+            (Some(0), 300, 50.0),
+            (Some(1), 30, 5.0),
+            (Some(2), 10, 1.0),
+            (Some(0), 300, 50.0),
+            (Some(4), 30, 5.0),
+        ]);
+        g.nodes[2].cached = false;
+        g.nodes[4].consumers = g.nodes[5].consumers.clone();
+        let before = cached(&g);
+        assert_eq!(uncache_pass_through(&mut g), 0);
+        assert_eq!(cached(&g), before);
+    }
+
     #[test]
     fn within_budget_graph_untouched() {
         let mut g = build_graph(4, 1);
-        let before: Vec<bool> = g.nodes.iter().map(|n| n.cached).collect();
-        let out = prune_to_budget(&mut g, u64::MAX);
-        assert!(out.within_budget);
-        assert_eq!(out.collapses, 0);
-        let after: Vec<bool> = g.nodes.iter().map(|n| n.cached).collect();
-        assert_eq!(before, after);
+        let before = cached(&g);
+        // The planned graph has pass-through objects, and a budget it
+        // meets exactly still leaves them cached.
+        assert!(pass_through_floor(&g) < g.cached_bytes());
+        for budget in [u64::MAX, g.cached_bytes()] {
+            let out = prune_to_budget(&mut g, budget);
+            assert!(out.within_budget);
+            assert_eq!(out.collapses, 0);
+            assert_eq!(cached(&g), before);
+        }
     }
 
     #[test]
     fn pruning_meets_achievable_budget() {
         let mut g = build_graph(4, 2);
-        let full = g.cached_bytes();
-        let budget = full / 2;
+        let budget = pass_through_floor(&g) / 2;
         let out = prune_to_budget(&mut g, budget);
         assert!(out.within_budget);
         assert!(g.cached_bytes() <= budget);
@@ -320,30 +494,52 @@ dataset:
     #[test]
     fn tighter_budget_means_more_recompute() {
         let mut loose = build_graph(4, 2);
-        let full = loose.cached_bytes();
-        let loose_out = prune_to_budget(&mut loose, full * 3 / 4);
+        let floor = pass_through_floor(&loose);
+        let loose_out = prune_to_budget(&mut loose, floor * 3 / 4);
         let mut tight = build_graph(4, 2);
-        let tight_out = prune_to_budget(&mut tight, full / 4);
+        let tight_out = prune_to_budget(&mut tight, floor / 4);
+        assert!(loose_out.collapses > 0);
         assert!(tight_out.recompute_cost_added > loose_out.recompute_cost_added);
         assert!(tight.uncached_cost() > loose.uncached_cost());
     }
 
     #[test]
     fn collapse_prefers_cheap_subtrees() {
-        // After a modest prune, expensive-to-recompute nodes (decoded
-        // frames, which embed GOP costs) should stay cached longer than
-        // cheap crop outputs.
-        let mut g = build_graph(4, 2);
-        let full = g.cached_bytes();
-        prune_to_budget(&mut g, full * 2 / 3);
-        let cached_frames = g
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.key, ObjectKey::Frame { .. }) && n.cached)
-            .count();
-        let _ = cached_frames; // frames may or may not be cached; the key
-                               // invariant is budget adherence, asserted above.
-        assert!(g.cached_bytes() <= full * 2 / 3);
+        // Two frames, each a branch point over two crops (so no
+        // pass-through objects). Frame 1 is expensive to recompute and
+        // comes first in discovery order; frame 4 is cheap. Saving 10
+        // bytes takes one collapse, and it must be the cheap subtree.
+        let mut g = tree(&[
+            (None, 0, 0.0),
+            (Some(0), 15, 100.0),
+            (Some(1), 10, 1.0),
+            (Some(1), 10, 1.0),
+            (Some(0), 15, 1.0),
+            (Some(4), 10, 1.0),
+            (Some(4), 10, 1.0),
+        ]);
+        let out = prune_to_budget(&mut g, 60);
+        assert_eq!(cached(&g), [true, true, true, true, true, false, false]);
+        assert_eq!(out.collapses, 1);
+        assert_eq!(out.cached_bytes, 50);
+        assert_eq!(out.recompute_cost_added, 2.0);
+    }
+
+    #[test]
+    fn pruned_plan_is_a_function_of_the_graph() {
+        // Two plans of one chunk hold their roots in two hash maps with
+        // different iteration orders. Budgets between the pass-through
+        // floor and a quarter of it stop the collapse loop mid-round.
+        let floor = pass_through_floor(&build_graph(8, 2));
+        for step in 1..=6 {
+            let budget = floor - floor * step / 8;
+            let (mut a, mut b) = (build_graph(8, 2), build_graph(8, 2));
+            assert_eq!(
+                prune_to_budget(&mut a, budget),
+                prune_to_budget(&mut b, budget)
+            );
+            assert_eq!(cached(&a), cached(&b), "budget {budget}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Reference oracle for Algorithm 1: the pruning pass exactly as it
 //! stood before the near-linear rewrite of `sand_graph::prune` — the
-//! candidate list rebuilt, re-sorted and re-measured per collapse. Kept
-//! for `prop_prune_matches_reference` only; quadratic, never shipped.
+//! candidate list rebuilt, re-sorted and re-measured per collapse —
+//! preceded by the pass-through step, written out over a snapshot of the
+//! cached flags, and with its round-robin in video-id order. Kept for
+//! `prop_prune_matches_reference` only; quadratic, never shipped.
 
 use sand_graph::{ConcreteGraph, NodeId, ObjectKey, PruneOutcome};
 
@@ -103,6 +105,25 @@ fn prune_video(graph: &mut ConcreteGraph, video_id: u64) -> (u64, f64) {
     (0, 0.0)
 }
 
+/// The pass-through step: an object that no consumer reads directly and
+/// that has a single child, which is cached, is needed only to produce
+/// that child, so it leaves the cache. Every test reads the flags as they
+/// were before the step. Returns the bytes freed.
+fn drop_pass_through(graph: &mut ConcreteGraph) -> u64 {
+    let was_cached: Vec<bool> = graph.nodes.iter().map(|n| n.cached).collect();
+    let mut freed = 0;
+    for id in 0..graph.nodes.len() {
+        let node = &graph.nodes[id];
+        let is_root = matches!(node.key, ObjectKey::Video { .. });
+        let single_cached_child = node.children.len() == 1 && was_cached[node.children[0]];
+        if was_cached[id] && !is_root && node.consumers.is_empty() && single_cached_child {
+            freed += node.size_bytes;
+            graph.nodes[id].cached = false;
+        }
+    }
+    freed
+}
+
 /// Prunes the cached object set until it fits `budget_bytes`.
 ///
 /// Follows Algorithm 1: iterate over per-video object graphs, pruning one
@@ -120,7 +141,17 @@ pub fn prune_to_budget(graph: &mut ConcreteGraph, budget_bytes: u64) -> PruneOut
             within_budget: true,
         };
     }
-    let video_ids: Vec<u64> = graph.roots.keys().copied().collect();
+    data_size -= drop_pass_through(graph);
+    if data_size <= budget_bytes {
+        return PruneOutcome {
+            cached_bytes: data_size,
+            collapses,
+            recompute_cost_added: recompute_added,
+            within_budget: true,
+        };
+    }
+    let mut video_ids: Vec<u64> = graph.roots.keys().copied().collect();
+    video_ids.sort();
     loop {
         let mut progressed = false;
         for &vid in &video_ids {

@@ -34,6 +34,7 @@
 
 use sand_sanitizer::{TrackedCondvar, TrackedMutex};
 use sand_telemetry::SchedMetrics;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -651,7 +652,12 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
         };
         let started = std::time::Instant::now();
         let tenant = entry.job.tenant;
-        (entry.job.run)();
+        // A panicking job must not take its worker with it: the
+        // accounting below runs either way, so `running` and the busy
+        // flag come back down and the worker picks its next job. The
+        // job's own state unwinds with it — a dropped `SampleSlot`
+        // fails its waiter with `demand job lost`.
+        let _ = panic::catch_unwind(AssertUnwindSafe(entry.job.run));
         let busy = started.elapsed().as_nanos() as u64;
         shared.worker_busy[w.id].store(false, Ordering::SeqCst);
         if let Some(tid) = tenant {
@@ -742,6 +748,36 @@ mod tests {
         sched.wait_idle();
         assert_eq!(count.load(Ordering::SeqCst), 32);
         assert_eq!(sched.stats().pre_served, 32);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn worker_survives_a_panicking_job() {
+        let sched = Scheduler::new(SchedConfig {
+            threads: 1,
+            ..Default::default()
+        });
+        sched.submit(job(JobKind::Demand, 1, 1, || {
+            panic!("deliberate job failure")
+        }));
+        let ran = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&ran);
+        sched.submit(job(JobKind::Demand, 2, 1, move || {
+            r.store(true, Ordering::SeqCst);
+        }));
+        // Polled against a deadline: a dead worker fails the test
+        // instead of hanging it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            ran.load(Ordering::SeqCst),
+            "the worker died with the panicking job"
+        );
+        // The panicking job was accounted as finished: the pool drains.
+        sched.wait_idle();
+        assert_eq!(sched.stats().demand_served, 2);
         sched.shutdown();
     }
 
