@@ -78,6 +78,17 @@ if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/
     exit 1
 fi
 
+echo "==> one CRC-32 (sand_storage::vlog::crc32, sliced by sixteen; the nibble-table body lives on only as its test reference)"
+shipped=$(for f in $(find crates -path '*/src/*' -name '*.rs' | sort); do
+    awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f"
+done)
+crc_defs=$(grep -E '\bfn crc32\b' <<< "$shipped" || true)
+if [ "$(grep -c . <<< "$crc_defs")" -gt 1 ] || grep -E '0x1db7_?1064' <<< "$shipped"; then
+    echo "$crc_defs"
+    echo "a second CRC-32 is back in shipped code: the value log, the MANIFEST and the wire frames all checksum with crc32 in crates/storage/src/vlog.rs"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -120,6 +131,14 @@ cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
 echo "==> sandbench smoke (fig13_multi_constrained for 2 s, the hard-pruned plan; exits 0 only when correct: true)"
 cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
     --workload fig13_multi_constrained --seed 1 --seconds 2 --trace 0 > /dev/null
+
+echo "==> sandbench smoke (disk_spill for 2 s, spill and read-back through the value log; exits 0 only when correct: true)"
+cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
+    --workload disk_spill --seed 1 --seconds 2 --trace 0 > /dev/null
+
+echo "==> sandbench smoke (remote_ddp for 2 s, two nodes over loopback frames; exits 0 only when correct: true)"
+cargo run --release --quiet --offline --manifest-path sandbench/Cargo.toml -- \
+    --workload remote_ddp --seed 1 --seconds 2 --trace 0 > /dev/null
 
 echo "==> telemetry example smoke (quick workload, validates JSONL export)"
 cargo run -q --release --example telemetry -- --quick --json --check > /dev/null

@@ -70,6 +70,12 @@ pub enum CoreError {
         /// Why the value cannot run.
         reason: String,
     },
+    /// The job that owed a sample panicked before delivering it. The
+    /// worker survives the panic; the sample does not.
+    JobPanicked,
+    /// The job that owed a sample was dropped without delivering it and
+    /// without a panic (its queue went away, or it never ran).
+    JobLost,
     /// Engine state error (e.g. epoch beyond `total_epochs`).
     State {
         /// Human-readable description.
@@ -96,6 +102,8 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config `{field}`: {reason}")
             }
+            CoreError::JobPanicked => write!(f, "the job building a sample panicked"),
+            CoreError::JobLost => write!(f, "the job building a sample was lost"),
             CoreError::State { what } => write!(f, "engine state: {what}"),
             CoreError::Lint { denies, report } => {
                 write!(

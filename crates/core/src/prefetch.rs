@@ -64,9 +64,10 @@ struct BuildState {
     remaining: usize,
 }
 
-/// One job's hold on sample `i` of a build. A job that is dropped or
-/// unwinds before delivering delivers the lost-job error instead, so a
-/// serve waiting on the build gets an error, never a hang.
+/// One job's hold on sample `i` of a build. A job that unwinds before
+/// delivering delivers [`CoreError::JobPanicked`] instead, and one dropped
+/// without a panic [`CoreError::JobLost`], so a serve waiting on the build
+/// gets an error, never a hang.
 pub(crate) struct SampleSlot {
     build: Arc<BatchBuild>,
     i: usize,
@@ -88,15 +89,13 @@ impl SampleSlot {
 impl Drop for SampleSlot {
     fn drop(&mut self) {
         if !self.delivered {
-            self.build.fulfill(self.i, Err(lost_job()));
+            let lost = if std::thread::panicking() {
+                CoreError::JobPanicked
+            } else {
+                CoreError::JobLost
+            };
+            self.build.fulfill(self.i, Err(lost));
         }
-    }
-}
-
-/// The error of a sample whose job never delivered.
-pub(crate) fn lost_job() -> CoreError {
-    CoreError::State {
-        what: "demand job lost".into(),
     }
 }
 
@@ -336,6 +335,33 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         p.cancel_stale(99);
         waiter.join().expect("waiter must wake after cancel");
+    }
+
+    #[test]
+    fn a_slot_unwound_by_a_panic_delivers_job_panicked() {
+        let build = Arc::new(BatchBuild::new(1));
+        let slot = build.slot(0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("the op under this sample failed");
+        }));
+        assert!(unwound.is_err());
+        assert!(build.is_complete(), "the unwound slot must still deliver");
+        assert!(matches!(
+            build.take_results().pop(),
+            Some(Some(Err(CoreError::JobPanicked)))
+        ));
+    }
+
+    #[test]
+    fn a_slot_dropped_without_a_panic_delivers_job_lost() {
+        let build = Arc::new(BatchBuild::new(1));
+        drop(build.slot(0));
+        assert!(build.is_complete());
+        assert!(matches!(
+            build.take_results().pop(),
+            Some(Some(Err(CoreError::JobLost)))
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::chunk::Chunk;
 use crate::engine::Inner;
 use crate::materialize::Scratch;
-use crate::prefetch::{lost_job, BatchBuild};
+use crate::prefetch::BatchBuild;
 use crate::{CoreError, Result};
 use sand_frame::tensor::{clip_refs_to_tensor, stack_to_bytes};
 use sand_frame::{Frame, Tensor};
@@ -299,7 +299,7 @@ impl Inner {
         let tensors = build
             .take_results()
             .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| Err(lost_job())))
+            .map(|slot| slot.unwrap_or(Err(CoreError::JobLost)))
             .collect::<Result<Vec<Tensor>>>()?;
         self.finish_serve(chunk, batch, &tensors, probe.as_deref())
     }

@@ -17,6 +17,7 @@ use crate::{CoreError, Result};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use sand_frame::{compress_frame, decompress_frame, Frame};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 /// A user-provided frame transformation.
@@ -111,7 +112,10 @@ fn service_loop(rx: Receiver<Request>, registry: HashMap<String, Box<dyn CustomO
                 .ok_or_else(|| format!("unknown custom op `{}`", req.op))?;
             let frame =
                 decompress_frame(&req.frame_bytes).map_err(|e| format!("bad frame bytes: {e}"))?;
-            let mut out = op.apply(frame)?;
+            // A panicking op fails its own request, not the service: the
+            // thread lives on for every later one.
+            let mut out = panic::catch_unwind(AssertUnwindSafe(|| op.apply(frame)))
+                .map_err(|_| format!("custom op `{}` panicked", req.op))??;
             out.meta.aug_depth += 1;
             Ok(compress_frame(&out))
         })();
@@ -247,6 +251,30 @@ mod tests {
         let f = Frame::zeroed(2, 2, PixelFormat::Rgb8).unwrap();
         let err = client.apply("bomb", &f).unwrap_err();
         assert!(err.to_string().contains("boom"));
+    }
+
+    #[test]
+    fn a_panicking_op_fails_its_request_and_the_service_lives_on() {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let flaky = move |f: Frame| -> std::result::Result<Frame, String> {
+            if calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0 {
+                panic!("first call fails");
+            }
+            sepia(f)
+        };
+        let service = AugService::builder()
+            .register("flaky", Box::new(flaky))
+            .start();
+        let client = service.client();
+        let mut f = Frame::zeroed(4, 4, PixelFormat::Rgb8).unwrap();
+        f.set_pixel(0, 0, &[100, 100, 100]).unwrap();
+        let err = client.apply("flaky", &f).unwrap_err();
+        assert!(
+            err.to_string().contains("custom op `flaky` panicked"),
+            "{err}"
+        );
+        let out = client.apply("flaky", &f).unwrap();
+        assert_eq!(out.pixel(0, 0).unwrap(), &[135, 120, 93]);
     }
 
     #[test]

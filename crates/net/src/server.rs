@@ -242,36 +242,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
 /// Reads one frame, polling the stop flag across read-timeout ticks.
 /// `Ok(None)` is clean EOF at a frame boundary.
 fn read_frame_interruptible(stream: &mut TcpStream, shared: &Shared) -> Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
-    match read_exact_polling(stream, &mut header, shared)? {
-        0 => return Ok(None),
-        8 => {}
-        n => {
-            return Err(NetError::Protocol {
-                what: format!("connection closed mid-header ({n}/8 bytes)"),
-            })
-        }
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > wire::MAX_FRAME {
-        return Err(NetError::Protocol {
-            what: format!("frame of {len} bytes exceeds cap of {}", wire::MAX_FRAME),
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_exact_polling(stream, &mut payload, shared)?;
-    if got != payload.len() {
-        return Err(NetError::Protocol {
-            what: format!("connection closed mid-frame ({got}/{len} bytes)"),
-        });
-    }
-    if wire::crc32(&payload) != crc {
-        return Err(NetError::Protocol {
-            what: "frame checksum mismatch".to_string(),
-        });
-    }
-    Ok(Some(payload))
+    wire::read_frame_with(wire::MAX_FRAME, |buf| {
+        read_exact_polling(stream, buf, shared)
+    })
 }
 
 /// Fills `buf` (or stops at EOF), treating read timeouts as stop-flag

@@ -6,10 +6,10 @@
 //! [payload_len: u32 LE][crc32(payload): u32 LE][payload]
 //! ```
 //!
-//! The CRC is IEEE CRC-32 over the payload bytes (the same polynomial the
-//! value log commits last on disk), so a truncated or bit-flipped frame is
-//! rejected before any field is parsed — the receiver never sees a torn
-//! message. `payload_len` is validated against [`MAX_FRAME`] *before*
+//! The CRC is IEEE CRC-32 over the payload bytes, computed by the value
+//! log's own [`sand_storage::vlog::crc32`], so a truncated or bit-flipped
+//! frame is rejected before any field is parsed — the receiver never sees
+//! a torn message. `payload_len` is validated against [`MAX_FRAME`] *before*
 //! allocating, so a corrupt length prefix cannot drive an allocation.
 //!
 //! The payload is a tag byte followed by fixed-order fields: integers are
@@ -23,6 +23,7 @@
 //! retried read on a fresh connection is idempotent.
 
 use crate::{NetError, Result};
+use sand_storage::vlog::crc32;
 use std::io::{Read, Write};
 
 /// The largest frame payload a node sends or accepts (64 MiB); guards
@@ -42,39 +43,6 @@ pub mod err_code {
     pub const NO_ATTR: u8 = 4;
     /// The peer sent a frame this side could not parse.
     pub const PROTOCOL: u8 = 5;
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE), nibble-table variant
-// ---------------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 16] = [
-    0x0000_0000,
-    0x1db7_1064,
-    0x3b6e_20c8,
-    0x26d9_30ac,
-    0x76dc_4190,
-    0x6b6b_51f4,
-    0x4db2_6158,
-    0x5005_713c,
-    0xedb8_8320,
-    0xf00f_9344,
-    0xd6d6_a3e8,
-    0xcb61_b38c,
-    0x9b64_c2b0,
-    0x86d3_d2d4,
-    0xa00a_e278,
-    0xbdbd_f21c,
-];
-
-/// IEEE CRC-32 over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 4) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0x0f) as usize];
-        crc = (crc >> 4) ^ CRC_TABLE[((crc ^ (u32::from(b) >> 4)) & 0x0f) as usize];
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -108,8 +76,20 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
 /// between messages); EOF anywhere inside a frame is a protocol error —
 /// a torn frame is never surfaced as data.
 pub fn read_frame<R: Read>(r: &mut R, cap: u32) -> Result<Option<Vec<u8>>> {
+    read_frame_with(cap, |buf| read_full(r, buf))
+}
+
+/// [`read_frame`] over any filler: `fill` reads until its buffer is full
+/// or EOF and returns the byte count read. Every frame reader (this
+/// module's and the server's stop-polling one) validates through here, in
+/// one order: the header arrived whole, the length is within `cap`, the
+/// payload arrived whole, its checksum matches.
+pub(crate) fn read_frame_with<F>(cap: u32, mut fill: F) -> Result<Option<Vec<u8>>>
+where
+    F: FnMut(&mut [u8]) -> Result<usize>,
+{
     let mut header = [0u8; 8];
-    match read_full(r, &mut header)? {
+    match fill(&mut header)? {
         0 => return Ok(None),
         8 => {}
         n => {
@@ -127,7 +107,7 @@ pub fn read_frame<R: Read>(r: &mut R, cap: u32) -> Result<Option<Vec<u8>>> {
         });
     }
     let mut payload = vec![0u8; len as usize];
-    let got = read_full(r, &mut payload)?;
+    let got = fill(&mut payload)?;
     if got != payload.len() {
         return Err(NetError::Protocol {
             what: format!("connection closed mid-frame ({got}/{len} bytes)"),
@@ -647,9 +627,29 @@ mod tests {
         ));
     }
 
+    /// The bytes of two frames, fixed before the checksum kernel changed:
+    /// nodes built before and after it still talk to each other.
     #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    fn written_frame_bytes_are_fixed() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        assert_eq!(buf[..8], [0xe8, 0x03, 0x00, 0x00, 0x1e, 0x16, 0x02, 0x89]);
+        assert_eq!(buf[8..], payload[..]);
+
+        let put = Request::Put {
+            key: "obj/7".into(),
+            deadline: Some(42),
+            future_uses: 2,
+            bytes: vec![1, 2, 3],
+        };
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &put.encode().unwrap()).unwrap();
+        let expected: [u8; 38] = [
+            0x1e, 0x00, 0x00, 0x00, 0x6f, 0x8a, 0xa6, 0xe7, 0x05, 0x05, 0x00, 0x00, 0x00, 0x6f,
+            0x62, 0x6a, 0x2f, 0x37, 0x01, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03,
+        ];
+        assert_eq!(buf, expected);
     }
 }

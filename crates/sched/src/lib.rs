@@ -655,8 +655,8 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
         // A panicking job must not take its worker with it: the
         // accounting below runs either way, so `running` and the busy
         // flag come back down and the worker picks its next job. The
-        // job's own state unwinds with it — a dropped `SampleSlot`
-        // fails its waiter with `demand job lost`.
+        // job's own state unwinds with it — a `SampleSlot` dropped by
+        // the unwind fails its waiter with `CoreError::JobPanicked`.
         let _ = panic::catch_unwind(AssertUnwindSafe(entry.job.run));
         let busy = started.elapsed().as_nanos() as u64;
         shared.worker_busy[w.id].store(false, Ordering::SeqCst);

@@ -115,33 +115,76 @@ const KIND_PUT: u8 = 0;
 /// A persisted removal.
 const KIND_TOMBSTONE: u8 = 1;
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes`.
+/// The reflected IEEE polynomial (zlib's).
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-16 tables (16 KiB), built at compile time: `CRC_TABLES[0]`
+/// is the classic byte-at-a-time table, and `CRC_TABLES[k][b]` is
+/// `CRC_TABLES[0][b]` carried through `k` further zero bytes, so sixteen
+/// independent lookups fold sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC32 (IEEE 802.3, reflected) over `bytes`: zlib's checksum, so the
+/// format is externally checkable. Slicing-by-16: each step folds sixteen
+/// input bytes through the sixteen tables, then the tail goes byte by
+/// byte. It measured faster than slicing-by-8 end to end (EXPERIMENTS.md,
+/// "One CRC-32").
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-driven table: small, no external deps, same polynomial as
-    // zlib so the format is externally checkable.
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
+    let t = &CRC_TABLES;
     let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b)) & 0xf) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (u32::from(b) >> 4)) & 0xf) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for w in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[15][(lo & 0xff) as usize]
+            ^ t[14][((lo >> 8) & 0xff) as usize]
+            ^ t[13][((lo >> 16) & 0xff) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][usize::from(w[4])]
+            ^ t[10][usize::from(w[5])]
+            ^ t[9][usize::from(w[6])]
+            ^ t[8][usize::from(w[7])]
+            ^ t[7][usize::from(w[8])]
+            ^ t[6][usize::from(w[9])]
+            ^ t[5][usize::from(w[10])]
+            ^ t[4][usize::from(w[11])]
+            ^ t[3][usize::from(w[12])]
+            ^ t[2][usize::from(w[13])]
+            ^ t[1][usize::from(w[14])]
+            ^ t[0][usize::from(w[15])];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -775,6 +818,68 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414f_a339
         );
+    }
+
+    /// The nibble-table body [`crc32`] replaced, kept as its oracle: two
+    /// dependent 16-entry lookups per byte.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 16] = [
+            0x0000_0000,
+            0x1db7_1064,
+            0x3b6e_20c8,
+            0x26d9_30ac,
+            0x76dc_4190,
+            0x6b6b_51f4,
+            0x4db2_6158,
+            0x5005_713c,
+            0xedb8_8320,
+            0xf00f_9344,
+            0xd6d6_a3e8,
+            0xcb61_b38c,
+            0x9b64_c2b0,
+            0x86d3_d2d4,
+            0xa00a_e278,
+            0xbdbd_f21c,
+        ];
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b)) & 0xf) as usize];
+            crc = (crc >> 4) ^ TABLE[((crc ^ (u32::from(b) >> 4)) & 0xf) as usize];
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The sliced kernel equals the nibble reference on every string,
+        /// started at offsets 0..16 so unaligned starts and every tail
+        /// length (0..16 bytes past the last whole block) are hit.
+        #[test]
+        fn crc32_matches_reference(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=4096),
+            skip in 0usize..16,
+        ) {
+            let s = &bytes[skip.min(bytes.len())..];
+            proptest::prop_assert_eq!(crc32(s), reference_crc32(s));
+        }
+    }
+
+    /// The bytes of one record, fixed before the checksum kernel changed:
+    /// segments written by any build replay in any other.
+    #[test]
+    fn encoded_record_bytes_are_fixed() {
+        let val: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let rec = encode_record(KIND_PUT, "golden/clip", meta(42, 3), &val);
+        let header: [u8; HEADER_LEN + 11] = [
+            0x00, 0x0b, 0x00, 0x00, 0x00, 0xe8, 0x03, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, b'g', b'o', b'l', b'd', b'e', b'n', b'/',
+            b'c', b'l', b'i', b'p',
+        ];
+        assert_eq!(rec.len(), 1036);
+        assert_eq!(rec[..header.len()], header);
+        assert_eq!(rec[header.len()..rec.len() - CRC_LEN], val[..]);
+        assert_eq!(rec[rec.len() - CRC_LEN..], 0x2d80_9100u32.to_le_bytes());
     }
 
     #[test]
