@@ -38,6 +38,9 @@ retired="$retired|memory_high_watermark|\.sticky_affinity|sticky_affinity: (true
 retired="$retired|config\.backoff|backoff: Duration|max_frame_bytes|ABSOLUTE_MAX_FRAME|poll_interval|latency_buckets_us"
 retired="$retired|io_timeout|connect_timeout:|config\.connect_timeout|JsonlFlusher|FlushConfig|ClusterSpec|NodeSpec"
 retired="$retired|fn (as_mut_slice|into_vec|cache_bytes|collect_available|is_owner|node_by_key|path_fragment|reset_stats|stalled_time)\b"
+# Every decode is one walk from the keyframe (`Decoder::decode_indices`): no resumable per-video
+# session, no second decode-cost model beside the planner's; planning is always coordinated.
+retired="$retired|WarmDecoder|WarmPool|warm_decoders|WARM_SESSION_CAP|fn frame_cost|config\.coordinate"
 if grep -rnE "$retired" crates examples tests src ||
     grep -nE 'sand-autotune|criterion' Cargo.toml crates/*/Cargo.toml; then
     echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant"

@@ -11,21 +11,15 @@
 //! keyframes form an independent decode unit: no reconstruction crosses a
 //! keyframe boundary backwards. [`Decoder::decode_indices`] exploits this by
 //! grouping sorted targets into keyframe segments and walking each segment's
-//! anchor chain once.
-//!
-//! For single-frame demand reads, [`WarmDecoder`] keeps the newest
-//! reconstructed anchor of the last GOP it walked, so a subsequent read
-//! that lands *forward* in the same GOP resumes the anchor chain instead of
-//! re-decoding from the keyframe.
+//! anchor chain once. Every decode, a bulk pre-decode or a single-frame
+//! demand read, is one such call.
 
 use crate::container::{EncodedVideo, FrameKind};
 use crate::encode::{q, unfilter_rows, RESIDUAL_ESCAPE};
 use crate::{CodecError, Result};
-use sand_frame::cost::{per_pixel_cost, units, OpCost};
 use sand_frame::wire::{get_varint, rle_unpack};
 use sand_frame::{Frame, FrameMeta};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Work counters accumulated by a [`Decoder`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,10 +40,11 @@ pub struct DecodeStats {
     pub payload_bytes: u64,
     /// Raw pixel bytes produced (including discarded frames).
     pub pixel_bytes: u64,
-    /// [`WarmDecoder`] reads that resumed a live anchor chain (the
-    /// keyframe re-decode was skipped).
+    /// Always 0: no decode resumes an earlier read's anchor chain. Kept
+    /// only because the end-to-end benchmark reports `codec.warm_hit_frac`
+    /// from it.
     pub warm_hits: u64,
-    /// [`WarmDecoder`] reads that had to restart from a keyframe.
+    /// Always 0, kept for the same reason as `warm_hits`.
     pub cold_starts: u64,
 }
 
@@ -451,20 +446,6 @@ impl<'a> Decoder<'a> {
         &self.stats
     }
 
-    /// Abstract compute cost of decoding one frame of the given kind at
-    /// this video's dimensions (used as graph edge weight).
-    #[must_use]
-    pub fn frame_cost(&self, kind: FrameKind) -> OpCost {
-        let h = &self.video.header;
-        let pixels = (h.width * h.height) as u64;
-        let ch = h.format.channels() as u64;
-        let unit = match kind {
-            FrameKind::Intra => units::DECODE_I,
-            FrameKind::Predicted | FrameKind::Bidirectional => units::DECODE_P,
-        };
-        per_pixel_cost(pixels, ch, unit, pixels * ch)
-    }
-
     /// Decodes exactly the frames at `indices` (display order, need not be
     /// sorted or unique), paying the full codec-dependency cost: anchors
     /// chain back to the GOP keyframe, B-frames additionally require the
@@ -581,130 +562,6 @@ impl<'a> Decoder<'a> {
             }
         }
         Ok(touched)
-    }
-}
-
-/// A long-lived, owning decode session for single-frame demand reads.
-///
-/// Keeps the newest reconstructed anchor of the GOP it last walked. A read
-/// that lands forward in the same GOP resumes the anchor chain from that
-/// tip — zero keyframe re-decodes — while a read in a different GOP (or
-/// behind the tip) falls back to a cold walk from the keyframe. Pixels are
-/// bit-identical to a cold [`Decoder::decode_indices`] call either way.
-#[derive(Debug)]
-pub struct WarmDecoder {
-    video: Arc<EncodedVideo>,
-    /// Index + reconstruction of the live chain's newest anchor.
-    tip: Option<(usize, Vec<u8>)>,
-    stats: DecodeStats,
-}
-
-impl WarmDecoder {
-    /// Creates a cold session over `video`.
-    #[must_use]
-    pub fn new(video: Arc<EncodedVideo>) -> Self {
-        WarmDecoder {
-            video,
-            tip: None,
-            stats: DecodeStats::default(),
-        }
-    }
-
-    /// The video this session decodes.
-    #[must_use]
-    pub fn video(&self) -> &Arc<EncodedVideo> {
-        &self.video
-    }
-
-    /// Work counters accumulated so far.
-    #[must_use]
-    pub const fn stats(&self) -> &DecodeStats {
-        &self.stats
-    }
-
-    /// Returns the accumulated counters, resetting them to zero (so a
-    /// caller can merge session work into a global meter incrementally).
-    pub fn take_stats(&mut self) -> DecodeStats {
-        std::mem::take(&mut self.stats)
-    }
-
-    /// Approximate resident size of the warm state in bytes.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.tip.as_ref().map_or(0, |(_, px)| px.len())
-    }
-
-    /// Decodes the single frame at `index`, resuming the live anchor chain
-    /// when the request lands at or ahead of the tip in the same GOP.
-    pub fn decode_frame(&mut self, index: usize) -> Result<Frame> {
-        let video = Arc::clone(&self.video);
-        let len = video.frames.len();
-        if index >= len {
-            return Err(CodecError::FrameOutOfRange { index, len });
-        }
-        self.stats.frames_requested += 1;
-        let kf = video.keyframe_before(index)?;
-        let needed = needed_anchor(&video, index)?;
-        let is_anchor = video.frames[index].kind.is_anchor();
-        let before = if is_anchor {
-            None
-        } else {
-            Some(video.anchor_before(index)?)
-        };
-        // Warm iff the tip sits in the target's GOP at or before every
-        // anchor the target still needs (for a B-frame the chain must
-        // still pass its *preceding* anchor to capture it).
-        let resume_limit = before.unwrap_or(index);
-        let warm = match &self.tip {
-            Some((t, _)) => *t <= resume_limit && video.keyframe_before(*t)? == kf,
-            None => false,
-        };
-        if warm {
-            self.stats.warm_hits += 1;
-        } else {
-            self.stats.cold_starts += 1;
-        }
-        let mut walker = ChainWalker::new(&video);
-        let mut tip = if warm {
-            self.tip.take().ok_or(CodecError::Corrupt {
-                what: "warm tip vanished",
-            })?
-        } else {
-            let px = walker.decode_intra(kf)?;
-            if kf != index {
-                walker.stats.frames_discarded += 1;
-            }
-            (kf, px)
-        };
-        let mut saved_before: Option<Vec<u8>> = None;
-        while tip.0 < needed {
-            let next = video.anchor_after(tip.0)?.ok_or(CodecError::Corrupt {
-                what: "anchor chain ends early",
-            })?;
-            let px = if video.frames[next].kind == FrameKind::Intra {
-                walker.decode_intra(next)?
-            } else {
-                walker.decode_residual(next, &tip.1)?
-            };
-            if next != index {
-                walker.stats.frames_discarded += 1;
-            }
-            let old = std::mem::replace(&mut tip, (next, px));
-            if Some(old.0) == before {
-                saved_before = Some(old.1);
-            }
-        }
-        let pixels = if is_anchor {
-            tip.1.clone()
-        } else {
-            let pa = saved_before.as_deref().ok_or(CodecError::Corrupt {
-                what: "preceding anchor not decoded",
-            })?;
-            walker.decode_b(index, pa, &tip.1)?
-        };
-        self.tip = Some(tip);
-        self.stats.merge(&walker.stats);
-        wrap_frame(&video, index, pixels)
     }
 }
 
@@ -944,66 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_forward_read_skips_keyframe_redecode() {
-        let src = gradient_video(40, 8, 8);
-        let v = Arc::new(encode(&src, 10, 2));
-        let mut warm = WarmDecoder::new(Arc::clone(&v));
-        warm.decode_frame(12).unwrap();
-        assert_eq!(warm.stats().i_frames_decoded, 1);
-        assert_eq!(warm.stats().frames_decoded, 3); // 10, 11, 12
-        warm.decode_frame(15).unwrap();
-        // Forward in the same GOP: resumes at 12, decodes 13..=15 only.
-        assert_eq!(warm.stats().i_frames_decoded, 1);
-        assert_eq!(warm.stats().frames_decoded, 6);
-        // Re-reading the tip itself decodes nothing.
-        warm.decode_frame(15).unwrap();
-        assert_eq!(warm.stats().frames_decoded, 6);
-    }
-
-    #[test]
-    fn warm_backward_or_cross_gop_read_restarts_cold() {
-        let src = gradient_video(40, 8, 8);
-        let v = Arc::new(encode(&src, 10, 2));
-        let mut warm = WarmDecoder::new(Arc::clone(&v));
-        warm.decode_frame(15).unwrap();
-        let base = warm.stats().frames_decoded;
-        warm.decode_frame(12).unwrap(); // behind the tip: cold walk 10..=12
-        assert_eq!(warm.stats().frames_decoded, base + 3);
-        assert_eq!(warm.stats().i_frames_decoded, 2);
-        warm.decode_frame(25).unwrap(); // different GOP: cold walk 20..=25
-        assert_eq!(warm.stats().i_frames_decoded, 3);
-    }
-
-    #[test]
-    fn warm_reads_match_cold_pixels() {
-        let src = gradient_video(36, 8, 8);
-        let v = Arc::new(encode_b(&src, 12, 2, 2));
-        let mut dec_all = Decoder::new(&v);
-        let all = dec_all.decode_all().unwrap();
-        let mut warm = WarmDecoder::new(Arc::clone(&v));
-        // A mix of warm resumes, B-frames, and cold restarts.
-        for i in [0usize, 4, 6, 9, 10, 13, 2, 35] {
-            let f = warm.decode_frame(i).unwrap();
-            assert_eq!(f.as_bytes(), all[i].as_bytes(), "frame {i}");
-            assert_eq!(f.meta.index, i as u64);
-        }
-    }
-
-    #[test]
-    fn warm_session_counts_hits_and_cold_starts() {
-        let src = gradient_video(40, 8, 8);
-        let v = Arc::new(encode(&src, 10, 2));
-        let mut warm = WarmDecoder::new(Arc::clone(&v));
-        warm.decode_frame(12).unwrap(); // first read: cold
-        warm.decode_frame(15).unwrap(); // forward same GOP: warm
-        warm.decode_frame(15).unwrap(); // tip itself: warm
-        warm.decode_frame(12).unwrap(); // behind the tip: cold
-        warm.decode_frame(25).unwrap(); // other GOP: cold
-        assert_eq!(warm.stats().warm_hits, 2);
-        assert_eq!(warm.stats().cold_starts, 3);
-    }
-
-    #[test]
     fn segment_timing_counts_gop_segments() {
         let telemetry = sand_telemetry::Telemetry::new(sand_telemetry::TelemetryConfig::default());
         let metrics = sand_telemetry::CodecMetrics::register(&telemetry).unwrap();
@@ -1021,17 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_out_of_range_rejected() {
-        let src = gradient_video(10, 8, 8);
-        let v = Arc::new(encode(&src, 5, 2));
-        let mut warm = WarmDecoder::new(v);
-        assert!(matches!(
-            warm.decode_frame(10),
-            Err(CodecError::FrameOutOfRange { index: 10, len: 10 })
-        ));
-    }
-
-    #[test]
     fn stats_merge_adds_counters() {
         let mut a = DecodeStats {
             frames_requested: 1,
@@ -1046,17 +832,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.frames_requested, 4);
         assert_eq!(a.frames_decoded, 6);
-    }
-
-    #[test]
-    fn p_frame_cost_exceeds_i_frame_cost() {
-        let src = gradient_video(5, 8, 8);
-        let v = encode(&src, 5, 2);
-        let dec = Decoder::new(&v);
-        assert!(
-            dec.frame_cost(FrameKind::Predicted).compute_units
-                > dec.frame_cost(FrameKind::Intra).compute_units
-        );
     }
 
     #[test]

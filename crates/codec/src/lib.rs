@@ -34,7 +34,7 @@ pub mod synth;
 
 pub use container::{ContainerHeader, EncodedFrame, EncodedVideo, FrameKind};
 pub use dataset::{Dataset, DatasetSpec, VideoEntry};
-pub use decode::{DecodeStats, Decoder, WarmDecoder};
+pub use decode::{DecodeStats, Decoder};
 pub use encode::{Encoder, EncoderConfig};
 pub use stream::{StreamAccumulator, VideoStream};
 pub use synth::{SynthSpec, VideoSynthesizer};

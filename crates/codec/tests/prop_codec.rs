@@ -4,11 +4,8 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sand_codec::{
-    Dataset, DatasetSpec, Decoder, EncodedVideo, Encoder, EncoderConfig, WarmDecoder,
-};
+use sand_codec::{Dataset, DatasetSpec, Decoder, EncodedVideo, Encoder, EncoderConfig};
 use sand_frame::{Frame, PixelFormat};
-use std::sync::Arc;
 
 /// Strategy producing a small raw video (frames share one shape).
 fn arb_video() -> impl Strategy<Value = Vec<Frame>> {
@@ -127,33 +124,6 @@ proptest! {
         let predicted = dec.decode_span(&indices).unwrap();
         dec.decode_indices(&indices).unwrap();
         prop_assert_eq!(predicted as u64, dec.stats().frames_decoded);
-    }
-
-    #[test]
-    fn warm_session_reads_match_cold_decodes(
-        frames in arb_video(),
-        gop in 1usize..8,
-        b in 0usize..3,
-        picks in prop::collection::vec(any::<prop::sample::Index>(), 1..12),
-    ) {
-        prop_assume!(b + 1 < gop || gop == 1);
-        let b = if gop == 1 { 0 } else { b };
-        let enc = Encoder::new(EncoderConfig { gop_size: gop, quantizer: 2, fps_milli: 30_000, b_frames: b }).unwrap();
-        let v = Arc::new(enc.encode(&frames, 1, 0).unwrap());
-        let mut warm = WarmDecoder::new(Arc::clone(&v));
-        let mut cold_total = 0u64;
-        for p in &picks {
-            let i = p.index(frames.len());
-            let got = warm.decode_frame(i).unwrap();
-            let mut cold = Decoder::new(&v);
-            let want = cold.decode_indices(&[i]).unwrap();
-            cold_total += cold.stats().frames_decoded;
-            prop_assert_eq!(got.as_bytes(), want[0].as_bytes());
-            prop_assert_eq!(&got.meta, &want[0].meta);
-        }
-        // The warm session never does more total work than the same reads
-        // served by fresh cold decoders.
-        prop_assert!(warm.stats().frames_decoded <= cold_total);
     }
 
     #[test]

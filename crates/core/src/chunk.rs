@@ -325,7 +325,7 @@ impl Inner {
             video_metas(&self.dataset),
             PlannerOptions {
                 seed: config.seed,
-                coordinate: config.coordinate,
+                coordinate: true,
                 epochs: start..end,
             },
         )?;
@@ -365,8 +365,7 @@ impl Inner {
     ///
     /// All of a video's jobs share one [`Scratch`] and carry the
     /// video id as a scheduler affinity hint, so chains meeting at a
-    /// common decoded frame merge work, and the jobs prefer the
-    /// worker already holding the video's warm decode state.
+    /// common decoded frame merge work, and the jobs prefer one worker.
     ///
     /// This runs on the serve thread at the boundary, so it walks no
     /// graph: the per-video node lists and buckets were

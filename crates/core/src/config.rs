@@ -24,8 +24,6 @@ pub struct EngineConfig {
     pub sched: SchedConfig,
     /// Global seed for planning and coordinated draws.
     pub seed: u64,
-    /// Coordinated randomization (SAND) vs. independent (ablation).
-    pub coordinate: bool,
     /// Epochs per concrete-graph chunk (the paper's `k`).
     pub epochs_per_chunk: u64,
     /// Total training epochs.
@@ -87,7 +85,6 @@ impl Default for EngineConfig {
             store_dir: None,
             sched: SchedConfig::default(),
             seed: 0x5a4d,
-            coordinate: true,
             epochs_per_chunk: 2,
             total_epochs: 4,
             cache_budget: 256 << 20,
@@ -158,7 +155,7 @@ impl SandEngine {
             videos.clone(),
             PlannerOptions {
                 seed: config.seed,
-                coordinate: config.coordinate,
+                coordinate: true,
                 epochs: 0..config.epochs_per_chunk.min(config.total_epochs),
             },
         )

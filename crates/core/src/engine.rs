@@ -9,7 +9,7 @@ pub use crate::config::EngineConfig;
 
 use crate::chunk::Chunks;
 use crate::flight::Flight;
-use crate::materialize::{Object, WarmPool, WARM_SESSION_CAP};
+use crate::materialize::Object;
 use crate::prefetch::Prefetcher;
 use crate::{invalid, Result};
 use sand_codec::{Dataset, DecodeStats};
@@ -51,8 +51,6 @@ pub(crate) struct Inner {
     pub(crate) chunks: Chunks,
     pub(crate) task_ids: HashMap<String, u32>,
     pub(crate) decode_stats: TrackedMutex<DecodeStats>,
-    /// Warm per-video decode sessions for the demand paths.
-    pub(crate) warm_decoders: TrackedMutex<WarmPool>,
     pub(crate) aug_ops_applied: AtomicU64,
     pub(crate) batches_served: AtomicU64,
     /// The epoch-ahead prefetcher (inert at `prefetch_depth = 0`).
@@ -181,7 +179,6 @@ impl SandEngine {
             chunks: Chunks::new(config.tasks.len()),
             task_ids,
             decode_stats: TrackedMutex::new("engine.decode_stats", DecodeStats::default()),
-            warm_decoders: TrackedMutex::new("engine.warm_pool", WarmPool::new(WARM_SESSION_CAP)),
             aug_ops_applied: AtomicU64::new(0),
             batches_served: AtomicU64::new(0),
             prefetcher: Prefetcher::new(

@@ -3,9 +3,9 @@
 //! [`Inner::materialize`] resolves a planned node in a fixed order — the
 //! pass memo, then, under the engine flight for the object's key, the
 //! store (mem/disk), the key's ring owner, and finally the computation
-//! (a warm-session decode or one augmentation op over the materialized
-//! parent). [`Inner::lookup`] is the only code that reads an object back
-//! from the store or the cluster; [`Inner::predecode_nodes`] is the bulk
+//! (a decode or one augmentation op over the materialized parent).
+//! [`Inner::lookup`] is the only code that reads an object back from the
+//! store or the cluster; [`Inner::predecode_nodes`] is the bulk
 //! variant for source frames: it claims the same flight keys, without
 //! blocking, and decodes in one GOP-efficient pass per video.
 
@@ -13,7 +13,7 @@ use crate::chunk::Chunk;
 use crate::engine::Inner;
 use crate::flight::{Arrival, Claim};
 use crate::{CoreError, Result};
-use sand_codec::{Decoder, EncodedVideo, VideoEntry, WarmDecoder};
+use sand_codec::{CodecError, Decoder, VideoEntry};
 use sand_frame::{compress_frame, decompress_frame, Frame};
 use sand_graph::{NodeId, ObjectKey, ResolvedOp};
 use sand_sanitizer::TrackedMutex;
@@ -71,72 +71,6 @@ impl Scratch {
 
     fn insert(&self, id: NodeId, frame: Arc<Frame>) {
         self.frames.lock().insert(id, frame);
-    }
-}
-
-/// Bound on live warm decode sessions; each holds at most one
-/// reconstructed frame (`WarmDecoder::resident_bytes`).
-pub(crate) const WARM_SESSION_CAP: usize = 64;
-
-/// Warm per-video demand-decode sessions, evicted least-recently-used at
-/// the cap so a hot video's anchor chain survives a scan over many cold
-/// videos.
-pub(crate) struct WarmPool {
-    sessions: HashMap<u64, WarmSlot>,
-    /// Monotonic use counter; cheaper than timestamps and immune to clock
-    /// adjustments.
-    tick: u64,
-    cap: usize,
-}
-
-struct WarmSlot {
-    session: Arc<TrackedMutex<WarmDecoder>>,
-    last_used: u64,
-}
-
-impl WarmPool {
-    pub(crate) fn new(cap: usize) -> Self {
-        WarmPool {
-            sessions: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    /// The video's session, opened over `video()` on first use.
-    fn session(
-        &mut self,
-        video_id: u64,
-        video: impl FnOnce() -> Result<Arc<EncodedVideo>>,
-    ) -> Result<Arc<TrackedMutex<WarmDecoder>>> {
-        self.tick += 1;
-        if let Some(slot) = self.sessions.get_mut(&video_id) {
-            slot.last_used = self.tick;
-            return Ok(Arc::clone(&slot.session));
-        }
-        let video = video()?;
-        if self.sessions.len() >= self.cap {
-            // Evict the least-recently-used session, so that under cap
-            // pressure the hottest videos keep their live anchor chains
-            // (evicting an arbitrary session would randomly cold-start a
-            // hot video).
-            let lru = self.sessions.iter().min_by_key(|(_, s)| s.last_used);
-            if let Some(k) = lru.map(|(k, _)| *k) {
-                self.sessions.remove(&k);
-            }
-        }
-        let session = Arc::new(TrackedMutex::new(
-            "engine.warm_session",
-            WarmDecoder::new(video),
-        ));
-        self.sessions.insert(
-            video_id,
-            WarmSlot {
-                session: Arc::clone(&session),
-                last_used: self.tick,
-            },
-        );
-        Ok(session)
     }
 }
 
@@ -347,30 +281,29 @@ impl Inner {
         Ok(applied)
     }
 
-    /// Decodes one frame through the video's warm demand session: a read
-    /// landing forward in the GOP the session last walked resumes the
-    /// live anchor chain instead of re-decoding from the keyframe. The
-    /// pool lock only guards the map, so decodes on different videos
-    /// proceed concurrently.
-    pub(crate) fn decode_one(&self, video_id: u64, frame: usize) -> Result<Frame> {
-        let session = self
-            .warm_decoders
-            .lock()
-            .session(video_id, || Ok(Arc::clone(&self.video(video_id)?.encoded)))?;
+    /// Decodes `indices` of one video in one walk from each GOP's
+    /// keyframe, timed as decode work and merged into the engine's decode
+    /// counters. Every decode in the engine goes through here.
+    fn decode_frames(&self, video_id: u64, indices: &[usize]) -> Result<Vec<Frame>> {
+        let mut dec =
+            Decoder::new(&self.video(video_id)?.encoded).with_metrics(self.codec_metrics.clone());
         let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
-        let mut dec = session.lock();
-        let f = dec.decode_frame(frame)?;
-        let stats = dec.take_stats();
-        drop(dec);
+        let frames = dec.decode_indices(indices)?;
         if let (Some(m), Some(t0)) = (self.engine_metrics.as_ref(), t0) {
             let spent = t0.elapsed();
-            m.demand_decode_us.observe_duration(spent);
-            m.warm_hits.add(stats.warm_hits);
-            m.cold_starts.add(stats.cold_starts);
+            m.decode_us.observe_duration(spent);
             record_stage(Stage::Decode, spent);
         }
-        self.decode_stats.lock().merge(&stats);
-        Ok(f)
+        self.decode_stats.lock().merge(dec.stats());
+        Ok(frames)
+    }
+
+    /// Decodes one frame: a walk from its GOP's keyframe.
+    pub(crate) fn decode_one(&self, video_id: u64, frame: usize) -> Result<Frame> {
+        let decoded = self.decode_frames(video_id, &[frame])?.pop();
+        Ok(decoded.ok_or(CodecError::Corrupt {
+            what: "target not decoded",
+        })?)
     }
 
     /// The source frame `target` still needs decoded — `None` when the
@@ -450,16 +383,7 @@ impl Inner {
         while let Some(video_id) = rest.peek().map(|w| w.0) {
             let group: Vec<_> = std::iter::from_fn(|| rest.next_if(|w| w.0 == video_id)).collect();
             let indices: Vec<usize> = group.iter().map(|w| w.1).collect();
-            let mut dec = Decoder::new(&self.video(video_id)?.encoded)
-                .with_metrics(self.codec_metrics.clone());
-            let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
-            let frames = dec.decode_indices(&indices)?;
-            if let (Some(m), Some(t0)) = (self.engine_metrics.as_ref(), t0) {
-                let spent = t0.elapsed();
-                m.predecode_us.observe_duration(spent);
-                record_stage(Stage::Decode, spent);
-            }
-            self.decode_stats.lock().merge(dec.stats());
+            let frames = self.decode_frames(video_id, &indices)?;
             for ((_, _, nid, claim), frame) in group.into_iter().zip(frames) {
                 // Store the frame only if the plan caches it, as
                 // `compute` does: an uncached frame reaches its
@@ -494,7 +418,7 @@ mod tests {
     use super::*;
     use crate::engine::tests::{dataset, engine, TASK};
     use crate::engine::{EngineConfig, SandEngine};
-    use sand_codec::Dataset;
+    use sand_codec::{Dataset, DecodeStats};
     use sand_config::parse_task_config;
     use sand_frame::Tensor;
     use sand_net::{PeerSpec, RemoteTierConfig, ServerConfig, ServerHandle, ViewServer};
@@ -506,36 +430,27 @@ mod tests {
     use std::sync::Barrier;
 
     #[test]
-    fn warm_demand_reads_skip_keyframe_redecode() {
+    fn frame_view_reads_walk_from_the_keyframe() {
         let e = engine(false);
         e.start().unwrap();
         let vfs = e.mount();
-        let read = |i: usize| {
+        let ds = dataset();
+        let entry = ds.get(1).unwrap();
+        let mut expected = DecodeStats::default();
+        // Each read walks its GOP from the keyframe (gop_size = 6), even
+        // when an earlier read walked the same GOP: 0..=1, 0..=3, 12..=13.
+        for (i, walked) in [(1usize, 2u64), (3, 4), (13, 2)] {
             let fd = vfs.open(&format!("/train/video0001/frame{i}")).unwrap();
             let bytes = vfs.read_to_end(fd).unwrap();
             vfs.close(fd).unwrap();
-            bytes
-        };
-        // Cold read: walks keyframe 0 then frame 1 (gop_size = 6).
-        let first = read(1);
-        let s1 = e.stats().decode;
-        assert_eq!(s1.i_frames_decoded, 1);
-        assert_eq!(s1.frames_decoded, 2);
-        // Forward in the same GOP: the warm session resumes its chain at
-        // frame 1 and decodes 2..=3 only — zero keyframe re-decodes.
-        read(3);
-        let s2 = e.stats().decode;
-        assert_eq!(s2.i_frames_decoded, 1, "keyframe re-decoded on warm read");
-        assert_eq!(s2.frames_decoded, 4);
-        // A different GOP restarts cold from its own keyframe.
-        read(13);
-        assert_eq!(e.stats().decode.i_frames_decoded, 2);
-        // Warm-session bytes equal a cold decode of the same frame.
-        let ds = dataset();
-        let entry = ds.get(1).unwrap();
-        let mut cold = Decoder::new(&entry.encoded);
-        let want = cold.decode_indices(&[1]).unwrap();
-        assert_eq!(first, compress_frame(&want[0]));
+            let mut cold = Decoder::new(&entry.encoded);
+            let want = cold.decode_indices(&[i]).unwrap();
+            assert_eq!(bytes, compress_frame(&want[0]), "frame {i}");
+            assert_eq!(cold.stats().frames_decoded, walked);
+            assert_eq!(cold.stats().i_frames_decoded, 1);
+            expected.merge(cold.stats());
+            assert_eq!(e.stats().decode, expected, "after frame {i}");
+        }
     }
 
     #[test]
@@ -595,6 +510,81 @@ dataset:
         e2.start().unwrap();
         let err = e2.serve_batch("custom", 0, 0).unwrap_err();
         assert!(err.to_string().contains("augmentation"), "{err}");
+    }
+
+    #[test]
+    fn a_panicking_custom_op_fails_only_the_batch_that_needs_it() {
+        const PANIC_TASK: &str = r#"
+dataset:
+  tag: custom
+  input_source: file
+  video_dataset_path: /d
+  sampling:
+    videos_per_batch: 2
+    frames_per_video: 4
+    frame_stride: 2
+  augmentation:
+    - name: r
+      branch_type: single
+      inputs: ["frame"]
+      outputs: ["a0"]
+      config:
+        - resize:
+            shape: [16, 16]
+        - custom:
+            name: invert
+"#;
+        // An engine whose `invert` op panics on every frame of
+        // `panic_on`; `None` is the reference engine, whose op never does.
+        let start = |panic_on: Option<u64>| {
+            let service = crate::service::AugService::builder()
+                .register(
+                    "invert",
+                    Box::new(move |mut f: Frame| {
+                        assert_ne!(Some(f.meta.video_id), panic_on, "bad frame");
+                        for b in f.as_bytes_mut() {
+                            *b = 255 - *b;
+                        }
+                        Ok(f)
+                    }),
+                )
+                .start();
+            let config = EngineConfig {
+                tasks: vec![parse_task_config(PANIC_TASK).unwrap()],
+                total_epochs: 2,
+                epochs_per_chunk: 2,
+                aug_service: Some(service.client()),
+                ..Default::default()
+            };
+            (SandEngine::new(config, dataset()).unwrap(), service)
+        };
+        let (reference, _reference_service) = start(None);
+        reference.start().unwrap();
+        // Each video is in one batch per epoch, so the batch of another
+        // iteration never needs the first sample's video.
+        let chunk = reference.inner.ensure_chunk(0).unwrap();
+        let videos = |epoch: u64, it: u64| -> Vec<u64> {
+            let batch = reference.inner.find_batch(&chunk, "custom", epoch, it);
+            batch.unwrap().samples.iter().map(|s| s.video_id).collect()
+        };
+        let bad = videos(0, 0)[0];
+        let clean: Vec<(u64, u64)> = (0..2)
+            .flat_map(|epoch| (0..2).map(move |it| (epoch, it)))
+            .filter(|&(epoch, it)| !videos(epoch, it).contains(&bad))
+            .collect();
+        assert_eq!(clean.len(), 2, "{clean:?}");
+        let (e, _service) = start(Some(bad));
+        e.start().unwrap();
+        let err = e.serve_batch("custom", 0, 0).unwrap_err();
+        assert!(err.to_string().contains("custom op `invert`"), "{err}");
+        // Serving goes on, byte for byte as if the op never panicked.
+        for (epoch, it) in clean {
+            assert_eq!(
+                e.serve_batch("custom", epoch, it).unwrap(),
+                reference.serve_batch("custom", epoch, it).unwrap(),
+                "epoch {epoch} iteration {it}"
+            );
+        }
     }
 
     #[test]
@@ -683,39 +673,6 @@ dataset:
             seq_ops, par_ops,
             "worker count changed the op count (duplicated or skipped \
              chain work)"
-        );
-    }
-
-    #[test]
-    fn warm_eviction_is_lru_not_arbitrary() {
-        let ds = dataset();
-        let mut pool = WarmPool::new(2);
-        let mut decoded = 0;
-        // Decodes one frame through the pool; returns the running total
-        // of frames the sessions decoded.
-        let mut decode_one = |video_id: u64, frame: usize| {
-            let video = || Ok(Arc::clone(&ds.get(video_id).unwrap().encoded));
-            let session = pool.session(video_id, video).unwrap();
-            let mut dec = session.lock();
-            dec.decode_frame(frame).unwrap();
-            decoded += dec.take_stats().frames_decoded;
-            decoded
-        };
-        // Warm the hot video's session and advance it mid-GOP (gop 6).
-        decode_one(0, 2); // decodes 0..=2
-        decode_one(0, 3); // +1, warm resume
-        decode_one(1, 0); // fills the cap
-        decode_one(0, 4); // refreshes the hot video
-        let before = decode_one(2, 0); // at cap: must evict v1
-        assert_eq!(before, 7);
-        // The hot video's anchor chain survived cap pressure: the next
-        // forward read resumes with a single incremental decode. (The old
-        // arbitrary eviction could drop v0 here, forcing a 6-frame
-        // keyframe re-walk.)
-        assert_eq!(
-            decode_one(0, 5) - before,
-            1,
-            "hot warm session was evicted under cap pressure"
         );
     }
 

@@ -38,7 +38,8 @@ where
     }
 }
 
-/// One serialized request: op name + frame bytes.
+/// One serialized request: op name + frame bytes. The service's channel
+/// carries `Option<Request>`; `None` stops the service.
 struct Request {
     op: String,
     frame_bytes: Vec<u8>,
@@ -49,7 +50,7 @@ struct Request {
 /// to the same service thread.
 #[derive(Clone)]
 pub struct AugClient {
-    tx: Sender<Request>,
+    tx: Sender<Option<Request>>,
 }
 
 impl std::fmt::Debug for AugClient {
@@ -68,7 +69,7 @@ impl AugClient {
             frame_bytes: compress_frame(frame),
             reply: reply_tx,
         };
-        self.tx.send(request).map_err(|_| CoreError::State {
+        self.tx.send(Some(request)).map_err(|_| CoreError::State {
             what: "augmentation service is down".into(),
         })?;
         let bytes = reply_rx
@@ -104,8 +105,8 @@ impl std::fmt::Debug for AugService {
     }
 }
 
-fn service_loop(rx: Receiver<Request>, registry: HashMap<String, Box<dyn CustomOp>>) {
-    while let Ok(req) = rx.recv() {
+fn service_loop(rx: Receiver<Option<Request>>, registry: HashMap<String, Box<dyn CustomOp>>) {
+    while let Ok(Some(req)) = rx.recv() {
         let result = (|| -> std::result::Result<Vec<u8>, String> {
             let op = registry
                 .get(&req.op)
@@ -156,9 +157,11 @@ impl AugService {
 
 impl Drop for AugService {
     fn drop(&mut self) {
-        // Disconnect the channel so the service loop exits, then join.
-        let (tx, _) = unbounded();
-        self.client = AugClient { tx };
+        // Stop the loop, then join. Dropping this handle's sender alone
+        // would not end it while a client lives (an engine holds one),
+        // and the join would wait forever. Requests queued before the
+        // stop are answered; a client's later ones fail.
+        let _ = self.client.tx.send(None);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -275,6 +278,20 @@ mod tests {
         );
         let out = client.apply("flaky", &f).unwrap();
         assert_eq!(out.pixel(0, 0).unwrap(), &[135, 120, 93]);
+    }
+
+    #[test]
+    fn dropping_the_service_stops_it_while_a_client_lives() {
+        let service = AugService::builder()
+            .register("sepia", Box::new(sepia))
+            .start();
+        let client = service.client();
+        let f = Frame::zeroed(4, 4, PixelFormat::Rgb8).unwrap();
+        client.apply("sepia", &f).unwrap();
+        // Returns, although `client` still holds the channel open.
+        drop(service);
+        let err = client.apply("sepia", &f).unwrap_err();
+        assert!(err.to_string().contains("augmentation service"), "{err}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! process-global lock-order graph with online cycle detection.
 //!
 //! Nodes are lock *labels*, not lock instances: every store shard is one
-//! `store.shard` node, every warm decode session one
-//! `engine.warm_session` node. Label granularity keeps the graph tiny
+//! `store.shard` node, every pass memo one `engine.scratch.frames` node.
+//! Label granularity keeps the graph tiny
 //! (a dozen nodes for the whole engine), makes findings readable, and is
 //! conservative in the right direction — if label A is ever acquired
 //! while label B is held *and* vice versa, some pair of instances can

@@ -74,9 +74,9 @@ pub struct Job {
     /// Remaining unprocessed edges in the job's subtree (SJF key).
     pub remaining_work: u64,
     /// Sticky-affinity key (e.g. a video id). Jobs sharing a key map onto
-    /// one stable preferred worker, so state that key's work warmed there
-    /// (a live decoder session) is reused instead of rebuilt after a
-    /// cold hand-off. `None` = any worker.
+    /// one stable preferred worker. The scheduler keeps no per-worker
+    /// state for a key; the pin only decides which worker runs the job.
+    /// `None` = any worker.
     pub affinity: Option<u64>,
     /// Owning tenant slot for weighted QoS (an index into the table set
     /// by [`Scheduler::set_tenant_weights`]). `None` = untenanted work:

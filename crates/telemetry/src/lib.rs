@@ -595,14 +595,9 @@ pub struct EngineMetrics {
     pub batches_served: Counter,
     /// Batches served slower than `stall_budget_us`.
     pub batches_stalled: Counter,
-    /// Warm decode-session resumes (tip reused, keyframe re-decode skipped).
-    pub warm_hits: Counter,
-    /// Demand decodes that had to restart from a keyframe.
-    pub cold_starts: Counter,
-    /// Demand decode latency (one frame through a warm session).
-    pub demand_decode_us: Histogram,
-    /// Batched predecode latency (one GOP-grouped `decode_indices` call).
-    pub predecode_us: Histogram,
+    /// Decode latency: one `decode_indices` call over one video, a bulk
+    /// pre-decode group or a single demand frame.
+    pub decode_us: Histogram,
     /// `ViewProvider::fetch` calls served straight from the compressed
     /// cache (memory tier) without touching the decoder.
     pub compressed_hits_mem: Counter,
@@ -634,10 +629,7 @@ impl EngineMetrics {
             serve_us: r.histogram("engine.serve_us", &LATENCY_BUCKETS_US),
             batches_served: r.counter("engine.batches_served"),
             batches_stalled: r.counter("engine.batches_stalled"),
-            warm_hits: r.counter("engine.warm_hits"),
-            cold_starts: r.counter("engine.cold_starts"),
-            demand_decode_us: r.histogram("engine.demand_decode_us", &LATENCY_BUCKETS_US),
-            predecode_us: r.histogram("engine.predecode_us", &LATENCY_BUCKETS_US),
+            decode_us: r.histogram("engine.decode_us", &LATENCY_BUCKETS_US),
             compressed_hits_mem: r.counter("engine.compressed_hits_mem"),
             compressed_hits_disk: r.counter("engine.compressed_hits_disk"),
             corrupt_dropped_local: r.counter("engine.corrupt_dropped.local"),

@@ -51,7 +51,7 @@ use crate::snapshot::Snapshot;
 /// Stages attributable inside a demand job's execution window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Video decode (warm demand sessions and batched predecode).
+    /// Video decode (`Decoder::decode_indices`, bulk or one frame).
     Decode,
     /// Object-store disk-tier reads.
     StoreIo,
