@@ -41,6 +41,9 @@ retired="$retired|fn (as_mut_slice|into_vec|cache_bytes|collect_available|is_own
 # Every decode is one walk from the keyframe (`Decoder::decode_indices`): no resumable per-video
 # session, no second decode-cost model beside the planner's; planning is always coordinated.
 retired="$retired|WarmDecoder|WarmPool|warm_decoders|WARM_SESSION_CAP|fn frame_cost|config\.coordinate"
+# The object verbs carry lists (`Fetch { keys }`, `Put { objects }`, answered by `Found`): a one-entry
+# request is the single-key one, so neither a single-key answer nor a `_many` twin comes back.
+retired="$retired|Response::Hit|Response::Miss|fn fetch_many|fn put_many|fn offer_many"
 if grep -rnE "$retired" crates examples tests src ||
     grep -nE 'sand-autotune|criterion' Cargo.toml crates/*/Cargo.toml; then
     echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant"

@@ -451,14 +451,17 @@ impl Inner {
         // The demand path may have got to some of them since the hand-off.
         nodes.retain(|&id| !self.store.contains(chunk.key(id)));
         nodes.sort_by_key(|&id| chunk.deadlines[id].unwrap_or(u64::MAX));
-        // One GOP-efficient pass (it skips targets the store already
-        // covers); the frames the plan caches persist in the store.
+        // What the ring owners hold, in one request per owner; then one
+        // GOP-efficient pass (it skips targets the memo or the store
+        // already covers); the frames the plan caches persist in the store.
+        self.fetch_ahead(chunk, &nodes, &scratch);
         let _ = self.predecode_nodes(chunk, &decode_targets, &scratch);
         for id in nodes {
             // Failures here only delay demand-path work; they are not
             // fatal to training.
             let _ = self.materialize(chunk, id, &scratch);
         }
+        self.push_queued(&scratch);
     }
 }
 

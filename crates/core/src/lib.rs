@@ -21,6 +21,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod chunk;
+mod cluster;
 mod config;
 pub mod engine;
 pub mod fleet;

@@ -4,10 +4,11 @@
 //! pass memo, then, under the engine flight for the object's key, the
 //! store (mem/disk), the key's ring owner, and finally the computation
 //! (a decode or one augmentation op over the materialized parent).
-//! [`Inner::lookup`] is the only code that reads an object back from the
-//! store or the cluster; [`Inner::predecode_nodes`] is the bulk
-//! variant for source frames: it claims the same flight keys, without
-//! blocking, and decodes in one GOP-efficient pass per video.
+//! [`Inner::lookup`] reads an object back from the store or the cluster;
+//! its bulk variants claim the same flight keys without blocking:
+//! `Inner::fetch_ahead` (`cluster.rs`) asks the ring owners for a job's
+//! targets in one request per owner, and [`Inner::predecode_nodes`]
+//! decodes source frames in one GOP-efficient pass per video.
 
 use crate::chunk::Chunk;
 use crate::engine::Inner;
@@ -16,10 +17,11 @@ use crate::{CoreError, Result};
 use sand_codec::{CodecError, Decoder, VideoEntry};
 use sand_frame::{compress_frame, decompress_frame, Frame};
 use sand_graph::{NodeId, ObjectKey, ResolvedOp};
+use sand_net::PutObject;
 use sand_sanitizer::TrackedMutex;
 use sand_storage::{ObjectMeta, Tier};
 use sand_telemetry::{record_stage, Stage};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,22 +56,46 @@ impl From<Arc<Frame>> for Object {
 /// winner writes it *before* its flight key is retired, and re-reads it
 /// after winning, so a pass-mate that arrives after the retire finds the
 /// frame here instead of computing an uncached parent a second time.
+///
+/// It also keeps the pass's dealings with the cluster: the nodes whose
+/// ring owner already answered "miss", which no lookup asks again, and
+/// the remotely owned objects the pass computed, which the job pushes to
+/// their owners ([`Inner::push_queued`]) before it delivers.
 pub(crate) struct Scratch {
     frames: TrackedMutex<HashMap<NodeId, Arc<Frame>>>,
+    asked: TrackedMutex<HashSet<NodeId>>,
+    pushes: TrackedMutex<Vec<PutObject>>,
 }
 
 impl Scratch {
     pub(crate) fn new() -> Self {
         Scratch {
             frames: TrackedMutex::new("engine.scratch.frames", HashMap::new()),
+            asked: TrackedMutex::new("engine.scratch.asked", HashSet::new()),
+            pushes: TrackedMutex::new("engine.scratch.pushes", Vec::new()),
         }
     }
 
-    fn get(&self, id: NodeId) -> Option<Arc<Frame>> {
+    /// Whether `id`'s owner may still be asked for it in this pass.
+    pub(crate) fn may_ask(&self, id: NodeId) -> bool {
+        !self.asked.lock().contains(&id)
+    }
+
+    /// Remembers that `id`'s owner answered "miss" in this pass.
+    pub(crate) fn note_asked(&self, id: NodeId) {
+        self.asked.lock().insert(id);
+    }
+
+    /// The queued pushes, leaving none.
+    pub(crate) fn take_pushes(&self) -> Vec<PutObject> {
+        std::mem::take(&mut *self.pushes.lock())
+    }
+
+    pub(crate) fn get(&self, id: NodeId) -> Option<Arc<Frame>> {
         self.frames.lock().get(&id).cloned()
     }
 
-    fn insert(&self, id: NodeId, frame: Arc<Frame>) {
+    pub(crate) fn insert(&self, id: NodeId, frame: Arc<Frame>) {
         self.frames.lock().insert(id, frame);
     }
 }
@@ -89,16 +115,22 @@ impl Inner {
     }
 
     /// Reads `key` back from wherever it already exists: the store
-    /// (mem/disk), else the key's ring owner, whose bytes are adopted
-    /// into the store under `adopt`. A hit is validated — bytes and the
-    /// frame they decode to come back together — and an object that
-    /// fails validation is a miss: a corrupt local object (a torn write
-    /// from a crash) is dropped, corrupt remote bytes are ignored, and
-    /// the caller recomputes. Duplicate work, never wrong bytes.
+    /// (mem/disk), else — when `ask_owner` — the key's ring owner, whose
+    /// bytes are adopted into the store under `adopt`. A hit is
+    /// validated — bytes and the frame they decode to come back together
+    /// — and an object that fails validation is a miss: a corrupt local
+    /// object (a torn write from a crash) is dropped, corrupt remote bytes
+    /// are ignored, and the caller recomputes. Duplicate work, never wrong
+    /// bytes.
     ///
     /// Call it under the engine flight for `key`, so that concurrent
     /// misses send the owner one `Fetch`.
-    pub(crate) fn lookup(&self, key: &str, adopt: Option<ObjectMeta>) -> Option<Object> {
+    pub(crate) fn lookup(
+        &self,
+        key: &str,
+        adopt: Option<ObjectMeta>,
+        ask_owner: bool,
+    ) -> Option<Object> {
         if let Some(tier) = self.store.tier_of(key) {
             if let Ok(bytes) = self.store.get(key) {
                 match decompress_frame(&bytes) {
@@ -120,8 +152,21 @@ impl Inner {
         }
         // `None` covers every degraded case: no cluster, self-owned key,
         // owner down, clean miss.
-        let remote = self.remote.as_ref()?;
-        let bytes = Arc::new(remote.fetch(key)?);
+        let remote = self.remote.as_ref().filter(|_| ask_owner)?;
+        let bytes = remote.fetch(&[key]).pop().flatten()?;
+        self.adopt(key, bytes, adopt)
+    }
+
+    /// Validates the bytes a ring owner sent for `key` and, under `adopt`,
+    /// puts them into the store. Bytes that pass the wire's checksum but
+    /// are not a frame are counted and ignored.
+    pub(crate) fn adopt(
+        &self,
+        key: &str,
+        bytes: Vec<u8>,
+        adopt: Option<ObjectMeta>,
+    ) -> Option<Object> {
+        let bytes = Arc::new(bytes);
         let Ok(frame) = decompress_frame(&bytes) else {
             if let Some(m) = &self.engine_metrics {
                 m.corrupt_dropped_remote.inc();
@@ -181,7 +226,7 @@ impl Inner {
                 return Ok(frame.into());
             }
             let adopt = node.cached.then(|| chunk.meta(id));
-            let object = match self.lookup(key, adopt) {
+            let object = match self.lookup(key, adopt, memo.may_ask(id)) {
                 Some(hit) => hit,
                 None => self.compute(chunk, id, key, memo)?,
             };
@@ -196,7 +241,7 @@ impl Inner {
 
     /// Computes a node nobody holds — a decode, or one op over the
     /// materialized parent — and, if the plan caches it, stores it and
-    /// offers it to its ring owner.
+    /// queues it for its ring owner.
     fn compute(
         self: &Arc<Self>,
         chunk: &Arc<Chunk>,
@@ -227,11 +272,16 @@ impl Inner {
         if node.cached {
             let meta = chunk.meta(id);
             let compressed = self.store_frame(key, &frame, meta)?;
-            // The ring owner did not have it (the lookup missed): push
-            // it so the next consumer anywhere in the cluster hits.
-            // Best-effort — a failed push leaves the object local.
-            if let Some(remote) = &self.remote {
-                remote.offer(key, meta.deadline, meta.future_uses, &compressed);
+            // The ring owner did not have it (the lookup missed): queue
+            // it, and the job pushes it before it delivers, so the next
+            // consumer anywhere in the cluster hits.
+            if self.remote.as_ref().is_some_and(|r| r.is_remote(key)) {
+                memo.pushes.lock().push(PutObject {
+                    key: key.to_string(),
+                    deadline: meta.deadline,
+                    future_uses: meta.future_uses,
+                    bytes: Arc::clone(&compressed),
+                });
             }
             bytes = Some(compressed);
         }
@@ -366,14 +416,16 @@ impl Inner {
                 // bulk pass honors at-most-once the same way the
                 // per-node path does. Only cached nodes can exist
                 // remotely.
-                Some(claim) if node.cached => match self.lookup(key, Some(chunk.meta(nid))) {
-                    Some(hit) => {
-                        memo.insert(nid, Arc::clone(&hit.frame));
-                        claim.publish(hit, false);
-                        continue;
+                Some(claim) if node.cached => {
+                    match self.lookup(key, Some(chunk.meta(nid)), memo.may_ask(nid)) {
+                        Some(hit) => {
+                            memo.insert(nid, Arc::clone(&hit.frame));
+                            claim.publish(hit, false);
+                            continue;
+                        }
+                        None => Some(claim),
                     }
-                    None => Some(claim),
-                },
+                }
                 claim => claim,
             };
             wanted.push((video_id, frame, nid, claim));
@@ -389,7 +441,7 @@ impl Inner {
                 // `compute` does: an uncached frame reaches its
                 // descendants through the memo and the flight claim, and
                 // in the store it would only push out objects the plan
-                // keeps. (Unlike `compute`, nothing is offered to the
+                // keeps. (Unlike `compute`, nothing is queued for the
                 // ring owner here.)
                 let key = chunk.key(nid);
                 let bytes = if !chunk.graph.nodes[nid].cached || self.store.contains(key) {
@@ -997,6 +1049,46 @@ dataset:
         assert_eq!(snap.counter("net.fetch_hits"), Some(1));
         assert_eq!(snap.counter("net.fetch_misses"), Some(0));
         assert_eq!(e.stats().decode.frames_decoded, 0);
+    }
+
+    #[test]
+    fn a_sample_job_asks_the_owner_once_for_all_its_leaves() {
+        let ds = dataset();
+        let owner = Owner::start();
+        let e = node(&ds, Some(&owner), None, false);
+        let reference = node(&ds, None, None, false);
+        let chunk = e.inner.ensure_chunk(0).unwrap();
+        let remote = e.remote_tier().unwrap();
+        let sample = chunk
+            .graph
+            .batches
+            .iter()
+            .flat_map(|b| &b.samples)
+            .find(|s| {
+                let leaves = &s.frame_nodes;
+                leaves.iter().all(|&id| remote.is_remote(chunk.key(id)))
+            });
+        let sample = sample.expect("a sample whose leaves the other node owns");
+        // The owner holds every leaf, as the other node's jobs leave them.
+        for &id in &sample.frame_nodes {
+            let leaf = reference.inner.materialize(&chunk, id, &Scratch::new());
+            let bytes = compress_frame(&leaf.unwrap().frame).into();
+            owner
+                .store
+                .put(chunk.key(id), bytes, ObjectMeta::default())
+                .unwrap();
+        }
+        let got = e.inner.sample_tensor(&chunk, sample).unwrap();
+        assert_eq!(got, reference.inner.sample_tensor(&chunk, sample).unwrap());
+        assert_eq!(owner.requests(), 1, "one `Fetch` for the whole clip");
+        let snap = e.metrics_snapshot().unwrap();
+        let leaves = sample.frame_nodes.len() as u64;
+        assert_eq!(snap.counter("net.fetch_hits"), Some(leaves));
+        assert_eq!(snap.counter("net.fetch_misses"), Some(0));
+        assert_eq!(
+            e.stats().decode.frames_decoded + e.stats().aug_ops_applied,
+            0
+        );
     }
 
     #[test]

@@ -48,14 +48,25 @@ impl Inner {
 
     /// One sample's final tensor: materialize the clip, then normalize
     /// and pack (the demand jobs, the prefetch jobs, and nobody else).
-    fn sample_tensor(self: &Arc<Self>, chunk: &Arc<Chunk>, plan: &SamplePlan) -> Result<Tensor> {
+    /// The clip's remote leaves are asked for in one request per owner,
+    /// and what the job computed for other owners is pushed before the
+    /// tensor is delivered.
+    pub(crate) fn sample_tensor(
+        self: &Arc<Self>,
+        chunk: &Arc<Chunk>,
+        plan: &SamplePlan,
+    ) -> Result<Tensor> {
         let memo = Scratch::new();
-        self.predecode_nodes(chunk, &plan.frame_nodes, &memo)?;
-        let clip = plan
-            .frame_nodes
-            .iter()
-            .map(|&t| Ok(self.materialize(chunk, t, &memo)?.frame))
-            .collect::<Result<Vec<_>>>()?;
+        let clip = (|| {
+            self.fetch_ahead(chunk, &plan.frame_nodes, &memo);
+            self.predecode_nodes(chunk, &plan.frame_nodes, &memo)?;
+            plan.frame_nodes
+                .iter()
+                .map(|&t| Ok(self.materialize(chunk, t, &memo)?.frame))
+                .collect::<Result<Vec<_>>>()
+        })();
+        self.push_queued(&memo);
+        let clip = clip?;
         let channels = clip.first().map_or(3, |f| f.channels());
         let (mean, std) = match &plan.normalize {
             Some((m, s)) => (m.clone(), s.clone()),

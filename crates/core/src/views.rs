@@ -72,7 +72,7 @@ impl ViewProvider for SandEngine {
                 let adopt = ObjectMeta::default();
                 let key = store_key(&ObjectKey::Frame { video_id, frame });
                 let (object, _) =
-                    inner.in_flight(&key, || match inner.lookup(&key, Some(adopt)) {
+                    inner.in_flight(&key, || match inner.lookup(&key, Some(adopt), true) {
                         Some(hit) => Ok(hit),
                         None => Ok(Arc::new(inner.decode_one(video_id, frame)?).into()),
                     })?;
@@ -113,8 +113,10 @@ impl ViewProvider for SandEngine {
                     .ok_or_else(|| VfsError::NoSuchView {
                         path: path.to_string(),
                     })?;
-                let object = inner.materialize(&chunk, node.id, &Scratch::new())?;
-                Ok(self.object_bytes(object))
+                let memo = Scratch::new();
+                let object = inner.materialize(&chunk, node.id, &memo);
+                inner.push_queued(&memo);
+                Ok(self.object_bytes(object?))
             }
         }
     }

@@ -11,7 +11,7 @@
 //! from the peer is *not* retried: the peer answered; repeating the
 //! question would not change the answer.
 
-use crate::wire::{self, err_code, Request, Response};
+use crate::wire::{self, err_code, PutObject, Request, Response};
 use crate::{NetError, Result};
 use sand_sanitizer::TrackedMutex;
 use sand_telemetry::{NetMetrics, Telemetry};
@@ -188,7 +188,7 @@ impl ViewClient {
         }
     }
 
-    /// Pushes an object into the peer's store.
+    /// Pushes an object into the peer's store: a one-object `Put`.
     pub fn put(
         &self,
         key: &str,
@@ -196,28 +196,21 @@ impl ViewClient {
         future_uses: u32,
         bytes: &[u8],
     ) -> Result<()> {
-        match self.call(&Request::Put {
+        let objects = vec![PutObject {
             key: key.to_string(),
             deadline,
             future_uses,
-            bytes: bytes.to_vec(),
-        })? {
-            Response::PutOk => Ok(()),
-            Response::Error { code, what } => Err(NetError::Remote { code, what }),
-            other => Err(Self::unexpected("put", &other)),
-        }
+            bytes: Arc::new(bytes.to_vec()),
+        }];
+        stored(self.call(&Request::Put { objects })?)
     }
 
-    /// Fetches a cached object from the peer; `Ok(None)` is a clean miss.
+    /// Fetches a cached object from the peer with a one-key `Fetch`;
+    /// `Ok(None)` is a clean miss.
     pub fn fetch(&self, key: &str) -> Result<Option<Vec<u8>>> {
-        match self.call(&Request::Fetch {
-            key: key.to_string(),
-        })? {
-            Response::Hit { bytes } => Ok(Some(bytes)),
-            Response::Miss => Ok(None),
-            Response::Error { code, what } => Err(NetError::Remote { code, what }),
-            other => Err(Self::unexpected("fetch", &other)),
-        }
+        let keys = vec![key.to_string()];
+        let found = objects_found(self.call(&Request::Fetch { keys })?, 1)?;
+        Ok(found.into_iter().next().flatten())
     }
 
     /// Probes presence/tier: `Ok(Some((tier, size)))` when cached.
@@ -259,6 +252,31 @@ impl ViewClient {
         }
         self.close(fd)?;
         Ok(out)
+    }
+}
+
+/// The answer to a `Fetch` of `asked` keys: one entry per key, in request
+/// order. Any other entry count is a protocol error.
+pub(crate) fn objects_found(resp: Response, asked: usize) -> Result<Vec<Option<Vec<u8>>>> {
+    match resp {
+        Response::Found { objects } if objects.len() == asked => Ok(objects),
+        Response::Found { objects } => Err(NetError::Protocol {
+            what: format!(
+                "fetch of {asked} keys answered with {} entries",
+                objects.len()
+            ),
+        }),
+        Response::Error { code, what } => Err(NetError::Remote { code, what }),
+        other => Err(ViewClient::unexpected("fetch", &other)),
+    }
+}
+
+/// The answer to a `Put`: every object stored, or the peer's error.
+pub(crate) fn stored(resp: Response) -> Result<()> {
+    match resp {
+        Response::PutOk => Ok(()),
+        Response::Error { code, what } => Err(NetError::Remote { code, what }),
+        other => Err(ViewClient::unexpected("put", &other)),
     }
 }
 

@@ -10,7 +10,8 @@
 //!
 //! - [`wire`] — a length-prefixed, CRC-32-checksummed binary frame
 //!   format carrying the Table-2 verb set (`Open`/`Read`/`GetXattr`/
-//!   `Close`) plus the inter-node object verbs (`Put`/`Fetch`/`Stat`).
+//!   `Close`) plus the inter-node object verbs (`Put`/`Fetch`/`Stat`);
+//!   `Put` and `Fetch` carry lists, so one round trip moves many objects.
 //!   Torn frames and bit flips are rejected before parsing; a receiver
 //!   never sees a partial message.
 //! - [`Placement`] — a deterministic consistent-hash ring over node ids
@@ -26,9 +27,10 @@
 //!   local one.
 //! - [`RemoteTier`] — the cluster cache tier the engine consults on a
 //!   local store miss, *below* mem/disk and *above* materialization:
-//!   consult the ring, fetch from the owner, and push local
-//!   materializations of remotely-owned keys back to their owner, so a
-//!   shared-ancestor object materializes at most once cluster-wide.
+//!   consult the ring, fetch from the owners (one request per owning
+//!   peer), and push local materializations of remotely-owned keys back
+//!   to their owners, so a shared-ancestor object materializes at most
+//!   once cluster-wide.
 //!
 //! **Failure contract:** every remote path degrades, never corrupts. A
 //! fetch that times out, fails checksum, or finds the owner down falls
@@ -47,7 +49,7 @@ pub use client::{ClientConfig, RemoteProvider, ViewClient};
 pub use placement::Placement;
 pub use remote::{PeerSpec, RemoteTier, RemoteTierConfig};
 pub use server::{ServerConfig, ServerHandle, ViewServer};
-pub use wire::{Request, Response};
+pub use wire::{PutObject, Request, Response};
 
 use std::fmt;
 

@@ -17,7 +17,12 @@
 //! "not available remotely" (`None`) and the caller materializes
 //! locally. A per-peer consecutive-failure breaker then holds the peer
 //! **down** for a cooldown window, so a dead node costs one timed-out
-//! fetch per window instead of one per object. The ring itself never
+//! request per window instead of one per object.
+//!
+//! `fetch` and `offer` take lists and send one request per owning peer:
+//! a job asks for all the keys it lacks in one round trip and pushes
+//! what it computed in one more. The breaker counts one outcome per
+//! request. The ring itself never
 //! changes shape on failure — keys do not migrate during an outage, so
 //! recovery finds the cache where it was left.
 //!
@@ -26,8 +31,9 @@
 //! `store_io` — the telemetry consumer can tell network stalls from
 //! disk stalls at a glance.
 
-use crate::client::{ClientConfig, ViewClient};
+use crate::client::{self, ClientConfig, ViewClient};
 use crate::placement::Placement;
+use crate::wire::{PutObject, Request};
 use crate::Result;
 use sand_sanitizer::TrackedMutex;
 use sand_telemetry::{record_stage, NetMetrics, Stage, Telemetry};
@@ -231,68 +237,110 @@ impl RemoteTier {
         }
     }
 
-    /// Consults the ring and fetches `key` from its owner.
+    /// `items` grouped by the peer that owns each one's key, in first-seen
+    /// order; self-owned keys are left out.
+    fn by_owner<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        key: impl Fn(&T) -> &str,
+    ) -> Vec<(&Peer, Vec<T>)> {
+        let mut groups: Vec<(&Peer, Vec<T>)> = Vec::new();
+        for item in items {
+            let Some(peer) = self.owner_peer(key(&item)) else {
+                continue;
+            };
+            match groups.iter_mut().find(|(p, _)| std::ptr::eq(*p, peer)) {
+                Some((_, group)) => group.push(item),
+                None => groups.push((peer, vec![item])),
+            }
+        }
+        groups
+    }
+
+    /// Consults the ring and fetches `keys` from their owners, one
+    /// `Fetch` per owning peer; the answer has one entry per key, in
+    /// order.
     ///
     /// `None` means "not available remotely" for *any* reason — self-
     /// owned key, owner down or unreachable, clean miss — and the caller
-    /// should materialize locally. Network time is charged to the
-    /// `remote` stall segment either way.
+    /// should materialize locally. Self-owned keys and keys of down
+    /// peers cost no dial. Network time is charged to the `remote` stall
+    /// segment once per request; hits, misses and errors are counted per
+    /// key, `fetch_us` per request.
     ///
-    /// Every call is one RPC: collapsing concurrent misses for a key is
-    /// the caller's job (the engine fetches under its per-key flight).
-    pub fn fetch(&self, key: &str) -> Option<Vec<u8>> {
-        let peer = self.owner_peer(key).filter(|p| self.peer_usable(p))?;
-        let start = Instant::now();
-        let outcome = peer.client.fetch(key);
-        let spent = start.elapsed();
-        record_stage(Stage::Remote, spent);
-        match outcome {
-            Ok(found) => {
-                self.mark_success(peer);
-                if let Some(m) = &self.metrics {
-                    match found {
-                        Some(_) => m.fetch_hits.inc(),
-                        None => m.fetch_misses.inc(),
-                    }
-                    m.fetch_us.observe_duration(spent);
-                }
-                found
+    /// Collapsing concurrent misses for a key is the caller's job (the
+    /// engine fetches under its per-key flight claims).
+    pub fn fetch(&self, keys: &[&str]) -> Vec<Option<Vec<u8>>> {
+        let mut found = vec![None; keys.len()];
+        for (peer, asked) in self.by_owner(keys.iter().copied().enumerate(), |k| k.1) {
+            if !self.peer_usable(peer) {
+                continue;
             }
-            Err(_) => {
-                self.mark_failure(peer);
-                if let Some(m) = &self.metrics {
-                    m.fetch_errors.inc();
+            let request = Request::Fetch {
+                keys: asked.iter().map(|(_, k)| k.to_string()).collect(),
+            };
+            let start = Instant::now();
+            let outcome = peer
+                .client
+                .call(&request)
+                .and_then(|resp| client::objects_found(resp, asked.len()));
+            let spent = start.elapsed();
+            record_stage(Stage::Remote, spent);
+            match outcome {
+                Ok(objects) => {
+                    self.mark_success(peer);
+                    if let Some(m) = &self.metrics {
+                        let hits = objects.iter().filter(|o| o.is_some()).count() as u64;
+                        m.fetch_hits.add(hits);
+                        m.fetch_misses.add(objects.len() as u64 - hits);
+                        m.fetch_us.observe_duration(spent);
+                    }
+                    for ((i, _), object) in asked.into_iter().zip(objects) {
+                        found[i] = object;
+                    }
                 }
-                None
+                Err(_) => {
+                    self.mark_failure(peer);
+                    if let Some(m) = &self.metrics {
+                        m.fetch_errors.add(asked.len() as u64);
+                    }
+                }
             }
         }
+        found
     }
 
-    /// Best-effort push of a locally-materialized object to its ring
-    /// owner. No-op for self-owned keys, down owners, or when pushing is
-    /// disabled; a failed push leaves the object local and is never an
-    /// error.
-    pub fn offer(&self, key: &str, deadline: Option<u64>, future_uses: u32, bytes: &[u8]) {
+    /// Best-effort push of locally-materialized objects to their ring
+    /// owners, one `Put` per owning peer. Self-owned keys, down owners
+    /// and a disabled push are skipped; a failed push leaves the objects
+    /// local and is never an error.
+    pub fn offer(&self, objects: Vec<PutObject>) {
         if !self.config.push_to_owner {
             return;
         }
-        let Some(peer) = self.owner_peer(key).filter(|p| self.peer_usable(p)) else {
-            return;
-        };
-        let start = Instant::now();
-        let outcome = peer.client.put(key, deadline, future_uses, bytes);
-        record_stage(Stage::Remote, start.elapsed());
-        match outcome {
-            Ok(()) => {
-                self.mark_success(peer);
-                if let Some(m) = &self.metrics {
-                    m.pushes.inc();
-                }
+        for (peer, objects) in self.by_owner(objects, |o| o.key.as_str()) {
+            if !self.peer_usable(peer) {
+                continue;
             }
-            Err(_) => {
-                self.mark_failure(peer);
-                if let Some(m) = &self.metrics {
-                    m.push_errors.inc();
+            let pushed = objects.len() as u64;
+            let start = Instant::now();
+            let outcome = peer
+                .client
+                .call(&Request::Put { objects })
+                .and_then(client::stored);
+            record_stage(Stage::Remote, start.elapsed());
+            match outcome {
+                Ok(()) => {
+                    self.mark_success(peer);
+                    if let Some(m) = &self.metrics {
+                        m.pushes.add(pushed);
+                    }
+                }
+                Err(_) => {
+                    self.mark_failure(peer);
+                    if let Some(m) = &self.metrics {
+                        m.push_errors.add(pushed);
+                    }
                 }
             }
         }
@@ -312,6 +360,7 @@ impl RemoteTier {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn self_owned_keys_never_dial() {
@@ -324,8 +373,13 @@ mod tests {
         );
         assert_eq!(tier.peer_count(), 0);
         assert!(!tier.is_remote("any/key"));
-        assert!(tier.fetch("any/key").is_none());
-        tier.offer("any/key", None, 1, b"bytes");
+        assert_eq!(tier.fetch(&["any/key"]), [None]);
+        tier.offer(vec![PutObject {
+            key: "any/key".to_string(),
+            deadline: None,
+            future_uses: 1,
+            bytes: Arc::new(b"bytes".to_vec()),
+        }]);
     }
 
     #[test]
@@ -352,10 +406,10 @@ mod tests {
             .map(|i| format!("obj/{i}"))
             .find(|k| tier.is_remote(k))
             .expect("two-node ring leaves b some keys");
-        assert!(tier.fetch(&key).is_none(), "refused connect degrades");
-        assert!(tier.fetch(&key).is_none());
+        assert_eq!(tier.fetch(&[&key]), [None], "refused connect degrades");
+        assert_eq!(tier.fetch(&[&key]), [None]);
         assert_eq!(tier.peers_down(), 1, "breaker opened after 2 failures");
         // While down, fetches skip the peer entirely (still None).
-        assert!(tier.fetch(&key).is_none());
+        assert_eq!(tier.fetch(&[&key]), [None]);
     }
 }

@@ -11,6 +11,8 @@
 //! VFS (lowest free descriptor from 3), so fds never leak across
 //! trainers and a dropped connection releases every view it held —
 //! `provider.released()` fires for each, exactly like a local `close`.
+//! The table holds at most [`MAX_OPEN_VIEWS`] descriptors: an `Open`
+//! past it is answered with an error and the connection keeps serving.
 //! `Read` is positional (`offset` in the request), which makes a retry
 //! on a fresh connection idempotent: there is no server-side cursor to
 //! desynchronize.
@@ -19,9 +21,9 @@
 //! poll the stop flag between frames, and `shutdown()` pokes the
 //! listener with a throwaway connection to unblock `accept`.
 
-use crate::wire::{self, err_code, Request, Response};
+use crate::wire::{self, err_code, PutObject, Request, Response};
 use crate::{NetError, Result};
-use sand_storage::{ObjectMeta, ObjectStore, StorageError, Tier};
+use sand_storage::{ObjectMeta, ObjectStore, Tier};
 use sand_telemetry::{NetMetrics, Telemetry};
 use sand_vfs::{VfsError, ViewPath, ViewProvider};
 use std::collections::BTreeMap;
@@ -35,6 +37,9 @@ use std::time::Duration;
 /// Socket read timeout — the stop-flag polling interval, not a request
 /// deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Open descriptors one connection may hold at once.
+pub const MAX_OPEN_VIEWS: usize = 1024;
 
 /// Server tunables.
 #[derive(Clone, Debug)]
@@ -288,6 +293,47 @@ fn alloc_fd(fds: &BTreeMap<u64, OpenEntry>) -> u64 {
     fd
 }
 
+/// Stores every object of a `Put`; the first failure is the answer.
+fn put_objects(store: &ObjectStore, objects: Vec<PutObject>) -> Response {
+    let mut failed = None;
+    for o in objects {
+        let meta = ObjectMeta {
+            deadline: o.deadline,
+            future_uses: o.future_uses,
+        };
+        if let Err(e) = store.put(&o.key, o.bytes, meta) {
+            failed.get_or_insert_with(|| format!("put {}: {e}", o.key));
+        }
+    }
+    match failed {
+        None => Response::PutOk,
+        Some(what) => Response::Error {
+            code: err_code::IO,
+            what,
+        },
+    }
+}
+
+/// A `Fetch`'s entries, in request order. A key the store cannot produce,
+/// and an object that would push the reply past [`wire::MAX_FRAME`], is
+/// `None`: a miss is always a correct answer.
+fn found_objects(store: &ObjectStore, keys: &[String]) -> Vec<Option<Vec<u8>>> {
+    // The tag and one presence byte per entry always fit: a request of
+    // `keys.len()` keys fit in a frame.
+    let mut room = (wire::MAX_FRAME as usize).saturating_sub(1 + keys.len());
+    keys.iter()
+        .map(|key| {
+            let bytes = store.get(key).ok()?;
+            let cost = 4 + bytes.len();
+            if cost > room {
+                return None;
+            }
+            room -= cost;
+            Some(bytes.as_ref().clone())
+        })
+        .collect()
+}
+
 fn handle_request(req: Request, fds: &mut BTreeMap<u64, OpenEntry>, shared: &Shared) -> Response {
     match req {
         Request::Open { path } => {
@@ -300,6 +346,12 @@ fn handle_request(req: Request, fds: &mut BTreeMap<u64, OpenEntry>, shared: &Sha
                     }
                 }
             };
+            if fds.len() >= MAX_OPEN_VIEWS {
+                return Response::Error {
+                    code: err_code::IO,
+                    what: format!("{MAX_OPEN_VIEWS} views already open on this connection"),
+                };
+            }
             match shared.provider.fetch(&parsed) {
                 Ok(content) => {
                     let fd = alloc_fd(fds);
@@ -342,42 +394,18 @@ fn handle_request(req: Request, fds: &mut BTreeMap<u64, OpenEntry>, shared: &Sha
             }
             None => vfs_error_response(&VfsError::BadFd { fd }),
         },
-        Request::Put {
-            key,
-            deadline,
-            future_uses,
-            bytes,
-        } => match &shared.store {
-            Some(store) => {
-                let meta = ObjectMeta {
-                    deadline,
-                    future_uses,
-                };
-                match store.put(&key, Arc::new(bytes), meta) {
-                    Ok(()) => Response::PutOk,
-                    Err(e) => Response::Error {
-                        code: err_code::IO,
-                        what: format!("put {key}: {e}"),
-                    },
-                }
-            }
+        Request::Put { objects } => match &shared.store {
+            Some(store) => put_objects(store, objects),
             None => Response::Error {
                 code: err_code::IO,
                 what: "node serves no object store".to_string(),
             },
         },
-        Request::Fetch { key } => match &shared.store {
-            Some(store) => match store.get(&key) {
-                Ok(bytes) => Response::Hit {
-                    bytes: bytes.as_ref().clone(),
-                },
-                Err(StorageError::NotFound { .. }) => Response::Miss,
-                Err(e) => Response::Error {
-                    code: err_code::IO,
-                    what: format!("fetch {key}: {e}"),
-                },
+        Request::Fetch { keys } => Response::Found {
+            objects: match &shared.store {
+                Some(store) => found_objects(store, &keys),
+                None => vec![None; keys.len()],
             },
-            None => Response::Miss,
         },
         Request::Stat { key } => match &shared.store {
             Some(store) => match store.tier_of(&key) {
@@ -414,6 +442,10 @@ fn handle_request(req: Request, fds: &mut BTreeMap<u64, OpenEntry>, shared: &Sha
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::client::{ClientConfig, ViewClient};
+    use crate::remote::{PeerSpec, RemoteTier, RemoteTierConfig};
+    use sand_storage::StoreConfig;
+    use sand_telemetry::TelemetryConfig;
     use std::io::Write as _;
 
     /// A node with no views: the frame cap is checked before any request
@@ -473,6 +505,133 @@ mod tests {
                 }
             ));
         }
+        server.shutdown();
+    }
+
+    /// Every view path is the same sixteen bytes.
+    struct AnyView;
+
+    impl ViewProvider for AnyView {
+        fn fetch(&self, _path: &ViewPath) -> sand_vfs::Result<Arc<Vec<u8>>> {
+            Ok(Arc::new(vec![7; 16]))
+        }
+
+        fn metadata(&self, _path: &ViewPath, name: &str) -> sand_vfs::Result<String> {
+            Err(VfsError::NoAttr {
+                name: name.to_string(),
+            })
+        }
+    }
+
+    fn client(server: &ServerHandle) -> ViewClient {
+        let config = ClientConfig {
+            timeout: Duration::from_secs(5),
+            retries: 0,
+        };
+        ViewClient::new(server.local_addr(), config, &Telemetry::disabled())
+    }
+
+    #[test]
+    fn a_connection_holds_at_most_max_open_views() {
+        let provider = Arc::new(AnyView);
+        let config = ServerConfig { workers: 1 };
+        let telemetry = Telemetry::disabled();
+        let mut server =
+            ViewServer::serve("127.0.0.1:0", provider, None, config, &telemetry).unwrap();
+        // One pooled connection carries every call.
+        let c = client(&server);
+        let fds: Vec<u64> = (0..MAX_OPEN_VIEWS)
+            .map(|_| c.open("/train/video0001/frame1").unwrap().0)
+            .collect();
+        match c.open("/train/video0001/frame1") {
+            Err(NetError::Remote { code, .. }) => assert_eq!(code, err_code::IO),
+            other => panic!("open past the cap answered {other:?}"),
+        }
+        // The connection still serves: a close frees a descriptor.
+        c.close(fds[5]).unwrap();
+        assert_eq!(c.open("/train/video0001/frame1").unwrap().0, fds[5]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_fetch_reply_never_passes_max_frame() {
+        let store = ObjectStore::memory_only(StoreConfig {
+            memory_budget: 256 << 20,
+            ..Default::default()
+        })
+        .unwrap();
+        let store = Arc::new(store);
+        // Two objects that fit one frame only one at a time (one
+        // allocation, stored under both keys).
+        let big = Arc::new(vec![1u8; (wire::MAX_FRAME as usize / 2) + 1024]);
+        for key in ["big0", "big1"] {
+            store
+                .put(key, Arc::clone(&big), ObjectMeta::default())
+                .unwrap();
+        }
+        store
+            .put("small", Arc::new(vec![2; 8]), ObjectMeta::default())
+            .unwrap();
+        let provider = Arc::new(NoViews);
+        let config = ServerConfig { workers: 1 };
+        let telemetry = Telemetry::disabled();
+        let mut server =
+            ViewServer::serve("127.0.0.1:0", provider, Some(store), config, &telemetry).unwrap();
+        let keys = ["big0", "big1", "small", "absent"]
+            .map(String::from)
+            .to_vec();
+        let found = match client(&server).call(&Request::Fetch { keys }).unwrap() {
+            Response::Found { objects } => objects,
+            other => panic!("fetch answered {other:?}"),
+        };
+        let present: Vec<bool> = found.iter().map(Option::is_some).collect();
+        assert_eq!(present, [true, false, true, false]);
+        assert_eq!(found[0].as_deref(), Some(&big[..]));
+        assert_eq!(found[2].as_deref(), Some(&[2u8; 8][..]));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_fetch_of_many_keys_is_one_request_per_owner() {
+        let store = Arc::new(ObjectStore::memory_only(StoreConfig::default()).unwrap());
+        let telemetry = Telemetry::new(TelemetryConfig::default());
+        let provider = Arc::new(NoViews);
+        let config = ServerConfig { workers: 1 };
+        let shared = Some(Arc::clone(&store));
+        let mut server =
+            ViewServer::serve("127.0.0.1:0", provider, shared, config, &telemetry).unwrap();
+        let tier = RemoteTier::new(
+            RemoteTierConfig {
+                node_id: "a".to_string(),
+                peers: vec![PeerSpec {
+                    node_id: "b".to_string(),
+                    addr: server.local_addr(),
+                }],
+                ..RemoteTierConfig::default()
+            },
+            &Telemetry::disabled(),
+        );
+        // Keys of both owners, interleaved; b holds every other one of its own.
+        let keys: Vec<String> = (0..16).map(|i| format!("obj/{i}")).collect();
+        let mut expected = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let held = tier.is_remote(key) && i % 2 == 0;
+            if held {
+                store
+                    .put(
+                        key,
+                        Arc::new(key.as_bytes().to_vec()),
+                        ObjectMeta::default(),
+                    )
+                    .unwrap();
+            }
+            expected.push(held.then(|| key.as_bytes().to_vec()));
+        }
+        assert!(keys.iter().any(|k| tier.is_remote(k)) && keys.iter().any(|k| !tier.is_remote(k)));
+        let asked: Vec<&str> = keys.iter().map(String::as_str).collect();
+        assert_eq!(tier.fetch(&asked), expected);
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("net.server_requests"), Some(1));
         server.shutdown();
     }
 }

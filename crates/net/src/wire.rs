@@ -21,10 +21,17 @@
 //! plus the inter-node object-exchange verbs (`Put`/`Fetch`/`Stat`).
 //! `Read` is positional (explicit `offset`) rather than cursor-based so a
 //! retried read on a fresh connection is idempotent.
+//!
+//! `Fetch` and `Put` carry a list: their entries repeat to the end of the
+//! payload, at least one, with no count prefix, so a one-entry request is
+//! byte for byte the single-key request it replaced. `Found` answers a
+//! `Fetch` with one presence byte (and, when present, the bytes) per key,
+//! in request order.
 
 use crate::{NetError, Result};
 use sand_storage::vlog::crc32;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// The largest frame payload a node sends or accepts (64 MiB); guards
 /// against a corrupt or hostile length prefix.
@@ -49,7 +56,9 @@ pub mod err_code {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Writes one frame (header + payload) to `w`.
+/// Writes one frame (header + payload) to `w` in one vectored write, so a
+/// frame leaves a `TCP_NODELAY` socket as one segment, not two; the loop
+/// only resumes a partial write.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| NetError::Protocol {
         what: format!("frame payload of {} bytes overflows u32", payload.len()),
@@ -62,8 +71,16 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
     let mut header = [0u8; 8];
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -151,17 +168,22 @@ pub enum Request {
     GetXattr { fd: u64, name: String },
     /// Release a descriptor (the paper's `close()` semantics).
     Close { fd: u64 },
-    /// Store an object in the serving node's object store (owner push).
-    Put {
-        key: String,
-        deadline: Option<u64>,
-        future_uses: u32,
-        bytes: Vec<u8>,
-    },
-    /// Fetch a cached object by key from the serving node's store.
-    Fetch { key: String },
+    /// Store objects in the serving node's object store (owner push).
+    Put { objects: Vec<PutObject> },
+    /// Fetch cached objects by key from the serving node's store.
+    Fetch { keys: Vec<String> },
     /// Probe an object's presence and tier without moving bytes.
     Stat { key: String },
+}
+
+/// One object of a [`Request::Put`], with the store metadata it is kept
+/// under.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PutObject {
+    pub key: String,
+    pub deadline: Option<u64>,
+    pub future_uses: u32,
+    pub bytes: Arc<Vec<u8>>,
 }
 
 /// A server → client message.
@@ -175,12 +197,11 @@ pub enum Response {
     Xattr { value: String },
     /// `Close` acknowledged.
     Closed,
-    /// `Put` acknowledged.
+    /// `Put` acknowledged: every object is stored.
     PutOk,
-    /// `Fetch` hit: the object's bytes.
-    Hit { bytes: Vec<u8> },
-    /// `Fetch`/`Stat` miss: the key is not cached on this node.
-    Miss,
+    /// `Fetch` answer: one entry per requested key, in request order;
+    /// `None` is a miss.
+    Found { objects: Vec<Option<Vec<u8>>> },
     /// `Stat` result. `tier` is 1 (memory) or 2 (disk) when present, 0
     /// otherwise; `size` is the byte length when cheaply known (memory
     /// tier), else 0.
@@ -202,10 +223,22 @@ const TAG_DATA: u8 = 129;
 const TAG_XATTR: u8 = 130;
 const TAG_CLOSED: u8 = 131;
 const TAG_PUT_OK: u8 = 132;
-const TAG_HIT: u8 = 133;
-const TAG_MISS: u8 = 134;
+// 133 and 134 stay unassigned, so a peer that still answers a fetch with
+// them gets a protocol error, not a misread.
 const TAG_STAT_R: u8 = 135;
 const TAG_ERROR: u8 = 136;
+const TAG_FOUND: u8 = 137;
+
+/// A list message needs at least one entry: without a count prefix, an
+/// empty list would be a bare tag.
+fn non_empty(len: usize, what: &str) -> Result<()> {
+    if len == 0 {
+        return Err(NetError::Protocol {
+            what: format!("{what} with no entries"),
+        });
+    }
+    Ok(())
+}
 
 struct Enc {
     buf: Vec<u8>,
@@ -310,6 +343,14 @@ impl<'a> Dec<'a> {
             what: format!("non-UTF-8 string for {what}"),
         })
     }
+    /// Parses entries with `entry` until the payload ends: at least one.
+    fn entries<T>(&mut self, mut entry: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut out = vec![entry(self)?];
+        while self.pos < self.buf.len() {
+            out.push(entry(self)?);
+        }
+        Ok(out)
+    }
     fn finish(self) -> Result<()> {
         if self.pos != self.buf.len() {
             return Err(NetError::Protocol {
@@ -344,21 +385,22 @@ impl Request {
                 e = Enc::new(TAG_CLOSE);
                 e.u64(*fd);
             }
-            Request::Put {
-                key,
-                deadline,
-                future_uses,
-                bytes,
-            } => {
+            Request::Put { objects } => {
+                non_empty(objects.len(), "put")?;
                 e = Enc::new(TAG_PUT);
-                e.str(key)?;
-                e.opt_u64(*deadline);
-                e.u32(*future_uses);
-                e.bytes(bytes)?;
+                for o in objects {
+                    e.str(&o.key)?;
+                    e.opt_u64(o.deadline);
+                    e.u32(o.future_uses);
+                    e.bytes(&o.bytes)?;
+                }
             }
-            Request::Fetch { key } => {
+            Request::Fetch { keys } => {
+                non_empty(keys.len(), "fetch")?;
                 e = Enc::new(TAG_FETCH);
-                e.str(key)?;
+                for key in keys {
+                    e.str(key)?;
+                }
             }
             Request::Stat { key } => {
                 e = Enc::new(TAG_STAT);
@@ -389,13 +431,17 @@ impl Request {
                 fd: d.u64("close.fd")?,
             },
             TAG_PUT => Request::Put {
-                key: d.str("put.key")?,
-                deadline: d.opt_u64("put.deadline")?,
-                future_uses: d.u32("put.future_uses")?,
-                bytes: d.bytes("put.bytes")?,
+                objects: d.entries(|d| {
+                    Ok(PutObject {
+                        key: d.str("put.key")?,
+                        deadline: d.opt_u64("put.deadline")?,
+                        future_uses: d.u32("put.future_uses")?,
+                        bytes: Arc::new(d.bytes("put.bytes")?),
+                    })
+                })?,
             },
             TAG_FETCH => Request::Fetch {
-                key: d.str("fetch.key")?,
+                keys: d.entries(|d| d.str("fetch.key"))?,
             },
             TAG_STAT => Request::Stat {
                 key: d.str("stat.key")?,
@@ -432,11 +478,19 @@ impl Response {
             }
             Response::Closed => e = Enc::new(TAG_CLOSED),
             Response::PutOk => e = Enc::new(TAG_PUT_OK),
-            Response::Hit { bytes } => {
-                e = Enc::new(TAG_HIT);
-                e.bytes(bytes)?;
+            Response::Found { objects } => {
+                non_empty(objects.len(), "found")?;
+                e = Enc::new(TAG_FOUND);
+                for object in objects {
+                    match object {
+                        Some(bytes) => {
+                            e.u8(1);
+                            e.bytes(bytes)?;
+                        }
+                        None => e.u8(0),
+                    }
+                }
             }
-            Response::Miss => e = Enc::new(TAG_MISS),
             Response::Stat {
                 present,
                 tier,
@@ -474,10 +528,14 @@ impl Response {
             },
             TAG_CLOSED => Response::Closed,
             TAG_PUT_OK => Response::PutOk,
-            TAG_HIT => Response::Hit {
-                bytes: d.bytes("hit.bytes")?,
+            TAG_FOUND => Response::Found {
+                objects: d.entries(|d| {
+                    Ok(match d.bool("found.present")? {
+                        true => Some(d.bytes("found.bytes")?),
+                        false => None,
+                    })
+                })?,
             },
-            TAG_MISS => Response::Miss,
             TAG_STAT_R => Response::Stat {
                 present: d.bool("stat.present")?,
                 tier: d.u8("stat.tier")?,
@@ -529,19 +587,34 @@ mod tests {
         });
         roundtrip_req(Request::Close { fd: 3 });
         roundtrip_req(Request::Put {
-            key: "obj/7".into(),
-            deadline: Some(42),
-            future_uses: 2,
-            bytes: vec![1, 2, 3],
+            objects: vec![PutObject {
+                key: "obj/7".into(),
+                deadline: Some(42),
+                future_uses: 2,
+                bytes: Arc::new(vec![1, 2, 3]),
+            }],
         });
         roundtrip_req(Request::Put {
-            key: String::new(),
-            deadline: None,
-            future_uses: 0,
-            bytes: Vec::new(),
+            objects: vec![
+                PutObject {
+                    key: String::new(),
+                    deadline: None,
+                    future_uses: 0,
+                    bytes: Arc::new(Vec::new()),
+                },
+                PutObject {
+                    key: "obj/8".into(),
+                    deadline: Some(1),
+                    future_uses: 3,
+                    bytes: Arc::new(vec![4; 9]),
+                },
+            ],
         });
         roundtrip_req(Request::Fetch {
-            key: "obj/7".into(),
+            keys: vec!["obj/7".into()],
+        });
+        roundtrip_req(Request::Fetch {
+            keys: vec!["obj/7".into(), String::new(), "obj/9".into()],
         });
         roundtrip_req(Request::Stat {
             key: "obj/7".into(),
@@ -556,8 +629,12 @@ mod tests {
         });
         roundtrip_resp(Response::Closed);
         roundtrip_resp(Response::PutOk);
-        roundtrip_resp(Response::Hit { bytes: vec![9; 5] });
-        roundtrip_resp(Response::Miss);
+        roundtrip_resp(Response::Found {
+            objects: vec![Some(vec![9; 5])],
+        });
+        roundtrip_resp(Response::Found {
+            objects: vec![None, Some(Vec::new()), Some(vec![1, 2]), None],
+        });
         roundtrip_resp(Response::Stat {
             present: true,
             tier: 1,
@@ -571,7 +648,11 @@ mod tests {
 
     #[test]
     fn frame_roundtrips_through_a_buffer() {
-        let payload = Request::Fetch { key: "k".into() }.encode().unwrap();
+        let payload = Request::Fetch {
+            keys: vec!["k".into()],
+        }
+        .encode()
+        .unwrap();
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         let mut r = &buf[..];
@@ -617,6 +698,55 @@ mod tests {
         }
     }
 
+    /// One-entry `Fetch` and `Put` payloads are the single-key requests
+    /// they replaced, byte for byte (constants from the single-key
+    /// encoder).
+    #[test]
+    fn a_one_entry_request_encodes_as_before() {
+        let fetch = Request::Fetch {
+            keys: vec!["video0003/frame5".into()],
+        };
+        let expected: [u8; 21] = [
+            6, 16, 0, 0, 0, 118, 105, 100, 101, 111, 48, 48, 48, 51, 47, 102, 114, 97, 109, 101, 53,
+        ];
+        assert_eq!(fetch.encode().unwrap(), expected);
+        let put = Request::Put {
+            objects: vec![PutObject {
+                key: "video0003/frame5/r0".into(),
+                deadline: None,
+                future_uses: 7,
+                bytes: Arc::new(vec![9, 8, 7, 6]),
+            }],
+        };
+        let expected: [u8; 37] = [
+            5, 19, 0, 0, 0, 118, 105, 100, 101, 111, 48, 48, 48, 51, 47, 102, 114, 97, 109, 101,
+            53, 47, 114, 48, 0, 7, 0, 0, 0, 4, 0, 0, 0, 9, 8, 7, 6,
+        ];
+        assert_eq!(put.encode().unwrap(), expected);
+    }
+
+    #[test]
+    fn an_empty_list_is_a_protocol_error() {
+        let empty = [
+            Request::Fetch { keys: Vec::new() }.encode(),
+            Request::Put {
+                objects: Vec::new(),
+            }
+            .encode(),
+            Response::Found {
+                objects: Vec::new(),
+            }
+            .encode(),
+        ];
+        for encoded in empty {
+            assert!(matches!(encoded, Err(NetError::Protocol { .. })));
+        }
+        for tag in [TAG_FETCH, TAG_PUT] {
+            assert!(Request::decode(&[tag]).is_err());
+        }
+        assert!(Response::decode(&[TAG_FOUND]).is_err());
+    }
+
     #[test]
     fn trailing_bytes_are_a_protocol_error() {
         let mut enc = Request::Close { fd: 3 }.encode().unwrap();
@@ -638,10 +768,12 @@ mod tests {
         assert_eq!(buf[8..], payload[..]);
 
         let put = Request::Put {
-            key: "obj/7".into(),
-            deadline: Some(42),
-            future_uses: 2,
-            bytes: vec![1, 2, 3],
+            objects: vec![PutObject {
+                key: "obj/7".into(),
+                deadline: Some(42),
+                future_uses: 2,
+                bytes: Arc::new(vec![1, 2, 3]),
+            }],
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &put.encode().unwrap()).unwrap();

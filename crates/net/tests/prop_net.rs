@@ -11,10 +11,26 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sand_net::wire::{read_frame, write_frame, Request, Response};
+use sand_net::wire::{read_frame, write_frame, PutObject, Request, Response};
 use sand_net::{NetError, Placement};
+use std::sync::Arc;
 
 const MAX_FRAME: u32 = 64 << 20;
+
+fn arb_put_object() -> impl Strategy<Value = PutObject> {
+    (
+        ".{0,64}",
+        (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
+        any::<u32>(),
+        proptest::collection::vec(any::<u8>(), 0..1024),
+    )
+        .prop_map(|(key, deadline, future_uses, bytes)| PutObject {
+            key,
+            deadline,
+            future_uses,
+            bytes: Arc::new(bytes),
+        })
+}
 
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
@@ -26,19 +42,9 @@ fn arb_request() -> impl Strategy<Value = Request> {
         }),
         (any::<u64>(), ".{0,32}").prop_map(|(fd, name)| Request::GetXattr { fd, name }),
         any::<u64>().prop_map(|fd| Request::Close { fd }),
-        (
-            ".{0,64}",
-            (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..2048),
-        )
-            .prop_map(|(key, deadline, future_uses, bytes)| Request::Put {
-                key,
-                deadline,
-                future_uses,
-                bytes,
-            }),
-        ".{0,64}".prop_map(|key| Request::Fetch { key }),
+        proptest::collection::vec(arb_put_object(), 1..5)
+            .prop_map(|objects| Request::Put { objects }),
+        proptest::collection::vec(".{0,64}", 1..9).prop_map(|keys| Request::Fetch { keys }),
         ".{0,64}".prop_map(|key| Request::Stat { key }),
     ]
 }
@@ -54,8 +60,15 @@ fn arb_response() -> impl Strategy<Value = Response> {
         ".{0,64}".prop_map(|value| Response::Xattr { value }),
         Just(Response::Closed),
         Just(Response::PutOk),
-        proptest::collection::vec(any::<u8>(), 0..2048).prop_map(|bytes| Response::Hit { bytes }),
-        Just(Response::Miss),
+        proptest::collection::vec(
+            (
+                any::<bool>(),
+                proptest::collection::vec(any::<u8>(), 0..1024)
+            )
+                .prop_map(|(some, bytes)| some.then_some(bytes)),
+            1..9
+        )
+        .prop_map(|objects| Response::Found { objects }),
         (any::<bool>(), any::<u8>(), any::<u64>()).prop_map(|(present, tier, size)| {
             Response::Stat {
                 present,

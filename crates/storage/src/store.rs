@@ -178,6 +178,8 @@ pub struct StoreStats {
     pub corrupt_records: u64,
     /// Objects adopted from the log on open.
     pub replayed_objects: u64,
+    /// Bytes the recovery replay read from the log's segments.
+    pub replayed_bytes: u64,
     /// Fsyncs issued by the value log (0 under `SyncPolicy::Never`).
     pub vlog_fsyncs: u64,
 }
@@ -219,6 +221,7 @@ pub struct ObjectStore {
     torn_truncations: AtomicU64,
     corrupt_records: AtomicU64,
     replayed_objects: AtomicU64,
+    replayed_bytes: AtomicU64,
     replay_us: AtomicU64,
     /// Current global clock, advanced by the engine each iteration; used
     /// to decide near-future placement and "no longer needed" eviction.
@@ -279,6 +282,7 @@ impl ObjectStore {
             torn_truncations: AtomicU64::new(0),
             corrupt_records: AtomicU64::new(0),
             replayed_objects: AtomicU64::new(0),
+            replayed_bytes: AtomicU64::new(0),
             replay_us: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             metrics: OnceLock::new(),
@@ -292,6 +296,9 @@ impl ObjectStore {
             store
                 .corrupt_records
                 .store(replay.corrupt_records, Ordering::Relaxed);
+            store
+                .replayed_bytes
+                .store(replay.bytes_read, Ordering::Relaxed);
             // Adopt only records that survived checksum validation; the
             // byte accounting is rebuilt from the validated value
             // lengths, never from unvalidated file metadata.
@@ -352,6 +359,9 @@ impl ObjectStore {
             metrics
                 .vlog_replayed_objects
                 .add(self.replayed_objects.load(Ordering::Relaxed));
+            metrics
+                .vlog_replayed_bytes
+                .add(self.replayed_bytes.load(Ordering::Relaxed));
         }
         if let Some(vlog) = &self.vlog {
             vlog.set_fsync_metric(metrics.vlog_fsyncs.clone());
@@ -930,6 +940,7 @@ impl ObjectStore {
             torn_truncations: self.torn_truncations.load(Ordering::Relaxed),
             corrupt_records: self.corrupt_records.load(Ordering::Relaxed),
             replayed_objects: self.replayed_objects.load(Ordering::Relaxed),
+            replayed_bytes: self.replayed_bytes.load(Ordering::Relaxed),
             vlog_fsyncs: self.vlog.as_ref().map_or(0, ValueLog::fsync_count),
         }
     }
@@ -1704,6 +1715,45 @@ mod tests {
         let snap = telemetry.snapshot().expect("enabled");
         assert_eq!(snap.counter("store.vlog.compactions"), Some(1));
         assert_eq!(snap.gauge("store.vlog.garbage_pct"), Some(0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The replay reports the size of the log it read: every segment's
+    /// bytes, as the files hold them when the store reopens.
+    #[test]
+    fn replay_counts_the_bytes_it_read() {
+        use sand_telemetry::{StoreMetrics, Telemetry, TelemetryConfig};
+        let dir = tmp("replayed_bytes");
+        let cfg = StoreConfig {
+            memory_horizon: 0,
+            ..Default::default()
+        };
+        {
+            let s = ObjectStore::open(cfg, Some(dir.clone())).unwrap();
+            for i in 0..8u8 {
+                s.put(
+                    &format!("k{i}"),
+                    vec![i; 100 + usize::from(i)].into(),
+                    meta(100, 1),
+                )
+                .unwrap();
+            }
+            s.put("k0", vec![9; 40].into(), meta(100, 1)).unwrap();
+        }
+        let log_bytes: u64 = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("vlog-"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        assert!(log_bytes > 8 * 100);
+        let s = ObjectStore::open(cfg, Some(dir.clone())).unwrap();
+        assert_eq!(s.stats().replayed_bytes, log_bytes);
+        let telemetry = Telemetry::new(TelemetryConfig::default());
+        s.set_metrics(StoreMetrics::register(&telemetry, s.shard_count()).unwrap());
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("store.vlog.replayed_bytes"), Some(log_bytes));
+        assert_eq!(snap.counter("store.vlog.replayed_objects"), Some(8));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

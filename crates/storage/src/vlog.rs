@@ -235,6 +235,8 @@ pub struct ReplayStats {
     pub corrupt_records: u64,
     /// Bytes dropped by all truncations.
     pub truncated_bytes: u64,
+    /// Bytes read from all segments, headers and dropped tails included.
+    pub bytes_read: u64,
 }
 
 /// Writer-side state: the active segment's append handle and offsets.
@@ -404,6 +406,7 @@ impl ValueLog {
         for &id in &ids {
             let path = dir.join(segment_name(id));
             let buf = fs::read(&path)?;
+            stats.bytes_read += buf.len() as u64;
             let mut at = SEGMENT_MAGIC.len();
             if buf.len() < at || buf[..at] != SEGMENT_MAGIC {
                 // A segment without a complete magic is a file torn at

@@ -465,6 +465,8 @@ pub struct StoreMetrics {
     pub vlog_corrupt_records: Counter,
     /// Objects adopted from the log by the recovery replay.
     pub vlog_replayed_objects: Counter,
+    /// Bytes the recovery replay read from the log's segments.
+    pub vlog_replayed_bytes: Counter,
     /// Bytes resident in the memory tier, published on every accounting
     /// change so budget headroom is derivable from any snapshot.
     pub mem_bytes: Gauge,
@@ -499,6 +501,7 @@ impl StoreMetrics {
             vlog_torn_truncations: r.counter("store.vlog.torn_truncations"),
             vlog_corrupt_records: r.counter("store.vlog.corrupt_records"),
             vlog_replayed_objects: r.counter("store.vlog.replayed_objects"),
+            vlog_replayed_bytes: r.counter("store.vlog.replayed_bytes"),
             mem_bytes: r.gauge("store.mem_bytes"),
             mem_budget: r.gauge("store.mem_budget"),
         });
@@ -647,25 +650,28 @@ impl EngineMetrics {
 /// server, and `RemoteTier` paths. Counters split by outcome so the
 /// cluster example can assert "shared ancestors materialized once"
 /// (`fetch_hits > 0`) and "degradation happened" (`fetch_errors > 0`,
-/// `peers_down > 0`) straight from a snapshot.
+/// `peers_down > 0`) straight from a snapshot. A `Fetch` or `Put`
+/// carries many keys: the outcome counters count keys, `fetch_us`
+/// counts requests.
 #[derive(Clone, Debug)]
 pub struct NetMetrics {
-    /// Remote-tier fetches answered by the owner node with the bytes.
+    /// Keys a remote-tier fetch got the owner's bytes for.
     pub fetch_hits: Counter,
-    /// Remote-tier fetches the owner answered with `Miss`.
+    /// Keys the owner answered with no bytes (a miss).
     pub fetch_misses: Counter,
-    /// Remote-tier fetches that failed at the transport layer after all
-    /// retries (timeout, refused connection, protocol error). Each one
-    /// falls back to local materialization — never a wrong answer.
+    /// Keys of remote-tier fetches that failed at the transport layer
+    /// after all retries (timeout, refused connection, protocol error).
+    /// Each falls back to local materialization — never a wrong answer.
     pub fetch_errors: Counter,
     /// Transport-level retry attempts (all verbs).
     pub retries: Counter,
     /// Materialized objects pushed to their ring owner.
     pub pushes: Counter,
-    /// Owner pushes abandoned after retries (best effort; the object
-    /// stays local).
+    /// Objects whose push was abandoned after retries (best effort; the
+    /// object stays local).
     pub push_errors: Counter,
-    /// End-to-end remote fetch latency (connect + RPC + copy).
+    /// End-to-end latency of one remote-tier `Fetch` request, however
+    /// many keys it carries (connect + RPC + copy).
     pub fetch_us: Histogram,
     /// Peers currently marked down by the failure breaker.
     pub peers_down: Gauge,
