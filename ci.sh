@@ -84,6 +84,12 @@ if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/
     exit 1
 fi
 
+echo "==> a serve helps only its late prefetched batch (serve_batch_inline leaves its demand samples to the workers)"
+if awk '/fn serve_batch_inline\(/{body=1} body{print FILENAME ":" FNR ": " $0} body && /^    }$/{exit}' crates/core/src/serve.rs | grep build_unstarted; then
+    echo "serve_batch_inline builds samples on the serve thread: a prototype that did so cut remote_ddp from about 3 200 to about 1 300 batches/s (gpu_busy_frac 0.87 -> 0.34, 3 of 3 pairs); only consume_prefetched may call build_unstarted (DESIGN §17)"
+    exit 1
+fi
+
 echo "==> one CRC-32 (sand_storage::vlog::crc32, sliced by sixteen; the nibble-table body lives on only as its test reference)"
 shipped=$(for f in $(find crates -path '*/src/*' -name '*.rs' | sort); do
     awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f"

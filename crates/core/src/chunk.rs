@@ -173,9 +173,10 @@ impl Chunk {
 const CHUNKS_PER_TASK: usize = 2;
 
 /// The engine's chunk table: one once-slot per chunk id, retained by
-/// last use.
-pub(crate) struct Chunks {
-    slots: Flight<u64, Arc<Chunk>>,
+/// last use. Generic over what a slot keeps only so that tests can watch
+/// when a retired value is dropped; the engine keeps `Arc<Chunk>`.
+pub(crate) struct Chunks<V = Arc<Chunk>> {
+    slots: Flight<u64, V>,
     /// Chunk ids with a slot, most recently used first.
     recent: TrackedMutex<VecDeque<u64>>,
     pub(crate) retain: usize,
@@ -183,7 +184,7 @@ pub(crate) struct Chunks {
     last_served: AtomicU64,
 }
 
-impl Chunks {
+impl<V: Clone> Chunks<V> {
     pub(crate) fn new(tasks: usize) -> Self {
         Chunks {
             slots: Flight::new("engine.chunks.slots", "engine.chunks.done"),
@@ -194,7 +195,10 @@ impl Chunks {
     }
 
     /// Marks `chunk_id` most recently used and retires the slots that
-    /// fall off the end of the retention window.
+    /// fall off the end of the retention window. The retired slots are
+    /// dropped, oldest first, only after both table locks are released:
+    /// freeing a chunk's graph and unstarted work takes milliseconds, and
+    /// every serve and xattr read touches the table.
     fn touch(&self, chunk_id: u64) {
         let mut recent = self.recent.lock();
         if recent.front() == Some(&chunk_id) {
@@ -204,13 +208,24 @@ impl Chunks {
             recent.remove(i);
         }
         recent.push_front(chunk_id);
+        let mut retired = Vec::new();
         while recent.len() > self.retain {
             if let Some(old) = recent.pop_back() {
-                self.slots.retire(&old);
+                retired.push(self.slots.retire(&old));
             }
         }
+        drop(recent);
+        drop(retired);
     }
 
+    /// Slots currently held (published or in flight).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+impl Chunks {
     /// The plan of `chunk_id`: found, joined in flight, or made here.
     /// The one path every plan takes — inline at a boundary and ahead of
     /// time from the plan-ahead job alike. A failed plan is not cached:
@@ -228,12 +243,6 @@ impl Chunks {
             u64::MAX => Ok(None),
             id => self.get_or_plan(inner, id).map(|(chunk, _)| Some(chunk)),
         }
-    }
-
-    /// Slots currently held (published or in flight).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -474,7 +483,8 @@ mod tests {
     use sand_sched::SchedConfig;
     use sand_telemetry::TelemetryConfig;
     use std::collections::HashSet;
-    use std::sync::{Arc, Barrier};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Barrier, Weak};
 
     const TASK: &str = r#"
 dataset:
@@ -865,5 +875,45 @@ dataset:
         assert_eq!(counter(&e, "engine.chunks_planned"), 2);
         // ...which must not move the view to chunk 1's crop parameters.
         assert_eq!(read(&path), Some(before));
+    }
+
+    /// A kept value that records, when dropped, whether either lock of
+    /// its chunk table was held at the time.
+    #[derive(Clone)]
+    struct DropProbe {
+        table: Weak<super::Chunks<DropProbe>>,
+        dropped_locked: Arc<AtomicUsize>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            let Some(table) = self.table.upgrade() else {
+                return;
+            };
+            if table.recent.try_lock().is_none() || table.slots.is_locked() {
+                self.dropped_locked.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn retired_chunks_are_dropped_outside_the_table_locks() {
+        let table = Arc::new(super::Chunks::new(1));
+        let dropped_locked = Arc::new(AtomicUsize::new(0));
+        for id in 0..2 * table.retain as u64 {
+            table.touch(id);
+            let probe = DropProbe {
+                table: Arc::downgrade(&table),
+                dropped_locked: Arc::clone(&dropped_locked),
+            };
+            let (kept, _) = table
+                .slots
+                .get_or_compute(&id, true, || Ok::<_, ()>(probe))
+                .unwrap();
+            drop(kept);
+        }
+        // Half the chunks fell out of the window, each dropped by `touch`.
+        assert_eq!(table.len(), table.retain);
+        assert_eq!(dropped_locked.load(Ordering::Relaxed), 0);
     }
 }

@@ -33,7 +33,7 @@ pub(crate) struct Flight<K, V> {
 }
 
 /// One key's in-flight (or, for flights that keep them, published) value.
-struct FlightSlot<V> {
+pub(crate) struct FlightSlot<V> {
     /// `None` while the winner computes; `Some(None)` once it failed,
     /// `Some(Some(value))` once it published.
     done: TrackedMutex<Option<Option<V>>>,
@@ -162,16 +162,26 @@ impl<K: Hash + Eq + Clone, V: Clone> Flight<K, V> {
         out.map(|value| (value, Arrival::Computed))
     }
 
-    /// Drops `key`'s slot from the map: the next arrival starts a fresh
+    /// Takes `key`'s slot out of the map: the next arrival starts a fresh
     /// flight. Threads already parked on the slot still get its value.
-    pub(crate) fn retire(&self, key: &K) {
-        self.slots.lock().remove(key);
+    /// The slot is handed back rather than dropped here, so a kept value
+    /// (a whole chunk plan) is freed after the map's lock is released —
+    /// and after whatever locks the caller holds, if it keeps the slot
+    /// until it has released them.
+    pub(crate) fn retire(&self, key: &K) -> Option<Arc<FlightSlot<V>>> {
+        self.slots.lock().remove(key)
     }
 
     /// Slots currently in the map.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.slots.lock().len()
+    }
+
+    /// Whether some thread holds the map's lock.
+    #[cfg(test)]
+    pub(crate) fn is_locked(&self) -> bool {
+        self.slots.try_lock().is_none()
     }
 
     /// Threads that joined the flight on `key` and have not left it yet.
@@ -207,10 +217,42 @@ impl<V: Clone> FlightSlot<V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Weak};
 
     fn flight() -> Flight<u32, u32> {
         Flight::new("test.flight.slots", "test.flight.done")
+    }
+
+    /// A kept value that records, when dropped, whether its flight's
+    /// map was locked at the time.
+    #[derive(Clone)]
+    struct DropProbe {
+        flight: Weak<Flight<u32, DropProbe>>,
+        dropped_locked: Arc<AtomicUsize>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            if self.flight.upgrade().is_some_and(|f| f.is_locked()) {
+                self.dropped_locked.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_retired_value_is_dropped_outside_the_map_lock() {
+        let f = Arc::new(Flight::new("test.flight.slots", "test.flight.done"));
+        let dropped_locked = Arc::new(AtomicUsize::new(0));
+        let probe = DropProbe {
+            flight: Arc::downgrade(&f),
+            dropped_locked: Arc::clone(&dropped_locked),
+        };
+        let (kept, _) = f.get_or_compute(&1, true, || Ok::<_, ()>(probe)).unwrap();
+        drop(kept);
+        // The map's slot holds the last copy: retiring it frees it.
+        drop(f.retire(&1));
+        assert_eq!(f.len(), 0);
+        assert_eq!(dropped_locked.load(Ordering::Relaxed), 0);
     }
 
     #[test]

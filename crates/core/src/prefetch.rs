@@ -6,10 +6,21 @@
 //! [`sand_sched::JobKind::Prefetch`] jobs — strictly below demand
 //! priority, so a blocked `read()` always wins the worker pool. While
 //! the trainer consumes batch *n* on the GPU, the workers assemble the
-//! next batches; the next `serve_batch` call then either takes a
-//! finished entry (**hit**), waits for the in-flight remainder
-//! (**late**, with the wait carved into the trace's `prefetch` stall
-//! segment), or finds nothing and serves inline (**miss**).
+//! next batches. The next `serve_batch` call then settles the entry:
+//!
+//! - **hit**: every sample was built when the serve arrived.
+//! - **late**: the build was in flight. The serve claims each sample no
+//!   worker has started and builds it on its own thread (a sample is
+//!   claimed once, through [`BatchBuild::claim`], so a worker's job that
+//!   comes up later returns at once), then waits for the samples the
+//!   workers are building. All of that time is the trace's `prefetch`
+//!   stall segment; `prefetch.serve_built` counts the samples the serve
+//!   built.
+//! - **miss**: the build was taken but a sample failed — a panic on the
+//!   serve thread included, which is delivered as
+//!   [`CoreError::JobPanicked`] — so the batch is served inline.
+//!
+//! A serve that finds no entry serves inline and counts nowhere here.
 //!
 //! ## Bit-identity
 //!
@@ -51,6 +62,10 @@ pub(crate) struct BatchBuild {
     state: TrackedMutex<BuildState>,
     done: TrackedCondvar,
     cancelled: AtomicBool,
+    /// One flag per sample, set by whoever builds it: the sample's job,
+    /// or a serve that found the build late and took over the samples
+    /// no worker had started.
+    claimed: Vec<AtomicBool>,
     /// Lockset shadow for the result slots: every touch of `tensors`
     /// must hold the build lock.
     results_shadow: ShadowCell,
@@ -75,6 +90,15 @@ pub(crate) struct SampleSlot {
 }
 
 impl SampleSlot {
+    /// Claims the sample for this job. False when a serve already took
+    /// it over: the job then returns, and dropping the slot delivers
+    /// nothing (the serve does).
+    pub(crate) fn claim(&mut self) -> bool {
+        let won = self.build.claim(self.i);
+        self.delivered |= !won;
+        won
+    }
+
     /// True once the build was discarded; the job bails without working.
     pub(crate) fn cancelled(&self) -> bool {
         self.build.cancelled()
@@ -111,6 +135,7 @@ impl BatchBuild {
             ),
             done: TrackedCondvar::new(),
             cancelled: AtomicBool::new(false),
+            claimed: (0..samples).map(|_| AtomicBool::new(false)).collect(),
             results_shadow: ShadowCell::new("prefetch.results"),
             consume_shadow: ShadowCell::new("prefetch.consume"),
         }
@@ -127,6 +152,13 @@ impl BatchBuild {
         self.done.notify_all();
     }
 
+    /// Claims sample `i` for the caller; false if someone else holds it.
+    /// The flag publishes no data (the result is delivered under the
+    /// build's lock): the swap's atomicity alone elects one owner.
+    pub(crate) fn claim(&self, i: usize) -> bool {
+        !self.claimed[i].swap(true, Ordering::Relaxed)
+    }
+
     /// The hold a job takes on sample `i`.
     pub(crate) fn slot(self: &Arc<Self>, i: usize) -> SampleSlot {
         SampleSlot {
@@ -138,7 +170,7 @@ impl BatchBuild {
 
     /// Delivers sample `i`'s result (or registers a cancelled bail-out,
     /// which still counts toward completion so waiters never hang).
-    fn fulfill(&self, i: usize, result: crate::Result<Tensor>) {
+    pub(crate) fn fulfill(&self, i: usize, result: crate::Result<Tensor>) {
         let mut state = self.state.lock();
         self.results_shadow.write();
         if state.tensors[i].is_none() {

@@ -12,6 +12,7 @@ use sand_frame::{Frame, Tensor};
 use sand_graph::{BatchRef, NodeId, SamplePlan};
 use sand_sched::{Job, JobKind};
 use sand_telemetry::{BatchMeta, BatchProbe};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,11 +114,12 @@ impl Inner {
 
     /// Consumes a prefetched batch if an entry exists for the current
     /// chunk: a complete build is a hit; an in-flight one is served late
-    /// (the wait lands in the trace's `prefetch` segment). Returns
-    /// `Ok(None)` on a miss — including a failed or cancelled build,
-    /// which falls back to the inline path rather than erroring, since
-    /// speculative work must never fail a serve the inline path could
-    /// satisfy.
+    /// — this thread builds the samples no worker has started, then waits
+    /// for the rest, and both land in the trace's `prefetch` segment.
+    /// Returns `Ok(None)` on a miss — including a failed or cancelled
+    /// build, which falls back to the inline path rather than erroring,
+    /// since speculative work must never fail a serve the inline path
+    /// could satisfy.
     fn consume_prefetched(
         self: &Arc<Self>,
         chunk: &Arc<Chunk>,
@@ -136,17 +138,19 @@ impl Inner {
         // (served from the build) — `scheduled` counts entries at
         // `begin`, so the four outcomes partition it.
         // Zero-sample probe: no demand jobs run on a prefetch serve, so
-        // the only attributable segments are `prefetch` (waited below)
-        // and `plan`/`finalize` bookkeeping — the exact-sum invariant
-        // over serve latency is preserved.
+        // the only attributable segments are `prefetch` (built and
+        // waited below) and `plan`/`finalize` bookkeeping — the
+        // exact-sum invariant over serve latency is preserved.
         let probe = t0.map(|t0| BatchProbe::starting_at(t0, 0));
         let was_complete = build.is_complete();
         if !was_complete && !build.cancelled() {
             let t0 = metrics.map(|_| Instant::now());
+            let built = self.build_unstarted(chunk, batch, &build);
             build.wait_complete();
             if let (Some(m), Some(t0)) = (metrics, t0) {
                 let waited = t0.elapsed();
                 m.wait_us.observe_duration(waited);
+                m.serve_built.add(built);
                 if let Some(p) = &probe {
                     p.record_prefetch_wait(waited);
                 }
@@ -195,6 +199,44 @@ impl Inner {
             .map(Some)
     }
 
+    /// Builds, on this thread, every sample of a late prefetched batch
+    /// that no worker has started, and returns how many it built. It
+    /// takes them last first, one claim at a time: the workers take the
+    /// batch's jobs in submission order, so the two meet in the middle,
+    /// and a worker that frees up meanwhile still takes its share. A
+    /// panic is caught and delivered as [`CoreError::JobPanicked`], so
+    /// the entry is a miss and the batch is served inline.
+    ///
+    /// Only the prefetch path helps: a serve that also built its own
+    /// demand samples cut `remote_ddp` from ≈ 3 200 to ≈ 1 300 batches/s
+    /// (DESIGN §17), so `serve_batch_inline` leaves them to the workers.
+    fn build_unstarted(
+        self: &Arc<Self>,
+        chunk: &Arc<Chunk>,
+        batch: &BatchRef,
+        build: &BatchBuild,
+    ) -> u64 {
+        let mut built = 0;
+        for (i, plan) in batch.samples.iter().enumerate().rev() {
+            if build.cancelled() {
+                break;
+            }
+            if !build.claim(i) {
+                continue;
+            }
+            let work = || {
+                #[cfg(test)]
+                tests::serve_thread_fault();
+                self.sample_tensor(chunk, plan)
+            };
+            let result =
+                panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or(Err(CoreError::JobPanicked));
+            build.fulfill(i, result);
+            built += 1;
+        }
+        built
+    }
+
     /// Submits one job per sample of `batch`, each delivering its tensor
     /// into `build`, on the tab of the batch's tenant (speculative work
     /// included: one tenant's deep prefetch window cannot eat another's
@@ -216,7 +258,7 @@ impl Inner {
             let inner = Arc::clone(self);
             let chunk = Arc::clone(chunk);
             let plan2 = plan.clone();
-            let slot = build.slot(i);
+            let mut slot = build.slot(i);
             let probe = probe.cloned();
             if let Some(p) = &probe {
                 p.mark_submitted(i);
@@ -228,8 +270,11 @@ impl Inner {
                 affinity: Some(plan.video_id),
                 tenant,
                 run: Box::new(move || {
-                    if slot.cancelled() {
-                        // Dropping the slot counts toward completion.
+                    // A serve that found this prefetched batch late may
+                    // have built the sample itself.
+                    if !slot.claim() || slot.cancelled() {
+                        // Dropping a cancelled slot counts toward
+                        // completion; a claimed-away one delivers nothing.
                         return;
                     }
                     let work = || inner.sample_tensor(&chunk, &plan2);
@@ -395,10 +440,172 @@ impl Inner {
 mod tests {
     use crate::engine::tests::{dataset, engine, TASK};
     use crate::engine::{EngineConfig, SandEngine};
+    use crate::prefetch::BatchBuild;
     use crate::CoreError;
     use sand_config::parse_task_config;
     use sand_frame::Tensor;
+    use sand_sched::{Job, JobKind, SchedConfig};
     use sand_telemetry::TelemetryConfig;
+    use std::cell::Cell;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Set on a test's serve thread: every sample that thread builds
+        /// panics. Worker threads never see it.
+        static SERVE_THREAD_FAULT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn serve_thread_fault() {
+        if SERVE_THREAD_FAULT.get() {
+            panic!("injected fault in a sample built on the serve thread");
+        }
+    }
+
+    /// One chunk of two epochs, prefetch depth 1, two workers: one
+    /// reserved for demand work, so exactly one worker runs the Prefetch
+    /// band. `depth = 0` is the sequential reference.
+    fn prefetching_engine(depth: usize) -> SandEngine {
+        let config = EngineConfig {
+            tasks: vec![parse_task_config(TASK).unwrap()],
+            prematerialize: false,
+            total_epochs: 2,
+            epochs_per_chunk: 2,
+            prefetch_depth: depth,
+            sched: SchedConfig {
+                threads: 2,
+                ..Default::default()
+            },
+            telemetry: Some(TelemetryConfig::default()),
+            ..Default::default()
+        };
+        SandEngine::new(config, dataset()).unwrap()
+    }
+
+    /// Occupies the one Prefetch-band worker until the returned sender
+    /// is dropped.
+    fn hold_prefetch_worker(e: &SandEngine) -> mpsc::Sender<()> {
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel();
+        e.inner.sched.submit(Job {
+            kind: JobKind::Prefetch,
+            deadline: 0,
+            remaining_work: 1,
+            affinity: None,
+            tenant: None,
+            run: Box::new(move || {
+                let _ = started_tx.send(());
+                let _ = gate_rx.recv();
+            }),
+        });
+        started_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the gated job never started");
+        gate_tx
+    }
+
+    /// Serves (0, 1) on its own thread, which panics in every sample it
+    /// builds when `fault` is set, while `gate` holds the prefetch
+    /// worker. Fails instead of hanging if the serve does not return
+    /// while the worker is held.
+    fn serve_while_held(e: &SandEngine, gate: mpsc::Sender<()>, fault: bool) -> Vec<u8> {
+        std::thread::scope(|s| {
+            let (done_tx, done_rx) = mpsc::channel();
+            s.spawn(move || {
+                SERVE_THREAD_FAULT.set(fault);
+                let _ = done_tx.send(e.serve_batch("train", 0, 1));
+            });
+            let served = done_rx.recv_timeout(Duration::from_secs(30));
+            // Releases the worker, so a serve still waiting returns and
+            // the scope can end.
+            drop(gate);
+            served
+                .expect("the serve waited on a prefetched batch no worker could start")
+                .unwrap()
+        })
+    }
+
+    fn counter(e: &SandEngine, name: &str) -> u64 {
+        e.metrics_snapshot().unwrap().counter(name).unwrap()
+    }
+
+    /// Serves the rest of the chunk and checks that every entry the
+    /// window scheduled settled exactly one outcome.
+    fn finish_and_check_outcomes(e: &SandEngine, reference: &SandEngine) {
+        for (epoch, it) in [(1, 0), (1, 1)] {
+            assert_eq!(
+                e.serve_batch("train", epoch, it).unwrap(),
+                reference.serve_batch("train", epoch, it).unwrap(),
+                "epoch {epoch} iteration {it}"
+            );
+        }
+        let outcomes = ["hit", "late", "miss", "cancelled"];
+        let settled: u64 = outcomes
+            .iter()
+            .map(|o| counter(e, &format!("prefetch.{o}")))
+            .sum();
+        assert_eq!(counter(e, "prefetch.scheduled"), settled);
+    }
+
+    #[test]
+    fn a_serve_builds_the_late_batch_no_worker_started() {
+        let reference = prefetching_engine(0);
+        reference.start().unwrap();
+        let e = prefetching_engine(1);
+        e.start().unwrap();
+        let gate = hold_prefetch_worker(&e);
+        // Served inline; it queues (0, 1)'s samples behind the held worker.
+        assert_eq!(
+            e.serve_batch("train", 0, 0).unwrap(),
+            reference.serve_batch("train", 0, 0).unwrap()
+        );
+        let bytes = serve_while_held(&e, gate, false);
+        assert_eq!(bytes, reference.serve_batch("train", 0, 1).unwrap());
+        assert_eq!(counter(&e, "prefetch.late"), 1);
+        assert_eq!(counter(&e, "prefetch.serve_built"), 2, "both samples");
+        finish_and_check_outcomes(&e, &reference);
+        // Later batches may be late too: the report reads the counter.
+        let built = counter(&e, "prefetch.serve_built");
+        let report = e.stall_report().unwrap();
+        assert_eq!(report.prefetch.serve_built, built);
+        let line = format!("{built} sample(s) of late batches built by the serve");
+        assert!(report.render_table().contains(&line));
+    }
+
+    #[test]
+    fn a_panic_in_a_serve_built_sample_falls_back_to_the_inline_path() {
+        let reference = prefetching_engine(0);
+        reference.start().unwrap();
+        let e = prefetching_engine(1);
+        e.start().unwrap();
+        // Built directly, each sample's slot holds the panic.
+        let chunk = e.inner.ensure_chunk(0).unwrap();
+        let batch = e.inner.find_batch(&chunk, "train", 0, 1).unwrap();
+        let build = BatchBuild::new(batch.samples.len());
+        SERVE_THREAD_FAULT.set(true);
+        let built = e.inner.build_unstarted(&chunk, batch, &build);
+        SERVE_THREAD_FAULT.set(false);
+        assert_eq!(built, 2);
+        assert!(build.is_complete());
+        for slot in build.take_results() {
+            assert!(
+                matches!(slot, Some(Err(CoreError::JobPanicked))),
+                "{slot:?}"
+            );
+        }
+        // Through the serve: the entry is a miss and the demand path
+        // serves the batch.
+        let gate = hold_prefetch_worker(&e);
+        assert_eq!(
+            e.serve_batch("train", 0, 0).unwrap(),
+            reference.serve_batch("train", 0, 0).unwrap()
+        );
+        let bytes = serve_while_held(&e, gate, true);
+        assert_eq!(bytes, reference.serve_batch("train", 0, 1).unwrap());
+        assert_eq!(counter(&e, "prefetch.miss"), 1);
+        assert_eq!(counter(&e, "prefetch.serve_built"), 2);
+        finish_and_check_outcomes(&e, &reference);
+    }
 
     #[test]
     fn serves_batches_with_expected_shape() {

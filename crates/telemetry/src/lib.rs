@@ -27,8 +27,8 @@ mod snapshot;
 
 pub use json::{parse_json, validate_jsonl, JsonValue};
 pub use report::{
-    record_stage, with_stage_cells, BatchMeta, BatchProbe, BatchTrace, ChunkPlans, SampleProbe,
-    Stage, StageCells, StallReport, STAGE_LABELS,
+    record_stage, with_stage_cells, BatchMeta, BatchProbe, BatchTrace, ChunkPlans,
+    PrefetchOutcomes, SampleProbe, Stage, StageCells, StallReport, STAGE_LABELS,
 };
 pub use snapshot::{HistogramSnapshot, MetricEntry, MetricValue, Snapshot};
 
@@ -390,10 +390,14 @@ impl Telemetry {
     }
 
     pub fn stall_report(&self) -> Option<StallReport> {
-        self.core.as_deref().map(|c| StallReport {
-            budget_us: c.config.stall_budget_us,
-            traces: c.traces.lock().iter().cloned().collect(),
-            chunks: ChunkPlans::from_snapshot(&c.registry.snapshot()),
+        self.core.as_deref().map(|c| {
+            let snap = c.registry.snapshot();
+            StallReport {
+                budget_us: c.config.stall_budget_us,
+                traces: c.traces.lock().iter().cloned().collect(),
+                chunks: ChunkPlans::from_snapshot(&snap),
+                prefetch: PrefetchOutcomes::from_snapshot(&snap),
+            }
         })
     }
 }
@@ -726,7 +730,17 @@ pub struct PrefetchMetrics {
     /// consumed. Serves that never had an entry (cold start, window gap)
     /// count nowhere here.
     pub scheduled: Counter,
-    /// Serve-thread wait for an in-flight prefetched batch.
+    /// Samples of a late entry that the serve built on its own thread,
+    /// because no worker had started them when the trainer asked. The
+    /// build is settled as `late` all the same, so the outcome identity
+    /// above is unchanged. The workers' jobs for those samples are still
+    /// picked later (the scheduler cannot cancel a job) and return at
+    /// once, so `sched.prefetch_jobs_per_batch` counts them too.
+    pub serve_built: Counter,
+    /// Serve-thread time on an in-flight prefetched batch: building the
+    /// samples no worker had started, then waiting for the rest. It is
+    /// all the trace's `prefetch` segment, so the segments still sum
+    /// exactly to the serve latency.
     pub wait_us: Histogram,
 }
 
@@ -739,6 +753,7 @@ impl PrefetchMetrics {
             cancelled: r.counter("prefetch.cancelled"),
             miss: r.counter("prefetch.miss"),
             scheduled: r.counter("prefetch.scheduled"),
+            serve_built: r.counter("prefetch.serve_built"),
             wait_us: r.histogram("prefetch.wait_us", &LATENCY_BUCKETS_US),
         })
     }

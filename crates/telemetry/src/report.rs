@@ -400,6 +400,33 @@ impl ChunkPlans {
     }
 }
 
+/// Prefetch-window outcomes, read from the `prefetch.*` counters: how the
+/// entries the window scheduled were settled, and how many samples of
+/// the late ones a serve built itself. All zero at `prefetch_depth = 0`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrefetchOutcomes {
+    pub scheduled: u64,
+    pub hit: u64,
+    pub late: u64,
+    pub miss: u64,
+    pub cancelled: u64,
+    pub serve_built: u64,
+}
+
+impl PrefetchOutcomes {
+    pub(crate) fn from_snapshot(snap: &Snapshot) -> Self {
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        PrefetchOutcomes {
+            scheduled: count("prefetch.scheduled"),
+            hit: count("prefetch.hit"),
+            late: count("prefetch.late"),
+            miss: count("prefetch.miss"),
+            cancelled: count("prefetch.cancelled"),
+            serve_built: count("prefetch.serve_built"),
+        }
+    }
+}
+
 /// Every retained batch trace plus the stall budget that classified
 /// them. Produced by `Telemetry::stall_report` / the engine's
 /// `stall_report()` accessor.
@@ -409,6 +436,8 @@ pub struct StallReport {
     pub traces: Vec<BatchTrace>,
     /// Chunk planning and plan-ahead outcomes over the engine's life.
     pub chunks: ChunkPlans,
+    /// Prefetch-window outcomes over the engine's life.
+    pub prefetch: PrefetchOutcomes,
 }
 
 impl StallReport {
@@ -529,6 +558,13 @@ impl StallReport {
                 self.chunks.ahead_miss,
                 self.chunks.planned,
                 self.chunks.plan_us,
+            ));
+        }
+        let p = &self.prefetch;
+        if p.scheduled > 0 {
+            out.push_str(&format!(
+                "prefetch: {} batch(es) scheduled — hit {}, late {}, miss {}, cancelled {}; {} sample(s) of late batches built by the serve\n",
+                p.scheduled, p.hit, p.late, p.miss, p.cancelled, p.serve_built,
             ));
         }
         out
@@ -711,16 +747,29 @@ mod tests {
                 ahead_late: 0,
                 ahead_miss: 1,
             },
+            prefetch: PrefetchOutcomes {
+                scheduled: 5,
+                hit: 1,
+                late: 3,
+                miss: 0,
+                cancelled: 1,
+                serve_built: 4,
+            },
         };
         assert!(report.render_table().contains(
             "chunk boundaries: 3 crossed — plan ready at 2, in flight at 0, planned inline at 1"
+        ));
+        assert!(report.render_table().contains(
+            "prefetch: 5 batch(es) scheduled — hit 1, late 3, miss 0, cancelled 1; 4 sample(s) of late batches built by the serve"
         ));
         let silent = StallReport {
             budget_us: 0,
             traces: Vec::new(),
             chunks: ChunkPlans::default(),
+            prefetch: PrefetchOutcomes::default(),
         };
         assert!(!silent.render_table().contains("chunk boundaries"));
+        assert!(!silent.render_table().contains("prefetch:"));
     }
 
     /// Tenant attribution: traces group by tenant, the table gains a
@@ -750,6 +799,7 @@ mod tests {
             budget_us: 0,
             traces,
             chunks: ChunkPlans::default(),
+            prefetch: PrefetchOutcomes::default(),
         };
         let sections = report.tenant_sections();
         assert_eq!(sections.len(), 2);
@@ -803,6 +853,7 @@ mod tests {
             budget_us: 0,
             traces: vec![probe.finish(meta(), 0)],
             chunks: ChunkPlans::default(),
+            prefetch: PrefetchOutcomes::default(),
         };
         assert!(report.tenant_sections().is_empty());
         assert!(!report.render_table().contains("per-tenant"));
