@@ -44,9 +44,12 @@ retired="$retired|WarmDecoder|WarmPool|warm_decoders|WARM_SESSION_CAP|fn frame_c
 # The object verbs carry lists (`Fetch { keys }`, `Put { objects }`, answered by `Found`): a one-entry
 # request is the single-key one, so neither a single-key answer nor a `_many` twin comes back.
 retired="$retired|Response::Hit|Response::Miss|fn fetch_many|fn put_many|fn offer_many"
+# Every engine is tenanted (a bare engine is a fleet of one): the roster is a constructor argument,
+# not an `EngineConfig` field, and the tenant table always sits under the queue lock.
+retired="$retired|Option<TenantTable>|Option<TenancyRuntime>|\"sched\.tenants\"|pub tenancy|tenancy: (None|Some)|config\.tenancy"
 if grep -rnE "$retired" crates examples tests src ||
     grep -nE 'sand-autotune|criterion' Cargo.toml crates/*/Cargo.toml; then
-    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant"
+    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant, a bare engine is a fleet of one"
     exit 1
 fi
 

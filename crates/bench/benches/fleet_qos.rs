@@ -207,7 +207,7 @@ fn qos_sample(
     for _ in 0..total / 3 {
         rx.recv().unwrap();
     }
-    let shares = sched.tenant_shares().unwrap();
+    let shares = sched.tenant_shares();
     sched.wait_idle();
     sched.shutdown();
     shares

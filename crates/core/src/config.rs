@@ -12,6 +12,12 @@ use sand_telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
 /// Engine configuration.
+///
+/// Who shares the engine is not configuration: [`SandEngine::new`] runs
+/// the tasks as one unnamed tenant of weight 1, and a
+/// [`crate::fleet::Fleet`] passes its admitted roster to the engine it
+/// builds. Either way the scheduler ranks demand work by the tenants'
+/// virtual times; with one tenant that is plain EDF.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// All tasks sharing this engine (and dataset).
@@ -66,15 +72,6 @@ pub struct EngineConfig {
     /// connections) fall back to local materialization — never a wrong
     /// answer. `None` (default) is single-process with zero overhead.
     pub remote: Option<RemoteTierConfig>,
-    /// Multi-tenant operation: `Some` names the tenants sharing this
-    /// engine, maps each task to its tenant, and installs the tenants'
-    /// QoS weights on the scheduler's virtual-time ledger. Batches and
-    /// demand jobs are attributed to their tenant (`tenant.<id>.*`
-    /// metrics, per-tenant stall sections). `None` (default) is
-    /// single-tenant; jobs run untenanted at zero virtual time —
-    /// exactly the pre-fleet EDF order. Usually installed by
-    /// [`crate::fleet::Fleet`], not by hand.
-    pub tenancy: Option<crate::fleet::Tenancy>,
 }
 
 impl Default for EngineConfig {
@@ -96,7 +93,6 @@ impl Default for EngineConfig {
             lint: LintLevel::default(),
             telemetry: None,
             remote: None,
-            tenancy: None,
         }
     }
 }

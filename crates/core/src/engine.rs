@@ -70,22 +70,32 @@ pub(crate) struct Inner {
     /// view reads — collapse to one lookup-or-computation, the losers
     /// adopting the winner's `Arc`s zero-copy.
     pub(crate) flight: Flight<String, Object>,
-    /// Tenant attribution tables (`None` unless `EngineConfig::tenancy`).
-    pub(crate) tenancy: Option<TenancyRuntime>,
-    /// Fleet dedup/admission metrics (`None` unless tenancy + telemetry).
+    /// The engine's tenants and which task belongs to whom.
+    pub(crate) tenancy: TenancyRuntime,
+    /// Dedup and admission metrics (`None` unless telemetry).
     pub(crate) fleet_metrics: Option<FleetMetrics>,
 }
 
+/// One tenant on an engine's roster. Its weight is its share of the
+/// scheduler's demand band. Its name labels its traces and keys its
+/// `tenant.<name>.*` metrics; the empty name (the bare engine's one
+/// tenant; a fleet rejects it) labels and keys nothing.
+pub(crate) struct TenantId {
+    pub(crate) name: String,
+    pub(crate) weight: u64,
+}
+
 /// Per-engine tenant attribution: which tenant each task belongs to and
-/// each tenant's name + metric handles.
+/// each tenant's trace label + metric handles.
 pub(crate) struct TenancyRuntime {
-    /// `task_id` → tenant index (`None` = untenanted task).
-    pub(crate) task_tenant: Vec<Option<u32>>,
+    /// `task_id` → tenant index.
+    pub(crate) task_tenant: Vec<u32>,
     pub(crate) tenants: Vec<TenantRuntime>,
 }
 
 pub(crate) struct TenantRuntime {
-    pub(crate) name: String,
+    /// The trace label; `None` for an unnamed tenant.
+    pub(crate) label: Option<String>,
     pub(crate) metrics: Option<TenantMetrics>,
 }
 
@@ -116,12 +126,29 @@ pub struct SandEngine {
 }
 
 impl SandEngine {
-    /// Creates an engine over a dataset.
+    /// Creates an engine over a dataset: a fleet of one, whose one
+    /// unnamed tenant of weight 1 owns every task under its own tag.
     ///
     /// With a `store_dir` containing objects from a previous run, the
     /// engine adopts them (recovery): the deterministic plan re-derives
     /// the same keys, so surviving objects are never recomputed.
     pub fn new(config: EngineConfig, dataset: Arc<Dataset>) -> Result<Self> {
+        let solo = TenantId {
+            name: String::new(),
+            weight: 1,
+        };
+        let task_tenant = vec![0; config.tasks.len()];
+        Self::with_roster(config, dataset, vec![solo], task_tenant)
+    }
+
+    /// Creates an engine whose `tenants` share it, task `i` of
+    /// `config.tasks` belonging to `tenants[task_tenant[i]]`.
+    pub(crate) fn with_roster(
+        config: EngineConfig,
+        dataset: Arc<Dataset>,
+        tenants: Vec<TenantId>,
+        task_tenant: Vec<u32>,
+    ) -> Result<Self> {
         if config.tasks.is_empty() {
             return invalid("tasks", "no tasks configured");
         }
@@ -154,25 +181,23 @@ impl SandEngine {
             store.set_metrics(m);
         }
         let sched = Scheduler::with_metrics(config.sched, SchedMetrics::register(&telemetry));
-        let tenancy = config.tenancy.as_ref().map(|ten| {
-            let weights: Vec<u64> = ten.tenants.iter().map(|t| t.weight).collect();
-            sched.set_tenant_weights(&weights);
-            TenancyRuntime {
-                task_tenant: config
-                    .tasks
-                    .iter()
-                    .map(|t| ten.task_tenant.get(&t.tag).copied())
-                    .collect(),
-                tenants: ten
-                    .tenants
-                    .iter()
-                    .map(|t| TenantRuntime {
-                        name: t.name.clone(),
-                        metrics: TenantMetrics::register(&telemetry, &t.name),
-                    })
-                    .collect(),
-            }
-        });
+        let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
+        sched.set_tenant_weights(&weights);
+        let tenancy = TenancyRuntime {
+            task_tenant,
+            tenants: tenants
+                .into_iter()
+                .map(|t| {
+                    let label = (!t.name.is_empty()).then_some(t.name);
+                    TenantRuntime {
+                        metrics: label
+                            .as_deref()
+                            .and_then(|name| TenantMetrics::register(&telemetry, name)),
+                        label,
+                    }
+                })
+                .collect(),
+        };
         let inner = Arc::new(Inner {
             store,
             sched,
@@ -195,10 +220,7 @@ impl SandEngine {
                 .map(|rc| Arc::new(RemoteTier::new(rc, &telemetry))),
             flight: Flight::new("engine.flight.slots", "engine.flight.done"),
             tenancy,
-            fleet_metrics: config
-                .tenancy
-                .as_ref()
-                .and_then(|_| FleetMetrics::register(&telemetry)),
+            fleet_metrics: FleetMetrics::register(&telemetry),
             telemetry,
             config,
             dataset,
@@ -303,9 +325,9 @@ impl SandEngine {
     }
 
     /// Per-tenant scheduler shares — weight, virtual time, accumulated
-    /// busy nanoseconds — in tenancy order; `None` without tenancy.
+    /// busy nanoseconds — in roster order; a bare engine has one.
     #[must_use]
-    pub fn tenant_shares(&self) -> Option<Vec<sand_sched::TenantShare>> {
+    pub fn tenant_shares(&self) -> Vec<sand_sched::TenantShare> {
         self.inner.sched.tenant_shares()
     }
 
@@ -512,5 +534,22 @@ dataset:
         let snap = on.metrics_snapshot().expect("telemetry enabled");
         assert_eq!(snap.counter("engine.batches_served"), Some(4));
         assert_eq!(snap.histogram("engine.serve_us").map(|h| h.count), Some(4));
+    }
+
+    /// The singleflight's `fleet.dedup_*` metrics count on every traced
+    /// engine, not only under a `Fleet`.
+    #[test]
+    fn a_traced_bare_engine_counts_dedup() {
+        let config = EngineConfig {
+            tasks: vec![parse_task_config(TASK).unwrap()],
+            prematerialize: false,
+            telemetry: Some(TelemetryConfig::default()),
+            ..Default::default()
+        };
+        let e = SandEngine::new(config, dataset()).unwrap();
+        e.start().unwrap();
+        e.serve_batch("train", 0, 0).unwrap();
+        let snap = e.metrics_snapshot().unwrap();
+        assert!(snap.counter("fleet.dedup_wins").unwrap_or(0) > 0);
     }
 }

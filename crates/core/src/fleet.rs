@@ -25,40 +25,17 @@
 //!    scheduler's virtual-time ledger, so demand capacity divides in
 //!    weight proportion under contention while `tenant.<id>.*` metrics
 //!    and per-tenant stall sections attribute what each tenant got.
+//!
+//! A bare [`SandEngine`] is the same engine with a roster of one: an
+//! unnamed tenant of weight 1 that owns every task under its own tag.
 
-use crate::engine::{EngineConfig, SandEngine};
+use crate::engine::{EngineConfig, SandEngine, TenantId};
 use crate::{invalid, CoreError, Result};
 use sand_codec::Dataset;
 use sand_config::TaskConfig;
 use sand_sched::TenantShare;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// One tenant's identity inside a shared engine: the name keys the
-/// per-tenant metrics and stall sections; the weight drives the
-/// scheduler's virtual-time sharing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantId {
-    /// Fleet-unique tenant name (metric names embed it).
-    pub name: String,
-    /// QoS weight (>= 1; [`Fleet::new`] rejects zero).
-    pub weight: u64,
-}
-
-/// Tenancy facts the fleet installs on [`EngineConfig::tenancy`]: who
-/// the tenants are and which task belongs to whom. Engines built
-/// without this are single-tenant and pay nothing for the feature.
-#[derive(Debug, Clone, Default)]
-pub struct Tenancy {
-    /// Admitted tenants, in admission order (the scheduler's weight
-    /// table uses the same order).
-    pub tenants: Vec<TenantId>,
-    /// Task tag (as it appears in `EngineConfig::tasks`) → index into
-    /// `tenants`. Unmapped tasks are untenanted: scheduled at zero
-    /// virtual time and excluded from per-tenant attribution.
-    pub task_tenant: HashMap<String, u32>,
-}
 
 /// One tenant submitted to the fleet: a name, a QoS weight, and the
 /// tasks it wants to run.
@@ -77,9 +54,8 @@ pub struct TenantSpec {
 /// Fleet configuration: a base engine config plus the tenant roster.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Engine settings shared by every tenant. `tasks` and `tenancy`
-    /// are overwritten by the fleet (the union of admitted tenants'
-    /// namespaced tasks).
+    /// Engine settings shared by every tenant. `tasks` is overwritten by
+    /// the fleet (the union of admitted tenants' namespaced tasks).
     pub base: EngineConfig,
     /// Tenants in submission order (admission considers them in order).
     pub tenants: Vec<TenantSpec>,
@@ -209,7 +185,7 @@ impl Fleet {
         // Union workload: every admitted tenant's tasks, tags namespaced
         // so identical per-tenant configs coexist in one plan.
         let mut tasks = Vec::new();
-        let mut task_tenant = HashMap::new();
+        let mut task_tenant = Vec::new();
         let mut tenants = Vec::new();
         for (idx, spec) in specs.iter().enumerate() {
             tenants.push(TenantId {
@@ -219,17 +195,13 @@ impl Fleet {
             for task in &spec.tasks {
                 let mut task = task.clone();
                 task.tag = fleet_tag(&spec.name, &task.tag);
-                task_tenant.insert(task.tag.clone(), idx as u32);
+                task_tenant.push(idx as u32);
                 tasks.push(task);
             }
         }
         let mut engine_config = config.base;
         engine_config.tasks = tasks;
-        engine_config.tenancy = Some(Tenancy {
-            tenants,
-            task_tenant,
-        });
-        let engine = SandEngine::new(engine_config, dataset)?;
+        let engine = SandEngine::with_roster(engine_config, dataset, tenants, task_tenant)?;
         engine.start()?;
         if let Some(m) = &engine.inner.fleet_metrics {
             m.admitted.set(admitted.len() as i64);
@@ -270,7 +242,7 @@ impl Fleet {
 
     /// Serves one batch on behalf of `tenant` (its *original* task tag,
     /// pre-namespacing). Rejected tenants get [`CoreError::UnknownView`];
-    /// cancelled tenants get [`CoreError::State`].
+    /// cancelled tenants get [`CoreError::TenantCancelled`].
     pub fn serve_batch(
         &self,
         tenant: &str,
@@ -286,8 +258,8 @@ impl Fleet {
                 what: format!("tenant `{tenant}` is not admitted"),
             })?;
         if t.cancelled.load(Ordering::Acquire) {
-            return Err(CoreError::State {
-                what: format!("tenant `{tenant}` is cancelled"),
+            return Err(CoreError::TenantCancelled {
+                tenant: tenant.to_owned(),
             });
         }
         self.engine
@@ -339,7 +311,7 @@ impl Fleet {
     /// Per-tenant scheduler shares (weight, virtual time, busy
     /// nanoseconds), in admission order.
     #[must_use]
-    pub fn tenant_shares(&self) -> Option<Vec<TenantShare>> {
+    pub fn tenant_shares(&self) -> Vec<TenantShare> {
         self.engine.tenant_shares()
     }
 

@@ -34,7 +34,7 @@ pub mod service;
 mod views;
 
 pub use engine::{EngineConfig, EngineStats, SandEngine};
-pub use fleet::{Fleet, FleetConfig, RejectedTenant, Tenancy, TenantId, TenantSpec};
+pub use fleet::{Fleet, FleetConfig, RejectedTenant, TenantSpec};
 pub use keys::store_key;
 pub use sand_lint::LintLevel;
 pub use sand_sched::TenantShare;
@@ -77,6 +77,11 @@ pub enum CoreError {
     /// The job that owed a sample was dropped without delivering it and
     /// without a panic (its queue went away, or it never ran).
     JobLost,
+    /// A fleet serve for a tenant that was cancelled.
+    TenantCancelled {
+        /// The cancelled tenant's name.
+        tenant: String,
+    },
     /// Engine state error (e.g. epoch beyond `total_epochs`).
     State {
         /// Human-readable description.
@@ -105,6 +110,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::JobPanicked => write!(f, "the job building a sample panicked"),
             CoreError::JobLost => write!(f, "the job building a sample was lost"),
+            CoreError::TenantCancelled { tenant } => write!(f, "tenant `{tenant}` is cancelled"),
             CoreError::State { what } => write!(f, "engine state: {what}"),
             CoreError::Lint { denies, report } => {
                 write!(

@@ -41,10 +41,9 @@ impl Inner {
         Ok(&chunk.graph.batches[*idx])
     }
 
-    /// The tenant a task is attributed to (`None` = untenanted).
-    fn tenant_of(&self, task_id: u32) -> Option<u32> {
-        let tenancy = self.tenancy.as_ref()?;
-        tenancy.task_tenant.get(task_id as usize).copied().flatten()
+    /// The tenant a task belongs to.
+    fn tenant_of(&self, task_id: u32) -> u32 {
+        self.tenancy.task_tenant[task_id as usize]
     }
 
     /// One sample's final tensor: materialize the clip, then normalize
@@ -268,7 +267,7 @@ impl Inner {
                 deadline: batch.clock,
                 remaining_work: plan.frame_nodes.len() as u64,
                 affinity: Some(plan.video_id),
-                tenant,
+                tenant: Some(tenant),
                 run: Box::new(move || {
                     // A serve that found this prefetched batch late may
                     // have built the sample itself.
@@ -404,16 +403,14 @@ impl Inner {
             return Ok(bytes);
         };
         // The tenant's name labels the trace; its counters take the serve.
-        let tenant = self
-            .tenant_of(batch.task)
-            .and_then(|t| self.tenancy.as_ref()?.tenants.get(t as usize));
+        let tenant = &self.tenancy.tenants[self.tenant_of(batch.task) as usize];
         let trace = probe.finish(
             BatchMeta {
                 task: self.config.tasks[batch.task as usize].tag.clone(),
                 epoch: batch.epoch,
                 iteration: batch.iteration,
                 clock: batch.clock,
-                tenant: tenant.map(|t| t.name.clone()),
+                tenant: tenant.label.clone(),
             },
             self.telemetry.config().map_or(0, |c| c.stall_budget_us),
         );
@@ -424,7 +421,7 @@ impl Inner {
                 m.batches_stalled.inc();
             }
         }
-        if let Some(m) = tenant.and_then(|t| t.metrics.as_ref()) {
+        if let Some(m) = &tenant.metrics {
             m.batches_served.inc();
             m.serve_us.observe(trace.serve_ns / 1_000);
             if trace.stalled {

@@ -21,14 +21,19 @@
 //! The pool also supports a FIFO policy, which is the "without
 //! scheduling" ablation of Fig. 18.
 //!
-//! **Multi-tenant QoS.** When [`Scheduler::set_tenant_weights`] is set,
-//! demand picks are ordered by weighted virtual time (start-time fair
-//! queueing): each tenant accrues `busy_ns × SCALE / weight` of virtual
-//! time as its jobs run, and the demand band serves the tenant with the
-//! smallest virtual time first, EDF within a tenant. A tenant that goes
-//! idle is lifted to the band's virtual clock on its next submission, so
-//! it cannot bank service and later monopolize the band. The demand band
-//! as a whole still preempts prefetch and pre-materialization.
+//! **Multi-tenant QoS.** Demand picks are ordered by weighted virtual
+//! time (start-time fair queueing) over the tenant table that
+//! [`Scheduler::set_tenant_weights`] installs: each tenant accrues
+//! `busy_ns × SCALE / weight` of virtual time as its jobs run, and the
+//! demand band serves the tenant with the smallest virtual time first,
+//! EDF within a tenant. A tenant that goes idle is lifted to the band's
+//! virtual clock on its next submission, so it cannot bank service and
+//! later monopolize the band. The table lives beside the queue, under
+//! the queue's lock, which every pick holds anyway. An empty table (a
+//! bare [`Scheduler::new`]) has no tenants: every job's virtual time is
+//! 0 and the band is EDF. So is a table of one tenant, whose jobs all
+//! share one virtual time. The demand band as a whole still preempts
+//! prefetch and pre-materialization.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
@@ -79,10 +84,10 @@ pub struct Job {
     /// `None` = any worker.
     pub affinity: Option<u64>,
     /// Owning tenant slot for weighted QoS (an index into the table set
-    /// by [`Scheduler::set_tenant_weights`]). `None` = untenanted work:
-    /// it is charged to nobody and sorts ahead of tenanted work only by
-    /// virtue of a zero virtual time, which is exactly the pre-fleet
-    /// behaviour when no weights are configured.
+    /// by [`Scheduler::set_tenant_weights`]); its runtime is charged to
+    /// that tenant. `None` = work that belongs to no tenant (the engine's
+    /// pre-materialization and plan-ahead jobs): it is charged to nobody
+    /// and runs at virtual time 0, as does a slot the table lacks.
     pub tenant: Option<u32>,
     /// The work itself.
     pub run: Box<dyn FnOnce() + Send>,
@@ -174,7 +179,8 @@ pub struct TenantShare {
 }
 
 /// The demand band's fair-queueing state: one slot per tenant id plus
-/// the band's virtual clock.
+/// the band's virtual clock. Empty = no tenants.
+#[derive(Default)]
 struct TenantTable {
     shares: Vec<TenantShare>,
     /// Virtual time of the most recent demand pick. Newly submitted
@@ -189,6 +195,18 @@ impl TenantTable {
             .and_then(|t| self.shares.get(t as usize))
             .map_or(0, |s| s.vtime)
     }
+
+    fn share_mut(&mut self, tenant: Option<u32>) -> Option<&mut TenantShare> {
+        self.shares.get_mut(tenant? as usize)
+    }
+}
+
+/// What the queue lock guards: the queued jobs and the tenant table
+/// their demand picks are ranked by.
+#[derive(Default)]
+struct Queue {
+    entries: Vec<Entry>,
+    tenants: TenantTable,
 }
 
 /// Queue entry with a stable submission sequence for FIFO.
@@ -201,7 +219,7 @@ struct Entry {
 }
 
 struct Shared {
-    queue: TrackedMutex<Vec<Entry>>,
+    queue: TrackedMutex<Queue>,
     available: TrackedCondvar,
     shutdown: AtomicBool,
     /// Once `shutdown` is set: workers with this id or a higher one may
@@ -219,11 +237,6 @@ struct Shared {
     /// preferred worker is busy (i.e. backlogged), otherwise it is left
     /// for that worker to pick up on its next dequeue.
     worker_busy: Vec<AtomicBool>,
-    /// Weighted-QoS tenant table; `None` until
-    /// [`Scheduler::set_tenant_weights`] installs one. Lock order:
-    /// always after `queue` when both are held (pick path), never while
-    /// holding `stats`.
-    tenants: TrackedMutex<Option<TenantTable>>,
     /// Telemetry handles: queue depth, per-kind queue wait, and demand
     /// affinity hit/miss counters.
     metrics: Option<SchedMetrics>,
@@ -280,7 +293,7 @@ impl Scheduler {
     pub fn with_metrics(config: SchedConfig, metrics: Option<SchedMetrics>) -> Self {
         let threads = config.threads.max(1);
         let shared = Arc::new(Shared {
-            queue: TrackedMutex::new("sched.queue", Vec::new()),
+            queue: TrackedMutex::new("sched.queue", Queue::default()),
             available: TrackedCondvar::new(),
             shutdown: AtomicBool::new(false),
             leave_from: AtomicUsize::new(usize::MAX),
@@ -290,7 +303,6 @@ impl Scheduler {
             idle: TrackedCondvar::new(),
             config,
             worker_busy: (0..threads).map(|_| AtomicBool::new(false)).collect(),
-            tenants: TrackedMutex::new("sched.tenants", None),
             metrics,
         });
         let reserved = if config.policy == Policy::Priority {
@@ -321,18 +333,6 @@ impl Scheduler {
 
     /// Submits a job.
     pub fn submit(&self, job: Job) {
-        if let Some(tid) = job.tenant {
-            // Sleeper placement: lift the tenant to the band's virtual
-            // clock so service it did not use while idle is forgotten,
-            // not banked (a returning tenant competes from "now").
-            let mut tenants = self.shared.tenants.lock();
-            if let Some(table) = tenants.as_mut() {
-                let vclock = table.vclock;
-                if let Some(s) = table.shares.get_mut(tid as usize) {
-                    s.vtime = s.vtime.max(vclock);
-                }
-            }
-        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let submitted = self.shared.metrics.as_ref().map(|m| {
             m.queue_depth.add(1);
@@ -340,7 +340,14 @@ impl Scheduler {
         });
         {
             let mut q = self.shared.queue.lock();
-            q.push(Entry {
+            // Sleeper placement: lift the tenant to the band's virtual
+            // clock so service it did not use while idle is forgotten,
+            // not banked (a returning tenant competes from "now").
+            let vclock = q.tenants.vclock;
+            if let Some(s) = q.tenants.share_mut(job.tenant) {
+                s.vtime = s.vtime.max(vclock);
+            }
+            q.entries.push(Entry {
                 seq,
                 job,
                 submitted,
@@ -360,51 +367,42 @@ impl Scheduler {
             .store(milli, Ordering::Relaxed);
     }
 
-    /// Installs (or clears, with an empty slice) the weighted-QoS tenant
-    /// table. `weights[i]` is tenant `i`'s relative share of the demand
+    /// Installs the weighted-QoS tenant table (an empty slice empties
+    /// it). `weights[i]` is tenant `i`'s relative share of the demand
     /// band; zero weights are clamped to 1 (`Fleet::new` rejects a
     /// weight-0 tenant before it gets here). Resets virtual times, so
-    /// this is meant to be called once at fleet construction.
+    /// this is meant to be called once at engine construction.
     pub fn set_tenant_weights(&self, weights: &[u64]) {
-        let table = if weights.is_empty() {
-            None
-        } else {
-            Some(TenantTable {
-                shares: weights
-                    .iter()
-                    .map(|&w| TenantShare {
-                        weight: w.max(1),
-                        vtime: 0,
-                        busy_ns: 0,
-                    })
-                    .collect(),
-                vclock: 0,
-            })
+        self.shared.queue.lock().tenants = TenantTable {
+            shares: weights
+                .iter()
+                .map(|&w| TenantShare {
+                    weight: w.max(1),
+                    vtime: 0,
+                    busy_ns: 0,
+                })
+                .collect(),
+            vclock: 0,
         };
-        *self.shared.tenants.lock() = table;
     }
 
     /// Snapshot of per-tenant weights, virtual times, and charged busy
-    /// time. `None` when no tenant table is installed.
+    /// time, in tenant order; empty without tenants.
     #[must_use]
-    pub fn tenant_shares(&self) -> Option<Vec<TenantShare>> {
-        self.shared
-            .tenants
-            .lock()
-            .as_ref()
-            .map(|t| t.shares.clone())
+    pub fn tenant_shares(&self) -> Vec<TenantShare> {
+        self.shared.queue.lock().tenants.shares.clone()
     }
 
     /// Number of queued (not yet started) jobs.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.shared.queue.lock().len()
+        self.shared.queue.lock().entries.len()
     }
 
     /// Blocks until the queue is empty and no job is running.
     pub fn wait_idle(&self) {
         let mut q = self.shared.queue.lock();
-        while !(q.is_empty() && self.shared.running.load(Ordering::SeqCst) == 0) {
+        while !(q.entries.is_empty() && self.shared.running.load(Ordering::SeqCst) == 0) {
             self.shared.idle.wait_for(&mut q, IDLE_RECHECK);
         }
     }
@@ -466,7 +464,7 @@ fn pick_index(
     pressure_milli: u64,
     w: WorkerCtx,
     worker_busy: &[AtomicBool],
-    tenants: Option<&TenantTable>,
+    tenants: &TenantTable,
 ) -> Option<(usize, &'static str)> {
     if entries.is_empty() {
         return None;
@@ -476,9 +474,9 @@ fn pick_index(
     // Demand selection is weighted-fair across tenants, then earliest-
     // deadline-first within a virtual-time tie group, an affinity match
     // only breaking deadline ties — a GPU-blocking read never waits for
-    // a particular worker. With no tenant table every entry's virtual
-    // time is 0 and the order degenerates to the pre-fleet EDF.
-    let vtime = |e: &Entry| tenants.map_or(0, |t| t.vtime_of(e.job.tenant));
+    // a particular worker. Where every demand entry has the same virtual
+    // time (no tenants, or all of one tenant) the order is plain EDF.
+    let vtime = |e: &Entry| tenants.vtime_of(e.job.tenant);
     let pick_demand = |entries: &[Entry]| {
         entries
             .iter()
@@ -566,21 +564,17 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                     return;
                 }
                 let pressure = shared.memory_pressure_milli.load(Ordering::Relaxed);
-                let picked = {
-                    // Lock order queue → tenants; dropped before any wait.
-                    let tenants = shared.tenants.lock();
-                    pick_index(
-                        &q,
-                        &shared.config,
-                        pressure,
-                        w,
-                        &shared.worker_busy,
-                        tenants.as_ref(),
-                    )
-                };
+                let picked = pick_index(
+                    &q.entries,
+                    &shared.config,
+                    pressure,
+                    w,
+                    &shared.worker_busy,
+                    &q.tenants,
+                );
                 if let Some((idx, mode)) = picked {
                     if let Some(m) = &shared.metrics {
-                        let picked = &q[idx];
+                        let picked = &q.entries[idx];
                         if let Some(t) = picked.submitted {
                             let wait = t.elapsed();
                             match picked.job.kind {
@@ -598,17 +592,12 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                             }
                         }
                     }
-                    let entry = q.swap_remove(idx);
-                    if let Some(tid) = entry.job.tenant {
-                        // Advance the band's virtual clock to this pick's
-                        // virtual time: it is the fair-queueing "now"
-                        // that newly woken tenants are lifted to.
-                        let mut tenants = shared.tenants.lock();
-                        if let Some(table) = tenants.as_mut() {
-                            let v = table.vtime_of(Some(tid));
-                            table.vclock = table.vclock.max(v);
-                        }
-                    }
+                    let entry = q.entries.swap_remove(idx);
+                    // Advance the band's virtual clock to this pick's
+                    // virtual time: it is the fair-queueing "now" that
+                    // newly woken tenants are lifted to.
+                    let table = &mut q.tenants;
+                    table.vclock = table.vclock.max(table.vtime_of(entry.job.tenant));
                     // Account the pick while still holding the lock.
                     let mut stats = shared.stats.lock();
                     match entry.job.kind {
@@ -660,15 +649,12 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
         let _ = panic::catch_unwind(AssertUnwindSafe(entry.job.run));
         let busy = started.elapsed().as_nanos() as u64;
         shared.worker_busy[w.id].store(false, Ordering::SeqCst);
-        if let Some(tid) = tenant {
+        if tenant.is_some() {
             // Charge the service: virtual time advances inversely to
             // weight, so heavier tenants stay eligible longer.
-            let mut tenants = shared.tenants.lock();
-            if let Some(table) = tenants.as_mut() {
-                if let Some(s) = table.shares.get_mut(tid as usize) {
-                    s.busy_ns += busy;
-                    s.vtime += busy.saturating_mul(VT_SCALE) / s.weight.max(1);
-                }
+            if let Some(s) = shared.queue.lock().tenants.share_mut(tenant) {
+                s.busy_ns += busy;
+                s.vtime += busy.saturating_mul(VT_SCALE) / s.weight.max(1);
             }
         }
         shared.stats.lock().busy_nanos += busy;
@@ -1129,7 +1115,7 @@ mod tests {
         };
         let pick = |q: &[Entry]| {
             let config = SchedConfig::default();
-            pick_index(q, &config, 0, w, &busy, None).map(|(i, _)| i)
+            pick_index(q, &config, 0, w, &busy, &TenantTable::default()).map(|(i, _)| i)
         };
         // Key 0 → worker 1 (foreign), key 1 → worker 2 (at home).
         let q = entries([(5, 0), (6, 1)]);
@@ -1214,21 +1200,29 @@ mod tests {
             ],
             vclock: 0,
         };
-        let config = SchedConfig::default();
-        let pick = |q: &[Entry], t: Option<&TenantTable>| {
-            pick_index(q, &config, 0, w, &busy, t).map(|(i, _)| i)
+        let solo = TenantTable {
+            shares: vec![TenantShare {
+                weight: 1,
+                vtime: 5000,
+                busy_ns: 0,
+            }],
+            vclock: 0,
         };
+        let config = SchedConfig::default();
+        let pick =
+            |q: &[Entry], t: &TenantTable| pick_index(q, &config, 0, w, &busy, t).map(|(i, _)| i);
         // Tenant 1 is behind in virtual time: it wins despite the later
-        // deadline. Without a table, plain EDF picks the earlier one.
+        // deadline. With one tenant, plain EDF picks the earlier one.
         let q = entries(&[(1, Some(0)), (9, Some(1))]);
-        assert_eq!(pick(&q, Some(&table)), Some(1), "min vtime wins");
-        assert_eq!(pick(&q, None), Some(0), "no table: strict EDF");
+        assert_eq!(pick(&q, &table), Some(1), "min vtime wins");
+        let q = entries(&[(1, Some(0)), (9, Some(0))]);
+        assert_eq!(pick(&q, &solo), Some(0), "one tenant: strict EDF");
         // Within one tenant: EDF.
         let q = entries(&[(7, Some(1)), (3, Some(1))]);
-        assert_eq!(pick(&q, Some(&table)), Some(1));
+        assert_eq!(pick(&q, &table), Some(1));
         // Untenanted work has virtual time 0 and sorts first.
         let q = entries(&[(9, Some(1)), (9, None)]);
-        assert_eq!(pick(&q, Some(&table)), Some(1 /* index of None entry */));
+        assert_eq!(pick(&q, &table), Some(1 /* index of None entry */));
     }
 
     /// End-to-end charging: two tenants do the same amount of real work,
@@ -1254,7 +1248,7 @@ mod tests {
             }
         }
         sched.wait_idle();
-        let shares = sched.tenant_shares().unwrap();
+        let shares = sched.tenant_shares();
         assert_eq!(shares.len(), 2);
         assert!(shares[0].busy_ns > 0 && shares[1].busy_ns > 0);
         assert!(
@@ -1265,7 +1259,7 @@ mod tests {
         assert_eq!(shares[0].weight, 1);
         assert_eq!(shares[1].weight, 4);
         sched.set_tenant_weights(&[]);
-        assert!(sched.tenant_shares().is_none());
+        assert!(sched.tenant_shares().is_empty());
         sched.shutdown();
     }
 
@@ -1374,20 +1368,20 @@ mod tests {
             let id = worker.index(threads);
             let w = WorkerCtx { id, demand_only: id < reserved, reserved, threads };
             let busy: Vec<AtomicBool> = busy.into_iter().map(AtomicBool::new).collect();
-            // An empty `vtimes` is the single-tenant engine: no table.
-            let table = (!vtimes.is_empty()).then(|| TenantTable {
+            // An empty `vtimes` is an empty table: no tenants.
+            let table = TenantTable {
                 shares: vtimes
                     .iter()
                     .map(|&vtime| TenantShare { weight: 1, vtime, busy_ns: 0 })
                     .collect(),
                 vclock: 0,
-            });
+            };
             let pressure = if pressured { 950 } else { 0 };
             let demand_band = w.demand_only || !fifo;
             let sticky = !fifo;
             loop {
-                let got = pick_index(&queue, &config, pressure, w, &busy, table.as_ref());
-                let reference = two_pass_demand_pick(&queue, sticky, w, table.as_ref());
+                let got = pick_index(&queue, &config, pressure, w, &busy, &table);
+                let reference = two_pass_demand_pick(&queue, sticky, w, Some(&table));
                 match reference.filter(|_| demand_band) {
                     Some(i) => prop_assert_eq!(got, Some((i, "demand"))),
                     // No demand pick is due: the other bands are the

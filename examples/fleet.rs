@@ -269,7 +269,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             return Err(format!("tenant {name}: served counter {served} != {}", 2 * iters).into());
         }
     }
-    let shares = fleet.tenant_shares().expect("fleet mode");
+    let shares = fleet.tenant_shares();
     let weights: Vec<u64> = shares.iter().map(|s| s.weight).collect();
     if weights != vec![1, 2, 4] {
         return Err(format!("scheduler weights {weights:?} != [1, 2, 4]").into());

@@ -369,7 +369,7 @@ fn admission_rejects_over_budget_tenant() {
     assert_eq!(snapshot.counter("fleet.rejected"), Some(1));
     // The QoS ledger covers exactly the admitted tenants, weights
     // included.
-    let shares = fleet.tenant_shares().unwrap();
+    let shares = fleet.tenant_shares();
     assert_eq!(shares.len(), 2);
     assert!(shares.iter().all(|s| s.weight == 1));
 }
@@ -413,4 +413,100 @@ fn admission_budget_above_store_budget_is_rejected() {
         ),
         "expected an admission_budget rejection, got: {err}"
     );
+}
+
+/// A bare engine is a fleet of one: the scheduler's ledger holds one
+/// tenant of weight 1, charged for the demand work it ran, with no
+/// `tenant.*` metric and no tenant section; and a one-tenant fleet
+/// serves the bare engine's bytes over the namespaced task.
+#[test]
+fn a_bare_engine_is_a_fleet_of_one() {
+    let seed = 21;
+    let dataset = Arc::new(
+        Dataset::generate(&DatasetSpec {
+            num_videos: 5,
+            frames_per_video: 8,
+            seed,
+            ..Default::default()
+        })
+        .unwrap(),
+    );
+    let name = tenant_name(0);
+    let tag = fleet_tag(&name, "train");
+    let bare = reference_engine(&dataset, seed, &name, 2);
+    let iters = bare.iterations_per_epoch(&tag).unwrap();
+    let mut expected = Vec::new();
+    for epoch in 0..2 {
+        for iteration in 0..iters {
+            expected.push(bare.serve_batch(&tag, epoch, iteration).unwrap());
+        }
+    }
+    let shares = bare.tenant_shares();
+    assert_eq!(shares.len(), 1, "one tenant: {shares:?}");
+    assert_eq!(shares[0].weight, 1);
+    assert!(
+        shares[0].busy_ns > 0,
+        "demand serves went uncharged: {shares:?}"
+    );
+    let snapshot = bare.metrics_snapshot().unwrap();
+    assert!(!snapshot.families().iter().any(|f| f == "tenant"));
+    assert!(bare.stall_report().unwrap().tenant_sections().is_empty());
+
+    let fleet = Fleet::new(
+        FleetConfig {
+            base: base_config(seed),
+            tenants: vec![TenantSpec {
+                name: name.clone(),
+                weight: 1,
+                tasks: vec![sand::config::parse_task_config(&pipeline(2)).unwrap()],
+            }],
+            admission_budget: 0,
+        },
+        Arc::clone(&dataset),
+    )
+    .unwrap();
+    let mut got = Vec::new();
+    for epoch in 0..2 {
+        for iteration in 0..iters {
+            got.push(fleet.serve_batch(&name, "train", epoch, iteration).unwrap());
+        }
+    }
+    assert!(got == expected, "a one-tenant fleet served other bytes");
+    assert_eq!(fleet.tenant_shares().len(), 1);
+}
+
+/// A cancelled tenant's serve is refused with its own error variant,
+/// naming the tenant; its neighbours keep serving.
+#[test]
+fn a_cancelled_tenant_serve_is_a_typed_error() {
+    let dataset = Arc::new(
+        Dataset::generate(&DatasetSpec {
+            num_videos: 4,
+            frames_per_video: 8,
+            seed: 9,
+            ..Default::default()
+        })
+        .unwrap(),
+    );
+    let fleet = Fleet::new(
+        FleetConfig {
+            base: base_config(9),
+            tenants: (0..2)
+                .map(|k| TenantSpec {
+                    name: tenant_name(k),
+                    weight: 1,
+                    tasks: vec![sand::config::parse_task_config(&pipeline(2)).unwrap()],
+                })
+                .collect(),
+            admission_budget: 0,
+        },
+        dataset,
+    )
+    .unwrap();
+    assert!(fleet.cancel("tenant0"));
+    match fleet.serve_batch("tenant0", "train", 0, 0) {
+        Err(CoreError::TenantCancelled { tenant }) => assert_eq!(tenant, "tenant0"),
+        other => panic!("expected TenantCancelled, got {other:?}"),
+    }
+    fleet.serve_batch("tenant1", "train", 0, 0).unwrap();
 }
