@@ -915,9 +915,7 @@ dataset:
                     remote.is_remote(chunk.key(n.id))
                         && match &n.key {
                             ObjectKey::Frame { .. } => entry != Entry::AugView,
-                            ObjectKey::Aug { chain, .. } => {
-                                entry == Entry::AugView && chain.len() == 1
-                            }
+                            ObjectKey::Aug { depth, .. } => entry == Entry::AugView && *depth == 1,
                             ObjectKey::Video { .. } => false,
                         }
                 });
@@ -1102,10 +1100,7 @@ dataset:
         let ds = dataset();
         let e = node(&ds, None, None, true);
         let chunk = e.inner.ensure_chunk(0).unwrap();
-        let parent = find_node(
-            &chunk,
-            |n| matches!(&n.key, ObjectKey::Aug { chain, .. } if chain.len() == 1),
-        );
+        let parent = find_node(&chunk, |n| matches!(n.key, ObjectKey::Aug { depth: 1, .. }));
         let child = chunk.graph.nodes[parent].children[0];
         let key = chunk.key(parent);
         let reference = node(&ds, None, None, true);
@@ -1144,8 +1139,7 @@ dataset:
         let sequential = node(&ds, None, None, true);
         let chunk = concurrent.inner.ensure_chunk(0).unwrap();
         let parent = find_node(&chunk, |n| {
-            matches!(&n.key, ObjectKey::Aug { chain, .. } if chain.len() == 1)
-                && n.children.len() >= 2
+            matches!(n.key, ObjectKey::Aug { depth: 1, .. }) && n.children.len() >= 2
         });
         let children = &chunk.graph.nodes[parent].children;
         assert!(!chunk.graph.nodes[parent].cached);

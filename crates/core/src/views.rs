@@ -102,12 +102,9 @@ impl ViewProvider for SandEngine {
                         ObjectKey::Aug {
                             video_id,
                             frame,
-                            chain,
-                        } => {
-                            *video_id == entry.video_id
-                                && *frame == *index as usize
-                                && chain.len() == *depth as usize
-                        }
+                            depth: d,
+                            ..
+                        } => *video_id == entry.video_id && *frame == *index as usize && d == depth,
                         _ => false,
                     })
                     .ok_or_else(|| VfsError::NoSuchView {

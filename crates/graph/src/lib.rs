@@ -29,8 +29,8 @@ pub mod resolve;
 
 pub use abstract_graph::{AbstractEdge, AbstractGraph, AbstractNode, AbstractOp, ViewType};
 pub use concrete::{
-    BatchRef, ConcreteGraph, ConcreteNode, MergeStats, NodeId, ObjectKey, PlanInput, Planner,
-    PlannerOptions, SamplePlan, VideoMeta,
+    extend_chain_digest, BatchRef, ConcreteGraph, ConcreteNode, MergeStats, NodeId, ObjectKey,
+    PlanInput, Planner, PlannerOptions, SamplePlan, VideoMeta, EMPTY_CHAIN_DIGEST,
 };
 pub use pool::FramePool;
 pub use prune::{prune_to_budget, PruneOutcome};

@@ -343,7 +343,8 @@ dataset:
                     Some(_) => ObjectKey::Aug {
                         video_id: 0,
                         frame: id,
-                        chain: vec![("op".into(), id.to_string())],
+                        depth: 1,
+                        digest: id as u64,
                     },
                 },
                 parent,

@@ -396,14 +396,14 @@ pub fn resolve_chains(
             streams
                 .iter()
                 .find(|(n, _, _)| n == name)
-                .cloned()
+                .map(|(_, chain, dims)| (chain.clone(), *dims))
                 .ok_or_else(|| GraphError::ResolveFailed {
                     what: format!("stream `{name}` not yet produced"),
                 })
         };
         match branch.branch_type {
             BranchType::Single => {
-                let (_, mut chain, mut dims) = find(&streams, &branch.inputs[0])?;
+                let (mut chain, mut dims) = find(&streams, &branch.inputs[0])?;
                 let mut pos = chain.len() as u64;
                 for op in &branch.arms[0].ops {
                     pos += 1;
@@ -414,7 +414,7 @@ pub fn resolve_chains(
                 streams.push((branch.outputs[0].clone(), chain, dims));
             }
             BranchType::Conditional => {
-                let (_, mut chain, mut dims) = find(&streams, &branch.inputs[0])?;
+                let (mut chain, mut dims) = find(&streams, &branch.inputs[0])?;
                 let arm = branch
                     .arms
                     .iter()
@@ -436,7 +436,7 @@ pub fn resolve_chains(
                 streams.push((branch.outputs[0].clone(), chain, dims));
             }
             BranchType::Random => {
-                let (_, mut chain, mut dims) = find(&streams, &branch.inputs[0])?;
+                let (mut chain, mut dims) = find(&streams, &branch.inputs[0])?;
                 let u = ctx.draw(chain.len() as u64 + 1, 8);
                 let mut acc = 0.0;
                 let mut chosen = branch.arms.len() - 1;
@@ -457,7 +457,7 @@ pub fn resolve_chains(
                 streams.push((branch.outputs[0].clone(), chain, dims));
             }
             BranchType::Multi => {
-                let (_, chain, dims) = find(&streams, &branch.inputs[0])?;
+                let (chain, dims) = find(&streams, &branch.inputs[0])?;
                 for (arm, out) in branch.arms.iter().zip(branch.outputs.iter()) {
                     let mut c = chain.clone();
                     let mut d = dims;
@@ -477,9 +477,9 @@ pub fn resolve_chains(
                 // separate variant. We model the merged stream by keeping
                 // the *first* input's chain as the representative and
                 // emitting the others as additional terminal variants.
-                let (_, chain, dims) = find(&streams, &branch.inputs[0])?;
+                let (chain, dims) = find(&streams, &branch.inputs[0])?;
                 for extra in &branch.inputs[1..] {
-                    let (_, c2, d2) = find(&streams, extra)?;
+                    let (c2, d2) = find(&streams, extra)?;
                     streams.push((format!("{}#merge", branch.outputs[0]), c2, d2));
                 }
                 streams.push((branch.outputs[0].clone(), chain, dims));
@@ -490,7 +490,7 @@ pub fn resolve_chains(
     for term in terminal_streams {
         let mut found = false;
         for (name, chain, _) in &streams {
-            if name == term || name == &format!("{term}#merge") {
+            if name == term || name.strip_suffix("#merge") == Some(term.as_str()) {
                 out.push(chain.clone());
                 found = true;
             }

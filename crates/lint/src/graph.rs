@@ -408,7 +408,8 @@ mod tests {
         orphan.key = ObjectKey::Aug {
             video_id: 0,
             frame: 0,
-            chain: vec![("x".into(), "y".into())],
+            depth: 1,
+            digest: sand_graph::extend_chain_digest(sand_graph::EMPTY_CHAIN_DIGEST, "x", "y"),
         };
         orphan.children = Vec::new();
         orphan.consumers = Vec::new();
