@@ -47,9 +47,14 @@ retired="$retired|Response::Hit|Response::Miss|fn fetch_many|fn put_many|fn offe
 # Every engine is tenanted (a bare engine is a fleet of one): the roster is a constructor argument,
 # not an `EngineConfig` field, and the tenant table always sits under the queue lock.
 retired="$retired|Option<TenantTable>|Option<TenancyRuntime>|\"sched\.tenants\"|pub tenancy|tenancy: (None|Some)|config\.tenancy"
+# Metrics are always on (only per-batch traces are optional): a metric bundle is a plain field, never
+# an `Option` (`sand-codec` and `sand-vfs` spell the type path-qualified), the store counts into its
+# handles from open, and each event has one counter (no private mirror beside the metric).
+retired="$retired|Option<([a-z_]+::)*(Codec|Store|Sched|Vfs|Materialize|Engine|Net|Prefetch|Loader|Fleet)Metrics>"
+retired="$retired|OnceLock<StoreMetrics>|fn set_metrics|fsync_metric|fn is_enabled"
 if grep -rnE "$retired" crates examples tests src ||
     grep -nE 'sand-autotune|criterion' Cargo.toml crates/*/Cargo.toml; then
-    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant, a bare engine is a fleet of one"
+    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant, a bare engine is a fleet of one, every engine counts into its registry"
     exit 1
 fi
 
@@ -112,6 +117,24 @@ if [ "$(grep -c . <<< "$crc_defs")" -gt 1 ] || grep -E '0x1db7_?1064' <<< "$ship
     exit 1
 fi
 
+echo "==> every metric the benchmark reads is registered by shipped code (a renamed metric would read 0)"
+# Read today but registered nowhere, so their sandbench metrics are 0 by construction
+# (ROADMAP item 1(g) and 1(j)): aug.scratch_wait_us went with the scratch pool,
+# net.fetch_coalesced with fetch coalescing.
+known_unregistered=' aug.scratch_wait_us net.fetch_coalesced '
+read_names=$(grep -oE '(registry\.counter|hist_ms)\("[^"]+"\)' sandbench/src/run.rs | sed -E 's/.*\("([^"]+)"\)/\1/' | sort -u)
+if [ -z "$read_names" ]; then
+    echo "found no metric names in sandbench/src/run.rs: the extraction pattern is stale"
+    exit 1
+fi
+for name in $read_names; do
+    case "$known_unregistered" in *" $name "*) continue ;; esac
+    if ! grep -qF -e ".counter(\"$name\"" -e ".histogram(\"$name\"" -e ".gauge(\"$name\"" <<< "$shipped"; then
+        echo "sandbench/src/run.rs reads \`$name\` but no non-test code under crates/*/src registers it: keep the name, or change the benchmark in its own change"
+        exit 1
+    fi
+done
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -134,9 +157,6 @@ echo "==> store_contention bench smoke (quick mode); an evicting put at 16 384 r
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench store_contention | tee /dev/stderr |
     awk '/evict_put_ratio/ { seen = 1; if ($3 + 0 > 3.0) { print "evicting put grows faster than O(log n): " $3; exit 1 } }
          END { if (!seen) { print "no evict_put_ratio line"; exit 1 } }'
-
-echo "==> telemetry_overhead bench smoke (quick mode)"
-SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench telemetry_overhead
 
 echo "==> sanitizer_overhead bench smoke (quick mode)"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench sanitizer_overhead

@@ -19,7 +19,10 @@ use crate::encode::{q, unfilter_rows, RESIDUAL_ESCAPE};
 use crate::{CodecError, Result};
 use sand_frame::wire::{get_varint, rle_unpack};
 use sand_frame::{Frame, FrameMeta};
+use sand_telemetry::{CodecMetrics, Telemetry};
 use std::collections::HashMap;
+use std::sync::LazyLock;
+use std::time::Instant;
 
 /// Work counters accumulated by a [`Decoder`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -416,28 +419,29 @@ impl<'v> ChainWalker<'v> {
 pub struct Decoder<'a> {
     video: &'a EncodedVideo,
     stats: DecodeStats,
-    /// Optional telemetry: per-GOP-segment decode timing. `None` (the
-    /// default) takes no timestamps at all.
-    metrics: Option<sand_telemetry::CodecMetrics>,
+    /// Where each decoded GOP segment is timed (`decode.segment_us`).
+    metrics: &'a CodecMetrics,
 }
 
 impl<'a> Decoder<'a> {
-    /// Creates a decoder over `video`.
+    /// Creates a decoder over `video`, timing into handles no engine
+    /// reads (one set per process, so a decoder allocates none).
     #[must_use]
     pub fn new(video: &'a EncodedVideo) -> Self {
+        static UNREGISTERED: LazyLock<CodecMetrics> =
+            LazyLock::new(|| CodecMetrics::register(&Telemetry::disabled()));
+        Self::with_metrics(video, &UNREGISTERED)
+    }
+
+    /// Creates a decoder over `video` that times each decoded GOP
+    /// segment into `metrics` (an engine's handles, borrowed).
+    #[must_use]
+    pub fn with_metrics(video: &'a EncodedVideo, metrics: &'a CodecMetrics) -> Self {
         Decoder {
             video,
             stats: DecodeStats::default(),
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Attaches telemetry (builder-style): each decoded GOP segment is
-    /// timed into `decode.segment_us`.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Option<sand_telemetry::CodecMetrics>) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Work counters accumulated so far.
@@ -483,12 +487,10 @@ impl<'a> Decoder<'a> {
         let mut produced: HashMap<usize, Vec<u8>> = HashMap::with_capacity(sorted.len());
         let mut walker = ChainWalker::new(self.video);
         for seg in &segments {
-            let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+            let t0 = Instant::now();
             produced.extend(walker.decode_segment(seg, &sorted)?);
-            if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-                m.segment_us.observe_duration(t0.elapsed());
-                m.segments.inc();
-            }
+            self.metrics.segment_us.observe_duration(t0.elapsed());
+            self.metrics.segments.inc();
         }
         self.stats.merge(&walker.stats);
         // Restore the caller's order (with possible duplicates), moving
@@ -802,14 +804,14 @@ mod tests {
 
     #[test]
     fn segment_timing_counts_gop_segments() {
-        let telemetry = sand_telemetry::Telemetry::new(sand_telemetry::TelemetryConfig::default());
-        let metrics = sand_telemetry::CodecMetrics::register(&telemetry).unwrap();
+        let telemetry = Telemetry::disabled();
+        let metrics = CodecMetrics::register(&telemetry);
         let src = gradient_video(40, 8, 8);
         let v = encode(&src, 10, 2);
         // Targets span three distinct GOPs → three timed segments.
-        let mut dec = Decoder::new(&v).with_metrics(Some(metrics));
+        let mut dec = Decoder::with_metrics(&v, &metrics);
         dec.decode_indices(&[3, 15, 27]).unwrap();
-        let snap = telemetry.snapshot().unwrap();
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.counter("decode.segments"), Some(3));
         assert_eq!(
             snap.histogram("decode.segment_us").map(|h| h.count),

@@ -268,12 +268,11 @@ impl Inner {
         // not ahead of it.
         let mut fanout = chunk.fanout.lock();
         if let Some(videos) = fanout.take() {
-            if let Some(m) = &self.engine_metrics {
-                match arrival {
-                    Arrival::Found => m.chunk_plan_ahead_hit.inc(),
-                    Arrival::Joined => m.chunk_plan_ahead_late.inc(),
-                    Arrival::Computed => m.chunk_plan_ahead_miss.inc(),
-                }
+            let m = &self.engine_metrics;
+            match arrival {
+                Arrival::Found => m.chunk_plan_ahead_hit.inc(),
+                Arrival::Joined => m.chunk_plan_ahead_late.inc(),
+                Arrival::Computed => m.chunk_plan_ahead_miss.inc(),
             }
             if self.config.prematerialize {
                 self.submit_prematerialization(&chunk, videos);
@@ -324,7 +323,7 @@ impl Inner {
     /// plan is a function of the configs, the seed and the dataset, so a
     /// restarted engine plans again and gets the keys the store kept.
     fn plan_chunk(&self, chunk_id: u64) -> Result<Chunk> {
-        let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let config = &self.config;
         let k = config.epochs_per_chunk;
         let start = chunk_id * k;
@@ -352,10 +351,10 @@ impl Inner {
             prune_to_budget(&mut graph, config.cache_budget);
         }
         let chunk = Chunk::build(graph, self.dataset.videos().iter().map(|v| v.video_id));
-        if let (Some(m), Some(t0)) = (self.engine_metrics.as_ref(), t0) {
-            m.chunk_plan_us.observe_duration(t0.elapsed());
-            m.chunks_planned.inc();
-        }
+        self.engine_metrics
+            .chunk_plan_us
+            .observe_duration(t0.elapsed());
+        self.engine_metrics.chunks_planned.inc();
         Ok(chunk)
     }
 

@@ -58,10 +58,12 @@ pub struct EngineConfig {
     /// `Warn` reports findings to stderr, `Deny` additionally fails
     /// startup on any deny-severity finding.
     pub lint: LintLevel,
-    /// Observability: `Some` enables the telemetry subsystem (metric
-    /// registry, per-batch stall attribution, JSONL export); `None`
-    /// (default) disables it entirely — instrumented paths never read
-    /// the clock, pinned by `benches/telemetry_overhead.rs`.
+    /// Per-batch traces: `Some` keeps a [`sand_telemetry::BatchProbe`]
+    /// trace of every served batch (up to `trace_cap`) for
+    /// `SandEngine::stall_report` and counts stalls against
+    /// `stall_budget_us`; `None` (default) keeps none. Metrics do not
+    /// depend on it: every engine counts into its registry
+    /// (`SandEngine::metrics_snapshot` is always `Some`).
     pub telemetry: Option<TelemetryConfig>,
     /// Multi-node operation: `Some` joins a cluster of SAND engines on a
     /// consistent-hash placement ring and adds a **remote tier** below

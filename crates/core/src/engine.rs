@@ -23,7 +23,7 @@ use sand_telemetry::{
 };
 use sand_vfs::SandVfs;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Aggregate engine statistics.
@@ -51,17 +51,18 @@ pub(crate) struct Inner {
     pub(crate) chunks: Chunks,
     pub(crate) task_ids: HashMap<String, u32>,
     pub(crate) decode_stats: TrackedMutex<DecodeStats>,
-    pub(crate) aug_ops_applied: AtomicU64,
-    pub(crate) batches_served: AtomicU64,
     /// The epoch-ahead prefetcher (inert at `prefetch_depth = 0`).
     pub(crate) prefetcher: Prefetcher,
     /// Serialized size of the most recently served batch, the
     /// back-pressure estimate for in-flight prefetch bytes.
     pub(crate) last_batch_bytes: AtomicU64,
+    /// The engine's registry (always live) and, when
+    /// `EngineConfig::telemetry` is set, its per-batch traces.
     pub(crate) telemetry: Telemetry,
-    pub(crate) engine_metrics: Option<EngineMetrics>,
-    pub(crate) mat_metrics: Option<MaterializeMetrics>,
-    pub(crate) codec_metrics: Option<CodecMetrics>,
+    pub(crate) engine_metrics: EngineMetrics,
+    /// `aug.ops` is also `EngineStats::aug_ops_applied`.
+    pub(crate) mat_metrics: MaterializeMetrics,
+    pub(crate) codec_metrics: CodecMetrics,
     /// The cluster cache tier (`None` unless `EngineConfig::remote`).
     pub(crate) remote: Option<Arc<RemoteTier>>,
     /// The engine's one singleflight over canonical object keys
@@ -72,8 +73,8 @@ pub(crate) struct Inner {
     pub(crate) flight: Flight<String, Object>,
     /// The engine's tenants and which task belongs to whom.
     pub(crate) tenancy: TenancyRuntime,
-    /// Dedup and admission metrics (`None` unless telemetry).
-    pub(crate) fleet_metrics: Option<FleetMetrics>,
+    /// Dedup and admission metrics.
+    pub(crate) fleet_metrics: FleetMetrics,
 }
 
 /// One tenant on an engine's roster. Its weight is its share of the
@@ -96,6 +97,8 @@ pub(crate) struct TenancyRuntime {
 pub(crate) struct TenantRuntime {
     /// The trace label; `None` for an unnamed tenant.
     pub(crate) label: Option<String>,
+    /// `None` for an unnamed tenant too: the bare engine's one tenant
+    /// would only repeat `engine.*`.
     pub(crate) metrics: Option<TenantMetrics>,
 }
 
@@ -176,10 +179,11 @@ impl SandEngine {
             .telemetry
             .clone()
             .map_or_else(Telemetry::disabled, Telemetry::new);
-        let store = Arc::new(ObjectStore::open(config.store, config.store_dir.clone())?);
-        if let Some(m) = StoreMetrics::register(&telemetry, store.shard_count()) {
-            store.set_metrics(m);
-        }
+        let store = Arc::new(ObjectStore::with_metrics(
+            config.store,
+            config.store_dir.clone(),
+            StoreMetrics::register(&telemetry, config.store.shards),
+        )?);
         let sched = Scheduler::with_metrics(config.sched, SchedMetrics::register(&telemetry));
         let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
         sched.set_tenant_weights(&weights);
@@ -192,7 +196,7 @@ impl SandEngine {
                     TenantRuntime {
                         metrics: label
                             .as_deref()
-                            .and_then(|name| TenantMetrics::register(&telemetry, name)),
+                            .map(|name| TenantMetrics::register(&telemetry, name)),
                         label,
                     }
                 })
@@ -204,8 +208,6 @@ impl SandEngine {
             chunks: Chunks::new(config.tasks.len()),
             task_ids,
             decode_stats: TrackedMutex::new("engine.decode_stats", DecodeStats::default()),
-            aug_ops_applied: AtomicU64::new(0),
-            batches_served: AtomicU64::new(0),
             prefetcher: Prefetcher::new(
                 config.prefetch_depth,
                 PrefetchMetrics::register(&telemetry),
@@ -277,8 +279,8 @@ impl SandEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             decode: *self.inner.decode_stats.lock(),
-            aug_ops_applied: self.inner.aug_ops_applied.load(Ordering::Relaxed),
-            batches_served: self.inner.batches_served.load(Ordering::Relaxed),
+            aug_ops_applied: self.inner.mat_metrics.ops.get(),
+            batches_served: self.inner.engine_metrics.batches_served.get(),
             store: self.inner.store.stats(),
             sched: self.inner.sched.stats(),
         }
@@ -297,22 +299,23 @@ impl SandEngine {
         &self.inner.store
     }
 
-    /// The engine's telemetry handle (disabled unless
-    /// `EngineConfig::telemetry` was set).
+    /// The engine's telemetry handle: its live registry, plus per-batch
+    /// traces when `EngineConfig::telemetry` was set.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
 
-    /// Point-in-time copy of every registered metric; `None` when
-    /// telemetry is disabled.
+    /// Point-in-time copy of every registered metric. Always `Some`:
+    /// every engine counts, whatever `EngineConfig::telemetry` says (the
+    /// `Option` is kept for source compatibility).
     #[must_use]
     pub fn metrics_snapshot(&self) -> Option<Snapshot> {
         self.inner.telemetry.snapshot()
     }
 
     /// Stall-attribution report over every retained batch trace; `None`
-    /// when telemetry is disabled.
+    /// when the engine keeps no traces (`EngineConfig::telemetry` unset).
     #[must_use]
     pub fn stall_report(&self) -> Option<StallReport> {
         self.inner.telemetry.stall_report()
@@ -526,14 +529,107 @@ dataset:
             (e, out)
         };
         let (off, off_bytes) = serve_all(None);
-        assert!(!off.telemetry().is_enabled());
-        assert!(off.metrics_snapshot().is_none());
         assert!(off.stall_report().is_none());
         let (on, on_bytes) = serve_all(Some(TelemetryConfig::default()));
         assert_eq!(off_bytes, on_bytes, "telemetry changed served bytes");
         let snap = on.metrics_snapshot().expect("telemetry enabled");
         assert_eq!(snap.counter("engine.batches_served"), Some(4));
         assert_eq!(snap.histogram("engine.serve_us").map(|h| h.count), Some(4));
+    }
+
+    /// Every event is counted once: an untraced engine's snapshot and
+    /// its `stats()` read the same handles, and the prefetch outcomes
+    /// partition the entries scheduled. A restart over the value log
+    /// reports its replay alike in both places.
+    #[test]
+    fn an_untraced_engine_counts_each_event_once() {
+        let dir = std::env::temp_dir().join(format!("sand_counted_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mk = || {
+            let config = EngineConfig {
+                tasks: vec![parse_task_config(TASK).unwrap()],
+                total_epochs: 2,
+                epochs_per_chunk: 2,
+                prefetch_depth: 2,
+                store_dir: Some(dir.clone()),
+                store: StoreConfig {
+                    memory_budget: 1 << 20,
+                    memory_horizon: 0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            SandEngine::new(config, dataset()).unwrap()
+        };
+        let agree = |e: &SandEngine| {
+            let (stats, snap) = (
+                e.stats(),
+                e.metrics_snapshot().expect("every engine counts"),
+            );
+            let count = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("no {name}"));
+            for (name, stat) in [
+                ("engine.batches_served", stats.batches_served),
+                ("aug.ops", stats.aug_ops_applied),
+                ("store.mem_hits", stats.store.memory_hits),
+                ("store.disk_hits", stats.store.disk_hits),
+                ("store.misses", stats.store.misses),
+                ("store.evictions", stats.store.evictions),
+                ("store.spills", stats.store.spills),
+                ("store.vlog.compactions", stats.store.compactions),
+                ("store.vlog.torn_truncations", stats.store.torn_truncations),
+                ("store.vlog.corrupt_records", stats.store.corrupt_records),
+                ("store.vlog.replayed_objects", stats.store.replayed_objects),
+                ("store.vlog.replayed_bytes", stats.store.replayed_bytes),
+                ("store.vlog.fsyncs", stats.store.vlog_fsyncs),
+                ("sched.affinity_hits", stats.sched.affinity_hits),
+                ("sched.affinity_steals", stats.sched.affinity_steals),
+            ] {
+                assert_eq!(count(name), stat, "{name}");
+            }
+            (stats, snap)
+        };
+        let e = mk();
+        e.start().unwrap();
+        let iters = e.iterations_per_epoch("train").unwrap();
+        for epoch in 0..2 {
+            for it in 0..iters {
+                e.serve_batch("train", epoch, it).unwrap();
+            }
+        }
+        e.wait_idle();
+        assert!(
+            e.stall_report().is_none(),
+            "an untraced engine keeps no traces"
+        );
+        let (stats, snap) = agree(&e);
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(stats.batches_served, 2 * iters);
+        assert!(stats.aug_ops_applied > 0);
+        assert!(stats.sched.affinity_hits + stats.sched.affinity_steals > 0);
+        assert_eq!(
+            snap.histogram("engine.serve_us").map(|h| h.count),
+            Some(stats.batches_served)
+        );
+        assert_eq!(
+            count("engine.batches_stalled"),
+            0,
+            "stalls are judged on traces"
+        );
+        let scheduled = count("prefetch.scheduled");
+        assert!(scheduled > 0);
+        assert_eq!(
+            scheduled,
+            count("prefetch.hit")
+                + count("prefetch.late")
+                + count("prefetch.miss")
+                + count("prefetch.cancelled")
+        );
+        drop(e);
+        let restarted = mk();
+        let (stats, _) = agree(&restarted);
+        assert!(stats.store.replayed_objects > 0 && stats.store.replayed_bytes > 0);
+        drop(restarted);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The singleflight's `fleet.dedup_*` metrics count on every traced

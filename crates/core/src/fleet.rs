@@ -203,10 +203,9 @@ impl Fleet {
         engine_config.tasks = tasks;
         let engine = SandEngine::with_roster(engine_config, dataset, tenants, task_tenant)?;
         engine.start()?;
-        if let Some(m) = &engine.inner.fleet_metrics {
-            m.admitted.set(admitted.len() as i64);
-            m.rejected.add(rejected.len() as u64);
-        }
+        let m = &engine.inner.fleet_metrics;
+        m.admitted.set(admitted.len() as i64);
+        m.rejected.add(rejected.len() as u64);
         Ok(Fleet {
             engine,
             admitted,

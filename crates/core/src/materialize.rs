@@ -22,7 +22,6 @@ use sand_sanitizer::TrackedMutex;
 use sand_storage::{ObjectMeta, Tier};
 use sand_telemetry::{record_stage, Stage};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -143,9 +142,7 @@ impl Inner {
                     }
                     Err(_) => {
                         let _ = self.store.remove(key);
-                        if let Some(m) = &self.engine_metrics {
-                            m.corrupt_dropped_local.inc();
-                        }
+                        self.engine_metrics.corrupt_dropped_local.inc();
                     }
                 }
             }
@@ -168,9 +165,7 @@ impl Inner {
     ) -> Option<Object> {
         let bytes = Arc::new(bytes);
         let Ok(frame) = decompress_frame(&bytes) else {
-            if let Some(m) = &self.engine_metrics {
-                m.corrupt_dropped_remote.inc();
-            }
+            self.engine_metrics.corrupt_dropped_remote.inc();
             return None;
         };
         if let Some(meta) = adopt {
@@ -193,15 +188,14 @@ impl Inner {
         key: &str,
         produce: impl FnOnce() -> Result<Object>,
     ) -> Result<(Object, Arrival)> {
-        let t0 = self.fleet_metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let (object, arrival) = self.flight.get_or_compute(key, false, produce)?;
-        if let (Some(m), Some(t0)) = (&self.fleet_metrics, t0) {
-            if arrival == Arrival::Computed {
-                m.dedup_wins.inc();
-            } else {
-                m.dedup_wait_us.observe_duration(t0.elapsed());
-                m.dedup_adoptions.inc();
-            }
+        let m = &self.fleet_metrics;
+        if arrival == Arrival::Computed {
+            m.dedup_wins.inc();
+        } else {
+            m.dedup_wait_us.observe_duration(t0.elapsed());
+            m.dedup_adoptions.inc();
         }
         Ok((object, arrival))
     }
@@ -302,8 +296,7 @@ impl Inner {
     /// Applies one augmentation op, in-process or through the
     /// custom-augmentation service.
     fn apply_op(&self, op: &ResolvedOp, src: &Frame) -> Result<Frame> {
-        self.aug_ops_applied.fetch_add(1, Ordering::Relaxed);
-        let t0 = self.mat_metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let applied = if let ResolvedOp::Custom { name } = op {
             let client = self
                 .config
@@ -322,12 +315,10 @@ impl Inner {
             })?;
             frame_op.apply(src)?
         };
-        if let (Some(m), Some(t0)) = (self.mat_metrics.as_ref(), t0) {
-            let spent = t0.elapsed();
-            m.op_us.observe_duration(spent);
-            m.ops.inc();
-            record_stage(Stage::Aug, spent);
-        }
+        let spent = t0.elapsed();
+        self.mat_metrics.op_us.observe_duration(spent);
+        self.mat_metrics.ops.inc();
+        record_stage(Stage::Aug, spent);
         Ok(applied)
     }
 
@@ -335,15 +326,12 @@ impl Inner {
     /// keyframe, timed as decode work and merged into the engine's decode
     /// counters. Every decode in the engine goes through here.
     fn decode_frames(&self, video_id: u64, indices: &[usize]) -> Result<Vec<Frame>> {
-        let mut dec =
-            Decoder::new(&self.video(video_id)?.encoded).with_metrics(self.codec_metrics.clone());
-        let t0 = self.engine_metrics.as_ref().map(|_| Instant::now());
+        let mut dec = Decoder::with_metrics(&self.video(video_id)?.encoded, &self.codec_metrics);
+        let t0 = Instant::now();
         let frames = dec.decode_indices(indices)?;
-        if let (Some(m), Some(t0)) = (self.engine_metrics.as_ref(), t0) {
-            let spent = t0.elapsed();
-            m.decode_us.observe_duration(spent);
-            record_stage(Stage::Decode, spent);
-        }
+        let spent = t0.elapsed();
+        self.engine_metrics.decode_us.observe_duration(spent);
+        record_stage(Stage::Decode, spent);
         self.decode_stats.lock().merge(dec.stats());
         Ok(frames)
     }

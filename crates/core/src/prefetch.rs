@@ -222,11 +222,11 @@ pub(crate) struct Prefetcher {
     /// Look-ahead depth (`EngineConfig::prefetch_depth`).
     depth: usize,
     entries: TrackedMutex<HashMap<PrefetchKey, Entry>>,
-    pub(crate) metrics: Option<PrefetchMetrics>,
+    pub(crate) metrics: PrefetchMetrics,
 }
 
 impl Prefetcher {
-    pub(crate) fn new(depth: usize, metrics: Option<PrefetchMetrics>) -> Self {
+    pub(crate) fn new(depth: usize, metrics: PrefetchMetrics) -> Self {
         Prefetcher {
             depth,
             entries: TrackedMutex::new("prefetch.entries", HashMap::new()),
@@ -247,9 +247,7 @@ impl Prefetcher {
     /// Cancels an entry that left the window unconsumed, counting it.
     fn cancel(&self, entry: &Entry) {
         entry.build.cancel();
-        if let Some(m) = &self.metrics {
-            m.cancelled.inc();
-        }
+        self.metrics.cancelled.inc();
     }
 
     /// Unconsumed entries currently held (for back-pressure estimates).
@@ -315,14 +313,19 @@ impl Prefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sand_telemetry::Telemetry;
 
     fn tensor() -> Tensor {
         Tensor::zeros(vec![1]).expect("valid shape")
     }
 
+    fn prefetcher(depth: usize) -> Prefetcher {
+        Prefetcher::new(depth, PrefetchMetrics::register(&Telemetry::disabled()))
+    }
+
     #[test]
     fn build_completes_when_all_samples_fulfilled() {
-        let p = Prefetcher::new(2, None);
+        let p = prefetcher(2);
         assert!(p.enabled());
         assert_eq!(p.depth(), 2);
         let build = p.begin((0, 0, 1), 0, 2).expect("fresh key");
@@ -339,7 +342,7 @@ mod tests {
 
     #[test]
     fn stale_chunk_entries_are_cancelled_not_served() {
-        let p = Prefetcher::new(1, None);
+        let p = prefetcher(1);
         let build = p.begin((0, 1, 0), 0, 1).expect("fresh key");
         // Rollover to chunk 1: the entry is stale.
         p.cancel_stale(1);
@@ -350,7 +353,7 @@ mod tests {
 
     #[test]
     fn take_with_wrong_chunk_cancels() {
-        let p = Prefetcher::new(1, None);
+        let p = prefetcher(1);
         let build = p.begin((0, 0, 0), 0, 1).expect("fresh key");
         assert!(p.take((0, 0, 0), 7).is_none());
         assert!(build.cancelled());
@@ -358,7 +361,7 @@ mod tests {
 
     #[test]
     fn waiters_wake_on_cancellation() {
-        let p = Prefetcher::new(1, None);
+        let p = prefetcher(1);
         let build = p.begin((0, 0, 0), 0, 1).expect("fresh key");
         let waiter = {
             let build = Arc::clone(&build);
@@ -398,14 +401,14 @@ mod tests {
 
     #[test]
     fn disabled_prefetcher_reports_depth_zero() {
-        let p = Prefetcher::new(0, None);
+        let p = prefetcher(0);
         assert!(!p.enabled());
         assert_eq!(p.pending(), 0);
     }
 
     #[test]
     fn depth_bounds_scheduling_not_the_entries_held() {
-        let p = Prefetcher::new(1, None);
+        let p = prefetcher(1);
         let a = p.begin((0, 0, 1), 0, 1).expect("fresh key");
         let b = p.begin((0, 0, 2), 0, 1).expect("fresh key");
         assert_eq!(p.depth(), 1);

@@ -89,7 +89,7 @@ impl Inner {
         // The batch's t0 precedes the chunk lookup, so a boundary that
         // plans inline (or waits on an in-flight plan) books that time
         // to the trace's `plan` segment.
-        let t0 = self.telemetry.now();
+        let t0 = Instant::now();
         let chunk = self.ensure_chunk(epoch)?;
         self.request_next_chunk(&chunk, epoch);
         let batch = self.find_batch(&chunk, task, epoch, iteration)?;
@@ -123,14 +123,14 @@ impl Inner {
         self: &Arc<Self>,
         chunk: &Arc<Chunk>,
         chunk_id: u64,
-        t0: Option<Instant>,
+        t0: Instant,
         batch: &BatchRef,
     ) -> Result<Option<Vec<u8>>> {
         let key = (batch.task, batch.epoch, batch.iteration);
         let Some(build) = self.prefetcher.take(key, chunk_id) else {
             return Ok(None);
         };
-        let metrics = self.prefetcher.metrics.as_ref();
+        let metrics = &self.prefetcher.metrics;
         // From here the entry is consumed and must settle exactly one of
         // the outcome counters: `cancelled` (discarded unconsumable),
         // `miss` (taken but unusable, served inline), `hit`/`late`
@@ -140,28 +140,24 @@ impl Inner {
         // the only attributable segments are `prefetch` (built and
         // waited below) and `plan`/`finalize` bookkeeping — the
         // exact-sum invariant over serve latency is preserved.
-        let probe = t0.map(|t0| BatchProbe::starting_at(t0, 0));
+        let probe = self.telemetry.batch_probe(t0, 0);
         let was_complete = build.is_complete();
         if !was_complete && !build.cancelled() {
-            let t0 = metrics.map(|_| Instant::now());
+            let t0 = Instant::now();
             let built = self.build_unstarted(chunk, batch, &build);
             build.wait_complete();
-            if let (Some(m), Some(t0)) = (metrics, t0) {
-                let waited = t0.elapsed();
-                m.wait_us.observe_duration(waited);
-                m.serve_built.add(built);
-                if let Some(p) = &probe {
-                    p.record_prefetch_wait(waited);
-                }
+            let waited = t0.elapsed();
+            metrics.wait_us.observe_duration(waited);
+            metrics.serve_built.add(built);
+            if let Some(p) = &probe {
+                p.record_prefetch_wait(waited);
             }
         }
         if build.cancelled() {
             // Cancelled after it left the map (e.g. a rollover racing
             // this serve): the rollover path never saw this entry, so it
             // is counted here.
-            if let Some(m) = metrics {
-                m.cancelled.inc();
-            }
+            metrics.cancelled.inc();
             return Ok(None);
         }
         // A failed (or never-run) sample: recompute inline (the failure
@@ -174,19 +170,15 @@ impl Inner {
             .map(|slot| slot.and_then(Result::ok))
             .collect::<Option<Vec<Tensor>>>()
         else {
-            if let Some(m) = metrics {
-                m.miss.inc();
-            }
+            metrics.miss.inc();
             return Ok(None);
         };
         // The build served the batch: settle hit vs. late only now, so a
         // post-wait cancellation or bad slot cannot double-count.
-        if let Some(m) = metrics {
-            if was_complete {
-                m.hit.inc();
-            } else {
-                m.late.inc();
-            }
+        if was_complete {
+            metrics.hit.inc();
+        } else {
+            metrics.late.inc();
         }
         // Consumption bookkeeping — the inline path's, at consume time
         // in consume order, so the store's clock/use/budget timeline
@@ -194,7 +186,7 @@ impl Inner {
         build.mark_consumed();
         self.store.set_clock(batch.clock);
         self.report_pressure();
-        self.finish_serve(chunk, batch, &tensors, probe.as_deref())
+        self.finish_serve(chunk, batch, &tensors, t0, probe.as_deref())
             .map(Some)
     }
 
@@ -327,9 +319,7 @@ impl Inner {
             // outcome counters settle per entry, and
             // `scheduled == hit + late + miss + cancelled` must hold
             // once every entry is consumed.
-            if let Some(m) = &self.prefetcher.metrics {
-                m.scheduled.inc();
-            }
+            self.prefetcher.metrics.scheduled.inc();
             self.submit_samples(chunk, batch, JobKind::Prefetch, &build, None);
         }
     }
@@ -340,12 +330,12 @@ impl Inner {
     fn serve_batch_inline(
         self: &Arc<Self>,
         chunk: &Arc<Chunk>,
-        t0: Option<Instant>,
+        t0: Instant,
         batch: &BatchRef,
     ) -> Result<Vec<u8>> {
         // Everything between the batch's t0 and each job's submission
         // is the `plan` segment of the batch's trace.
-        let probe = t0.map(|t0| BatchProbe::starting_at(t0, batch.samples.len()));
+        let probe = self.telemetry.batch_probe(t0, batch.samples.len());
         self.store.set_clock(batch.clock);
         self.report_pressure();
         let build = Arc::new(BatchBuild::new(batch.samples.len()));
@@ -356,7 +346,7 @@ impl Inner {
             .into_iter()
             .map(|slot| slot.unwrap_or(Err(CoreError::JobLost)))
             .collect::<Result<Vec<Tensor>>>()?;
-        self.finish_serve(chunk, batch, &tensors, probe.as_deref())
+        self.finish_serve(chunk, batch, &tensors, t0, probe.as_deref())
     }
 
     /// Burns one retained use of every *strict* ancestor of `id` in the
@@ -370,12 +360,14 @@ impl Inner {
     }
 
     /// The tail of every serve, from the sample tensors to the bytes
-    /// returned: consumption bookkeeping, then the batch's trace.
+    /// returned: consumption bookkeeping, the serve's counts, then (on a
+    /// traced engine) the batch's trace.
     fn finish_serve(
         &self,
         chunk: &Chunk,
         batch: &BatchRef,
         tensors: &[Tensor],
+        t0: Instant,
         probe: Option<&BatchProbe>,
     ) -> Result<Vec<u8>> {
         let bytes = stack_to_bytes(tensors)?;
@@ -396,39 +388,43 @@ impl Inner {
         }
         self.store.enforce_budgets()?;
         self.report_pressure();
-        self.batches_served.fetch_add(1, Ordering::Relaxed);
         self.last_batch_bytes
             .store(bytes.len() as u64, Ordering::Relaxed);
-        let Some(probe) = probe else {
-            return Ok(bytes);
-        };
         // The tenant's name labels the trace; its counters take the serve.
         let tenant = &self.tenancy.tenants[self.tenant_of(batch.task) as usize];
-        let trace = probe.finish(
-            BatchMeta {
-                task: self.config.tasks[batch.task as usize].tag.clone(),
-                epoch: batch.epoch,
-                iteration: batch.iteration,
-                clock: batch.clock,
-                tenant: tenant.label.clone(),
-            },
-            self.telemetry.config().map_or(0, |c| c.stall_budget_us),
-        );
-        if let Some(m) = &self.engine_metrics {
-            m.serve_us.observe(trace.serve_ns / 1_000);
-            m.batches_served.inc();
-            if trace.stalled {
-                m.batches_stalled.inc();
-            }
+        let trace = probe.map(|probe| {
+            probe.finish(
+                BatchMeta {
+                    task: self.config.tasks[batch.task as usize].tag.clone(),
+                    epoch: batch.epoch,
+                    iteration: batch.iteration,
+                    clock: batch.clock,
+                    tenant: tenant.label.clone(),
+                },
+                self.telemetry.config().map_or(0, |c| c.stall_budget_us),
+            )
+        });
+        // A trace's latency is its segments' sum; without one, the clock.
+        let serve_us = trace
+            .as_ref()
+            .map_or_else(|| t0.elapsed().as_micros() as u64, |t| t.serve_ns / 1_000);
+        let stalled = trace.as_ref().is_some_and(|t| t.stalled);
+        let m = &self.engine_metrics;
+        m.serve_us.observe(serve_us);
+        m.batches_served.inc();
+        if stalled {
+            m.batches_stalled.inc();
         }
         if let Some(m) = &tenant.metrics {
             m.batches_served.inc();
-            m.serve_us.observe(trace.serve_ns / 1_000);
-            if trace.stalled {
+            m.serve_us.observe(serve_us);
+            if stalled {
                 m.stalled.inc();
             }
         }
-        self.telemetry.push_trace(trace);
+        if let Some(trace) = trace {
+            self.telemetry.push_trace(trace);
+        }
         Ok(bytes)
     }
 }

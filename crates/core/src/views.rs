@@ -39,11 +39,11 @@ impl SandEngine {
         // A local hit was served straight from the compressed cache, no
         // decoder or augmentation work at all; count it by the tier the
         // object lived in before the read.
-        if let (Some(tier), Some(m)) = (object.tier, &self.inner.engine_metrics) {
-            match tier {
-                Tier::Disk => m.compressed_hits_disk.inc(),
-                Tier::Memory => m.compressed_hits_mem.inc(),
-            }
+        let m = &self.inner.engine_metrics;
+        match object.tier {
+            Some(Tier::Disk) => m.compressed_hits_disk.inc(),
+            Some(Tier::Memory) => m.compressed_hits_mem.inc(),
+            None => {}
         }
         object
             .bytes

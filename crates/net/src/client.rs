@@ -49,7 +49,7 @@ pub struct ViewClient {
     addr: SocketAddr,
     config: ClientConfig,
     pool: TrackedMutex<Vec<TcpStream>>,
-    metrics: Option<NetMetrics>,
+    metrics: NetMetrics,
 }
 
 impl std::fmt::Debug for ViewClient {
@@ -99,16 +99,12 @@ impl ViewClient {
     fn attempt(&self, req: &Request) -> Result<Response> {
         let payload = req.encode()?;
         let mut stream = self.checkout()?;
-        if let Some(m) = &self.metrics {
-            m.bytes_tx.add(payload.len() as u64);
-        }
+        self.metrics.bytes_tx.add(payload.len() as u64);
         wire::write_frame(&mut stream, &payload)?;
         let raw = wire::read_frame(&mut stream, wire::MAX_FRAME)?.ok_or_else(|| NetError::Io {
             what: "peer closed before responding".to_string(),
         })?;
-        if let Some(m) = &self.metrics {
-            m.bytes_rx.add(raw.len() as u64);
-        }
+        self.metrics.bytes_rx.add(raw.len() as u64);
         let resp = Response::decode(&raw)?;
         self.checkin(stream);
         Ok(resp)
@@ -122,9 +118,7 @@ impl ViewClient {
         let mut last: Option<NetError> = None;
         for attempt in 0..=self.config.retries {
             if attempt > 0 {
-                if let Some(m) = &self.metrics {
-                    m.retries.inc();
-                }
+                self.metrics.retries.inc();
                 // Stale pooled connections (peer restarted) are the
                 // common cause — drop them all before redialing.
                 self.pool.lock().clear();

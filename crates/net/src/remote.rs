@@ -102,7 +102,7 @@ pub struct RemoteTier {
     config: RemoteTierConfig,
     placement: Placement,
     peers: HashMap<String, Peer>,
-    metrics: Option<NetMetrics>,
+    metrics: NetMetrics,
 }
 
 impl std::fmt::Debug for RemoteTier {
@@ -232,9 +232,7 @@ impl RemoteTier {
     }
 
     fn publish_peers_down(&self) {
-        if let Some(m) = &self.metrics {
-            m.peers_down.set(self.peers_down() as i64);
-        }
+        self.metrics.peers_down.set(self.peers_down() as i64);
     }
 
     /// `items` grouped by the peer that owns each one's key, in first-seen
@@ -289,21 +287,18 @@ impl RemoteTier {
             match outcome {
                 Ok(objects) => {
                     self.mark_success(peer);
-                    if let Some(m) = &self.metrics {
-                        let hits = objects.iter().filter(|o| o.is_some()).count() as u64;
-                        m.fetch_hits.add(hits);
-                        m.fetch_misses.add(objects.len() as u64 - hits);
-                        m.fetch_us.observe_duration(spent);
-                    }
+                    let m = &self.metrics;
+                    let hits = objects.iter().filter(|o| o.is_some()).count() as u64;
+                    m.fetch_hits.add(hits);
+                    m.fetch_misses.add(objects.len() as u64 - hits);
+                    m.fetch_us.observe_duration(spent);
                     for ((i, _), object) in asked.into_iter().zip(objects) {
                         found[i] = object;
                     }
                 }
                 Err(_) => {
                     self.mark_failure(peer);
-                    if let Some(m) = &self.metrics {
-                        m.fetch_errors.add(asked.len() as u64);
-                    }
+                    self.metrics.fetch_errors.add(asked.len() as u64);
                 }
             }
         }
@@ -332,15 +327,11 @@ impl RemoteTier {
             match outcome {
                 Ok(()) => {
                     self.mark_success(peer);
-                    if let Some(m) = &self.metrics {
-                        m.pushes.add(pushed);
-                    }
+                    self.metrics.pushes.add(pushed);
                 }
                 Err(_) => {
                     self.mark_failure(peer);
-                    if let Some(m) = &self.metrics {
-                        m.push_errors.add(pushed);
-                    }
+                    self.metrics.push_errors.add(pushed);
                 }
             }
         }

@@ -91,7 +91,7 @@ pub struct ViewServer;
 struct Shared {
     provider: Arc<dyn ViewProvider>,
     store: Option<Arc<ObjectStore>>,
-    metrics: Option<NetMetrics>,
+    metrics: NetMetrics,
     stop: Arc<AtomicBool>,
 }
 
@@ -213,10 +213,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     // Anything but a whole frame — clean EOF, shutdown, or a transport/
     // protocol failure — means the connection is done.
     while let Ok(Some(payload)) = read_frame_interruptible(&mut stream, shared) {
-        if let Some(m) = &shared.metrics {
-            m.server_requests.inc();
-            m.bytes_rx.add(payload.len() as u64);
-        }
+        let m = &shared.metrics;
+        m.server_requests.inc();
+        m.bytes_rx.add(payload.len() as u64);
         let response = match Request::decode(&payload) {
             Ok(req) => handle_request(req, &mut fds, shared),
             Err(e) => Response::Error {
@@ -224,16 +223,14 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 what: e.to_string(),
             },
         };
-        if let (Some(m), Response::Error { .. }) = (&shared.metrics, &response) {
+        if let Response::Error { .. } = &response {
             m.server_errors.inc();
         }
         let encoded = match response.encode() {
             Ok(e) => e,
             Err(_) => break,
         };
-        if let Some(m) = &shared.metrics {
-            m.bytes_tx.add(encoded.len() as u64);
-        }
+        shared.metrics.bytes_tx.add(encoded.len() as u64);
         if wire::write_frame(&mut stream, &encoded).is_err() {
             break;
         }

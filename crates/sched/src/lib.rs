@@ -38,7 +38,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use sand_sanitizer::{TrackedCondvar, TrackedMutex};
-use sand_telemetry::SchedMetrics;
+use sand_telemetry::{SchedMetrics, Telemetry};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -213,9 +213,8 @@ struct Queue {
 struct Entry {
     seq: u64,
     job: Job,
-    /// Submission timestamp, taken only when telemetry is attached (the
-    /// disabled path must not read the clock).
-    submitted: Option<Instant>,
+    /// Submission timestamp: the queue wait is pick time minus this.
+    submitted: Instant,
 }
 
 struct Shared {
@@ -237,9 +236,9 @@ struct Shared {
     /// preferred worker is busy (i.e. backlogged), otherwise it is left
     /// for that worker to pick up on its next dequeue.
     worker_busy: Vec<AtomicBool>,
-    /// Telemetry handles: queue depth, per-kind queue wait, and demand
-    /// affinity hit/miss counters.
-    metrics: Option<SchedMetrics>,
+    /// Queue depth, per-kind queue wait, and the affinity counters
+    /// (`stats()` reads the pre-materialization ones back).
+    metrics: SchedMetrics,
 }
 
 /// Identity of the worker asking for work.
@@ -281,16 +280,15 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts the worker pool.
+    /// Starts the worker pool, counting into a registry of its own.
     #[must_use]
     pub fn new(config: SchedConfig) -> Self {
-        Self::with_metrics(config, None)
+        Self::with_metrics(config, SchedMetrics::register(&Telemetry::disabled()))
     }
 
-    /// Starts the worker pool with telemetry attached. `None` is the
-    /// zero-overhead path used by [`Scheduler::new`].
+    /// Starts the worker pool, counting into `metrics`.
     #[must_use]
-    pub fn with_metrics(config: SchedConfig, metrics: Option<SchedMetrics>) -> Self {
+    pub fn with_metrics(config: SchedConfig, metrics: SchedMetrics) -> Self {
         let threads = config.threads.max(1);
         let shared = Arc::new(Shared {
             queue: TrackedMutex::new("sched.queue", Queue::default()),
@@ -334,10 +332,8 @@ impl Scheduler {
     /// Submits a job.
     pub fn submit(&self, job: Job) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let submitted = self.shared.metrics.as_ref().map(|m| {
-            m.queue_depth.add(1);
-            Instant::now()
-        });
+        self.shared.metrics.queue_depth.add(1);
+        let submitted = Instant::now();
         {
             let mut q = self.shared.queue.lock();
             // Sleeper placement: lift the tenant to the band's virtual
@@ -410,7 +406,12 @@ impl Scheduler {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> SchedStats {
-        *self.shared.stats.lock()
+        let m = &self.shared.metrics;
+        SchedStats {
+            affinity_hits: m.affinity_hits.get(),
+            affinity_steals: m.affinity_steals.get(),
+            ..*self.shared.stats.lock()
+        }
     }
 
     /// Stops the pool, waiting for in-flight jobs to finish. Queued jobs
@@ -573,23 +574,20 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                     &q.tenants,
                 );
                 if let Some((idx, mode)) = picked {
-                    if let Some(m) = &shared.metrics {
-                        let picked = &q.entries[idx];
-                        if let Some(t) = picked.submitted {
-                            let wait = t.elapsed();
-                            match picked.job.kind {
-                                JobKind::Demand => m.demand_wait_us.observe_duration(wait),
-                                JobKind::Prefetch => m.prefetch_wait_us.observe_duration(wait),
-                                JobKind::PreMaterialize => m.pre_wait_us.observe_duration(wait),
-                            }
-                        }
-                        m.queue_depth.sub(1);
-                        if picked.job.kind == JobKind::Demand && picked.job.affinity.is_some() {
-                            if w.prefers(picked) {
-                                m.demand_affinity_hits.inc();
-                            } else {
-                                m.demand_affinity_misses.inc();
-                            }
+                    let m = &shared.metrics;
+                    let picked = &q.entries[idx];
+                    let wait = picked.submitted.elapsed();
+                    match picked.job.kind {
+                        JobKind::Demand => m.demand_wait_us.observe_duration(wait),
+                        JobKind::Prefetch => m.prefetch_wait_us.observe_duration(wait),
+                        JobKind::PreMaterialize => m.pre_wait_us.observe_duration(wait),
+                    }
+                    m.queue_depth.sub(1);
+                    if picked.job.kind == JobKind::Demand && picked.job.affinity.is_some() {
+                        if w.prefers(picked) {
+                            m.demand_affinity_hits.inc();
+                        } else {
+                            m.demand_affinity_misses.inc();
                         }
                     }
                     let entry = q.entries.swap_remove(idx);
@@ -616,15 +614,9 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                     {
                         if let Some(a) = entry.job.affinity {
                             if w.preferred_worker(a) == w.id {
-                                stats.affinity_hits += 1;
-                                if let Some(m) = &shared.metrics {
-                                    m.affinity_hits.inc();
-                                }
+                                m.affinity_hits.inc();
                             } else {
-                                stats.affinity_steals += 1;
-                                if let Some(m) = &shared.metrics {
-                                    m.affinity_steals.inc();
-                                }
+                                m.affinity_steals.inc();
                             }
                         }
                     }
@@ -830,14 +822,14 @@ mod tests {
     /// pre-materialization's.
     #[test]
     fn prefetch_waits_have_their_own_histogram() {
-        let telemetry = sand_telemetry::Telemetry::new(sand_telemetry::TelemetryConfig::default());
-        let metrics = sand_telemetry::SchedMetrics::register(&telemetry).unwrap();
+        let telemetry = Telemetry::disabled();
+        let metrics = SchedMetrics::register(&telemetry);
         let sched = Scheduler::with_metrics(
             SchedConfig {
                 threads: 2,
                 ..Default::default()
             },
-            Some(metrics),
+            metrics,
         );
         for i in 0..6 {
             sched.submit(Job {
@@ -851,7 +843,7 @@ mod tests {
         }
         sched.wait_idle();
         sched.shutdown();
-        let snap = telemetry.snapshot().unwrap();
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(
             snap.histogram("sched.prefetch_wait_us").map(|h| h.count),
             Some(6)
@@ -1109,7 +1101,7 @@ mod tests {
                         tenant: None,
                         run: Box::new(|| {}),
                     },
-                    submitted: None,
+                    submitted: Instant::now(),
                 })
                 .collect()
         };
@@ -1128,14 +1120,14 @@ mod tests {
     /// lands in a wait histogram.
     #[test]
     fn metrics_account_queue_depth_and_waits() {
-        let telemetry = sand_telemetry::Telemetry::new(sand_telemetry::TelemetryConfig::default());
-        let metrics = sand_telemetry::SchedMetrics::register(&telemetry).unwrap();
+        let telemetry = Telemetry::disabled();
+        let metrics = SchedMetrics::register(&telemetry);
         let sched = Scheduler::with_metrics(
             SchedConfig {
                 threads: 2,
                 ..Default::default()
             },
-            Some(metrics),
+            metrics,
         );
         for i in 0..10 {
             sched.submit(job(JobKind::Demand, i, 1, || {}));
@@ -1143,7 +1135,7 @@ mod tests {
         }
         sched.wait_idle();
         sched.shutdown();
-        let snap = telemetry.snapshot().unwrap();
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.gauge("sched.queue_depth"), Some(0));
         assert_eq!(
             snap.histogram("sched.demand_wait_us").map(|h| h.count),
@@ -1181,7 +1173,7 @@ mod tests {
                         tenant,
                         run: Box::new(|| {}),
                     },
-                    submitted: None,
+                    submitted: Instant::now(),
                 })
                 .collect()
         };
@@ -1356,7 +1348,7 @@ mod tests {
                         tenant: tenanted.then_some(tenant),
                         run: Box::new(|| {}),
                     },
-                    submitted: None,
+                    submitted: Instant::now(),
                 })
                 .collect();
             let config = SchedConfig {

@@ -43,12 +43,12 @@ use crate::shard::{Record, Shard, Victims};
 use crate::vlog::{RecordMeta, SyncPolicy, ValueLog};
 use crate::{Result, StorageError};
 use sand_sanitizer::{ShadowCell, TrackedMutex, TrackedMutexGuard};
-use sand_telemetry::{record_stage, Stage, StoreMetrics};
+use sand_telemetry::{record_stage, Stage, StoreMetrics, Telemetry};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which tier an object currently occupies.
@@ -209,27 +209,13 @@ pub struct ObjectStore {
     /// (the invariant `remove_locked` documents); the lockset checker
     /// enforces it.
     bytes_shadow: ShadowCell,
-    memory_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    spills: AtomicU64,
-    compactions: AtomicU64,
-    /// Recovery outcome, frozen at open (plus runtime checksum misses
-    /// folded into `corrupt_records`). Published retroactively when
-    /// metrics attach.
-    torn_truncations: AtomicU64,
-    corrupt_records: AtomicU64,
-    replayed_objects: AtomicU64,
-    replayed_bytes: AtomicU64,
-    replay_us: AtomicU64,
     /// Current global clock, advanced by the engine each iteration; used
     /// to decide near-future placement and "no longer needed" eviction.
     clock: AtomicU64,
-    /// Optional telemetry handles, attached once by the engine at
-    /// startup. `OnceLock` keeps the hot-path check to an atomic load;
-    /// unset (telemetry disabled) means no timestamps are taken.
-    metrics: OnceLock<StoreMetrics>,
+    /// The store's counters: hits, misses, evictions, spills, the
+    /// recovery outcome and the log's compactions and fsyncs are counted
+    /// here once, and [`ObjectStore::stats`] reads them back.
+    metrics: StoreMetrics,
 }
 
 impl ObjectStore {
@@ -241,7 +227,20 @@ impl ObjectStore {
     /// `MANIFEST` are neither read nor touched. A `dir` with a zero
     /// `disk_budget` is rejected: the budget sweep would evict every
     /// object the moment it reached the log, so nothing would persist.
+    /// The store counts into a registry of its own; an engine hands it
+    /// the engine's handles with [`ObjectStore::with_metrics`].
     pub fn open(config: StoreConfig, dir: Option<PathBuf>) -> Result<Self> {
+        let metrics = StoreMetrics::register(&Telemetry::disabled(), config.shards);
+        Self::with_metrics(config, dir, metrics)
+    }
+
+    /// [`ObjectStore::open`], counting into `metrics`. The recovery
+    /// replay's outcome is recorded into them before this returns.
+    pub fn with_metrics(
+        config: StoreConfig,
+        dir: Option<PathBuf>,
+        metrics: StoreMetrics,
+    ) -> Result<Self> {
         if config.memory_budget == 0 {
             return Err(StorageError::InvalidConfig {
                 what: "memory budget must be nonzero",
@@ -273,32 +272,17 @@ impl ObjectStore {
             disk_bytes: AtomicU64::new(0),
             sweep: TrackedMutex::new("store.sweep", ()),
             bytes_shadow: ShadowCell::new("store.bytes"),
-            memory_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            torn_truncations: AtomicU64::new(0),
-            corrupt_records: AtomicU64::new(0),
-            replayed_objects: AtomicU64::new(0),
-            replayed_bytes: AtomicU64::new(0),
-            replay_us: AtomicU64::new(0),
             clock: AtomicU64::new(0),
-            metrics: OnceLock::new(),
+            metrics,
         };
+        let m = &store.metrics;
+        m.mem_budget.set(config.memory_budget as i64);
         if let Some(d) = &dir {
             let t0 = Instant::now();
-            let (vlog, records, replay) = ValueLog::open(d, config.sync)?;
-            store
-                .torn_truncations
-                .store(replay.torn_truncations, Ordering::Relaxed);
-            store
-                .corrupt_records
-                .store(replay.corrupt_records, Ordering::Relaxed);
-            store
-                .replayed_bytes
-                .store(replay.bytes_read, Ordering::Relaxed);
+            let (vlog, records, replay) = ValueLog::open(d, config.sync, m.vlog_fsyncs.clone())?;
+            m.vlog_torn_truncations.add(replay.torn_truncations);
+            m.vlog_corrupt_records.add(replay.corrupt_records);
+            m.vlog_replayed_bytes.add(replay.bytes_read);
             // Adopt only records that survived checksum validation; the
             // byte accounting is rebuilt from the validated value
             // lengths, never from unvalidated file metadata.
@@ -325,70 +309,32 @@ impl ObjectStore {
                 adopted += 1;
             }
             store.vlog = Some(vlog);
-            store.replayed_objects.store(adopted, Ordering::Relaxed);
-            store
-                .replay_us
-                .store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            m.vlog_replayed_objects.add(adopted);
+            m.vlog_replay_us.observe_duration(t0.elapsed());
         }
+        store.publish_mem_usage();
+        store.publish_log_usage();
         Ok(store)
     }
 
-    /// Attaches telemetry handles (idempotent; the first caller wins).
-    /// Mirrors the store's native counters into the shared registry and
-    /// enables disk I/O latency and shard lock-wait timing. Publishes
-    /// the memory budget and current residency gauges immediately so
-    /// headroom (`1 - mem_bytes/mem_budget`) is derivable from the very
-    /// first snapshot, and retroactively publishes the recovery replay's
-    /// outcome (replay runs before telemetry exists).
-    pub fn set_metrics(&self, metrics: StoreMetrics) {
-        metrics.mem_budget.set(self.config.memory_budget as i64);
-        metrics
+    /// Publishes the memory-tier residency gauge after an accounting
+    /// change.
+    fn publish_mem_usage(&self) {
+        self.metrics
             .mem_bytes
             .set(self.memory_bytes.load(Ordering::Relaxed) as i64);
-        if self.vlog.is_some() {
-            let replay_us = self.replay_us.load(Ordering::Relaxed);
-            metrics
-                .vlog_replay_us
-                .observe_duration(std::time::Duration::from_micros(replay_us));
-            metrics
-                .vlog_torn_truncations
-                .add(self.torn_truncations.load(Ordering::Relaxed));
-            metrics
-                .vlog_corrupt_records
-                .add(self.corrupt_records.load(Ordering::Relaxed));
-            metrics
-                .vlog_replayed_objects
-                .add(self.replayed_objects.load(Ordering::Relaxed));
-            metrics
-                .vlog_replayed_bytes
-                .add(self.replayed_bytes.load(Ordering::Relaxed));
-        }
-        if let Some(vlog) = &self.vlog {
-            vlog.set_fsync_metric(metrics.vlog_fsyncs.clone());
-        }
-        let _ = self.metrics.set(metrics);
-        self.publish_log_usage();
-    }
-
-    /// Publishes the memory-tier residency gauge after an accounting
-    /// change (no-op without telemetry attached).
-    fn publish_mem_usage(&self) {
-        if let Some(m) = self.metrics.get() {
-            m.mem_bytes
-                .set(self.memory_bytes.load(Ordering::Relaxed) as i64);
-        }
     }
 
     /// Publishes the value-log size and garbage-ratio gauges (no-op
-    /// without telemetry or a persistent tier).
+    /// without a persistent tier).
     fn publish_log_usage(&self) {
-        if let (Some(m), Some(vlog)) = (self.metrics.get(), &self.vlog) {
+        if let Some(vlog) = &self.vlog {
             let (total, live) = vlog.byte_totals();
-            m.vlog_log_bytes.set(total as i64);
+            self.metrics.vlog_log_bytes.set(total as i64);
             let pct = (total.saturating_sub(live) * 100)
                 .checked_div(total)
                 .unwrap_or(0) as i64;
-            m.vlog_garbage_pct.set(pct);
+            self.metrics.vlog_garbage_pct.set(pct);
         }
     }
 
@@ -425,24 +371,19 @@ impl ObjectStore {
         (h.finish() % self.shards.len() as u64) as usize
     }
 
-    /// Locks shard `idx`. When telemetry is attached, a contended
-    /// acquisition records its wait in the shard's lock-wait histogram;
-    /// the uncontended fast path and the disabled path never read the
-    /// clock.
+    /// Locks shard `idx`. A contended acquisition records its wait in
+    /// the shard's lock-wait histogram; the uncontended fast path never
+    /// reads the clock.
     fn lock_shard(&self, idx: usize) -> TrackedMutexGuard<'_, Shard> {
-        if let Some(m) = self.metrics.get() {
-            if let Some(guard) = self.shards[idx].try_lock() {
-                return guard;
-            }
-            let t0 = Instant::now();
-            let guard = self.shards[idx].lock();
-            if let Some(h) = m.shard_lock_wait_us.get(idx) {
-                h.observe_duration(t0.elapsed());
-            }
-            guard
-        } else {
-            self.shards[idx].lock()
+        if let Some(guard) = self.shards[idx].try_lock() {
+            return guard;
         }
+        let t0 = Instant::now();
+        let guard = self.shards[idx].lock();
+        if let Some(h) = self.metrics.shard_lock_wait_us.get(idx) {
+            h.observe_duration(t0.elapsed());
+        }
+        guard
     }
 
     /// Inserts an object.
@@ -466,9 +407,7 @@ impl ObjectStore {
     /// within budgets. Only the owning shard is locked, so puts of
     /// disjoint keys (including their log appends) proceed in parallel.
     pub fn put(&self, key: &str, bytes: Arc<Vec<u8>>, meta: ObjectMeta) -> Result<()> {
-        if let Some(m) = self.metrics.get() {
-            m.puts.inc();
-        }
+        self.metrics.puts.inc();
         let size = bytes.len() as u64;
         if size > self.config.memory_budget && self.dir.is_none() {
             return Err(StorageError::TooLarge {
@@ -487,14 +426,11 @@ impl ObjectStore {
                 // Durability first: append the new record. On failure the
                 // old record (still in the map, still accounted) survives
                 // untouched — no data loss, no orphan final-path file.
-                let t0 = self.metrics.get().map(|_| Instant::now());
+                let t0 = Instant::now();
                 let ptr = vlog.append(key, meta.to_record(), bytes.as_slice())?;
-                if let (Some(m), Some(t0)) = (self.metrics.get(), t0) {
-                    let spent = t0.elapsed();
-                    m.vlog_append_us.observe_duration(spent);
-                    m.disk_write_us.observe_duration(spent);
-                    record_stage(Stage::Persist, spent);
-                }
+                let spent = t0.elapsed();
+                self.metrics.vlog_append_us.observe_duration(spent);
+                record_stage(Stage::Persist, spent);
                 // The append cannot fail past this point: settle the
                 // replaced record (its log bytes become garbage) and
                 // install the new one.
@@ -564,10 +500,7 @@ impl ObjectStore {
             match shard.get(key) {
                 Some(rec) => match (&rec.tier, &rec.bytes) {
                     (Tier::Memory, Some(b)) => {
-                        self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = self.metrics.get() {
-                            m.mem_hits.inc();
-                        }
+                        self.metrics.mem_hits.inc();
                         return Ok(Arc::clone(b));
                     }
                     _ => rec.ptr,
@@ -588,35 +521,26 @@ impl ObjectStore {
         // is a miss, not an I/O failure: callers fall through to
         // recompute. Likewise a checksum mismatch: corrupt bytes must
         // never be served, so the read degrades to a miss.
-        let t0 = self.metrics.get().map(|_| Instant::now());
+        let t0 = Instant::now();
         let bytes = match vlog.read(key, ptr) {
             Ok(bytes) => bytes,
             Err(StorageError::NotFound { .. }) => return Err(self.record_miss(key)),
             Err(StorageError::Corrupt { .. }) => {
-                self.corrupt_records.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.vlog_corrupt_records.inc();
-                }
+                self.metrics.vlog_corrupt_records.inc();
                 return Err(self.record_miss(key));
             }
             Err(e) => return Err(e),
         };
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        if let (Some(m), Some(t0)) = (self.metrics.get(), t0) {
-            let spent = t0.elapsed();
-            m.disk_hits.inc();
-            m.disk_read_us.observe_duration(spent);
-            record_stage(Stage::StoreIo, spent);
-        }
+        let spent = t0.elapsed();
+        self.metrics.disk_hits.inc();
+        self.metrics.disk_read_us.observe_duration(spent);
+        record_stage(Stage::StoreIo, spent);
         Ok(Arc::new(bytes))
     }
 
     /// Counts a miss and builds the NotFound error.
     fn record_miss(&self, key: &str) -> StorageError {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.misses.inc();
-        }
+        self.metrics.misses.inc();
         StorageError::NotFound {
             key: key.to_string(),
         }
@@ -724,14 +648,6 @@ impl ObjectStore {
         best.map(|(_, key, idx)| (idx, key))
     }
 
-    /// Counts one whole-object eviction.
-    fn count_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.evictions.inc();
-        }
-    }
-
     /// Sheds one memory-resident object, longest deadline first. With a
     /// persistent tier that is a spill: the memory copy is dropped and
     /// the object stays in the log (write-through), so no data moves.
@@ -749,17 +665,14 @@ impl ObjectStore {
             if self.vlog.is_none() {
                 if shard.get(&key).is_some_and(|r| r.tier == Tier::Memory) {
                     self.remove_locked(&mut shard, &key)?;
-                    self.count_eviction();
+                    self.metrics.evictions.inc();
                     return Ok(true);
                 }
             } else if let Some(size) = shard.spill(&key) {
                 self.bytes_shadow.write();
                 self.memory_bytes.fetch_sub(size, Ordering::Relaxed);
                 self.publish_mem_usage();
-                self.spills.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.spills.inc();
-                }
+                self.metrics.spills.inc();
                 return Ok(true);
             }
             // The victim vanished or changed tier between the pick and
@@ -782,7 +695,7 @@ impl ObjectStore {
             let mut shard = self.lock_shard(idx);
             if shard.contains(&key) {
                 self.remove_locked(&mut shard, &key)?;
-                self.count_eviction();
+                self.metrics.evictions.inc();
                 return Ok(true);
             }
         }
@@ -892,10 +805,7 @@ impl ObjectStore {
                     Err(StorageError::Corrupt { .. } | StorageError::NotFound { .. }) => {
                         // Bit rot under the index: the object is gone.
                         // Drop it rather than resurrect bad bytes.
-                        self.corrupt_records.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = self.metrics.get() {
-                            m.vlog_corrupt_records.inc();
-                        }
+                        self.metrics.vlog_corrupt_records.inc();
                         if let Some(old) = shard.remove(&key) {
                             self.bytes_shadow.write();
                             if old.tier == Tier::Memory {
@@ -911,10 +821,7 @@ impl ObjectStore {
             }
         }
         vlog.delete_segments(&sealed)?;
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.vlog_compactions.inc();
-        }
+        self.metrics.vlog_compactions.inc();
         self.publish_log_usage();
         Ok(true)
     }
@@ -949,22 +856,23 @@ impl ObjectStore {
     #[must_use]
     pub fn stats(&self) -> StoreStats {
         let (log_bytes, live_bytes) = self.vlog.as_ref().map_or((0, 0), ValueLog::byte_totals);
+        let m = &self.metrics;
         StoreStats {
             memory_bytes: self.memory_bytes.load(Ordering::Relaxed),
             disk_bytes: self.disk_bytes.load(Ordering::Relaxed),
-            memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            spills: self.spills.load(Ordering::Relaxed),
+            memory_hits: m.mem_hits.get(),
+            disk_hits: m.disk_hits.get(),
+            misses: m.misses.get(),
+            evictions: m.evictions.get(),
+            spills: m.spills.get(),
             log_bytes,
             garbage_bytes: log_bytes.saturating_sub(live_bytes),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            torn_truncations: self.torn_truncations.load(Ordering::Relaxed),
-            corrupt_records: self.corrupt_records.load(Ordering::Relaxed),
-            replayed_objects: self.replayed_objects.load(Ordering::Relaxed),
-            replayed_bytes: self.replayed_bytes.load(Ordering::Relaxed),
-            vlog_fsyncs: self.vlog.as_ref().map_or(0, ValueLog::fsync_count),
+            compactions: m.vlog_compactions.get(),
+            torn_truncations: m.vlog_torn_truncations.get(),
+            corrupt_records: m.vlog_corrupt_records.get(),
+            replayed_objects: m.vlog_replayed_objects.get(),
+            replayed_bytes: m.vlog_replayed_bytes.get(),
+            vlog_fsyncs: m.vlog_fsyncs.get(),
         }
     }
 
@@ -1652,21 +1560,24 @@ mod tests {
             .unwrap();
     }
 
+    /// A store counting into a registry the test can read.
+    fn observed(cfg: StoreConfig, dir: Option<PathBuf>) -> (ObjectStore, Telemetry) {
+        let telemetry = Telemetry::disabled();
+        let m = StoreMetrics::register(&telemetry, cfg.shards);
+        (ObjectStore::with_metrics(cfg, dir, m).unwrap(), telemetry)
+    }
+
     /// Contended shard locks show up in the per-shard wait histograms
-    /// once telemetry is attached (and `shard_count` reports the
-    /// configured fan-out).
+    /// (and `shard_count` reports the configured fan-out).
     #[test]
     fn shard_lock_waits_are_observable() {
-        use sand_telemetry::{StoreMetrics, Telemetry, TelemetryConfig};
         let cfg = StoreConfig {
             shards: 2,
             ..Default::default()
         };
-        let s = Arc::new(ObjectStore::memory_only(cfg).unwrap());
+        let (s, telemetry) = observed(cfg, None);
+        let s = Arc::new(s);
         assert_eq!(s.shard_count(), 2);
-        let telemetry = Telemetry::new(TelemetryConfig::default());
-        let m = StoreMetrics::register(&telemetry, s.shard_count()).expect("enabled");
-        s.set_metrics(m);
         let mut handles = Vec::new();
         for t in 0..4 {
             let s = Arc::clone(&s);
@@ -1683,7 +1594,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let snap = telemetry.snapshot().expect("enabled");
+        let snap = telemetry.snapshot().expect("a registry");
         // Contention is probabilistic per shard, but the histograms must
         // exist and puts must be mirrored.
         assert!(snap.histogram("store.shard0.lock_wait_us").is_some());
@@ -1696,29 +1607,25 @@ mod tests {
     /// snapshot.
     #[test]
     fn memory_gauges_track_accounting() {
-        use sand_telemetry::{StoreMetrics, Telemetry, TelemetryConfig};
         let cfg = StoreConfig {
             memory_budget: 10_000,
             ..Default::default()
         };
-        let s = ObjectStore::memory_only(cfg).unwrap();
-        s.put("early", vec![0u8; 100].into(), meta(0, 1)).unwrap();
-        let telemetry = Telemetry::new(TelemetryConfig::default());
-        let m = StoreMetrics::register(&telemetry, s.shard_count()).expect("enabled");
-        s.set_metrics(m);
-        let snap = telemetry.snapshot().expect("enabled");
-        assert_eq!(snap.gauge("store.mem_budget"), Some(10_000));
+        let (s, telemetry) = observed(cfg, None);
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(
-            snap.gauge("store.mem_bytes"),
-            Some(100),
-            "attach publishes pre-existing residency"
+            snap.gauge("store.mem_budget"),
+            Some(10_000),
+            "open publishes the budget"
         );
+        assert_eq!(snap.gauge("store.mem_bytes"), Some(0));
+        s.put("early", vec![0u8; 100].into(), meta(0, 1)).unwrap();
         s.put("k1", vec![0u8; 400].into(), meta(0, 1)).unwrap();
         s.put("k2", vec![0u8; 300].into(), meta(0, 2)).unwrap();
-        let snap = telemetry.snapshot().expect("enabled");
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.gauge("store.mem_bytes"), Some(800));
         s.remove("k1").unwrap();
-        let snap = telemetry.snapshot().expect("enabled");
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.gauge("store.mem_bytes"), Some(400));
         assert_eq!(
             snap.gauge("store.mem_bytes").map(|b| b as u64),
@@ -1728,11 +1635,10 @@ mod tests {
     }
 
     /// The vlog telemetry family: appends feed the latency histogram,
-    /// recovery publishes its outcome retroactively at attach, and the
-    /// garbage gauges follow compaction.
+    /// recovery records its outcome as the store opens, and the garbage
+    /// gauges follow compaction.
     #[test]
     fn vlog_metrics_are_published() {
-        use sand_telemetry::{StoreMetrics, Telemetry, TelemetryConfig};
         let dir = tmp("vlog_metrics");
         {
             let cfg = StoreConfig {
@@ -1743,41 +1649,37 @@ mod tests {
             s.put("a", vec![1; 64].into(), meta(100, 1)).unwrap();
             s.put("a", vec![2; 64].into(), meta(100, 1)).unwrap(); // garbage
         }
-        let s = ObjectStore::open(
+        let (s, telemetry) = observed(
             StoreConfig {
                 memory_horizon: 0,
                 ..Default::default()
             },
             Some(dir.clone()),
-        )
-        .unwrap();
-        let telemetry = Telemetry::new(TelemetryConfig::default());
-        let m = StoreMetrics::register(&telemetry, s.shard_count()).expect("enabled");
-        s.set_metrics(m);
-        let snap = telemetry.snapshot().expect("enabled");
+        );
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.counter("store.vlog.replayed_objects"), Some(1));
         assert_eq!(snap.counter("store.vlog.torn_truncations"), Some(0));
         assert!(snap.gauge("store.vlog.log_bytes").unwrap_or(0) > 0);
         assert!(snap.gauge("store.vlog.garbage_pct").unwrap_or(0) > 0);
         s.put("b", vec![3; 32].into(), meta(100, 1)).unwrap();
-        let snap = telemetry.snapshot().expect("enabled");
+        let snap = telemetry.snapshot().expect("a registry");
         let appends = snap
             .histogram("store.vlog.append_us")
             .map(|h| h.count)
             .unwrap_or(0);
         assert!(appends >= 1, "append latency not observed");
         assert!(s.compact().unwrap());
-        let snap = telemetry.snapshot().expect("enabled");
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.counter("store.vlog.compactions"), Some(1));
         assert_eq!(snap.gauge("store.vlog.garbage_pct"), Some(0));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The replay reports the size of the log it read: every segment's
-    /// bytes, as the files hold them when the store reopens.
+    /// bytes, as the files hold them when the store reopens — one count,
+    /// which `stats()` and the snapshot both read.
     #[test]
     fn replay_counts_the_bytes_it_read() {
-        use sand_telemetry::{StoreMetrics, Telemetry, TelemetryConfig};
         let dir = tmp("replayed_bytes");
         let cfg = StoreConfig {
             memory_horizon: 0,
@@ -1802,13 +1704,17 @@ mod tests {
             .map(|e| e.metadata().unwrap().len())
             .sum();
         assert!(log_bytes > 8 * 100);
-        let s = ObjectStore::open(cfg, Some(dir.clone())).unwrap();
-        assert_eq!(s.stats().replayed_bytes, log_bytes);
-        let telemetry = Telemetry::new(TelemetryConfig::default());
-        s.set_metrics(StoreMetrics::register(&telemetry, s.shard_count()).unwrap());
-        let snap = telemetry.snapshot().unwrap();
+        let (s, telemetry) = observed(cfg, Some(dir.clone()));
+        let stats = s.stats();
+        assert_eq!(stats.replayed_bytes, log_bytes);
+        assert_eq!(stats.replayed_objects, 8);
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.counter("store.vlog.replayed_bytes"), Some(log_bytes));
         assert_eq!(snap.counter("store.vlog.replayed_objects"), Some(8));
+        assert_eq!(
+            snap.histogram("store.vlog.replay_us").map(|h| h.count),
+            Some(1)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -60,12 +60,12 @@
 use crate::manifest::Manifest;
 use crate::{Result, StorageError};
 use sand_sanitizer::{TrackedCondvar, TrackedMutex};
+use sand_telemetry::Counter;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// When appended records are flushed to stable storage.
@@ -272,10 +272,8 @@ pub struct ValueLog {
     /// while the disk flushes.
     sync_state: TrackedMutex<SyncState>,
     sync_cv: TrackedCondvar,
-    /// Fsyncs issued.
-    fsyncs: AtomicU64,
-    /// Optional telemetry mirror of `fsyncs`, attached by the store.
-    fsync_metric: OnceLock<sand_telemetry::Counter>,
+    /// Fsyncs issued (the store's `store.vlog.fsyncs`).
+    fsyncs: Counter,
 }
 
 /// Segment file name for `id`.
@@ -384,8 +382,13 @@ impl ValueLog {
     /// replay order; tombstoned keys are already folded away), and the
     /// replay statistics. Torn tails are truncated **in place** so the
     /// active segment is clean for future appends. `sync` governs when
-    /// appends reach stable storage (see [`SyncPolicy`]).
-    pub fn open(dir: &Path, sync: SyncPolicy) -> Result<(Self, Vec<ReplayRecord>, ReplayStats)> {
+    /// appends reach stable storage (see [`SyncPolicy`]); every fsync
+    /// the log issues counts on `fsyncs`.
+    pub fn open(
+        dir: &Path,
+        sync: SyncPolicy,
+        fsyncs: Counter,
+    ) -> Result<(Self, Vec<ReplayRecord>, ReplayStats)> {
         fs::create_dir_all(dir)?;
         let manifest = Manifest::load(dir)?;
         // Segments on disk are the source of truth; the manifest only
@@ -510,8 +513,7 @@ impl ValueLog {
                 },
             ),
             sync_cv: TrackedCondvar::new(),
-            fsyncs: AtomicU64::new(0),
-            fsync_metric: OnceLock::new(),
+            fsyncs,
         };
         log.write_manifest(active_id + 1)?;
         Ok((log, records, stats))
@@ -626,10 +628,7 @@ impl ValueLog {
                         s.synced_segment = id;
                         s.synced_offset = len;
                     }
-                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = self.fsync_metric.get() {
-                        c.inc();
-                    }
+                    self.fsyncs.inc();
                     Ok(())
                 }
                 Err(e) => Err(e),
@@ -644,19 +643,6 @@ impl ValueLog {
             // Our bytes landed after our own snapshot (a rotation raced
             // in): lead another round.
         }
-    }
-
-    /// Fsyncs issued by the append path so far.
-    #[must_use]
-    pub fn fsync_count(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// Attaches the telemetry counter mirroring [`Self::fsync_count`]
-    /// (idempotent; first caller wins).
-    pub fn set_fsync_metric(&self, counter: sand_telemetry::Counter) {
-        counter.add(self.fsyncs.load(Ordering::Relaxed));
-        let _ = self.fsync_metric.set(counter);
     }
 
     /// Reads the value bytes of the record at `ptr`, re-validating the
@@ -730,10 +716,7 @@ impl ValueLog {
             f.write_all(&SEGMENT_MAGIC)?;
             if self.sync != SyncPolicy::Never {
                 w.active.sync_data()?;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = self.fsync_metric.get() {
-                    c.inc();
-                }
+                self.fsyncs.inc();
             }
             let sealed: Vec<u64> = {
                 let mut ids: Vec<u64> = w.segment_bytes.keys().copied().collect();
@@ -888,7 +871,7 @@ mod tests {
     #[test]
     fn append_read_roundtrip() {
         let dir = tmp("roundtrip");
-        let (log, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (log, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         assert!(recs.is_empty());
         assert_eq!(stats.records, 0);
         let ptr = log.append("a/b", meta(3, 2), &[1, 2, 3, 4]).unwrap();
@@ -905,12 +888,12 @@ mod tests {
     fn replay_restores_last_writer_and_meta() {
         let dir = tmp("replay");
         {
-            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
             log.append("k1", meta(7, 5), b"old").unwrap();
             log.append("k2", meta(9, 1), b"other").unwrap();
             log.append("k1", meta(8, 4), b"newer").unwrap();
         }
-        let (log, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (log, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         assert_eq!(stats.records, 3);
         assert_eq!(stats.torn_truncations, 0);
         let k1 = recs.iter().find(|r| r.key == "k1").unwrap();
@@ -924,11 +907,11 @@ mod tests {
     fn tombstone_survives_restart() {
         let dir = tmp("tomb");
         {
-            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
             log.append("gone", meta(1, 1), b"data").unwrap();
             log.append_tombstone("gone").unwrap();
         }
-        let (_, recs, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (_, recs, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         let gone = recs.iter().find(|r| r.key == "gone").unwrap();
         assert!(gone.put.is_none(), "tombstone must fold the put away");
         fs::remove_dir_all(&dir).unwrap();
@@ -938,7 +921,7 @@ mod tests {
     fn torn_tail_is_truncated_not_adopted() {
         let dir = tmp("torn");
         let full_len = {
-            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
             log.append("whole", meta(1, 1), &[7; 64]).unwrap();
             log.append("torn", meta(2, 1), &[8; 64]).unwrap();
             fs::metadata(dir.join(segment_name(log.active_segment())))
@@ -953,7 +936,7 @@ mod tests {
             .unwrap()
             .set_len(full_len - 30)
             .unwrap();
-        let (log, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (log, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         assert_eq!(stats.torn_truncations, 1);
         let keys: Vec<&str> = recs.iter().map(|r| r.key.as_str()).collect();
         assert_eq!(keys, vec!["whole"]);
@@ -969,7 +952,7 @@ mod tests {
     fn bit_flip_rejected_as_corrupt() {
         let dir = tmp("flip");
         let (first_val_at, _) = {
-            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
             let p1 = log.append("a", meta(1, 1), &[1; 32]).unwrap();
             log.append("b", meta(2, 1), &[2; 32]).unwrap();
             (p1.offset as usize + HEADER_LEN + 1, p1)
@@ -978,7 +961,7 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[first_val_at + 4] ^= 0x40; // flip one value bit of record `a`
         fs::write(&path, &bytes).unwrap();
-        let (_, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (_, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         assert_eq!(stats.corrupt_records, 1);
         // Replay stops at the flipped record; nothing after it survives
         // (record boundaries are untrustworthy past bit rot).
@@ -989,7 +972,7 @@ mod tests {
     #[test]
     fn rotation_and_deletion_settle_byte_totals() {
         let dir = tmp("rotate");
-        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         let p = log.append("keep", meta(1, 1), &[3; 128]).unwrap();
         log.append("drop", meta(2, 1), &[4; 128]).unwrap();
         log.retire(u64::from(p.total_len)); // pretend `keep` was superseded
@@ -1022,7 +1005,8 @@ mod tests {
         const THREADS: usize = 4;
         const APPENDS: usize = 64;
         let dir = tmp("always");
-        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Always).unwrap();
+        let fsyncs = Counter::new();
+        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Always, fsyncs.clone()).unwrap();
         let barrier = std::sync::Barrier::new(THREADS + 1);
         let covered = |ptr: Ptr| {
             log.sync_state
@@ -1067,7 +1051,7 @@ mod tests {
             ptrs.iter().all(|&p| covered(p)),
             "the rotation uncovered an earlier append"
         );
-        let fsyncs = log.fsync_count();
+        let fsyncs = fsyncs.get();
         let seal = 1;
         assert!(
             (1..=(THREADS * APPENDS) as u64 + seal).contains(&fsyncs),
@@ -1075,7 +1059,7 @@ mod tests {
             THREADS * APPENDS
         );
         drop(log);
-        let (_, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (_, recs, stats) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         assert_eq!(stats.records, (THREADS * APPENDS) as u64);
         assert_eq!(stats.torn_truncations + stats.corrupt_records, 0);
         assert_eq!(
@@ -1089,13 +1073,13 @@ mod tests {
     fn segment_ids_never_reused_after_restart() {
         let dir = tmp("ids");
         {
-            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
             log.append("x", meta(1, 1), b"1").unwrap();
             let sealed = log.rotate().unwrap();
             // Compact everything away: segment 0 deleted, active is 1.
             log.delete_segments(&sealed).unwrap();
         }
-        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never).unwrap();
+        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
         assert!(
             log.active_segment() >= 1,
             "deleted segment id resurrected: {}",

@@ -37,7 +37,7 @@
 //! job installs its [`StageCells`] with [`with_stage_cells`], and
 //! instrumented code anywhere below it (the store's disk I/O, the
 //! engine's decode and op-apply paths) calls [`record_stage`]. When no
-//! cells are installed — telemetry off, or work running outside a
+//! cells are installed — an untraced engine, or work running outside a
 //! probed job — `record_stage` is a thread-local read and a branch.
 
 use std::cell::RefCell;
@@ -124,7 +124,7 @@ pub struct SampleProbe {
 }
 
 /// Timing probe for one served batch. Created by
-/// [`crate::Telemetry::batch_probe`] when telemetry is enabled; shared
+/// [`crate::Telemetry::batch_probe`] when the handle keeps traces; shared
 /// (via `Arc`) between the serve thread and each demand job.
 #[derive(Debug)]
 pub struct BatchProbe {

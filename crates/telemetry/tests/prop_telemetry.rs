@@ -67,7 +67,7 @@ proptest! {
     #[test]
     fn snapshot_jsonl_roundtrips(values in prop::collection::vec(0u64..1_000_000, 0..20)) {
         let t = Telemetry::new(TelemetryConfig::default());
-        let registry = t.registry().unwrap();
+        let registry = t.registry();
         for (i, v) in values.iter().enumerate() {
             registry.counter(&format!("fam{}.c{}", i % 3, i)).add(*v);
         }

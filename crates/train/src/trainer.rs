@@ -110,10 +110,10 @@ impl Trainer {
         }
     }
 
-    /// Attaches a telemetry registry: every run then records
-    /// `loader.<name>.{stall_us,batches,cpu_work_us}`, putting SAND and
-    /// the baseline loaders in one registry so stall attribution reads
-    /// uniformly across strategies.
+    /// Records into `telemetry`'s registry instead of the trainer's own:
+    /// every run records `loader.<name>.{stall_us,batches,cpu_work_us}`,
+    /// so SAND and the baseline loaders share one registry and stall
+    /// attribution reads uniformly across strategies.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -143,10 +143,8 @@ impl Trainer {
                 let stall = wait_started.elapsed();
                 gpu_stall += stall;
                 self.gpu.record_stall(stall);
-                if let Some(m) = &loader_metrics {
-                    m.stall_us.observe_duration(stall);
-                    m.batches.inc();
-                }
+                loader_metrics.stall_us.observe_duration(stall);
+                loader_metrics.batches.inc();
                 if !batch.gpu_preprocess.is_zero() {
                     // GPU-side preprocessing occupies the device before
                     // training can start.
@@ -175,12 +173,11 @@ impl Trainer {
             gpu_compute.as_secs_f64() / busy_total.as_secs_f64()
         };
         let cpu_work = loader.cpu_work();
-        if let Some(m) = &loader_metrics {
-            // The loader's counter is lifetime-cumulative; bill only
-            // this run's share so repeated runs don't double-count.
-            m.cpu_work_us
-                .add(cpu_work.saturating_sub(cpu_work_before).as_micros() as u64);
-        }
+        // The loader's counter is lifetime-cumulative; bill only this
+        // run's share so repeated runs don't double-count.
+        loader_metrics
+            .cpu_work_us
+            .add(cpu_work.saturating_sub(cpu_work_before).as_micros() as u64);
         // Package-level CPU busy seconds: total work spread over vCPUs,
         // capped at the wall clock.
         let cpu_busy =

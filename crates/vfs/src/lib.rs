@@ -19,9 +19,11 @@ pub mod path;
 pub use path::ViewPath;
 
 use parking_lot::Mutex;
+use sand_telemetry::{Telemetry, VfsMetrics};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Errors produced by the VFS layer (POSIX-flavoured).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,24 +96,18 @@ struct OpenFile {
 pub struct SandVfs {
     provider: Arc<dyn ViewProvider>,
     files: Mutex<BTreeMap<u64, OpenFile>>,
-    metrics: Option<sand_telemetry::VfsMetrics>,
+    metrics: VfsMetrics,
 }
 
 impl SandVfs {
-    /// Mounts the VFS over a provider.
+    /// Mounts the VFS over a provider, counting into a registry of its
+    /// own.
     pub fn new(provider: Arc<dyn ViewProvider>) -> Self {
-        SandVfs {
-            provider,
-            files: Mutex::new(BTreeMap::new()),
-            metrics: None,
-        }
+        Self::with_metrics(provider, VfsMetrics::register(&Telemetry::disabled()))
     }
 
-    /// Mounts the VFS over a provider with fetch-latency telemetry.
-    pub fn with_metrics(
-        provider: Arc<dyn ViewProvider>,
-        metrics: Option<sand_telemetry::VfsMetrics>,
-    ) -> Self {
+    /// Mounts the VFS over a provider, timing each fetch into `metrics`.
+    pub fn with_metrics(provider: Arc<dyn ViewProvider>, metrics: VfsMetrics) -> Self {
         SandVfs {
             provider,
             files: Mutex::new(BTreeMap::new()),
@@ -125,12 +121,10 @@ impl SandVfs {
         let view = ViewPath::parse(path).ok_or_else(|| VfsError::NoSuchView {
             path: path.to_string(),
         })?;
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let t0 = Instant::now();
         let content = self.provider.fetch(&view)?;
-        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), t0) {
-            m.fetch_us.observe_duration(t0.elapsed());
-            m.fetches.inc();
-        }
+        self.metrics.fetch_us.observe_duration(t0.elapsed());
+        self.metrics.fetches.inc();
         let mut files = self.files.lock();
         let mut fd = 3;
         while files.contains_key(&fd) {
@@ -331,9 +325,9 @@ mod tests {
     }
 
     #[test]
-    fn fetch_latency_is_recorded_when_metrics_attached() {
-        let telemetry = sand_telemetry::Telemetry::new(sand_telemetry::TelemetryConfig::default());
-        let metrics = sand_telemetry::VfsMetrics::register(&telemetry);
+    fn fetch_latency_is_recorded() {
+        let telemetry = Telemetry::disabled();
+        let metrics = VfsMetrics::register(&telemetry);
         let v = SandVfs::with_metrics(Arc::new(MockProvider), metrics);
         let a = v.open("/t/0/0/view").unwrap();
         let b = v.open("/t/0/1/view").unwrap();
@@ -342,7 +336,7 @@ mod tests {
         // Failed opens (unparseable path) never reach the provider and
         // must not count as fetches.
         assert!(v.open("nope").is_err());
-        let snap = telemetry.snapshot().unwrap();
+        let snap = telemetry.snapshot().expect("a registry");
         assert_eq!(snap.counter("vfs.fetches"), Some(2));
         assert_eq!(snap.histogram("vfs.fetch_us").map(|h| h.count), Some(2));
     }
