@@ -153,6 +153,9 @@ cargo test -q --features sanitize
 echo "==> sand-sanitizer unit tests (feature on)"
 cargo test -q -p sand-sanitizer --features sanitize
 
+echo "==> sand-storage tests under the sanitizer (the store's puts, removes and compactions race in prop_concurrent_log)"
+cargo test -q -p sand-storage --features sanitize
+
 echo "==> store_contention bench smoke (quick mode); an evicting put at 16 384 resident objects costs <= 3x one at 1 024"
 SAND_BENCH_QUICK=1 cargo bench -q -p sand-bench --bench store_contention | tee /dev/stderr |
     awk '/evict_put_ratio/ { seen = 1; if ($3 + 0 > 3.0) { print "evicting put grows faster than O(log n): " $3; exit 1 } }

@@ -379,10 +379,9 @@ impl Inner {
     /// graph: the per-video node lists and buckets were
     /// prepared with the plan, and what is left is one store probe per
     /// node (objects that survive from an earlier chunk or an earlier run
-    /// are not queued again) and one submission per job. A video's probes
-    /// take each store shard's lock once: over a value log a `put` holds
-    /// that lock across its disk write, and probing key by key queued the
-    /// boundary behind those writes. A video's jobs
+    /// are not queued again) and one submission per job. A probe takes
+    /// only its key's shard lock, which no disk write holds: over a value
+    /// log a `put` appends before it locks. A video's jobs
     /// are submitted as soon as its probes are done, so the workers start
     /// on the first videos while the rest are still being handed over.
     fn submit_prematerialization(self: &Arc<Self>, chunk: &Arc<Chunk>, fanout: Vec<VideoFanout>) {
@@ -390,9 +389,8 @@ impl Inner {
         for video in fanout {
             let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); epoch_span + 1];
             let mut todo: Vec<NodeId> = Vec::new();
-            let keys: Vec<&str> = video.nodes.iter().map(|n| chunk.key(n.id)).collect();
-            for (n, held) in video.nodes.iter().zip(self.store.contains_each(&keys)) {
-                if !held {
+            for n in &video.nodes {
+                if !self.store.contains(chunk.key(n.id)) {
                     todo.push(n.id);
                     buckets[n.bucket].push(n.id);
                 }

@@ -56,6 +56,10 @@ pub(crate) struct Shard {
     memory: BTreeSet<VictimKey>,
     spent: BTreeSet<VictimKey>,
     all: BTreeSet<VictimKey>,
+    /// The log position a record must lie past to be installed: the
+    /// shard's latest tombstone, or the start of the segment a compaction
+    /// copied the shard's records into, whichever is later.
+    fence: (u64, u64),
 }
 
 fn place(key: &Arc<str>, rec: &Record) -> VictimKey {
@@ -146,6 +150,26 @@ impl Shard {
                 self.spent.insert(place(shared, rec));
             }
         }
+    }
+
+    /// True when a record of `key` appended at `ptr` is still the latest
+    /// in log order: no record of `key` here lies past it, and neither
+    /// does the fence. A put whose record a racing put, a compaction or
+    /// one of this shard's tombstones overtook must append again, or
+    /// replay would pick another record than the index names.
+    pub(crate) fn admits(&self, key: &str, ptr: Ptr) -> bool {
+        let at = ptr.log_pos();
+        at > self.fence
+            && self
+                .objects
+                .get(key)
+                .and_then(|rec| rec.ptr)
+                .is_none_or(|cur| cur.log_pos() < at)
+    }
+
+    /// Moves the fence up to `at` (never down).
+    pub(crate) fn raise_fence(&mut self, at: (u64, u64)) {
+        self.fence = self.fence.max(at);
     }
 
     /// Points `key`'s record at its new place in the value log.

@@ -29,15 +29,19 @@
 //! [`ValueLog`] (see [`crate::vlog`] for the record format): every `put`
 //! appends one record whose CRC32 is written last, so a crash mid-write
 //! can never leave an adoptable half-object — recovery truncates the
-//! torn tail instead of resurrecting it. Removals append tombstones;
-//! superseded and removed records become dead bytes, and when the
-//! dead-byte ratio crosses `StoreConfig::compact_threshold` (and the
-//! absolute garbage clears a small floor) the Algorithm-1 sweep runs a
-//! **compaction**: seal the active segment, copy live records out of the
-//! sealed ones (memory-resident objects re-append from their in-memory
-//! bytes without a read), delete the sealed files. The store reads and
-//! writes only the log's segment files and its `MANIFEST`; anything else
-//! in the directory is not the store's and is left alone.
+//! torn tail instead of resurrecting it. A `put` appends before it takes
+//! its shard's lock and installs the record only if it is still the
+//! key's latest in log order, appending again otherwise, so the index
+//! always names the record replay would adopt. A disk read goes through
+//! the segment's held read handle with no shard lock held. Removals
+//! append tombstones; superseded and removed records become dead bytes,
+//! and when the dead-byte ratio crosses `StoreConfig::compact_threshold`
+//! (and the absolute garbage clears a small floor) the Algorithm-1 sweep
+//! runs a **compaction**: seal the active segment, copy live records out
+//! of the sealed ones (memory-resident objects re-append from their
+//! in-memory bytes without a read), delete the sealed files. The store
+//! reads and writes only the log's segment files and its `MANIFEST`;
+//! anything else in the directory is not the store's and is left alone.
 
 use crate::shard::{Record, Shard, Victims};
 use crate::vlog::{RecordMeta, SyncPolicy, ValueLog};
@@ -403,9 +407,13 @@ impl ObjectStore {
     /// append happens **before** the record it replaces is touched, so a
     /// failed write returns `Err` with the previous object — and its
     /// accounting — fully intact, and a crash mid-append leaves only a
-    /// torn tail that recovery truncates. May spill or evict to stay
-    /// within budgets. Only the owning shard is locked, so puts of
-    /// disjoint keys (including their log appends) proceed in parallel.
+    /// torn tail that recovery truncates. The append takes no shard
+    /// lock: reads and probes of the shard do not wait behind the disk
+    /// write. The owning shard is locked only to install the record, and
+    /// only if nothing later in log order is there for it (a racing put
+    /// of the key, a compaction's copy, one of the shard's tombstones);
+    /// otherwise the put appends again, so the index names the record
+    /// replay would pick. May spill or evict to stay within budgets.
     pub fn put(&self, key: &str, bytes: Arc<Vec<u8>>, meta: ObjectMeta) -> Result<()> {
         self.metrics.puts.inc();
         let size = bytes.len() as u64;
@@ -420,51 +428,12 @@ impl ObjectStore {
             Some(d) => d <= self.clock().saturating_add(self.config.memory_horizon),
             None => true,
         };
-        {
-            let mut shard = self.lock_shard(self.shard_of(key));
-            if let Some(vlog) = &self.vlog {
-                // Durability first: append the new record. On failure the
-                // old record (still in the map, still accounted) survives
-                // untouched — no data loss, no orphan final-path file.
-                let t0 = Instant::now();
-                let ptr = vlog.append(key, meta.to_record(), bytes.as_slice())?;
-                let spent = t0.elapsed();
-                self.metrics.vlog_append_us.observe_duration(spent);
-                record_stage(Stage::Persist, spent);
-                // The append cannot fail past this point: settle the
-                // replaced record (its log bytes become garbage) and
-                // install the new one.
-                if let Some(old) = shard.remove(key) {
-                    self.bytes_shadow.write();
-                    if old.tier == Tier::Memory {
-                        self.memory_bytes.fetch_sub(old.size, Ordering::Relaxed);
-                    }
-                    self.disk_bytes.fetch_sub(old.size, Ordering::Relaxed);
-                    if let Some(optr) = old.ptr {
-                        vlog.retire(u64::from(optr.total_len));
-                    }
-                }
-                self.bytes_shadow.write();
-                self.disk_bytes.fetch_add(size, Ordering::Relaxed);
-                let (tier, resident) = if near {
-                    self.memory_bytes.fetch_add(size, Ordering::Relaxed);
-                    (Tier::Memory, Some(bytes))
-                } else {
-                    (Tier::Disk, None)
-                };
-                shard.insert(
-                    key,
-                    Record {
-                        tier,
-                        size,
-                        meta,
-                        bytes: resident,
-                        ptr: Some(ptr),
-                    },
-                );
-            } else {
+        match &self.vlog {
+            Some(vlog) => self.put_logged(vlog, key, bytes, meta, near)?,
+            None => {
                 // Memory-only: the replace is a single in-memory step
                 // with no failure path between removal and insertion.
+                let mut shard = self.lock_shard(self.shard_of(key));
                 if let Some(old) = shard.remove(key) {
                     self.bytes_shadow.write();
                     self.memory_bytes.fetch_sub(old.size, Ordering::Relaxed);
@@ -486,6 +455,68 @@ impl ObjectStore {
         self.publish_mem_usage();
         self.enforce_budgets()?;
         Ok(())
+    }
+
+    /// [`ObjectStore::put`] over a value log: append with no lock held,
+    /// then install under the shard lock if the record is still the
+    /// key's latest in log order ([`Shard::admits`]); otherwise retire it
+    /// and append again.
+    fn put_logged(
+        &self,
+        vlog: &ValueLog,
+        key: &str,
+        bytes: Arc<Vec<u8>>,
+        meta: ObjectMeta,
+        near: bool,
+    ) -> Result<()> {
+        let size = bytes.len() as u64;
+        let idx = self.shard_of(key);
+        loop {
+            // Durability first: append the new record. On failure the old
+            // record (still in the map, still accounted) survives
+            // untouched — no data loss, no orphan final-path file.
+            let t0 = Instant::now();
+            let ptr = vlog.append(key, meta.to_record(), bytes.as_slice())?;
+            let spent = t0.elapsed();
+            self.metrics.vlog_append_us.observe_duration(spent);
+            record_stage(Stage::Persist, spent);
+            let mut shard = self.lock_shard(idx);
+            if !shard.admits(key, ptr) {
+                vlog.retire(u64::from(ptr.total_len));
+                continue;
+            }
+            // Settle the replaced record (its log bytes become garbage)
+            // and install the new one.
+            if let Some(old) = shard.remove(key) {
+                self.bytes_shadow.write();
+                if old.tier == Tier::Memory {
+                    self.memory_bytes.fetch_sub(old.size, Ordering::Relaxed);
+                }
+                self.disk_bytes.fetch_sub(old.size, Ordering::Relaxed);
+                if let Some(optr) = old.ptr {
+                    vlog.retire(u64::from(optr.total_len));
+                }
+            }
+            self.bytes_shadow.write();
+            self.disk_bytes.fetch_add(size, Ordering::Relaxed);
+            let (tier, resident) = if near {
+                self.memory_bytes.fetch_add(size, Ordering::Relaxed);
+                (Tier::Memory, Some(bytes))
+            } else {
+                (Tier::Disk, None)
+            };
+            shard.insert(
+                key,
+                Record {
+                    tier,
+                    size,
+                    meta,
+                    bytes: resident,
+                    ptr: Some(ptr),
+                },
+            );
+            return Ok(());
+        }
     }
 
     /// Fetches an object's bytes; disk-tier objects are read back from
@@ -517,10 +548,12 @@ impl ObjectStore {
             key: key.to_string(),
         })?;
         // The shard lock is released before the read, so a concurrent
-        // remove/compaction can delete the segment in between. That race
-        // is a miss, not an I/O failure: callers fall through to
-        // recompute. Likewise a checksum mismatch: corrupt bytes must
-        // never be served, so the read degrades to a miss.
+        // compaction can delete the segment in between. A read that
+        // already holds the segment's handle still reads the record's
+        // bytes; one that finds the file gone is a miss, not an I/O
+        // failure: callers fall through to recompute. Likewise a checksum
+        // mismatch: corrupt bytes must never be served, so the read
+        // degrades to a miss.
         let t0 = Instant::now();
         let bytes = match vlog.read(key, ptr) {
             Ok(bytes) => bytes,
@@ -550,29 +583,6 @@ impl ObjectStore {
     #[must_use]
     pub fn contains(&self, key: &str) -> bool {
         self.lock_shard(self.shard_of(key)).contains(key)
-    }
-
-    /// [`ObjectStore::contains`] for each of `keys`, in order, taking
-    /// each shard's lock once for all of its keys instead of once per key.
-    /// With a value log a `put` holds its shard's lock across the append,
-    /// so a caller probing many keys at once waits behind each disk write
-    /// at most once per shard.
-    #[must_use]
-    pub fn contains_each(&self, keys: &[&str]) -> Vec<bool> {
-        let mut held = vec![false; keys.len()];
-        let mut by_shard: Vec<(usize, usize)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, key)| (self.shard_of(key), i))
-            .collect();
-        by_shard.sort_unstable();
-        for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
-            let shard = self.lock_shard(group[0].0);
-            for &(_, i) in group {
-                held[i] = shard.contains(keys[i]);
-            }
-        }
-        held
     }
 
     /// Which tier an object occupies, if present.
@@ -620,7 +630,8 @@ impl ObjectStore {
                 if let Some(ptr) = rec.ptr {
                     vlog.retire(u64::from(ptr.total_len));
                 }
-                vlog.append_tombstone(key)?;
+                let tombstone = vlog.append_tombstone(key)?;
+                shard.raise_fence(tombstone.log_pos());
             }
         }
         Ok(())
@@ -769,16 +780,22 @@ impl ObjectStore {
     /// (memory-resident objects re-append straight from their in-memory
     /// bytes; disk-tier records are read back under checksum, and a
     /// record that fails validation is dropped — never re-adopted), then
-    /// deletes the sealed files. Lock order matches `put` (shard, then
-    /// log writer), so the sweep can run concurrently with puts to other
-    /// shards.
+    /// deletes the sealed files. Lock order is shard, then log writer
+    /// (or read handles), as for removals, so the sweep can run
+    /// concurrently with puts. Each shard's fence moves past the sealed
+    /// segments, so a put that appended into one appends again.
     fn compact_log_locked(&self) -> Result<bool> {
         let Some(vlog) = &self.vlog else {
             return Ok(false);
         };
         let sealed = vlog.rotate()?;
+        // Every record this pass copies lands past the start of the
+        // segment after the sealed ones; a put still holding a record in
+        // a sealed segment must append again.
+        let fresh = (sealed.last().map_or(0, |&id| id + 1), 0);
         for idx in 0..self.shards.len() {
             let mut shard = self.lock_shard(idx);
+            shard.raise_fence(fresh);
             let keys: Vec<String> = shard
                 .records()
                 .filter(|(_, r)| {
@@ -943,38 +960,6 @@ mod tests {
         s.put("soon", vec![1].into(), meta(11, 1)).unwrap();
         assert_eq!(s.tier_of("soon"), Some(Tier::Memory));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn contains_each_agrees_with_contains() {
-        for shards in [1, 5] {
-            let dir = tmp(&format!("contains_each_{shards}"));
-            let config = StoreConfig {
-                shards,
-                ..StoreConfig::default()
-            };
-            let s = ObjectStore::open(config, Some(dir.clone())).unwrap();
-            s.set_clock(0);
-            // Even keys have a near deadline (memory), odd ones a far one
-            // (disk); every third key is never stored.
-            let keys: Vec<String> = (0..60).map(|i| format!("v{i:04}/f{i:05}")).collect();
-            for (i, key) in keys.iter().enumerate().filter(|(i, _)| i % 3 != 0) {
-                let deadline = if i % 2 == 0 { 1 } else { 100 };
-                s.put(key, vec![i as u8; 32].into(), meta(deadline, 1))
-                    .unwrap();
-            }
-            assert_eq!(s.tier_of(&keys[1]), Some(Tier::Disk));
-            assert_eq!(s.tier_of(&keys[2]), Some(Tier::Memory));
-            let mut probe: Vec<&str> = keys.iter().map(String::as_str).collect();
-            probe.extend(["absent", "v0001/f00001"]);
-            let held = s.contains_each(&probe);
-            let expected: Vec<bool> = probe.iter().map(|k| s.contains(k)).collect();
-            assert_eq!(held, expected, "{shards} shards");
-            assert_eq!(held.iter().filter(|&&h| h).count(), 40 + 1);
-            assert!(s.contains_each(&[]).is_empty());
-            s.check_index();
-            fs::remove_dir_all(&dir).unwrap();
-        }
     }
 
     #[test]

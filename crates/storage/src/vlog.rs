@@ -63,9 +63,11 @@ use sand_sanitizer::{TrackedCondvar, TrackedMutex};
 use sand_telemetry::Counter;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// When appended records are flushed to stable storage.
@@ -213,6 +215,16 @@ pub struct Ptr {
     pub val_len: u32,
 }
 
+impl Ptr {
+    /// The record's place in log order: segment ids only grow and a
+    /// segment only grows at its end, so of two records of one key replay
+    /// keeps the one with the larger position.
+    #[must_use]
+    pub(crate) const fn log_pos(self) -> (u64, u64) {
+        (self.segment, self.offset)
+    }
+}
+
 /// One decoded record surfaced by replay.
 #[derive(Debug, Clone)]
 pub struct ReplayRecord {
@@ -252,14 +264,19 @@ struct Writer {
 }
 
 /// The append-only value log. One per [`crate::ObjectStore`] with a
-/// directory; all appends serialize on the internal writer lock
-/// (acquired *after* any shard lock — the same order `put` and the
-/// compaction sweep use, so the sanitizer's lock-order graph stays
-/// acyclic).
+/// directory. All appends serialize on the internal writer lock; a
+/// `put` appends with no shard lock held, while removals and the
+/// compaction sweep append under their shard's lock (shard, then
+/// writer). Reads go through `readers`, taken alone or under a shard
+/// lock (the sweep reads what it copies) and never together with the
+/// writer lock, so the sanitizer's lock-order graph stays acyclic.
 #[derive(Debug)]
 pub struct ValueLog {
     dir: PathBuf,
     writer: TrackedMutex<Writer>,
+    /// One read handle per segment, opened on the segment's first read
+    /// and dropped by [`ValueLog::delete_segments`].
+    readers: TrackedMutex<HashMap<u64, Arc<File>>>,
     /// Bytes of every record appended and still on disk (live + dead).
     total_bytes: AtomicU64,
     /// Bytes of records still referenced by the store index.
@@ -318,7 +335,7 @@ enum DecodeFailure {
 fn decode_record(
     buf: &[u8],
     at: usize,
-) -> std::result::Result<(DecodedRecord, usize), DecodeFailure> {
+) -> std::result::Result<(DecodedRecord<'_>, usize), DecodeFailure> {
     let rest = &buf[at..];
     if rest.len() < HEADER_LEN {
         return Err(DecodeFailure::Torn);
@@ -351,9 +368,8 @@ fn decode_record(
     if crc32(body) != stored {
         return Err(DecodeFailure::Corrupt);
     }
-    let key = match std::str::from_utf8(&rest[HEADER_LEN..HEADER_LEN + key_len]) {
-        Ok(k) => k.to_string(),
-        Err(_) => return Err(DecodeFailure::Corrupt),
+    let Ok(key) = std::str::from_utf8(&rest[HEADER_LEN..HEADER_LEN + key_len]) else {
+        return Err(DecodeFailure::Corrupt);
     };
     Ok((
         DecodedRecord {
@@ -369,9 +385,9 @@ fn decode_record(
     ))
 }
 
-struct DecodedRecord {
+struct DecodedRecord<'a> {
     kind: u8,
-    key: String,
+    key: &'a str,
     val_len: u32,
     meta: RecordMeta,
 }
@@ -436,14 +452,15 @@ impl ValueLog {
                             total_len: total as u32,
                             val_len: rec.val_len,
                         };
-                        if let Some((old, _)) = live.remove(&rec.key) {
+                        if let Some((old, _)) = live.remove(rec.key) {
                             live_bytes -= u64::from(old.total_len);
                         }
+                        let key = rec.key.to_string();
                         if rec.kind == KIND_PUT {
                             live_bytes += total as u64;
-                            live.insert(rec.key.clone(), (ptr, rec.meta));
+                            live.insert(key.clone(), (ptr, rec.meta));
                         }
-                        order.push(rec.key);
+                        order.push(key);
                         at += total;
                     }
                     Err(failure) => {
@@ -499,6 +516,7 @@ impl ValueLog {
                     segment_bytes,
                 },
             ),
+            readers: TrackedMutex::new("store.vlog.readers", HashMap::new()),
             total_bytes: AtomicU64::new(total_bytes),
             live_bytes: AtomicU64::new(live_bytes),
             sync,
@@ -541,9 +559,10 @@ impl ValueLog {
         self.append_record(KIND_PUT, key, meta, val)
     }
 
-    /// Appends a tombstone so the removal survives restart. The
-    /// tombstone itself is immediately dead weight (counted as garbage).
-    pub fn append_tombstone(&self, key: &str) -> Result<()> {
+    /// Appends a tombstone so the removal survives restart, and returns
+    /// where it landed. The tombstone itself is immediately dead weight
+    /// (counted as garbage).
+    pub fn append_tombstone(&self, key: &str) -> Result<Ptr> {
         let ptr = self.append_record(
             KIND_TOMBSTONE,
             key,
@@ -556,7 +575,7 @@ impl ValueLog {
         // A tombstone is never live.
         self.live_bytes
             .fetch_sub(u64::from(ptr.total_len), Ordering::Relaxed);
-        Ok(())
+        Ok(ptr)
     }
 
     fn append_record(&self, kind: u8, key: &str, meta: RecordMeta, val: &[u8]) -> Result<Ptr> {
@@ -649,32 +668,54 @@ impl ValueLog {
     /// checksum and that the record really belongs to `key`. A missing
     /// segment file (compacted away underneath a raced reader) surfaces
     /// as [`StorageError::NotFound`]; a checksum or key mismatch as
-    /// [`StorageError::Corrupt`].
+    /// [`StorageError::Corrupt`]. One positioned read through the
+    /// segment's held handle fills one buffer, and the value is moved to
+    /// its front.
     pub fn read(&self, key: &str, ptr: Ptr) -> Result<Vec<u8>> {
-        let path = self.dir.join(segment_name(ptr.segment));
-        let mut f = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StorageError::NotFound {
-                    key: key.to_string(),
-                })
-            }
-            Err(e) => return Err(e.into()),
+        let Some(file) = self.reader(ptr.segment)? else {
+            return Err(StorageError::NotFound {
+                key: key.to_string(),
+            });
         };
-        f.seek(SeekFrom::Start(ptr.offset))?;
         let mut buf = vec![0u8; ptr.total_len as usize];
-        if f.read_exact(&mut buf).is_err() {
+        if file.read_exact_at(&mut buf, ptr.offset).is_err() {
             return Err(StorageError::Corrupt {
                 what: format!("record for `{key}` truncated under the index"),
             });
         }
-        match decode_record(&buf, 0) {
-            Ok((rec, _)) if rec.kind == KIND_PUT && rec.key == key => Ok(buf
-                [HEADER_LEN + rec.key.len()..HEADER_LEN + rec.key.len() + rec.val_len as usize]
-                .to_vec()),
-            _ => Err(StorageError::Corrupt {
-                what: format!("record for `{key}` failed checksum validation"),
-            }),
+        let val_len = match decode_record(&buf, 0) {
+            Ok((rec, _)) if rec.kind == KIND_PUT && rec.key == key => rec.val_len as usize,
+            _ => {
+                return Err(StorageError::Corrupt {
+                    what: format!("record for `{key}` failed checksum validation"),
+                })
+            }
+        };
+        let start = HEADER_LEN + key.len();
+        buf.copy_within(start..start + val_len, 0);
+        buf.truncate(val_len);
+        Ok(buf)
+    }
+
+    /// The read handle of segment `id`, opened on its first read; `None`
+    /// once the segment file is gone. The open happens under the
+    /// `readers` lock and [`ValueLog::delete_segments`] unlinks a segment
+    /// before it drops the handle under that lock, so no handle outlives
+    /// its segment's deletion: a read either took its handle before (and
+    /// reads the unlinked file's bytes through it) or finds no file.
+    fn reader(&self, id: u64) -> Result<Option<Arc<File>>> {
+        let mut readers = self.readers.lock();
+        if let Some(file) = readers.get(&id) {
+            return Ok(Some(Arc::clone(file)));
+        }
+        match File::open(self.dir.join(segment_name(id))) {
+            Ok(file) => {
+                let file = Arc::new(file);
+                readers.insert(id, Arc::clone(&file));
+                Ok(Some(file))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -747,23 +788,29 @@ impl ValueLog {
     }
 
     /// Deletes sealed segments after compaction copied their live
-    /// records out, settling the byte totals.
+    /// records out, settling the byte totals and dropping the segments'
+    /// read handles once their files are unlinked.
     pub fn delete_segments(&self, ids: &[u64]) -> Result<()> {
         let mut freed = 0u64;
-        {
+        let unlinked = {
             let mut w = self.writer.lock();
-            for id in ids {
+            ids.iter().try_for_each(|id| {
                 debug_assert_ne!(*id, w.active_id, "cannot delete the active segment");
                 if let Some(bytes) = w.segment_bytes.remove(id) {
                     freed += bytes;
                 }
                 match fs::remove_file(self.dir.join(segment_name(*id))) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e.into()),
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+                    _ => Ok(()),
                 }
-            }
+            })
+        };
+        let mut readers = self.readers.lock();
+        for id in ids {
+            readers.remove(id);
         }
+        drop(readers);
+        unlinked?;
         self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         let next = self.writer.lock().active_id + 1;
         self.write_manifest(next)?;
@@ -992,6 +1039,111 @@ mod tests {
             log.read("keep", p),
             Err(StorageError::NotFound { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Reads across two segments open each segment once and keep its
+    /// handle; deleting a sealed segment drops its handle, and a read of
+    /// it afterwards is a miss that opens nothing.
+    #[test]
+    fn segment_handles_open_once_and_go_with_their_segment() {
+        let dir = tmp("handles");
+        let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
+        let a = log.append("a", meta(1, 1), &[1; 64]).unwrap();
+        let sealed = log.rotate().unwrap();
+        let b = log.append("b", meta(2, 1), &[2; 64]).unwrap();
+        assert_eq!((a.segment, b.segment), (0, 1));
+        assert!(log.readers.lock().is_empty(), "an append opened a handle");
+        let held = |id: u64| log.readers.lock().get(&id).map(Arc::clone);
+        assert_eq!(log.read("a", a).unwrap(), vec![1; 64]);
+        assert_eq!(log.read("b", b).unwrap(), vec![2; 64]);
+        let (h0, h1) = (held(0).unwrap(), held(1).unwrap());
+        for _ in 0..3 {
+            assert_eq!(log.read("a", a).unwrap(), vec![1; 64]);
+            assert_eq!(log.read("b", b).unwrap(), vec![2; 64]);
+        }
+        assert!(Arc::ptr_eq(&h0, &held(0).unwrap()), "segment 0 reopened");
+        assert!(Arc::ptr_eq(&h1, &held(1).unwrap()), "segment 1 reopened");
+        assert_eq!(log.readers.lock().len(), 2);
+        drop((h0, h1));
+        log.delete_segments(&sealed).unwrap();
+        let open_ids = || {
+            let mut ids: Vec<u64> = log.readers.lock().keys().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(open_ids(), vec![1], "a deleted segment kept its handle");
+        assert!(matches!(
+            log.read("a", a),
+            Err(StorageError::NotFound { .. })
+        ));
+        assert_eq!(open_ids(), vec![1], "a miss left a handle behind");
+        assert_eq!(log.read("b", b).unwrap(), vec![2; 64]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Readers hammer a segment while it is deleted under them: every
+    /// read returns the record's bytes (through a handle taken before
+    /// the deletion) or a miss, never an error, and no handle for the
+    /// deleted segment survives.
+    #[test]
+    fn a_read_racing_segment_deletion_gets_bytes_or_a_miss() {
+        const READERS: usize = 2;
+        let dir = tmp("read_vs_delete");
+        for round in 0..8u8 {
+            let (log, _, _) = ValueLog::open(&dir, SyncPolicy::Never, Counter::new()).unwrap();
+            let ptrs: Vec<(String, Ptr, Vec<u8>)> = (0..16u8)
+                .map(|i| {
+                    let key = format!("r{round}/k{i}");
+                    let val = vec![i ^ round; 256 + usize::from(i)];
+                    let ptr = log.append(&key, meta(1, 1), &val).unwrap();
+                    (key, ptr, val)
+                })
+                .collect();
+            let sealed = log.rotate().unwrap();
+            let barrier = std::sync::Barrier::new(READERS + 1);
+            let (hits, misses) = std::thread::scope(|s| {
+                let readers: Vec<_> = (0..READERS)
+                    .map(|_| {
+                        let (log, ptrs, barrier) = (&log, &ptrs, &barrier);
+                        s.spawn(move || {
+                            let (mut hits, mut misses) = (0u64, 0u64);
+                            for pass in 0..100_000 {
+                                if pass == 1 {
+                                    barrier.wait();
+                                }
+                                for (key, ptr, val) in ptrs {
+                                    match log.read(key, *ptr) {
+                                        Ok(bytes) => {
+                                            assert_eq!(&bytes, val, "wrong bytes for `{key}`");
+                                            hits += 1;
+                                        }
+                                        Err(StorageError::NotFound { .. }) => misses += 1,
+                                        Err(e) => panic!("read racing deletion failed: {e}"),
+                                    }
+                                }
+                                if misses > 0 {
+                                    break;
+                                }
+                            }
+                            (hits, misses)
+                        })
+                    })
+                    .collect();
+                barrier.wait();
+                log.delete_segments(&sealed).unwrap();
+                readers
+                    .into_iter()
+                    .map(|r| r.join().unwrap())
+                    .fold((0, 0), |(h, m), (rh, rm)| (h + rh, m + rm))
+            });
+            assert!(hits >= (READERS * ptrs.len()) as u64, "{hits} hits");
+            assert!(misses > 0, "no read saw the deletion");
+            assert!(
+                sealed.iter().all(|id| !log.readers.lock().contains_key(id)),
+                "a deleted segment kept its handle"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
