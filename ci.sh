@@ -47,14 +47,17 @@ retired="$retired|Response::Hit|Response::Miss|fn fetch_many|fn put_many|fn offe
 # Every engine is tenanted (a bare engine is a fleet of one): the roster is a constructor argument,
 # not an `EngineConfig` field, and the tenant table always sits under the queue lock.
 retired="$retired|Option<TenantTable>|Option<TenancyRuntime>|\"sched\.tenants\"|pub tenancy|tenancy: (None|Some)|config\.tenancy"
-# Metrics are always on (only per-batch traces are optional): a metric bundle is a plain field, never
-# an `Option` (`sand-codec` and `sand-vfs` spell the type path-qualified), the store counts into its
-# handles from open, and each event has one counter (no private mirror beside the metric).
+# Metrics are always on: a metric bundle is a plain field, never an `Option` (`sand-codec` and
+# `sand-vfs` spell the type path-qualified), the store counts into its handles from open, and each
+# event has one counter (no private mirror beside the metric, no second lock for the scheduler's).
 retired="$retired|Option<([a-z_]+::)*(Codec|Store|Sched|Vfs|Materialize|Engine|Net|Prefetch|Loader|Fleet)Metrics>"
-retired="$retired|OnceLock<StoreMetrics>|fn set_metrics|fsync_metric|fn is_enabled"
+retired="$retired|OnceLock<StoreMetrics>|fn set_metrics|fsync_metric|fn is_enabled|\"sched\.stats\""
+# Traces are always on: every handle owns a trace ring (capacity 0 keeps none) and every serve runs
+# under a probe, so neither an optional ring nor an optional probe comes back.
+retired="$retired|Option<TraceRing>|Option<Arc<BatchProbe>>|Option<&BatchProbe>"
 if grep -rnE "$retired" crates examples tests src ||
     grep -nE 'sand-autotune|criterion' Cargo.toml crates/*/Cargo.toml; then
-    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant, a bare engine is a fleet of one, every engine counts into its registry"
+    echo "a retired name is back: sched.threads is the one answer to how many threads build views, knobs are set in EngineConfig, timings come from sandbench, a restart plans from its config and replays the value log, the lint checks only configs and plans, a setting nobody varies is a constant, a bare engine is a fleet of one, every engine counts into its registry and traces its batches"
     exit 1
 fi
 

@@ -811,7 +811,7 @@ mod tests {
         // Targets span three distinct GOPs → three timed segments.
         let mut dec = Decoder::with_metrics(&v, &metrics);
         dec.decode_indices(&[3, 15, 27]).unwrap();
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.counter("decode.segments"), Some(3));
         assert_eq!(
             snap.histogram("decode.segment_us").map(|h| h.count),

@@ -58,12 +58,14 @@ pub struct EngineConfig {
     /// `Warn` reports findings to stderr, `Deny` additionally fails
     /// startup on any deny-severity finding.
     pub lint: LintLevel,
-    /// Per-batch traces: `Some` keeps a [`sand_telemetry::BatchProbe`]
-    /// trace of every served batch (up to `trace_cap`) for
-    /// `SandEngine::stall_report` and counts stalls against
-    /// `stall_budget_us`; `None` (default) keeps none. Metrics do not
-    /// depend on it: every engine counts into its registry
-    /// (`SandEngine::metrics_snapshot` is always `Some`).
+    /// How many batch traces to keep and the stall budget they are
+    /// judged against. Every engine traces every served batch, keeps the
+    /// last `trace_cap` for `SandEngine::stall_report` and counts stalls
+    /// against `stall_budget_us`; `None` (default) means
+    /// `TelemetryConfig::default()`, so `None` and
+    /// `Some(TelemetryConfig::default())` build the same engine. Every
+    /// engine also counts into its registry
+    /// (`SandEngine::metrics_snapshot`).
     pub telemetry: Option<TelemetryConfig>,
     /// Multi-node operation: `Some` joins a cluster of SAND engines on a
     /// consistent-hash placement ring and adds a **remote tier** below

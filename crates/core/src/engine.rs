@@ -50,14 +50,15 @@ pub(crate) struct Inner {
     /// Planned chunks: once-slots by chunk id, retained by last use.
     pub(crate) chunks: Chunks,
     pub(crate) task_ids: HashMap<String, u32>,
+    /// Each task's tag by task id, shared by the task's batch traces.
+    pub(crate) task_tags: Vec<Arc<str>>,
     pub(crate) decode_stats: TrackedMutex<DecodeStats>,
     /// The epoch-ahead prefetcher (inert at `prefetch_depth = 0`).
     pub(crate) prefetcher: Prefetcher,
     /// Serialized size of the most recently served batch, the
     /// back-pressure estimate for in-flight prefetch bytes.
     pub(crate) last_batch_bytes: AtomicU64,
-    /// The engine's registry (always live) and, when
-    /// `EngineConfig::telemetry` is set, its per-batch traces.
+    /// The engine's registry and its ring of per-batch traces.
     pub(crate) telemetry: Telemetry,
     pub(crate) engine_metrics: EngineMetrics,
     /// `aug.ops` is also `EngineStats::aug_ops_applied`.
@@ -96,7 +97,7 @@ pub(crate) struct TenancyRuntime {
 
 pub(crate) struct TenantRuntime {
     /// The trace label; `None` for an unnamed tenant.
-    pub(crate) label: Option<String>,
+    pub(crate) label: Option<Arc<str>>,
     /// `None` for an unnamed tenant too: the bare engine's one tenant
     /// would only repeat `engine.*`.
     pub(crate) metrics: Option<TenantMetrics>,
@@ -175,10 +176,7 @@ impl SandEngine {
         if config.remote.as_ref().is_some_and(|r| r.peers.is_empty()) {
             return invalid("remote.peers", "the remote tier needs at least one peer");
         }
-        let telemetry = config
-            .telemetry
-            .clone()
-            .map_or_else(Telemetry::disabled, Telemetry::new);
+        let telemetry = Telemetry::new(config.telemetry.clone().unwrap_or_default());
         let store = Arc::new(ObjectStore::with_metrics(
             config.store,
             config.store_dir.clone(),
@@ -192,7 +190,7 @@ impl SandEngine {
             tenants: tenants
                 .into_iter()
                 .map(|t| {
-                    let label = (!t.name.is_empty()).then_some(t.name);
+                    let label = (!t.name.is_empty()).then(|| Arc::from(t.name));
                     TenantRuntime {
                         metrics: label
                             .as_deref()
@@ -207,6 +205,11 @@ impl SandEngine {
             sched,
             chunks: Chunks::new(config.tasks.len()),
             task_ids,
+            task_tags: config
+                .tasks
+                .iter()
+                .map(|t| Arc::from(t.tag.as_str()))
+                .collect(),
             decode_stats: TrackedMutex::new("engine.decode_stats", DecodeStats::default()),
             prefetcher: Prefetcher::new(
                 config.prefetch_depth,
@@ -299,26 +302,28 @@ impl SandEngine {
         &self.inner.store
     }
 
-    /// The engine's telemetry handle: its live registry, plus per-batch
-    /// traces when `EngineConfig::telemetry` was set.
+    /// The engine's telemetry handle: its live registry and its ring of
+    /// per-batch traces.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
 
     /// Point-in-time copy of every registered metric. Always `Some`:
-    /// every engine counts, whatever `EngineConfig::telemetry` says (the
-    /// `Option` is kept for source compatibility).
+    /// every engine counts (the `Option` is kept for source
+    /// compatibility).
     #[must_use]
     pub fn metrics_snapshot(&self) -> Option<Snapshot> {
-        self.inner.telemetry.snapshot()
+        Some(self.inner.telemetry.snapshot())
     }
 
-    /// Stall-attribution report over every retained batch trace; `None`
-    /// when the engine keeps no traces (`EngineConfig::telemetry` unset).
+    /// Stall-attribution report over the last `trace_cap` batch traces
+    /// (`EngineConfig::telemetry`, or its default when unset). Always
+    /// `Some`: every engine traces every batch (the `Option` is kept for
+    /// source compatibility).
     #[must_use]
     pub fn stall_report(&self) -> Option<StallReport> {
-        self.inner.telemetry.stall_report()
+        Some(self.inner.telemetry.stall_report())
     }
 
     /// The cluster remote tier (`None` for single-process engines).
@@ -529,7 +534,8 @@ dataset:
             (e, out)
         };
         let (off, off_bytes) = serve_all(None);
-        assert!(off.stall_report().is_none());
+        // `None` is the default config: the engine traces every batch.
+        assert_eq!(off.stall_report().unwrap().traces.len(), 4);
         let (on, on_bytes) = serve_all(Some(TelemetryConfig::default()));
         assert_eq!(off_bytes, on_bytes, "telemetry changed served bytes");
         let snap = on.metrics_snapshot().expect("telemetry enabled");
@@ -537,10 +543,11 @@ dataset:
         assert_eq!(snap.histogram("engine.serve_us").map(|h| h.count), Some(4));
     }
 
-    /// Every event is counted once: an untraced engine's snapshot and
-    /// its `stats()` read the same handles, and the prefetch outcomes
-    /// partition the entries scheduled. A restart over the value log
-    /// reports its replay alike in both places.
+    /// Every event is counted once: an engine built with `telemetry:
+    /// None` traces like any other, its snapshot and its `stats()` read
+    /// the same handles, and the prefetch outcomes partition the entries
+    /// scheduled. A restart over the value log reports its replay alike
+    /// in both places.
     #[test]
     fn an_untraced_engine_counts_each_event_once() {
         let dir = std::env::temp_dir().join(format!("sand_counted_{}", std::process::id()));
@@ -583,6 +590,9 @@ dataset:
                 ("store.vlog.fsyncs", stats.store.vlog_fsyncs),
                 ("sched.affinity_hits", stats.sched.affinity_hits),
                 ("sched.affinity_steals", stats.sched.affinity_steals),
+                ("sched.deadline_picks", stats.sched.deadline_picks),
+                ("sched.sjf_picks", stats.sched.sjf_picks),
+                ("sched.busy_ns", stats.sched.busy_nanos),
             ] {
                 assert_eq!(count(name), stat, "{name}");
             }
@@ -597,9 +607,10 @@ dataset:
             }
         }
         e.wait_idle();
-        assert!(
-            e.stall_report().is_none(),
-            "an untraced engine keeps no traces"
+        assert_eq!(
+            e.stall_report().unwrap().traces.len() as u64,
+            2 * iters,
+            "every engine traces every batch"
         );
         let (stats, snap) = agree(&e);
         let count = |name: &str| snap.counter(name).unwrap_or(0);
@@ -612,8 +623,8 @@ dataset:
         );
         assert_eq!(
             count("engine.batches_stalled"),
-            0,
-            "stalls are judged on traces"
+            stats.batches_served,
+            "the default stall budget 0 marks every batch stalled"
         );
         let scheduled = count("prefetch.scheduled");
         assert!(scheduled > 0);
@@ -632,7 +643,7 @@ dataset:
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The singleflight's `fleet.dedup_*` metrics count on every traced
+    /// The singleflight's `fleet.dedup_*` metrics count on every
     /// engine, not only under a `Fleet`.
     #[test]
     fn a_traced_bare_engine_counts_dedup() {

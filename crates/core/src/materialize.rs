@@ -760,7 +760,7 @@ dataset:
         }
 
         fn requests(&self) -> u64 {
-            let snap = self.telemetry.snapshot().unwrap();
+            let snap = self.telemetry.snapshot();
             snap.counter("net.server_requests").unwrap()
         }
     }

@@ -47,31 +47,42 @@
 use crate::CoreError;
 use sand_frame::Tensor;
 use sand_sanitizer::{ShadowCell, TrackedCondvar, TrackedMutex};
-use sand_telemetry::PrefetchMetrics;
+use sand_telemetry::{BatchProbe, PrefetchMetrics, SampleProbe};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Identity of a prefetchable batch: (task id, epoch, iteration).
 pub(crate) type PrefetchKey = (u32, u64, u64);
 
 /// One batch under assembly: per-sample result slots filled by
 /// independent jobs — prefetch jobs for a speculative build in the
-/// window, demand jobs for the build an inline serve waits on.
+/// window, demand jobs for the build an inline serve waits on — and the
+/// probe that times them, so a batch's trace needs nothing of its own.
 pub(crate) struct BatchBuild {
     state: TrackedMutex<BuildState>,
     done: TrackedCondvar,
     cancelled: AtomicBool,
-    /// One flag per sample, set by whoever builds it: the sample's job,
-    /// or a serve that found the build late and took over the samples
-    /// no worker had started.
-    claimed: Vec<AtomicBool>,
+    /// Times the sample jobs from the build's start (an inline serve's
+    /// t0).
+    pub(crate) probe: BatchProbe,
+    pub(crate) samples: Vec<Sample>,
     /// Lockset shadow for the result slots: every touch of `tensors`
     /// must hold the build lock.
     results_shadow: ShadowCell,
     /// Handoff shadow for consume-time bookkeeping: [`Prefetcher::take`]
     /// transfers ownership to the single consuming thread.
     consume_shadow: ShadowCell,
+}
+
+/// One sample's claim and timeline.
+#[derive(Default)]
+pub(crate) struct Sample {
+    /// Set by whoever builds the sample: its job, or a serve that found
+    /// the build late and took over the samples no worker had started.
+    claimed: AtomicBool,
+    pub(crate) probe: SampleProbe,
 }
 
 struct BuildState {
@@ -104,6 +115,12 @@ impl SampleSlot {
         self.build.cancelled()
     }
 
+    /// Runs the sample's work under the build's probe.
+    pub(crate) fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        let build = &self.build;
+        build.probe.run_sample(&build.samples[self.i].probe, f)
+    }
+
     pub(crate) fn fulfill(mut self, result: crate::Result<Tensor>) {
         self.build.fulfill(self.i, result);
         self.delivered = true;
@@ -124,7 +141,8 @@ impl Drop for SampleSlot {
 }
 
 impl BatchBuild {
-    pub(crate) fn new(samples: usize) -> Self {
+    /// A build of `samples` samples whose jobs are timed from `t0`.
+    pub(crate) fn new(samples: usize, t0: Instant) -> Self {
         BatchBuild {
             state: TrackedMutex::new(
                 "prefetch.build",
@@ -135,7 +153,8 @@ impl BatchBuild {
             ),
             done: TrackedCondvar::new(),
             cancelled: AtomicBool::new(false),
-            claimed: (0..samples).map(|_| AtomicBool::new(false)).collect(),
+            probe: BatchProbe::starting_at(t0),
+            samples: (0..samples).map(|_| Sample::default()).collect(),
             results_shadow: ShadowCell::new("prefetch.results"),
             consume_shadow: ShadowCell::new("prefetch.consume"),
         }
@@ -156,11 +175,12 @@ impl BatchBuild {
     /// The flag publishes no data (the result is delivered under the
     /// build's lock): the swap's atomicity alone elects one owner.
     pub(crate) fn claim(&self, i: usize) -> bool {
-        !self.claimed[i].swap(true, Ordering::Relaxed)
+        !self.samples[i].claimed.swap(true, Ordering::Relaxed)
     }
 
-    /// The hold a job takes on sample `i`.
+    /// The hold a job takes on sample `i`, marked submitted.
     pub(crate) fn slot(self: &Arc<Self>, i: usize) -> SampleSlot {
+        self.probe.mark_submitted(&self.samples[i].probe);
         SampleSlot {
             build: Arc::clone(self),
             i,
@@ -267,7 +287,7 @@ impl Prefetcher {
         if entries.contains_key(&key) {
             return None;
         }
-        let build = Arc::new(BatchBuild::new(samples));
+        let build = Arc::new(BatchBuild::new(samples, Instant::now()));
         entries.insert(
             key,
             Entry {
@@ -313,7 +333,9 @@ impl Prefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sand_telemetry::Telemetry;
+    use sand_sched::{Job, JobKind, SchedConfig, Scheduler};
+    use sand_telemetry::{record_stage, Stage, Telemetry};
+    use std::time::Duration;
 
     fn tensor() -> Tensor {
         Tensor::zeros(vec![1]).expect("valid shape")
@@ -374,7 +396,7 @@ mod tests {
 
     #[test]
     fn a_slot_unwound_by_a_panic_delivers_job_panicked() {
-        let build = Arc::new(BatchBuild::new(1));
+        let build = Arc::new(BatchBuild::new(1, Instant::now()));
         let slot = build.slot(0);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _slot = slot;
@@ -390,13 +412,55 @@ mod tests {
 
     #[test]
     fn a_slot_dropped_without_a_panic_delivers_job_lost() {
-        let build = Arc::new(BatchBuild::new(1));
+        let build = Arc::new(BatchBuild::new(1, Instant::now()));
         drop(build.slot(0));
         assert!(build.is_complete());
         assert!(matches!(
             build.take_results().pop(),
             Some(Some(Err(CoreError::JobLost)))
         ));
+    }
+
+    /// A sample job that panics leaves no stage sink installed on its
+    /// worker: the next job there, one outside every sample (as
+    /// pre-materialization is), records into no sample's cells.
+    #[test]
+    fn a_panicking_sample_job_leaves_no_cells_on_its_worker() {
+        let sched = Scheduler::new(SchedConfig {
+            threads: 1,
+            ..Default::default()
+        });
+        let job = |kind, run: Box<dyn FnOnce() + Send>| Job {
+            kind,
+            deadline: 0,
+            remaining_work: 1,
+            affinity: None,
+            tenant: None,
+            run,
+        };
+        let build = Arc::new(BatchBuild::new(1, Instant::now()));
+        let slot = build.slot(0);
+        sched.submit(job(
+            JobKind::Demand,
+            Box::new(move || {
+                let result = slot.run(|| {
+                    record_stage(Stage::Aug, Duration::from_millis(1));
+                    panic!("the op under this sample failed");
+                });
+                slot.fulfill(result);
+            }),
+        ));
+        sched.submit(job(
+            JobKind::PreMaterialize,
+            Box::new(|| record_stage(Stage::Aug, Duration::from_secs(5))),
+        ));
+        sched.wait_idle();
+        assert!(matches!(
+            build.take_results().pop(),
+            Some(Some(Err(CoreError::JobPanicked)))
+        ));
+        let cells = build.samples[0].probe.stages();
+        assert_eq!(cells.get(Stage::Aug), 1_000_000);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::chunk::Chunk;
 use crate::engine::Inner;
 use crate::materialize::Scratch;
-use crate::prefetch::BatchBuild;
+use crate::prefetch::{BatchBuild, Sample};
 use crate::{CoreError, Result};
 use sand_frame::tensor::{clip_refs_to_tensor, stack_to_bytes};
 use sand_frame::{Frame, Tensor};
@@ -136,11 +136,11 @@ impl Inner {
         // `miss` (taken but unusable, served inline), `hit`/`late`
         // (served from the build) — `scheduled` counts entries at
         // `begin`, so the four outcomes partition it.
-        // Zero-sample probe: no demand jobs run on a prefetch serve, so
+        // Zero-sample trace: no demand jobs run on a prefetch serve, so
         // the only attributable segments are `prefetch` (built and
         // waited below) and `plan`/`finalize` bookkeeping — the
         // exact-sum invariant over serve latency is preserved.
-        let probe = self.telemetry.batch_probe(t0, 0);
+        let probe = BatchProbe::starting_at(t0);
         let was_complete = build.is_complete();
         if !was_complete && !build.cancelled() {
             let t0 = Instant::now();
@@ -149,9 +149,7 @@ impl Inner {
             let waited = t0.elapsed();
             metrics.wait_us.observe_duration(waited);
             metrics.serve_built.add(built);
-            if let Some(p) = &probe {
-                p.record_prefetch_wait(waited);
-            }
+            probe.record_prefetch_wait(waited);
         }
         if build.cancelled() {
             // Cancelled after it left the map (e.g. a rollover racing
@@ -186,7 +184,7 @@ impl Inner {
         build.mark_consumed();
         self.store.set_clock(batch.clock);
         self.report_pressure();
-        self.finish_serve(chunk, batch, &tensors, t0, probe.as_deref())
+        self.finish_serve(chunk, batch, &tensors, &probe, &[])
             .map(Some)
     }
 
@@ -228,21 +226,21 @@ impl Inner {
         built
     }
 
-    /// Submits one job per sample of `batch`, each delivering its tensor
-    /// into `build`, on the tab of the batch's tenant (speculative work
-    /// included: one tenant's deep prefetch window cannot eat another's
-    /// weighted share). A job performs the final normalization too, keeping
-    /// the serving thread off the critical path (the paper's
-    /// demand-feeding threads perform "final steps of the preprocessing
-    /// pipeline"), and is self-contained — no nested fan-out — so it
-    /// never blocks on another job of its batch.
+    /// Submits one job per sample of `batch`, each timed by `build`'s
+    /// probe and delivering its tensor into `build`, on the tab of the
+    /// batch's tenant (speculative work included: one tenant's deep
+    /// prefetch window cannot eat another's weighted share). A job
+    /// performs the final normalization too, keeping the serving thread
+    /// off the critical path (the paper's demand-feeding threads perform
+    /// "final steps of the preprocessing pipeline"), and is
+    /// self-contained — no nested fan-out — so it never blocks on
+    /// another job of its batch.
     fn submit_samples(
         self: &Arc<Self>,
         chunk: &Arc<Chunk>,
         batch: &BatchRef,
         kind: JobKind,
         build: &Arc<BatchBuild>,
-        probe: Option<&Arc<BatchProbe>>,
     ) {
         let tenant = self.tenant_of(batch.task);
         for (i, plan) in batch.samples.iter().enumerate() {
@@ -250,10 +248,6 @@ impl Inner {
             let chunk = Arc::clone(chunk);
             let plan2 = plan.clone();
             let mut slot = build.slot(i);
-            let probe = probe.cloned();
-            if let Some(p) = &probe {
-                p.mark_submitted(i);
-            }
             self.sched.submit(Job {
                 kind,
                 deadline: batch.clock,
@@ -268,11 +262,8 @@ impl Inner {
                         // completion; a claimed-away one delivers nothing.
                         return;
                     }
-                    let work = || inner.sample_tensor(&chunk, &plan2);
-                    slot.fulfill(match &probe {
-                        Some(p) => p.run_sample(i, work),
-                        None => work(),
-                    });
+                    let result = slot.run(|| inner.sample_tensor(&chunk, &plan2));
+                    slot.fulfill(result);
                 }),
             });
         }
@@ -320,7 +311,7 @@ impl Inner {
             // `scheduled == hit + late + miss + cancelled` must hold
             // once every entry is consumed.
             self.prefetcher.metrics.scheduled.inc();
-            self.submit_samples(chunk, batch, JobKind::Prefetch, &build, None);
+            self.submit_samples(chunk, batch, JobKind::Prefetch, &build);
         }
     }
 
@@ -335,18 +326,17 @@ impl Inner {
     ) -> Result<Vec<u8>> {
         // Everything between the batch's t0 and each job's submission
         // is the `plan` segment of the batch's trace.
-        let probe = self.telemetry.batch_probe(t0, batch.samples.len());
+        let build = Arc::new(BatchBuild::new(batch.samples.len(), t0));
         self.store.set_clock(batch.clock);
         self.report_pressure();
-        let build = Arc::new(BatchBuild::new(batch.samples.len()));
-        self.submit_samples(chunk, batch, JobKind::Demand, &build, probe.as_ref());
+        self.submit_samples(chunk, batch, JobKind::Demand, &build);
         build.wait_complete();
         let tensors = build
             .take_results()
             .into_iter()
             .map(|slot| slot.unwrap_or(Err(CoreError::JobLost)))
             .collect::<Result<Vec<Tensor>>>()?;
-        self.finish_serve(chunk, batch, &tensors, t0, probe.as_deref())
+        self.finish_serve(chunk, batch, &tensors, &build.probe, &build.samples)
     }
 
     /// Burns one retained use of every *strict* ancestor of `id` in the
@@ -360,15 +350,16 @@ impl Inner {
     }
 
     /// The tail of every serve, from the sample tensors to the bytes
-    /// returned: consumption bookkeeping, the serve's counts, then (on a
-    /// traced engine) the batch's trace.
+    /// returned: consumption bookkeeping, then the batch's trace over
+    /// the `samples` its demand jobs built (none for a prefetched batch)
+    /// and the serve's counts.
     fn finish_serve(
         &self,
         chunk: &Chunk,
         batch: &BatchRef,
         tensors: &[Tensor],
-        t0: Instant,
-        probe: Option<&BatchProbe>,
+        probe: &BatchProbe,
+        samples: &[Sample],
     ) -> Result<Vec<u8>> {
         let bytes = stack_to_bytes(tensors)?;
         // A consumed terminal burns one retained use of itself *and of
@@ -392,39 +383,33 @@ impl Inner {
             .store(bytes.len() as u64, Ordering::Relaxed);
         // The tenant's name labels the trace; its counters take the serve.
         let tenant = &self.tenancy.tenants[self.tenant_of(batch.task) as usize];
-        let trace = probe.map(|probe| {
-            probe.finish(
-                BatchMeta {
-                    task: self.config.tasks[batch.task as usize].tag.clone(),
-                    epoch: batch.epoch,
-                    iteration: batch.iteration,
-                    clock: batch.clock,
-                    tenant: tenant.label.clone(),
-                },
-                self.telemetry.config().map_or(0, |c| c.stall_budget_us),
-            )
-        });
-        // A trace's latency is its segments' sum; without one, the clock.
-        let serve_us = trace
-            .as_ref()
-            .map_or_else(|| t0.elapsed().as_micros() as u64, |t| t.serve_ns / 1_000);
-        let stalled = trace.as_ref().is_some_and(|t| t.stalled);
+        let trace = probe.finish(
+            samples.iter().map(|s| &s.probe),
+            BatchMeta {
+                task: Arc::clone(&self.task_tags[batch.task as usize]),
+                epoch: batch.epoch,
+                iteration: batch.iteration,
+                clock: batch.clock,
+                tenant: tenant.label.clone(),
+            },
+            self.telemetry.config().stall_budget_us,
+        );
+        // A trace's latency is its segments' sum.
+        let serve_us = trace.serve_ns / 1_000;
         let m = &self.engine_metrics;
         m.serve_us.observe(serve_us);
         m.batches_served.inc();
-        if stalled {
+        if trace.stalled {
             m.batches_stalled.inc();
         }
         if let Some(m) = &tenant.metrics {
             m.batches_served.inc();
             m.serve_us.observe(serve_us);
-            if stalled {
+            if trace.stalled {
                 m.stalled.inc();
             }
         }
-        if let Some(trace) = trace {
-            self.telemetry.push_trace(trace);
-        }
+        self.telemetry.push_trace(trace);
         Ok(bytes)
     }
 }
@@ -574,7 +559,7 @@ mod tests {
         // Built directly, each sample's slot holds the panic.
         let chunk = e.inner.ensure_chunk(0).unwrap();
         let batch = e.inner.find_batch(&chunk, "train", 0, 1).unwrap();
-        let build = BatchBuild::new(batch.samples.len());
+        let build = BatchBuild::new(batch.samples.len(), std::time::Instant::now());
         SERVE_THREAD_FAULT.set(true);
         let built = e.inner.build_unstarted(&chunk, batch, &build);
         SERVE_THREAD_FAULT.set(false);

@@ -69,7 +69,7 @@ fn serve_all(e: &SandEngine, epochs: u64) -> Vec<Vec<u8>> {
 }
 
 fn counter(e: &SandEngine, name: &str) -> u64 {
-    match e.telemetry().snapshot().unwrap().get(name) {
+    match e.telemetry().snapshot().get(name) {
         Some(MetricValue::Counter(v)) => *v,
         other => panic!("{name}: expected counter, got {other:?}"),
     }

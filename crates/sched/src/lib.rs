@@ -129,7 +129,7 @@ impl Default for SchedConfig {
     }
 }
 
-/// Pick-decision counters.
+/// Pick-decision counters, read back from the scheduler's metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Demand jobs served.
@@ -226,7 +226,6 @@ struct Shared {
     leave_from: AtomicUsize,
     running: AtomicU64,
     memory_pressure_milli: AtomicU64,
-    stats: TrackedMutex<SchedStats>,
     /// Notified when the last running job ends; [`Scheduler::wait_idle`]
     /// waits on it.
     idle: TrackedCondvar,
@@ -236,8 +235,9 @@ struct Shared {
     /// preferred worker is busy (i.e. backlogged), otherwise it is left
     /// for that worker to pick up on its next dequeue.
     worker_busy: Vec<AtomicBool>,
-    /// Queue depth, per-kind queue wait, and the affinity counters
-    /// (`stats()` reads the pre-materialization ones back).
+    /// Queue depth, per-kind queue wait, the pick, affinity and busy
+    /// counters: `stats()` reads them back (a job served is a queue wait
+    /// observed).
     metrics: SchedMetrics,
 }
 
@@ -297,7 +297,6 @@ impl Scheduler {
             leave_from: AtomicUsize::new(usize::MAX),
             running: AtomicU64::new(0),
             memory_pressure_milli: AtomicU64::new(0),
-            stats: TrackedMutex::new("sched.stats", SchedStats::default()),
             idle: TrackedCondvar::new(),
             config,
             worker_busy: (0..threads).map(|_| AtomicBool::new(false)).collect(),
@@ -408,9 +407,15 @@ impl Scheduler {
     pub fn stats(&self) -> SchedStats {
         let m = &self.shared.metrics;
         SchedStats {
+            demand_served: m.demand_wait_us.count(),
+            prefetch_served: m.prefetch_wait_us.count(),
+            pre_served: m.pre_wait_us.count(),
+            deadline_picks: m.deadline_picks.get(),
+            sjf_picks: m.sjf_picks.get(),
+            fifo_picks: m.fifo_picks.get(),
+            busy_nanos: m.busy_ns.get(),
             affinity_hits: m.affinity_hits.get(),
             affinity_steals: m.affinity_steals.get(),
-            ..*self.shared.stats.lock()
         }
     }
 
@@ -596,17 +601,10 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                     // newly woken tenants are lifted to.
                     let table = &mut q.tenants;
                     table.vclock = table.vclock.max(table.vtime_of(entry.job.tenant));
-                    // Account the pick while still holding the lock.
-                    let mut stats = shared.stats.lock();
-                    match entry.job.kind {
-                        JobKind::Demand => stats.demand_served += 1,
-                        JobKind::Prefetch => stats.prefetch_served += 1,
-                        JobKind::PreMaterialize => stats.pre_served += 1,
-                    }
                     match mode {
-                        "sjf" => stats.sjf_picks += 1,
-                        "deadline" => stats.deadline_picks += 1,
-                        "fifo" => stats.fifo_picks += 1,
+                        "sjf" => m.sjf_picks.inc(),
+                        "deadline" => m.deadline_picks.inc(),
+                        "fifo" => m.fifo_picks.inc(),
                         _ => {}
                     }
                     if entry.job.kind == JobKind::PreMaterialize
@@ -620,7 +618,6 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                             }
                         }
                     }
-                    drop(stats);
                     shared.running.fetch_add(1, Ordering::SeqCst);
                     // Flip the busy flag inside the queue lock so stealers
                     // never observe "idle" for a worker that has already
@@ -649,7 +646,7 @@ fn worker_loop(shared: &Arc<Shared>, w: WorkerCtx) {
                 s.vtime += busy.saturating_mul(VT_SCALE) / s.weight.max(1);
             }
         }
-        shared.stats.lock().busy_nanos += busy;
+        shared.metrics.busy_ns.add(busy);
         if shared.running.fetch_sub(1, Ordering::SeqCst) == 1 {
             // The pool may be idle now. `wait_idle` checks and starts
             // waiting under the queue lock; passing through it here means
@@ -843,7 +840,7 @@ mod tests {
         }
         sched.wait_idle();
         sched.shutdown();
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(
             snap.histogram("sched.prefetch_wait_us").map(|h| h.count),
             Some(6)
@@ -1135,7 +1132,7 @@ mod tests {
         }
         sched.wait_idle();
         sched.shutdown();
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.gauge("sched.queue_depth"), Some(0));
         assert_eq!(
             snap.histogram("sched.demand_wait_us").map(|h| h.count),

@@ -1579,7 +1579,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         // Contention is probabilistic per shard, but the histograms must
         // exist and puts must be mirrored.
         assert!(snap.histogram("store.shard0.lock_wait_us").is_some());
@@ -1597,7 +1597,7 @@ mod tests {
             ..Default::default()
         };
         let (s, telemetry) = observed(cfg, None);
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(
             snap.gauge("store.mem_budget"),
             Some(10_000),
@@ -1607,10 +1607,10 @@ mod tests {
         s.put("early", vec![0u8; 100].into(), meta(0, 1)).unwrap();
         s.put("k1", vec![0u8; 400].into(), meta(0, 1)).unwrap();
         s.put("k2", vec![0u8; 300].into(), meta(0, 2)).unwrap();
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.gauge("store.mem_bytes"), Some(800));
         s.remove("k1").unwrap();
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.gauge("store.mem_bytes"), Some(400));
         assert_eq!(
             snap.gauge("store.mem_bytes").map(|b| b as u64),
@@ -1641,20 +1641,20 @@ mod tests {
             },
             Some(dir.clone()),
         );
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.counter("store.vlog.replayed_objects"), Some(1));
         assert_eq!(snap.counter("store.vlog.torn_truncations"), Some(0));
         assert!(snap.gauge("store.vlog.log_bytes").unwrap_or(0) > 0);
         assert!(snap.gauge("store.vlog.garbage_pct").unwrap_or(0) > 0);
         s.put("b", vec![3; 32].into(), meta(100, 1)).unwrap();
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         let appends = snap
             .histogram("store.vlog.append_us")
             .map(|h| h.count)
             .unwrap_or(0);
         assert!(appends >= 1, "append latency not observed");
         assert!(s.compact().unwrap());
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.counter("store.vlog.compactions"), Some(1));
         assert_eq!(snap.gauge("store.vlog.garbage_pct"), Some(0));
         fs::remove_dir_all(&dir).unwrap();
@@ -1693,7 +1693,7 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.replayed_bytes, log_bytes);
         assert_eq!(stats.replayed_objects, 8);
-        let snap = telemetry.snapshot().expect("a registry");
+        let snap = telemetry.snapshot();
         assert_eq!(snap.counter("store.vlog.replayed_bytes"), Some(log_bytes));
         assert_eq!(snap.counter("store.vlog.replayed_objects"), Some(8));
         assert_eq!(

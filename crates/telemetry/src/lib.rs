@@ -11,16 +11,18 @@
 //!   JSON-lines export ([`Snapshot::render_jsonl`]) and a human-readable
 //!   table ([`Snapshot::render_table`]).
 //! - [`Telemetry`] — the cheap-clone facade the engine threads through
-//!   the workspace. Every handle owns a live registry, and every
-//!   subsystem records into its metric bundle on every path: there is
-//!   no "metrics off" branch, so what a snapshot reads is what runs.
-//! - [`BatchProbe`] / [`BatchTrace`] / [`StallReport`] — per-batch
-//!   critical-path timing used for stall attribution (see `report`).
-//!   These are the one optional part: only a handle built with
-//!   [`Telemetry::new`] keeps traces. The per-batch probe is what costs
-//!   (DESIGN §9), the counters do not.
+//!   the workspace. Every handle owns a live registry and a trace ring,
+//!   and every subsystem records into its metric bundle on every path:
+//!   there is no "metrics off" or "traces off" branch, so what a
+//!   snapshot or a stall report reads is what runs.
+//! - [`BatchProbe`] / [`TraceRecord`] / [`BatchTrace`] / [`StallReport`]
+//!   — per-batch critical-path timing used for stall attribution (see
+//!   `report`). Every engine traces every batch; the ring's capacity
+//!   (`TelemetryConfig::trace_cap`, 0 for [`Telemetry::disabled`]) only
+//!   decides how many traces are kept. A trace allocates nothing of its
+//!   own (DESIGN §9).
 //!
-//! The rule that holds either way: **tracing never changes what the
+//! The rule that holds throughout: **tracing never changes what the
 //! engine serves**, only what it reports.
 
 mod json;
@@ -30,7 +32,7 @@ mod snapshot;
 pub use json::{parse_json, validate_jsonl, JsonValue};
 pub use report::{
     record_stage, with_stage_cells, BatchMeta, BatchProbe, BatchTrace, ChunkPlans,
-    PrefetchOutcomes, SampleProbe, Stage, StageCells, StallReport, STAGE_LABELS,
+    PrefetchOutcomes, SampleProbe, Stage, StageCells, StallReport, TraceRecord, STAGE_LABELS,
 };
 pub use snapshot::{HistogramSnapshot, MetricEntry, MetricValue, Snapshot};
 
@@ -38,7 +40,7 @@ use sand_sanitizer::TrackedMutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Primitive metrics
@@ -296,7 +298,8 @@ pub struct TelemetryConfig {
     /// stall-attribution report. `0` means every batch is reported —
     /// useful for the example CLI and for tests.
     pub stall_budget_us: u64,
-    /// Maximum number of per-batch traces retained (oldest dropped).
+    /// Maximum number of per-batch traces retained (oldest dropped); `0`
+    /// keeps none.
     pub trace_cap: usize,
 }
 
@@ -316,23 +319,20 @@ impl Default for TelemetryConfig {
 #[derive(Debug)]
 struct TelemetryCore {
     registry: Registry,
-    /// The per-batch trace ring; `None` keeps no traces.
-    traces: Option<TraceRing>,
-}
-
-#[derive(Debug)]
-struct TraceRing {
     config: TelemetryConfig,
-    traces: TrackedMutex<VecDeque<BatchTrace>>,
+    /// The last `config.trace_cap` batch traces, oldest first. It grows
+    /// to the cap once; from then on a push reuses the slot the oldest
+    /// trace leaves, so a full ring allocates nothing.
+    traces: TrackedMutex<VecDeque<TraceRecord>>,
 }
 
 /// The cheap-clone handle the engine threads through the workspace.
 ///
-/// Every handle owns a live [`Registry`]: the metric bundles register
-/// into it and count on every engine. What `Telemetry::new` adds over
-/// `Telemetry::disabled()` (also `Default`) is the per-batch trace ring:
-/// only a traced handle hands out [`BatchProbe`]s, keeps
-/// [`BatchTrace`]s and answers [`Telemetry::stall_report`].
+/// Every handle owns a live [`Registry`] and a trace ring: the metric
+/// bundles register into the registry and count on every engine, and
+/// every served batch's [`TraceRecord`] goes into the ring.
+/// `Telemetry::disabled()` (also `Default`) is the handle whose ring
+/// keeps no traces.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     core: Arc<TelemetryCore>,
@@ -347,72 +347,67 @@ impl Default for Telemetry {
 impl Telemetry {
     /// Metrics plus per-batch traces, kept as `config` says.
     pub fn new(config: TelemetryConfig) -> Self {
-        Self::with_traces(Some(TraceRing {
-            config,
-            traces: TrackedMutex::new("telemetry.traces", VecDeque::new()),
-        }))
-    }
-
-    /// Metrics only: keeps no per-batch traces.
-    pub fn disabled() -> Self {
-        Self::with_traces(None)
-    }
-
-    fn with_traces(traces: Option<TraceRing>) -> Self {
         Self {
             core: Arc::new(TelemetryCore {
                 registry: Registry::new(),
-                traces,
+                config,
+                traces: TrackedMutex::new("telemetry.traces", VecDeque::new()),
             }),
         }
     }
 
-    /// The trace configuration; `None` when no traces are kept.
-    pub fn config(&self) -> Option<&TelemetryConfig> {
-        self.core.traces.as_ref().map(|t| &t.config)
+    /// A handle whose trace ring has capacity 0: it counts and keeps no
+    /// traces.
+    pub fn disabled() -> Self {
+        Self::new(TelemetryConfig {
+            trace_cap: 0,
+            ..TelemetryConfig::default()
+        })
+    }
+
+    pub fn config(&self) -> &TelemetryConfig {
+        &self.core.config
     }
 
     pub fn registry(&self) -> &Registry {
         &self.core.registry
     }
 
-    /// A per-batch critical-path probe over `samples` demand jobs whose
-    /// batch started at `t0`; `None` when no traces are kept, so an
-    /// untraced serve allocates no probe and records no stages.
-    pub fn batch_probe(&self, t0: Instant, samples: usize) -> Option<Arc<BatchProbe>> {
-        self.core
-            .traces
-            .as_ref()
-            .map(|_| BatchProbe::starting_at(t0, samples))
-    }
-
-    pub fn push_trace(&self, trace: BatchTrace) {
-        if let Some(ring) = &self.core.traces {
-            let mut traces = ring.traces.lock();
-            if traces.len() >= ring.config.trace_cap.max(1) {
-                traces.pop_front();
-            }
-            traces.push_back(trace);
+    /// Keeps `trace`, dropping the oldest one kept once `trace_cap` are.
+    pub fn push_trace(&self, trace: TraceRecord) {
+        let cap = self.core.config.trace_cap;
+        if cap == 0 {
+            return;
         }
+        let mut traces = self.core.traces.lock();
+        if traces.len() == cap {
+            traces.pop_front();
+        }
+        traces.push_back(trace);
     }
 
-    /// Every registered metric, now. Always `Some`: every handle owns a
-    /// registry.
-    pub fn snapshot(&self) -> Option<Snapshot> {
-        Some(self.core.registry.snapshot())
+    /// Every registered metric, now.
+    pub fn snapshot(&self) -> Snapshot {
+        self.core.registry.snapshot()
     }
 
-    /// The stall-attribution report over the retained traces; `None`
-    /// when no traces are kept.
-    pub fn stall_report(&self) -> Option<StallReport> {
-        let ring = self.core.traces.as_ref()?;
-        let snap = self.core.registry.snapshot();
-        Some(StallReport {
-            budget_us: ring.config.stall_budget_us,
-            traces: ring.traces.lock().iter().cloned().collect(),
+    /// The stall-attribution report over the retained traces, oldest
+    /// first.
+    pub fn stall_report(&self) -> StallReport {
+        let traces = self
+            .core
+            .traces
+            .lock()
+            .iter()
+            .map(TraceRecord::to_trace)
+            .collect();
+        let snap = self.snapshot();
+        StallReport {
+            budget_us: self.core.config.stall_budget_us,
+            traces,
             chunks: ChunkPlans::from_snapshot(&snap),
             prefetch: PrefetchOutcomes::from_snapshot(&snap),
-        })
+        }
     }
 }
 
@@ -541,6 +536,14 @@ pub struct SchedMetrics {
     pub demand_affinity_hits: Counter,
     /// Pinned demand jobs run elsewhere.
     pub demand_affinity_misses: Counter,
+    /// Pre-materialization picks made in deadline mode.
+    pub deadline_picks: Counter,
+    /// Pre-materialization picks made in SJF mode (memory pressure).
+    pub sjf_picks: Counter,
+    /// Picks made under the FIFO policy.
+    pub fifo_picks: Counter,
+    /// Worker time spent running jobs, in nanoseconds.
+    pub busy_ns: Counter,
 }
 
 impl SchedMetrics {
@@ -555,6 +558,10 @@ impl SchedMetrics {
             affinity_steals: r.counter("sched.affinity_steals"),
             demand_affinity_hits: r.counter("sched.demand_affinity_hits"),
             demand_affinity_misses: r.counter("sched.demand_affinity_misses"),
+            deadline_picks: r.counter("sched.deadline_picks"),
+            sjf_picks: r.counter("sched.sjf_picks"),
+            fifo_picks: r.counter("sched.fifo_picks"),
+            busy_ns: r.counter("sched.busy_ns"),
         }
     }
 }
@@ -601,8 +608,7 @@ pub struct EngineMetrics {
     /// End-to-end latency serving one batch.
     pub serve_us: Histogram,
     pub batches_served: Counter,
-    /// Batches served slower than `stall_budget_us`; counted only on an
-    /// engine that keeps traces (the budget is a trace setting).
+    /// Batches served slower than `stall_budget_us`.
     pub batches_stalled: Counter,
     /// Decode latency: one `decode_indices` call over one video, a bulk
     /// pre-decode group or a single demand frame.
@@ -798,8 +804,7 @@ pub struct TenantMetrics {
     pub batches_served: Counter,
     /// Per-batch serve latency for this tenant's batches.
     pub serve_us: Histogram,
-    /// This tenant's batches that exceeded the stall budget; counted
-    /// only on an engine that keeps traces.
+    /// This tenant's batches that exceeded the stall budget.
     pub stalled: Counter,
 }
 
@@ -909,15 +914,30 @@ mod tests {
         assert_eq!(s.counts, vec![1, 1, 1]);
     }
 
+    /// A finished one-sample trace of iteration `i`.
+    fn record(i: u64) -> TraceRecord {
+        BatchProbe::default().finish(
+            [SampleProbe::default()].iter(),
+            BatchMeta {
+                task: Arc::from("t"),
+                tenant: None,
+                epoch: 0,
+                iteration: i,
+                clock: i,
+            },
+            0,
+        )
+    }
+
     #[test]
     fn disabled_telemetry_counts_but_keeps_no_traces() {
         let t = Telemetry::disabled();
-        assert!(t.config().is_none());
-        assert!(t.batch_probe(Instant::now(), 4).is_none());
-        assert!(t.stall_report().is_none());
+        assert_eq!(t.config().trace_cap, 0);
+        t.push_trace(record(0));
+        assert!(t.stall_report().traces.is_empty());
         CodecMetrics::register(&t).segments.inc();
         LoaderMetrics::register(&t, "cpu").batches.add(2);
-        let snap = t.snapshot().expect("every handle has a registry");
+        let snap = t.snapshot();
         assert_eq!(snap.counter("decode.segments"), Some(1));
         assert_eq!(snap.counter("loader.cpu.batches"), Some(2));
     }
@@ -928,7 +948,7 @@ mod tests {
         let m = StoreMetrics::register(&t, 3);
         assert_eq!(m.shard_lock_wait_us.len(), 3);
         m.shard_lock_wait_us[2].observe(17);
-        let snap = t.snapshot().expect("a registry");
+        let snap = t.snapshot();
         assert_eq!(
             snap.histogram("store.shard2.lock_wait_us").map(|h| h.count),
             Some(1)
@@ -946,20 +966,9 @@ mod tests {
             ..TelemetryConfig::default()
         });
         for i in 0..5 {
-            let probe = t.batch_probe(Instant::now(), 1).expect("traced");
-            let trace = probe.finish(
-                BatchMeta {
-                    task: "t".into(),
-                    tenant: None,
-                    epoch: 0,
-                    iteration: i,
-                    clock: i,
-                },
-                0,
-            );
-            t.push_trace(trace);
+            t.push_trace(record(i));
         }
-        let report = t.stall_report().expect("traced");
+        let report = t.stall_report();
         assert_eq!(report.traces.len(), 2);
         assert_eq!(report.traces[0].iteration, 3);
         assert_eq!(report.traces[1].iteration, 4);

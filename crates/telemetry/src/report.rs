@@ -34,13 +34,20 @@
 //! submit.
 //!
 //! Stage time inside `exec` is attributed through a thread-local: the
-//! job installs its [`StageCells`] with [`with_stage_cells`], and
-//! instrumented code anywhere below it (the store's disk I/O, the
-//! engine's decode and op-apply paths) calls [`record_stage`]. When no
-//! cells are installed — an untraced engine, or work running outside a
-//! probed job — `record_stage` is a thread-local read and a branch.
+//! job runs under [`with_stage_cells`], and instrumented code anywhere
+//! below it (the store's disk I/O, the engine's decode and op-apply
+//! paths) calls [`record_stage`], which adds to the scope's sums on this
+//! thread. The scope hands its sums to the sample's [`StageCells`] when it
+//! ends, by return or by unwind. Outside every scope — work that runs
+//! outside a sample job — `record_stage` is a thread-local read and a
+//! branch.
+//!
+//! Every engine traces every batch. The per-sample state lives in the
+//! engine's batch build, the names a trace carries are shared, and the
+//! ring reuses its slots once full, so a trace allocates nothing of its
+//! own: `tests/alloc.rs` counts.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,102 +71,117 @@ pub enum Stage {
     Aug,
 }
 
-/// Per-job stage accumulators (nanoseconds). Atomic so the serve thread
-/// can read them after the job thread finishes without synchronisation
-/// beyond the channel it already waits on.
+/// One sample's stage sums (nanoseconds), in [`Stage`] order. Atomic so
+/// the serve thread can read them after the job thread finishes without
+/// synchronisation beyond the build it already waits on.
 #[derive(Debug, Default)]
 pub struct StageCells {
-    decode_ns: AtomicU64,
-    store_ns: AtomicU64,
-    remote_ns: AtomicU64,
-    persist_ns: AtomicU64,
-    aug_ns: AtomicU64,
+    ns: [AtomicU64; 5],
 }
 
 impl StageCells {
-    #[inline]
-    fn add(&self, stage: Stage, ns: u64) {
-        let cell = match stage {
-            Stage::Decode => &self.decode_ns,
-            Stage::StoreIo => &self.store_ns,
-            Stage::Remote => &self.remote_ns,
-            Stage::Persist => &self.persist_ns,
-            Stage::Aug => &self.aug_ns,
-        };
-        cell.fetch_add(ns, Ordering::Relaxed);
+    fn add(&self, sums: [u64; 5]) {
+        for (cell, ns) in self.ns.iter().zip(sums) {
+            cell.fetch_add(ns, Ordering::Relaxed);
+        }
+    }
+
+    /// The time attributed to `stage`.
+    pub fn get(&self, stage: Stage) -> u64 {
+        self.ns[stage as usize].load(Ordering::Relaxed)
     }
 }
 
 thread_local! {
-    static ACTIVE_STAGES: RefCell<Option<Arc<StageCells>>> = const { RefCell::new(None) };
+    /// The innermost [`with_stage_cells`] scope's sums on this thread;
+    /// `None` outside every scope.
+    static ACTIVE_STAGES: Cell<Option<[u64; 5]>> = const { Cell::new(None) };
 }
 
-/// Install `cells` as this thread's stage sink for the duration of `f`.
-/// Restores the previous sink on exit (stage scopes nest).
-pub fn with_stage_cells<R>(cells: Arc<StageCells>, f: impl FnOnce() -> R) -> R {
-    let prev = ACTIVE_STAGES.with(|a| a.replace(Some(cells)));
-    let out = f();
-    ACTIVE_STAGES.with(|a| *a.borrow_mut() = prev);
-    out
+/// Attributes the stage time recorded on this thread during `f` to
+/// `cells`. Scopes nest: an inner scope's time goes to its own cells
+/// only, and the outer scope's sums resume after it. The outer scope is
+/// restored and `cells` credited however `f` ends, so a job that panics
+/// leaves nothing installed for the next job on its worker.
+pub fn with_stage_cells<R>(cells: &StageCells, f: impl FnOnce() -> R) -> R {
+    struct Scope<'a> {
+        cells: &'a StageCells,
+        outer: Option<[u64; 5]>,
+    }
+    impl Drop for Scope<'_> {
+        fn drop(&mut self) {
+            if let Some(sums) = ACTIVE_STAGES.replace(self.outer) {
+                self.cells.add(sums);
+            }
+        }
+    }
+    let _scope = Scope {
+        cells,
+        outer: ACTIVE_STAGES.replace(Some([0; 5])),
+    };
+    f()
 }
 
-/// Attribute `d` to `stage` on the currently installed cells, if any.
-/// A no-op (one thread-local read) when no probe is active.
+/// Attribute `d` to `stage` in the innermost scope on this thread, if
+/// any. A no-op (one thread-local read) outside every scope.
 #[inline]
 pub fn record_stage(stage: Stage, d: Duration) {
-    ACTIVE_STAGES.with(|a| {
-        if let Some(cells) = a.borrow().as_ref() {
-            cells.add(stage, d.as_nanos() as u64);
-        }
-    });
+    if let Some(mut sums) = ACTIVE_STAGES.get() {
+        sums[stage as usize] += d.as_nanos() as u64;
+        ACTIVE_STAGES.set(Some(sums));
+    }
 }
 
-/// Per-sample timeline, all offsets in nanoseconds from the probe's t0.
+/// One sample's timeline, offsets in nanoseconds from its batch's t0,
+/// and its stage cells. The engine keeps one per sample in the batch's
+/// build.
 #[derive(Debug, Default)]
 pub struct SampleProbe {
     submit_off_ns: AtomicU64,
     start_off_ns: AtomicU64,
     end_off_ns: AtomicU64,
-    stages: Arc<StageCells>,
+    stages: StageCells,
 }
 
-/// Timing probe for one served batch. Created by
-/// [`crate::Telemetry::batch_probe`] when the handle keeps traces; shared
-/// (via `Arc`) between the serve thread and each demand job.
+/// Timing probe for one served batch: its start instant and the
+/// serve-thread wait on a prefetched batch. The samples it times are
+/// passed in, so a probe is a plain value.
 #[derive(Debug)]
 pub struct BatchProbe {
     t0: Instant,
-    samples: Vec<SampleProbe>,
     /// Serve-thread wait on an in-flight prefetched batch (ns).
     prefetch_ns: AtomicU64,
 }
 
-/// Identity of a served batch, carried into its [`BatchTrace`].
+/// Identity of a served batch, carried into its trace. The names are
+/// shared with the engine, so carrying them copies no string.
 #[derive(Clone, Debug)]
 pub struct BatchMeta {
-    pub task: String,
+    pub task: Arc<str>,
     /// Owning tenant id when the engine runs in fleet mode; `None` for
     /// single-tenant engines (the field is then absent from exports).
-    pub tenant: Option<String>,
+    pub tenant: Option<Arc<str>>,
     pub epoch: u64,
     pub iteration: u64,
     pub clock: u64,
 }
 
-impl BatchProbe {
-    pub fn new(samples: usize) -> Arc<Self> {
-        Self::starting_at(Instant::now(), samples)
+impl SampleProbe {
+    /// The stage time the sample's job recorded.
+    pub fn stages(&self) -> &StageCells {
+        &self.stages
     }
+}
 
+impl BatchProbe {
     /// A probe whose batch-start instant was taken earlier, so work the
     /// serve thread did before it knew the batch's sample count (the
     /// chunk lookup) falls inside the trace's `plan` segment.
-    pub fn starting_at(t0: Instant, samples: usize) -> Arc<Self> {
-        Arc::new(Self {
+    pub fn starting_at(t0: Instant) -> Self {
+        Self {
             t0,
-            samples: (0..samples).map(|_| SampleProbe::default()).collect(),
             prefetch_ns: AtomicU64::new(0),
-        })
+        }
     }
 
     #[inline]
@@ -174,44 +196,43 @@ impl BatchProbe {
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Record that sample `i`'s demand job was just handed to the
-    /// scheduler.
-    pub fn mark_submitted(&self, i: usize) {
-        if let Some(s) = self.samples.get(i) {
-            s.submit_off_ns.store(self.off_ns(), Ordering::Relaxed);
-        }
+    /// Record that `sample`'s job was just handed to the scheduler.
+    pub fn mark_submitted(&self, sample: &SampleProbe) {
+        sample.submit_off_ns.store(self.off_ns(), Ordering::Relaxed);
     }
 
-    /// Run sample `i`'s materialization under this probe: records the
-    /// start/end offsets (queue wait and execution window) and installs
-    /// the sample's stage cells so nested instrumentation attributes
-    /// decode / store I/O / aug time to this job.
-    pub fn run_sample<R>(&self, i: usize, f: impl FnOnce() -> R) -> R {
-        let Some(s) = self.samples.get(i) else {
-            return f();
-        };
-        s.start_off_ns.store(self.off_ns(), Ordering::Relaxed);
-        let out = with_stage_cells(Arc::clone(&s.stages), f);
-        s.end_off_ns.store(self.off_ns(), Ordering::Relaxed);
+    /// Run `sample`'s materialization under this probe: records the
+    /// start/end offsets (queue wait and execution window) and collects
+    /// the stage time nested instrumentation records into the sample's
+    /// cells.
+    pub fn run_sample<R>(&self, sample: &SampleProbe, f: impl FnOnce() -> R) -> R {
+        sample.start_off_ns.store(self.off_ns(), Ordering::Relaxed);
+        let out = with_stage_cells(&sample.stages, f);
+        sample.end_off_ns.store(self.off_ns(), Ordering::Relaxed);
         out
     }
 
-    /// Close the probe and produce the batch's trace. Called on the
-    /// serve thread after the last tensor was collected and bookkeeping
-    /// finished; `stall_budget_us` decides the `stalled` flag.
-    pub fn finish(&self, meta: BatchMeta, stall_budget_us: u64) -> BatchTrace {
+    /// Close the probe over the batch's `samples` and produce its trace.
+    /// Called on the serve thread after the last tensor was collected
+    /// and bookkeeping finished; `stall_budget_us` decides the `stalled`
+    /// flag. No samples (a batch served from a prefetched build) leaves
+    /// `plan`, `prefetch` and `finalize`.
+    pub fn finish<'a>(
+        &self,
+        samples: impl ExactSizeIterator<Item = &'a SampleProbe>,
+        meta: BatchMeta,
+        stall_budget_us: u64,
+    ) -> TraceRecord {
         let serve_ns = self.off_ns();
+        let count = samples.len();
         // Critical path: the sample that finished last.
-        let critical = self
-            .samples
-            .iter()
-            .max_by_key(|s| s.end_off_ns.load(Ordering::Relaxed));
+        let critical = samples.max_by_key(|s| s.end_off_ns.load(Ordering::Relaxed));
         let (submit, start, end, stages) = match critical {
             Some(s) => (
                 s.submit_off_ns.load(Ordering::Relaxed),
                 s.start_off_ns.load(Ordering::Relaxed),
                 s.end_off_ns.load(Ordering::Relaxed),
-                &*s.stages,
+                &s.stages,
             ),
             None => (serve_ns, serve_ns, serve_ns, &EMPTY_CELLS),
         };
@@ -224,57 +245,77 @@ impl BatchProbe {
         // The prefetch wait is serve-thread time before submission, so
         // it can never exceed the pre-submit window.
         let prefetch_ns = self.prefetch_ns.load(Ordering::Relaxed).min(submit);
-        let exec_ns = end - start;
         // Clamp the stage split so it never exceeds the execution
         // window; the residual is exec_other. This keeps the trace's
         // breakdown summing exactly to serve_ns.
-        let decode_ns = stages.decode_ns.load(Ordering::Relaxed).min(exec_ns);
-        let store_ns = stages
-            .store_ns
-            .load(Ordering::Relaxed)
-            .min(exec_ns - decode_ns);
-        let remote_ns = stages
-            .remote_ns
-            .load(Ordering::Relaxed)
-            .min(exec_ns - decode_ns - store_ns);
-        let persist_ns = stages
-            .persist_ns
-            .load(Ordering::Relaxed)
-            .min(exec_ns - decode_ns - store_ns - remote_ns);
-        let aug_ns = stages
-            .aug_ns
-            .load(Ordering::Relaxed)
-            .min(exec_ns - decode_ns - store_ns - remote_ns - persist_ns);
-        BatchTrace {
-            task: meta.task,
-            tenant: meta.tenant,
-            epoch: meta.epoch,
-            iteration: meta.iteration,
-            clock: meta.clock,
-            samples: self.samples.len(),
+        let mut exec_left = end - start;
+        let [decode_ns, store_ns, remote_ns, persist_ns, aug_ns] = stages.ns.each_ref().map(|ns| {
+            let ns = ns.load(Ordering::Relaxed).min(exec_left);
+            exec_left -= ns;
+            ns
+        });
+        TraceRecord {
+            meta,
+            samples: count,
             serve_ns,
-            plan_ns: submit - prefetch_ns,
-            prefetch_ns,
-            queue_ns: start - submit,
-            decode_ns,
-            store_ns,
-            remote_ns,
-            persist_ns,
-            aug_ns,
-            exec_other_ns: exec_ns - decode_ns - store_ns - remote_ns - persist_ns - aug_ns,
-            finalize_ns: serve_ns - end,
+            segments: [
+                submit - prefetch_ns,
+                prefetch_ns,
+                start - submit,
+                decode_ns,
+                store_ns,
+                remote_ns,
+                persist_ns,
+                aug_ns,
+                exec_left,
+                serve_ns - end,
+            ],
             stalled: serve_ns > stall_budget_us.saturating_mul(1_000),
         }
     }
 }
 
+/// A probe starting now.
+impl Default for BatchProbe {
+    fn default() -> Self {
+        Self::starting_at(Instant::now())
+    }
+}
+
 static EMPTY_CELLS: StageCells = StageCells {
-    decode_ns: AtomicU64::new(0),
-    store_ns: AtomicU64::new(0),
-    remote_ns: AtomicU64::new(0),
-    persist_ns: AtomicU64::new(0),
-    aug_ns: AtomicU64::new(0),
+    ns: [const { AtomicU64::new(0) }; 5],
 };
+
+/// A finished batch's trace as the ring keeps it: fixed-size, its names
+/// shared with the engine. [`TraceRecord::to_trace`] spells it out as a
+/// [`BatchTrace`] when a report is asked for.
+#[derive(Clone, Debug)]
+pub struct TraceRecord {
+    pub meta: BatchMeta,
+    pub samples: usize,
+    /// The batch's serve latency, the sum of its segments.
+    pub serve_ns: u64,
+    /// The ten segments, in [`STAGE_LABELS`] order.
+    pub segments: [u64; 10],
+    /// Whether the batch took longer than the stall budget.
+    pub stalled: bool,
+}
+
+impl TraceRecord {
+    pub fn to_trace(&self) -> BatchTrace {
+        BatchTrace {
+            task: self.meta.task.to_string(),
+            tenant: self.meta.tenant.as_deref().map(str::to_string),
+            epoch: self.meta.epoch,
+            iteration: self.meta.iteration,
+            clock: self.meta.clock,
+            samples: self.samples,
+            serve_ns: self.serve_ns,
+            segments: self.segments,
+            stalled: self.stalled,
+        }
+    }
+}
 
 /// Labels of the ten contiguous segments of a [`BatchTrace`], in
 /// timeline order. `BatchTrace::breakdown_ns` yields values in the same
@@ -304,34 +345,15 @@ pub struct BatchTrace {
     pub clock: u64,
     pub samples: usize,
     pub serve_ns: u64,
-    pub plan_ns: u64,
-    pub prefetch_ns: u64,
-    pub queue_ns: u64,
-    pub decode_ns: u64,
-    pub store_ns: u64,
-    pub remote_ns: u64,
-    pub persist_ns: u64,
-    pub aug_ns: u64,
-    pub exec_other_ns: u64,
-    pub finalize_ns: u64,
+    /// The ten segments, in [`STAGE_LABELS`] order.
+    pub segments: [u64; 10],
     pub stalled: bool,
 }
 
 impl BatchTrace {
     /// Segment values in [`STAGE_LABELS`] order.
     pub fn breakdown_ns(&self) -> [u64; 10] {
-        [
-            self.plan_ns,
-            self.prefetch_ns,
-            self.queue_ns,
-            self.decode_ns,
-            self.store_ns,
-            self.remote_ns,
-            self.persist_ns,
-            self.aug_ns,
-            self.exec_other_ns,
-            self.finalize_ns,
-        ]
+        self.segments
     }
 
     /// Invariant check: the ten segments reassemble the serve latency.
@@ -608,7 +630,7 @@ mod tests {
 
     fn meta() -> BatchMeta {
         BatchMeta {
-            task: "train".into(),
+            task: Arc::from("train"),
             tenant: None,
             epoch: 0,
             iteration: 3,
@@ -618,20 +640,40 @@ mod tests {
 
     fn tenant_meta(tenant: &str, iteration: u64) -> BatchMeta {
         BatchMeta {
-            task: "train".into(),
-            tenant: Some(tenant.into()),
+            task: Arc::from("train"),
+            tenant: Some(Arc::from(tenant)),
             epoch: 0,
             iteration,
             clock: iteration,
         }
     }
 
+    /// The segment `label` of `trace`.
+    fn seg(trace: &BatchTrace, label: &str) -> u64 {
+        let i = STAGE_LABELS.iter().position(|l| *l == label);
+        trace.segments[i.expect("a segment label")]
+    }
+
+    fn samples(n: usize) -> Vec<SampleProbe> {
+        (0..n).map(|_| SampleProbe::default()).collect()
+    }
+
+    /// One batch of one sample that ran `f`, finished against budget 0.
+    fn one_sample_trace(meta: BatchMeta, f: impl FnOnce()) -> BatchTrace {
+        let probe = BatchProbe::default();
+        let s = samples(1);
+        probe.mark_submitted(&s[0]);
+        probe.run_sample(&s[0], f);
+        probe.finish(s.iter(), meta, 0).to_trace()
+    }
+
     #[test]
     fn breakdown_sums_exactly_to_serve_latency() {
-        let probe = BatchProbe::new(3);
-        for i in 0..3 {
-            probe.mark_submitted(i);
-            probe.run_sample(i, || {
+        let probe = BatchProbe::default();
+        let s = samples(3);
+        for s in &s {
+            probe.mark_submitted(s);
+            probe.run_sample(s, || {
                 record_stage(Stage::Decode, Duration::from_micros(200));
                 record_stage(Stage::StoreIo, Duration::from_micros(30));
                 record_stage(Stage::Remote, Duration::from_micros(20));
@@ -640,18 +682,17 @@ mod tests {
                 thread::sleep(Duration::from_millis(1));
             });
         }
-        let trace = probe.finish(meta(), 0);
+        let trace = probe.finish(s.iter(), meta(), 0).to_trace();
+        assert_eq!(trace.samples, 3);
         assert_eq!(trace.breakdown_sum_ns(), trace.serve_ns);
         assert!(trace.serve_ns > 0);
-        assert!(trace.decode_ns >= 200_000);
+        assert!(seg(&trace, "decode") >= 200_000);
         assert!(trace.stalled, "budget 0 marks every batch stalled");
     }
 
     #[test]
     fn stage_clamp_preserves_sum_invariant() {
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {
+        let trace = one_sample_trace(meta(), || {
             // Deliberately over-report: stage time far beyond the actual
             // execution window must be clamped, not break the invariant.
             record_stage(Stage::Decode, Duration::from_secs(10));
@@ -659,87 +700,105 @@ mod tests {
             record_stage(Stage::Persist, Duration::from_secs(10));
             record_stage(Stage::Aug, Duration::from_secs(10));
         });
-        let trace = probe.finish(meta(), 0);
         assert_eq!(trace.breakdown_sum_ns(), trace.serve_ns);
     }
 
     #[test]
     fn stages_attribute_to_the_installed_cells_only() {
-        let probe = BatchProbe::new(2);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {
+        let probe = BatchProbe::default();
+        let s = samples(2);
+        probe.mark_submitted(&s[0]);
+        probe.run_sample(&s[0], || {
             record_stage(Stage::Aug, Duration::from_micros(500));
         });
         // No cells installed here: must be dropped, not misattributed.
         record_stage(Stage::Aug, Duration::from_secs(1));
-        probe.mark_submitted(1);
-        probe.run_sample(1, || {});
-        let trace = probe.finish(meta(), 0);
+        probe.mark_submitted(&s[1]);
+        probe.run_sample(&s[1], || {});
+        assert_eq!(s[0].stages.get(Stage::Aug), 500_000);
+        let trace = probe.finish(s.iter(), meta(), 0).to_trace();
         // Critical sample is #1 (finished last) which recorded nothing.
-        assert_eq!(trace.aug_ns, 0);
+        assert_eq!(seg(&trace, "aug"), 0);
     }
 
     #[test]
     fn stage_scopes_nest_and_restore() {
-        let outer = Arc::new(StageCells::default());
-        let inner = Arc::new(StageCells::default());
-        with_stage_cells(Arc::clone(&outer), || {
+        let outer = StageCells::default();
+        let inner = StageCells::default();
+        with_stage_cells(&outer, || {
             record_stage(Stage::Decode, Duration::from_micros(10));
-            with_stage_cells(Arc::clone(&inner), || {
+            with_stage_cells(&inner, || {
                 record_stage(Stage::Decode, Duration::from_micros(99));
             });
             record_stage(Stage::Decode, Duration::from_micros(10));
         });
-        assert_eq!(outer.decode_ns.load(Ordering::Relaxed), 20_000);
-        assert_eq!(inner.decode_ns.load(Ordering::Relaxed), 99_000);
+        assert_eq!(outer.get(Stage::Decode), 20_000);
+        assert_eq!(inner.get(Stage::Decode), 99_000);
+    }
+
+    /// A scope that unwinds credits its cells and restores the outer
+    /// scope, so nothing recorded after it lands in the dead scope.
+    #[test]
+    fn an_unwound_scope_is_restored() {
+        let dead = StageCells::default();
+        let unwound = std::panic::catch_unwind(|| {
+            with_stage_cells(&dead, || {
+                record_stage(Stage::Aug, Duration::from_micros(7));
+                panic!("the job under this scope failed");
+            })
+        });
+        assert!(unwound.is_err());
+        record_stage(Stage::Aug, Duration::from_secs(1));
+        assert_eq!(dead.get(Stage::Aug), 7_000);
+        assert!(ACTIVE_STAGES.get().is_none());
     }
 
     /// The prefetch segment is carved out of the pre-submit window and
     /// keeps the exact-sum invariant; without a recorded wait it is 0.
     #[test]
     fn prefetch_wait_carves_out_of_plan_and_preserves_sum() {
-        let probe = BatchProbe::new(0);
+        let probe = BatchProbe::default();
         thread::sleep(Duration::from_millis(2));
         probe.record_prefetch_wait(Duration::from_millis(1));
-        let trace = probe.finish(meta(), 0);
-        assert!(trace.prefetch_ns >= 1_000_000);
+        let trace = probe.finish(std::iter::empty(), meta(), 0).to_trace();
+        assert_eq!(trace.samples, 0);
+        assert!(seg(&trace, "prefetch") >= 1_000_000);
         assert_eq!(trace.breakdown_sum_ns(), trace.serve_ns);
-        assert_eq!(trace.plan_ns + trace.prefetch_ns, trace.serve_ns);
+        assert_eq!(
+            seg(&trace, "plan") + seg(&trace, "prefetch"),
+            trace.serve_ns
+        );
 
         // Over-reported wait clamps to the pre-submit window.
-        let probe = BatchProbe::new(1);
+        let probe = BatchProbe::default();
+        let s = samples(1);
         probe.record_prefetch_wait(Duration::from_secs(30));
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
-        let trace = probe.finish(meta(), 0);
+        probe.mark_submitted(&s[0]);
+        probe.run_sample(&s[0], || {});
+        let trace = probe.finish(s.iter(), meta(), 0).to_trace();
         assert_eq!(trace.breakdown_sum_ns(), trace.serve_ns);
 
         // No wait recorded → segment absent from the trace.
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
-        let trace = probe.finish(meta(), 0);
-        assert_eq!(trace.prefetch_ns, 0);
+        let trace = one_sample_trace(meta(), || {});
+        assert_eq!(seg(&trace, "prefetch"), 0);
         assert_eq!(trace.breakdown_sum_ns(), trace.serve_ns);
     }
 
     #[test]
     fn high_stall_budget_unmarks_fast_batches() {
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
-        let trace = probe.finish(meta(), 60_000_000); // 60 s budget
+        let probe = BatchProbe::default();
+        let s = samples(1);
+        probe.mark_submitted(&s[0]);
+        probe.run_sample(&s[0], || {});
+        let trace = probe.finish(s.iter(), meta(), 60_000_000); // 60 s budget
         assert!(!trace.stalled);
     }
 
     #[test]
     fn stall_report_renders_chunk_boundaries() {
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
         let report = StallReport {
             budget_us: 0,
-            traces: vec![probe.finish(meta(), 0)],
+            traces: vec![one_sample_trace(meta(), || {})],
             chunks: ChunkPlans {
                 planned: 3,
                 plan_us: 4_200,
@@ -780,20 +839,14 @@ mod tests {
         let mut traces = Vec::new();
         for (tenant, iters) in [("alpha", 3u64), ("beta", 2)] {
             for i in 0..iters {
-                let probe = BatchProbe::new(1);
-                probe.mark_submitted(0);
-                probe.run_sample(0, || {
+                traces.push(one_sample_trace(tenant_meta(tenant, i), || {
                     record_stage(Stage::Aug, Duration::from_micros(120));
                     thread::sleep(Duration::from_micros(300));
-                });
-                traces.push(probe.finish(tenant_meta(tenant, i), 0));
+                }));
             }
         }
         // One untenanted trace must stay out of every section.
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
-        traces.push(probe.finish(meta(), 0));
+        traces.push(one_sample_trace(meta(), || {}));
 
         let report = StallReport {
             budget_us: 0,
@@ -846,12 +899,9 @@ mod tests {
     /// the single-tenant export format is unchanged.
     #[test]
     fn no_tenants_means_no_tenant_sections() {
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
         let report = StallReport {
             budget_us: 0,
-            traces: vec![probe.finish(meta(), 0)],
+            traces: vec![one_sample_trace(meta(), || {})],
             chunks: ChunkPlans::default(),
             prefetch: PrefetchOutcomes::default(),
         };
@@ -862,10 +912,7 @@ mod tests {
 
     #[test]
     fn trace_json_is_one_line_and_parses() {
-        let probe = BatchProbe::new(1);
-        probe.mark_submitted(0);
-        probe.run_sample(0, || {});
-        let trace = probe.finish(meta(), 0);
+        let trace = one_sample_trace(meta(), || {});
         let line = trace.render_json();
         assert!(!line.contains('\n'));
         let v = crate::parse_json(&line).expect("trace json parses");

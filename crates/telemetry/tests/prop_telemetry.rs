@@ -71,7 +71,7 @@ proptest! {
         for (i, v) in values.iter().enumerate() {
             registry.counter(&format!("fam{}.c{}", i % 3, i)).add(*v);
         }
-        let snap = t.snapshot().unwrap();
+        let snap = t.snapshot();
         let lines = sand_telemetry::validate_jsonl(&snap.render_jsonl()).unwrap();
         prop_assert_eq!(lines.len(), values.len());
         for line in &lines {

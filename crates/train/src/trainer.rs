@@ -392,7 +392,7 @@ dataset:
         let plan = Arc::new(TaskPlan::single_task(&cfg, &ds, 0..1, 7).unwrap());
         let mut loader = OnDemandCpuLoader::new(Arc::clone(&ds), plan, 2, 2);
         let report = t.run(&mut loader, &config(0..1)).unwrap();
-        let snap = telemetry.snapshot().unwrap();
+        let snap = telemetry.snapshot();
         let counter = |name: &str| match snap.get(name) {
             Some(sand_core::MetricValue::Counter(v)) => *v,
             other => panic!("{name}: expected counter, got {other:?}"),
@@ -445,7 +445,7 @@ dataset:
         for (a, b) in base.losses.iter().zip(pre.losses.iter()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
-        let snap = telemetry.snapshot().unwrap();
+        let snap = telemetry.snapshot();
         let counter = |name: &str| match snap.get(name) {
             Some(sand_core::MetricValue::Counter(v)) => *v,
             other => panic!("{name}: expected counter, got {other:?}"),
